@@ -1,0 +1,87 @@
+"""Golden outputs of the command-line front end.
+
+Every case runs `cliffordlab.cli.main` in process, once per output channel
+(text, tsv, structured), and compares the exit code and every stdout byte
+with the files under tests/golden/.  `demo` is left out: its text channel
+prints timings, and its TSV channel is pinned by the acceptance tests.
+
+After an intended change of output, rewrite the files with
+
+    PYTHONPATH=src python tests/test_goldens.py
+"""
+
+import contextlib
+import io
+import pathlib
+import sys
+
+import pytest
+
+from cliffordlab.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+SHIPPED = ("additive.chart", "chain3.poset", "flat3.metric", "minplus.chart",
+           "sierpinski.topology", "twochain.metric", "twochain.spec",
+           "z2.cayley")
+
+# case name -> (argv, exit code)
+CASES = {
+    **{f"validate-{name}": (["validate", name], 0) for name in SHIPPED},
+    "classify-z2": (["classify", "z2.cayley"], 0),
+    "decompose-z2": (["decompose", "z2.cayley"], 0),
+    "j-classes-z2": (["j-classes", "z2.cayley"], 0),
+    "trivial-check-z2": (["trivial-check", "z2.cayley"], 0),
+    "assemble-twochain": (["assemble", "twochain.spec"], 0),
+    "way-below-chain3": (["way-below", "chain3.poset"], 0),
+    "basis-check-chain3": (["basis-check", "chain3.poset", "--basis", "0,1,2"], 0),
+    "topo-check-sierpinski": (["topo-check", "sierpinski.topology"], 0),
+    "basic-set-inf": (["basic-set", "twochain.spec", "--u", "0,1", "--v", "0"], 0),
+    "basic-set-e1": (["basic-set", "twochain.spec", "--u", "0,1", "--v", "0",
+                      "--e", "1"], 0),
+    "metric-eval-bowman": (["metric-eval", "bowman", "twochain.metric",
+                            "--p", "1,a", "--q", "1,b"], 0),
+    "metric-eval-disjoint": (["metric-eval", "disjoint", "twochain.metric",
+                              "--p", "1,a", "--q", "0,z"], 0),
+    # the collapse bonding is no isometry: exit 1, nothing on stdout
+    "metric-eval-yeager": (["metric-eval", "yeager", "twochain.metric",
+                            "--p", "1,a", "--q", "1,b"], 1),
+    "metric-suite-flat3": (["metric-suite", "flat3.metric"], 0),
+    "metric-suite-twochain": (["metric-suite", "twochain.metric"], 0),
+    "converge-flat3": (["converge", "flat3.metric", "--ks", "1,2,3"], 0),
+    "c1-probe-additive": (["c1-probe", "additive.chart"], 0),
+    "c1-probe-minplus": (["c1-probe", "minplus.chart", "--scan", "0.5"], 0),
+}
+
+FORMATS = {"text": "txt", "tsv": "tsv", "structured": "json"}
+
+
+def run(argv, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--format", fmt])
+    return code, out.getvalue()
+
+
+def golden_path(case, fmt):
+    return GOLDEN / f"{case}.{FORMATS[fmt]}"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", CASES)
+def test_golden(case, fmt):
+    argv, expected_code = CASES[case]
+    code, out = run(argv, fmt)
+    assert code == expected_code
+    assert out == golden_path(case, fmt).read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case, (argv, expected_code) in CASES.items():
+        for fmt in FORMATS:
+            code, out = run(argv, fmt)
+            if code != expected_code:
+                sys.exit(f"{case} --format {fmt}: exit {code}, "
+                         f"expected {expected_code}")
+            golden_path(case, fmt).write_text(out, encoding="utf-8")
