@@ -34,7 +34,6 @@ from .order import (
     is_basis,
     lawson_basic,
     validate_poset,
-    way_below_all,
     way_below_by_definition,
 )
 from .semilattice import (
@@ -112,7 +111,6 @@ __all__ = [
     "validate_semigroup",
     "validate_spec",
     "validate_topology",
-    "way_below_all",
     "way_below_by_definition",
     "yeager_distance",
 ]

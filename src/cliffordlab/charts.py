@@ -394,6 +394,8 @@ def fixed_point_scan(model: ChartModel, radius: float, grid_step: float,
     fatal).  Returns (sorted fixed points, number of divergent seeds)."""
     if radius > model.radius:
         raise WorkbenchError("scan radius exceeds the model's domain ball")
+    if grid_step <= 0:
+        raise WorkbenchError(f"grid step must be positive, got {grid_step}")
     n = model.dim
 
     def H(u):

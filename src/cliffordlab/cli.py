@@ -17,7 +17,7 @@ from importlib import resources
 
 from . import documents as docs
 from . import suite
-from .core import classify, green_j_classes, is_trivial_clifford
+from .core import classify, green_j_classes, is_semilattice, is_trivial_clifford
 from .errors import WorkbenchError
 from .metrics import (
     Point,
@@ -26,7 +26,7 @@ from .metrics import (
     metric_axiom_suite,
     yeager_distance,
 )
-from .order import is_basis, way_below_all
+from .order import is_basis
 from .semilattice import assemble, decompose, direct_product
 from .topology import (
     basic_set,
@@ -225,8 +225,8 @@ def _cmd_trivial_check(args):
 
 def _cmd_way_below(args):
     P = docs.build_poset(_load(args.file))
-    rel = way_below_all(P)
-    pairs = [(x, y) for x in P.elements() for y in P.elements() if rel.wb(x, y)]
+    # way-below is <= on a finite poset
+    pairs = [(x, y) for x in P.elements() for y in P.elements() if P.le(x, y)]
     lines = [f"{len(pairs)} way-below pairs"] + [
         f"  {x} << {y}" for x, y in pairs
     ]
@@ -267,9 +267,10 @@ def _cmd_topo_check(args):
         lines.append(f"{name}: {str(val).lower()}")
         rows.append((name, str(val).lower()))
         payload[name] = val
-    closed, hausdorff = order_graph_closed(model)
-    for name, val in (("order-graph-closed", closed), ("hausdorff", hausdorff),
-                      ("mp-check", mp_check(model))):
+    # the order graph exists only on semilattice models
+    extra = (zip(("order-graph-closed", "hausdorff"), order_graph_closed(model))
+             if is_semilattice(model.S) else [])
+    for name, val in [*extra, ("mp-check", mp_check(model))]:
         lines.append(f"{name}: {str(val).lower()}")
         rows.append((name, str(val).lower()))
         payload[name] = val
@@ -329,8 +330,7 @@ def _cmd_metric_suite(args):
         for q in points:
             cache[(p, q)] = bowman_distance(data, p, q,
                                             truncation=args.truncation).value
-    tol = args.tolerance if args.tolerance else 0
-    rep = metric_axiom_suite(lambda p, q: cache[(p, q)], points, tolerance=tol)
+    rep = metric_axiom_suite(lambda p, q: cache[(p, q)], points)
     axioms = {
         "non-negativity": rep.negativity,
         "symmetry": rep.symmetry,
@@ -351,14 +351,18 @@ def _cmd_metric_suite(args):
 
 def _cmd_converge(args):
     data = docs.build_bowman_data(_load(args.file))
-    ks = _parse_ints(args.ks) if args.ks else list(suite.CONVERGENCE_SCHEDULE)
-    limit = Point(0, args.g)
+    if args.ks:
+        ks = _parse_ints(args.ks)
+    else:  # the default schedule, cut to the blocks of this document
+        ks = [k for k in suite.CONVERGENCE_SCHEDULE if k in data.blocks]
+    groups = {e: blk.group for e, blk in data.blocks.items()}
+    limit = _parse_point(groups, f"0,{args.g}")
     du = {e: blk.d for e, blk in data.blocks.items()}
     rows = [("k", "distance", "distance_float", "tail_bound", "disjoint_union")]
     payload = {"rows": []}
     lines = [f"sequence (1/k, g={args.g}) against ({0}, g={args.g})"]
     for k in ks:
-        p = Point(k, args.g)
+        p = _parse_point(groups, f"{k},{args.g}")
         bv = bowman_distance(data, p, limit, truncation=args.truncation)
         dd = disjoint_union_distance(du, p, limit)
         rows.append((k, _frac_str(bv.value), f"{float(bv.value):.6e}",
@@ -488,8 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("metric-suite", _cmd_metric_suite,
             "exhaustive metric-axiom check over all points")
     p.add_argument("file")
-    p.add_argument("--tolerance", type=float, default=0.0,
-                   help="triangle-inequality slack (float-mode only)")
     p.add_argument("--truncation", type=int, default=None)
     p = add("converge", _cmd_converge, "distance along the sequence (1/k, g)")
     p.add_argument("file")

@@ -8,7 +8,6 @@ All operations are pure functions over immutable values.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,7 +16,6 @@ from .errors import (
     InternalInconsistency,
     NotAssociative,
     NotClifford,
-    NotInverse,
     NotSemilattice,
     SearchBudgetExceeded,
 )
@@ -46,12 +44,6 @@ class FiniteSemigroup:
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
-
-    def relabel(self, labels) -> "FiniteSemigroup":
-        labels = tuple(labels)
-        if len(labels) != self.n:
-            raise IndexOutOfRange(f"expected {self.n} labels, got {len(labels)}")
-        return FiniteSemigroup(self.table, labels)
 
 
 def associativity_witnesses(table) -> list[tuple[int, int, int]]:
@@ -249,11 +241,12 @@ def pi_and_subgroups(S: FiniteSemigroup):
 
     Returns (pi, groups) where groups maps each idempotent e to the sorted
     tuple of elements of G_e.  Verifies that pi is a homomorphism and that
-    each fiber is a group with identity e.  Raises NotClifford otherwise.
+    each fiber is a group with identity e.  Raises NotClifford otherwise;
+    this is the one Clifford check on the decomposition path.
     """
     cls = classify(S)
     if not cls.is_clifford:
-        raise NotClifford("pi_and_subgroups requires a Clifford semigroup")
+        raise NotClifford("not a Clifford semigroup")
     pi = cls.inverse.pi
     for x in S.elements():
         for y in S.elements():
@@ -289,12 +282,11 @@ class CliffordDecomposition:
     order: IdempotentOrder
 
 
-def bonding_maps(S: FiniteSemigroup, groups=None) -> CliffordDecomposition:
+def bonding_maps(S: FiniteSemigroup) -> CliffordDecomposition:
     """Tabulate every bonding map phi_{f,e}(x) = ex and verify: each is a
     group homomorphism, phi_{e,e} = id, and phi_{g,e} = phi_{f,e} o phi_{g,f}
-    along all chains e <= f <= g."""
-    if groups is None:
-        _, groups = pi_and_subgroups(S)
+    along all chains e <= f <= g.  Raises NotClifford on other semigroups."""
+    _, groups = pi_and_subgroups(S)
     order = idempotent_order(S)
     bonding: dict[tuple[int, int], dict[int, int]] = {}
     for f in order.idempotents:
@@ -393,10 +385,13 @@ class _Budget:
             raise SearchBudgetExceeded(f"search budget {self.limit} exceeded")
 
 
-def group_isomorphisms(G: FiniteSemigroup, H: FiniteSemigroup, budget: _Budget):
-    """Yield all isomorphisms G -> H (as index tuples) by backtracking.
+def isomorphisms(G: FiniteSemigroup, H: FiniteSemigroup, budget: _Budget):
+    """Yield all isomorphisms G -> H (as index tuples) by backtracking, for
+    any two semigroup tables.
 
-    Prunes on element signatures; assumes both tables are groups."""
+    Elements of G are mapped in index order, each to the unused elements of
+    H with the same signature in index order; every node spends one unit of
+    the budget, and exceeding it raises SearchBudgetExceeded."""
     if G.n != H.n:
         return
     sig_g = [element_signature(G, x) for x in G.elements()]
@@ -464,7 +459,7 @@ def is_trivial_clifford(S: FiniteSemigroup, budget: int = 500_000):
     ref_table = locals_[ref]
     iso_lists = {}
     for e in E:
-        isos = list(group_isomorphisms(locals_[e], ref_table, bud))
+        isos = list(isomorphisms(locals_[e], ref_table, bud))
         if not isos:
             return None
         iso_lists[e] = isos

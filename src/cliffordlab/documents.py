@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .catalog import TRIVIAL_GROUP  # noqa: F401  (re-exported convenience)
 from .charts import BUILTIN_MODELS, ChartModel, polynomial_model
 from .core import FiniteSemigroup, validate_semigroup
 from .errors import SchemaError

@@ -25,10 +25,6 @@ class NotAssociative(WorkbenchError):
         super().__init__(f"associativity fails at {shown}{more}")
 
 
-class NotInverse(WorkbenchError):
-    """The semigroup is not an inverse semigroup."""
-
-
 class NotClifford(WorkbenchError):
     """The semigroup is not Clifford."""
 
@@ -46,12 +42,14 @@ class NotGroup(WorkbenchError):
 
 
 class NotHomomorphism(WorkbenchError):
-    """A bonding map fails to be a group homomorphism."""
+    """A bonding map is missing, malformed, or not a group homomorphism;
+    carries the offending pair and, for a broken law, the witness (x, y)."""
 
-    def __init__(self, pair, witness=None):
+    def __init__(self, pair, reason, witness=None):
         self.pair = pair
         self.witness = witness
-        super().__init__(f"bonding {pair} is not a homomorphism (witness {witness})")
+        shown = "" if witness is None else f" (witness {witness})"
+        super().__init__(f"bad bonding map {pair}: {reason}{shown}")
 
 
 class FunctorLawViolated(WorkbenchError):
@@ -97,10 +95,6 @@ class NotDifferentiable(WorkbenchError):
 
 class EvaluationOutsideDomain(WorkbenchError):
     """A chart model was evaluated outside its domain ball."""
-
-
-class NewtonDivergence(WorkbenchError):
-    """A Newton iteration left the search region (recorded per seed)."""
 
 
 class SchemaError(WorkbenchError):

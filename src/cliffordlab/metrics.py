@@ -9,7 +9,7 @@ Three distance functions live here, all over exact rationals:
   refuses to run unless every bonding map is an isometry,
 * the disjoint-union metric (d_e inside a block, 1 across blocks).
 
-Plus the metric-axiom suite and convergence probes that exercise them.
+Plus the exhaustive metric-axiom suite that exercises them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .order import (
     LazySemilatticeModel,
     is_basis,
     poset_of_semilattice,
-    way_below_all,
 )
 from .semilattice import StrongSemilatticeSpec, group_identity
 
@@ -51,8 +50,6 @@ class PosetEModel:
         if len(self.rho_matrix) != n or any(len(r) != n for r in self.rho_matrix):
             raise WorkbenchError("rho matrix shape does not match poset")
         _check_metric_matrix(self.rho_matrix, bound=Fraction(1))
-        wb = way_below_all(poset)
-        self._wb = wb
 
     def elements(self):
         return self.poset.elements()
@@ -61,7 +58,7 @@ class PosetEModel:
         return self.poset.le(e, f)
 
     def way_below(self, b, e):
-        return self._wb.wb(b, e)
+        return self.poset.le(b, e)  # way-below is <= on a finite poset
 
     def rho(self, e, f):
         return self.rho_matrix[e][f]
@@ -73,8 +70,7 @@ class PosetEModel:
         return m
 
     def check_basis(self, basis):
-        ok, witness = is_basis(self.poset, basis, self._wb)
-        return ok, witness
+        return is_basis(self.poset, basis)
 
     def a_weight_raw(self, b, e):
         complement = [x for x in self.elements() if not self.way_below(b, x)]
@@ -437,11 +433,9 @@ class MetricReport:
                     or self.triangle)
 
 
-def metric_axiom_suite(dist: Callable, points, tolerance=0) -> MetricReport:
-    """Exhaustive metric-axiom check over a finite point set.
-
-    tolerance only loosens the triangle inequality (for float-mode suites);
-    everything else is compared exactly."""
+def metric_axiom_suite(dist: Callable, points) -> MetricReport:
+    """Exhaustive metric-axiom check over a finite point set, with every
+    comparison exact."""
     points = list(points)
     report = MetricReport([], [], [], [])
     table = {}
@@ -460,26 +454,7 @@ def metric_axiom_suite(dist: Callable, points, tolerance=0) -> MetricReport:
     for p in points:
         for q in points:
             for r in points:
-                if table[(p, r)] > table[(p, q)] + table[(q, r)] + tolerance:
+                if table[(p, r)] > table[(p, q)] + table[(q, r)]:
                     report.triangle.append((p, q, r))
     return report
 
-
-def convergence_probe(dist: Callable, sequence: Callable, limit,
-                      ks, thresholds=()):
-    """Evaluate d(x_k, limit) along a schedule of indices.
-
-    Returns (rows, verdicts): rows are (k, distance) pairs; verdicts map each
-    threshold to True when every evaluated distance from some k onward sits
-    below it."""
-    rows = [(k, dist(sequence(k), limit)) for k in ks]
-    verdicts = {}
-    for thr in thresholds:
-        below = [v < thr for _, v in rows]
-        first = None
-        for i in range(len(below)):
-            if all(below[i:]):
-                first = rows[i][0]
-                break
-        verdicts[thr] = first
-    return rows, verdicts

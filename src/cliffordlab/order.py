@@ -1,6 +1,10 @@
 """Posets, the way-below relation, domain bases, Lawson-style basic sets,
 and the truncated flat-semilattice model over exact rationals.
 
+In a finite poset every directed set attains its supremum at its maximum
+element, so way-below coincides with <=: the code uses P.le, and
+way_below_by_definition is kept as the independent oracle.
+
 All order data is exact (integers and Fractions) so the metric machinery
 downstream never sees rounded inputs.
 """
@@ -102,53 +106,20 @@ def way_below_by_definition(P: FinitePoset, x: int, y: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class WayBelowRelation:
-    rel: tuple[tuple[bool, ...], ...]
-
-    def wb(self, x: int, y: int) -> bool:
-        return self.rel[x][y]
-
-
-def way_below_all(P: FinitePoset) -> WayBelowRelation:
-    """The full way-below matrix.  In a finite poset a directed set attains
-    its supremum at its maximum element, so << coincides with <=."""
-    rel = WayBelowRelation(P.leq)
-    _check_way_below_invariants(P, rel)
-    return rel
-
-
-def _check_way_below_invariants(P: FinitePoset, rel: WayBelowRelation):
-    for x in P.elements():
-        for y in P.elements():
-            if rel.wb(x, y) and not P.le(x, y):
-                raise WorkbenchError(f"way-below not below at ({x},{y})")
-    bottom = P.minimum()
-    if bottom is not None:
-        for y in P.elements():
-            if not rel.wb(bottom, y):
-                raise WorkbenchError(f"minimum not way-below {y}")
-
-
-def is_basis(P: FinitePoset, B, rel: Optional[WayBelowRelation] = None):
+def is_basis(P: FinitePoset, B):
     """Is B a domain basis: each B_x = {b in B : b << x} up-directed with
     sup x?  Returns (True, None) or (False, failing_x)."""
-    if rel is None:
-        rel = way_below_all(P)
     B = sorted(set(B))
     for x in P.elements():
-        Bx = [b for b in B if rel.wb(b, x)]
+        Bx = [b for b in B if P.le(b, x)]
         if not Bx or not P.is_up_directed(Bx) or P.sup(Bx) != x:
             return False, x
     return True, None
 
 
-def lawson_basic(P: FinitePoset, x: int, F,
-                 rel: Optional[WayBelowRelation] = None) -> frozenset:
+def lawson_basic(P: FinitePoset, x: int, F) -> frozenset:
     """The set (way-up of x) minus the upper set of F."""
-    if rel is None:
-        rel = way_below_all(P)
-    out = {y for y in P.elements() if rel.wb(x, y)}
+    out = set(P.up(x))
     for f in F:
         out -= P.up(f)
     return frozenset(out)

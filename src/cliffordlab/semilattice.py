@@ -18,9 +18,9 @@ from .core import (
     _Budget,
     bonding_maps,
     classify,
-    element_signature,
     idempotents,
     is_semilattice,
+    isomorphisms,
     local_group_table,
     validate_semigroup,
 )
@@ -29,7 +29,6 @@ from .errors import (
     FunctorLawViolated,
     IndexOutOfRange,
     InternalInconsistency,
-    NotClifford,
     NotGroup,
     NotHomomorphism,
     NotSemilattice,
@@ -94,6 +93,9 @@ def validate_spec(E, groups, bonding) -> StrongSemilatticeSpec:
         )
     for e, g in groups.items():
         _check_group(g, e)
+    for (f, e) in bonding:
+        if not (0 <= f < E.n and 0 <= e < E.n):
+            raise IndexOutOfRange(f"bonding key {f}->{e} outside 0..{E.n - 1}")
 
     def le(e, f):
         return E.mul(e, f) == e
@@ -119,7 +121,8 @@ def validate_spec(E, groups, bonding) -> StrongSemilatticeSpec:
             for x in groups[f].elements():
                 for y in groups[f].elements():
                     if phi[groups[f].mul(x, y)] != groups[e].mul(phi[x], phi[y]):
-                        raise NotHomomorphism((f, e), witness=(x, y))
+                        raise NotHomomorphism((f, e), "product not preserved",
+                                              witness=(x, y))
             full[(f, e)] = phi
     for (f, e) in bonding:
         if not le(e, f):
@@ -153,12 +156,6 @@ class Assembled:
 
     def point(self, e: int, g: int) -> int:
         return self.offsets[e] + g
-
-    def locate(self, i: int) -> tuple[int, int]:
-        for e in reversed(range(len(self.offsets))):
-            if i >= self.offsets[e]:
-                return e, i - self.offsets[e]
-        raise IndexOutOfRange(f"element {i} outside carrier")
 
     def block(self, e: int) -> range:
         size = self.spec.groups[e].n
@@ -222,10 +219,8 @@ def semilattice_of_idempotents(S: FiniteSemigroup) -> FiniteSemigroup:
 def decompose(S: FiniteSemigroup) -> StrongSemilatticeSpec:
     """Extract the strong-semilattice data of a Clifford semigroup: E(S),
     the pi-fibers as groups, and multiplication-by-lower-idempotent as
-    bonding.  assemble(decompose(S)) is isomorphic to S."""
-    cls = classify(S)
-    if not cls.is_clifford:
-        raise NotClifford("decompose requires a Clifford semigroup")
+    bonding.  assemble(decompose(S)) is isomorphic to S.  Raises NotClifford
+    on other semigroups."""
     dec = bonding_maps(S)
     E_global = dec.order.idempotents
     pos_e = {e: i for i, e in enumerate(E_global)}
@@ -287,58 +282,8 @@ def eta_injectivity(spec: StrongSemilatticeSpec, e: int, D):
 
 def iso_equivalent(S1: FiniteSemigroup, S2: FiniteSemigroup,
                    budget: int = 500_000) -> Optional[tuple[int, ...]]:
-    """Find a multiplication-preserving bijection S1 -> S2 by backtracking,
-    pruning on monogenic-subsemigroup signatures; None if none exists.
+    """The first multiplication-preserving bijection S1 -> S2 found by
+    core.isomorphisms, or None if none exists.
 
     Exceeding the node budget raises SearchBudgetExceeded."""
-    if S1.n != S2.n:
-        return None
-    sig1 = [element_signature(S1, x) for x in S1.elements()]
-    sig2 = [element_signature(S2, x) for x in S2.elements()]
-    if sorted(sig1) != sorted(sig2):
-        return None
-    n = S1.n
-    bud = _Budget(budget)
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(x):
-        if x == n:
-            return tuple(mapping)
-        for u in range(n):
-            if used[u] or sig2[u] != sig1[x]:
-                continue
-            bud.spend()
-            mapping[x] = u
-            used[u] = True
-            ok = True
-            for y in range(x + 1):
-                v = mapping[y]
-                im = mapping[S1.mul(x, y)]
-                if im != -1 and im != S2.mul(u, v):
-                    ok = False
-                    break
-                im = mapping[S1.mul(y, x)]
-                if im != -1 and im != S2.mul(v, u):
-                    ok = False
-                    break
-            if ok:
-                # pairs of earlier elements whose product is x become
-                # checkable only now
-                for a in range(x):
-                    for b in range(x):
-                        if S1.mul(a, b) == x and \
-                                S2.mul(mapping[a], mapping[b]) != u:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                out = extend(x + 1)
-                if out is not None:
-                    return out
-            mapping[x] = -1
-            used[u] = False
-        return None
-
-    return extend(0)
+    return next(isomorphisms(S1, S2, _Budget(budget)), None)

@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .core import (
     FiniteSemigroup,
-    classify,
     green_j_classes,
     idempotents,
     inverse_structure,
     is_semilattice,
     pi_and_subgroups,
 )
-from .errors import EOutOfU, InternalInconsistency, NotACover, NotClifford, WorkbenchError
+from .errors import EOutOfU, InternalInconsistency, NotACover, WorkbenchError
 from .semilattice import Assembled
 
 
@@ -32,9 +31,6 @@ class FiniteTopology:
 
     n: int
     opens: frozenset
-
-    def is_open(self, A) -> bool:
-        return frozenset(A) in self.opens
 
     def min_open(self, x: int) -> frozenset:
         """Smallest open set containing x (open: finite intersection)."""
@@ -195,13 +191,12 @@ class OpennessRecord:
 def prop34_equivalences(model: TopologicalSemigroupModel) -> OpennessRecord:
     """Independently compute the five openness conditions on a continuous
     Clifford model.  Disagreement would falsify the implementation (they are
-    provably equivalent) and raises InternalInconsistency."""
+    provably equivalent) and raises InternalInconsistency.  Raises
+    NotClifford on other semigroups."""
     S, T = model.S, model.T
-    if not classify(S).is_clifford:
-        raise NotClifford("the equivalence chain is about Clifford semigroups")
+    _, groups = pi_and_subgroups(S)
     mp = mp_check(model)
     j_open = all(frozenset(c) in T.opens for c in green_j_classes(S))
-    _, groups = pi_and_subgroups(S)
     g_open = all(frozenset(g) in T.opens for g in groups.values())
     E = frozenset(idempotents(S))
     e_discrete = all(
@@ -240,6 +235,15 @@ def order_graph_closed(model: TopologicalSemigroupModel) -> tuple[bool, bool]:
     return _product_open(T, complement), T.is_hausdorff()
 
 
+def _idempotent_subset(assembled: Assembled, U) -> list[int]:
+    """U as a sorted list, checked to lie in E."""
+    U = sorted(set(U))
+    outside = [f for f in U if not 0 <= f < assembled.spec.E.n]
+    if outside:
+        raise WorkbenchError(f"U element {outside[0]} outside E")
+    return U
+
+
 def _w_set(assembled: Assembled, U, e: int, V) -> frozenset:
     spec = assembled.spec
     V = frozenset(V)
@@ -247,7 +251,7 @@ def _w_set(assembled: Assembled, U, e: int, V) -> frozenset:
         if not (0 <= v < spec.groups[e].n):
             raise WorkbenchError(f"V element {v} outside G_{e}")
     out = set()
-    for f in sorted(set(U)):
+    for f in U:
         if not spec.le(e, f):
             continue
         for x in spec.groups[f].elements():
@@ -259,14 +263,15 @@ def _w_set(assembled: Assembled, U, e: int, V) -> frozenset:
 def basic_set(assembled: Assembled, U, e: int, V) -> frozenset:
     """W(U, (e, V)): the union over f in U above e of the phi_{f,e}-preimages
     of V, as a subset of the assembled carrier."""
-    if e not in set(U):
+    U = _idempotent_subset(assembled, U)
+    if e not in U:
         raise EOutOfU(f"anchor {e} not in U")
     return _w_set(assembled, U, e, V)
 
 
 def bowman_basic_set(assembled: Assembled, U, V) -> frozenset:
     """W_B(U, V) = W(U, (inf U, V)); inf U is the meet-fold of U."""
-    U = sorted(set(U))
+    U = _idempotent_subset(assembled, U)
     if not U:
         raise WorkbenchError("U must be nonempty")
     E = assembled.spec.E

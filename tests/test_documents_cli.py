@@ -152,3 +152,52 @@ def test_cli_converge_tsv_is_deterministic(capsys):
     _, second = run_cli(capsys, *args)
     assert first == second
     assert first.splitlines()[0].startswith("k\tdistance")
+
+
+def test_cli_topo_check_non_semilattice_model(capsys, tmp_path):
+    # Z2 with the discrete topology: continuous, Clifford, no order graph
+    doc = {"kind": "topology-model", "meta": {"name": "z2-discrete"},
+           "body": {"semigroup": {"n": 2, "table": [[0, 1], [1, 0]]},
+                    "opens": [[], [0], [1], [0, 1]]}}
+    path = tmp_path / "z2-discrete.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "topo-check", str(path), "--format", "structured")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["continuous"] is True and payload["mp-check"] is True
+    assert "order-graph-closed" not in payload and "hausdorff" not in payload
+
+
+@pytest.mark.parametrize("name", ["flat3.metric", "twochain.metric"])
+def test_cli_converge_default_schedule_stops_at_the_last_block(capsys, name):
+    code, out = run_cli(capsys, "converge", name, "--format", "tsv")
+    ks = [int(line.split("\t")[0]) for line in out.splitlines()[1:]]
+    assert code == 0
+    assert ks == {"flat3.metric": [1, 2], "twochain.metric": [1]}[name]
+
+
+def cli_error(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    return captured.err
+
+
+def test_cli_converge_rejects_a_k_without_block(capsys):
+    err = cli_error(capsys, "converge", "flat3.metric", "--ks", "9")
+    assert err.startswith("error:") and "9" in err
+
+
+def test_cli_converge_rejects_a_g_outside_the_group(capsys):
+    err = cli_error(capsys, "converge", "flat3.metric", "--ks", "1", "--g", "5")
+    assert err.startswith("error:") and "5" in err
+
+
+def test_cli_basic_set_rejects_u_outside_e(capsys):
+    err = cli_error(capsys, "basic-set", "twochain.spec", "--u", "0,9", "--v", "0")
+    assert err.startswith("error:") and "9" in err
+
+
+def test_cli_c1_probe_rejects_a_zero_grid_step(capsys):
+    err = cli_error(capsys, "c1-probe", "additive.chart", "--grid", "0")
+    assert err.startswith("error:") and "0" in err

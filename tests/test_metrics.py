@@ -13,7 +13,6 @@ from cliffordlab.metrics import (
     a_weight,
     bowman_data_from_spec,
     bowman_distance,
-    convergence_probe,
     default_basis_order,
     default_enumeration,
     discrete_metric,
@@ -186,19 +185,6 @@ def test_default_orderings():
     data = two_chain_data()
     assert default_basis_order(data.emodel) == (0, 1)
     assert default_enumeration(cat.cyclic_group(3)) == (0, 1, 2)
-
-
-def test_convergence_probe_constant_sequence_is_zero():
-    data = flat_bowman_data(flat_model(5), cat.cyclic_group(2))
-    rows, verdicts = convergence_probe(
-        lambda p, q: bowman_distance(data, p, q).value,
-        lambda k: Point(3, 1),
-        Point(3, 1),
-        ks=[1, 2, 3],
-        thresholds=(Fraction(1, 100),),
-    )
-    assert all(v == 0 for _, v in rows)
-    assert verdicts[Fraction(1, 100)] == 1  # below the bar from k=1 on
 
 
 def test_convergence_toward_the_bottom():

@@ -6,6 +6,7 @@ from cliffordlab import catalog as cat
 from cliffordlab.errors import (
     EmptyDirectedSet,
     FunctorLawViolated,
+    IndexOutOfRange,
     NotHomomorphism,
 )
 from cliffordlab.semilattice import (
@@ -35,6 +36,29 @@ def test_wrong_codomain_bonding_rejected():
             {0: cat.TRIVIAL_GROUP, 1: z2},
             {(1, 0): (0, 1)},  # image {0, 1} is not inside the trivial group
         )
+
+
+def test_bonding_key_outside_e_rejected():
+    z2 = cat.cyclic_group(2)
+    with pytest.raises(IndexOutOfRange) as exc:
+        validate_spec(
+            cat.chain_semilattice(2),
+            {0: cat.TRIVIAL_GROUP, 1: z2},
+            {(1, 0): (0, 0), (5, 0): (0, 0)},
+        )
+    assert "5->0" in str(exc.value)
+
+
+def test_not_homomorphism_keeps_reason_and_witness_apart():
+    z2 = cat.cyclic_group(2)
+    with pytest.raises(NotHomomorphism) as exc:
+        validate_spec(cat.chain_semilattice(2), {0: z2, 1: z2}, {})
+    assert exc.value.pair == (1, 0) and exc.value.witness is None
+    assert "missing" in str(exc.value) and "witness" not in str(exc.value)
+    with pytest.raises(NotHomomorphism) as exc:
+        validate_spec(cat.chain_semilattice(2), {0: z2, 1: z2}, {(1, 0): (1, 0)})
+    assert exc.value.witness is not None
+    assert f"witness {exc.value.witness}" in str(exc.value)
 
 
 def test_functor_law_violation_reports_chain():
