@@ -392,9 +392,13 @@ def fixed_point_scan(model: ChartModel, radius: float, grid_step: float,
     Jacobians by central finite differences; singular Jacobians are handled
     by least-squares steps (so continua of fixed points are sampled, not
     fatal).  Returns (sorted fixed points, number of divergent seeds)."""
+    if not radius >= 0:  # also rejects nan
+        raise WorkbenchError(f"scan radius must be >= 0, got {radius}")
+    if newton_iters < 0:
+        raise WorkbenchError(f"Newton iterations must be >= 0, got {newton_iters}")
     if radius > model.radius:
         raise WorkbenchError("scan radius exceeds the model's domain ball")
-    if grid_step <= 0:
+    if not grid_step > 0:
         raise WorkbenchError(f"grid step must be positive, got {grid_step}")
     n = model.dim
 

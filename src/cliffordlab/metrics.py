@@ -14,6 +14,7 @@ Plus the exhaustive metric-axiom suite that exercises them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -78,6 +79,18 @@ class PosetEModel:
             raise WorkbenchError(f"complement of the way-up set of {b} is empty")
         return min(self.rho(e, x) for x in complement)
 
+    def weight_support(self, e):
+        """The elements b with a_b(e) != 0: the minimum and the b whose raw
+        weight at e is nonzero."""
+        m = self.minimum()
+        return [b for b in self.elements()
+                if b == m or self.a_weight_raw(b, e) != 0]
+
+    def common_denominator(self) -> int:
+        """A denominator of every rho value and every weight (weights are
+        rho values or 1)."""
+        return math.lcm(*(v.denominator for row in self.rho_matrix for v in row))
+
 
 class FlatEModel:
     """E-model over the truncated flat semilattice, with O(1) weights.
@@ -119,13 +132,23 @@ class FlatEModel:
 
     def check_basis(self, basis):
         # B_x subset {0, x} needs x itself to reach sup x
-        missing = [x for x in self.elements() if x != 0 and x not in set(basis)]
+        members = set(basis)
+        missing = [x for x in self.elements() if x != 0 and x not in members]
         if missing:
             return False, missing[0]
         return True, None
 
     def a_weight_raw(self, b, e):
         return self._gaps[b] if e == b else Fraction(0)
+
+    def weight_support(self, e):
+        """The elements b with a_b(e) != 0: the minimum, and e itself."""
+        return (0,) if e == 0 else (0, e)
+
+    def common_denominator(self) -> int:
+        """A denominator of every rho value and every weight (both are
+        differences of points)."""
+        return math.lcm(*(p.denominator for p in self.model.points))
 
 
 def _check_metric_matrix(m, bound: Optional[Fraction] = None):
@@ -182,6 +205,11 @@ class BowmanMetricData:
     blocks: dict
     bonding: dict
     pseudo: bool = False
+    # integer kernel of bowman_distance, built on first use (see _kernel_scale)
+    _scale: Optional[tuple] = field(default=None, init=False, repr=False,
+                                    compare=False)
+    _profiles: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         self.basis = tuple(self.basis)
@@ -189,12 +217,18 @@ class BowmanMetricData:
             raise WorkbenchError("basis enumeration must start at the minimum")
         if len(set(self.basis)) != len(self.basis):
             raise WorkbenchError("basis enumeration repeats an element")
+        outside = [b for b in self.basis if b not in self.emodel.elements()]
+        if outside:
+            raise WorkbenchError(f"basis element {outside[0]} is not in E")
         if not self.pseudo:
             ok, witness = self.emodel.check_basis(self.basis)
             if not ok:
                 raise WorkbenchError(f"not a domain basis (fails at {witness})")
+        checked = set()  # blocks often share one matrix object: check it once
         for e, blk in self.blocks.items():
-            _check_metric_matrix(blk.d, bound=Fraction(1))
+            if id(blk.d) not in checked:
+                _check_metric_matrix(blk.d, bound=Fraction(1))
+                checked.add(id(blk.d))
             if sorted(blk.enumeration) != list(blk.group.elements()):
                 raise WorkbenchError(f"enumeration at {e} is not the whole group")
 
@@ -234,41 +268,73 @@ def extended_bonding(data: BowmanMetricData, e: int, b: int, g: int) -> int:
     return data.blocks[b].base_point
 
 
-def p_term(data: BowmanMetricData, b: int, p: Point, q: Point) -> Fraction:
-    """The per-basis-element comparison term: weight difference plus the
-    2^-k-weighted profile difference against the dense enumeration.
-    Bounded by 2 since all weights and metrics sit in [0, 1]."""
-    ae = a_weight(data, b, p.e)
-    af = a_weight(data, b, q.e)
-    if ae == 0 and af == 0:
-        return Fraction(0)
-    blk = data.blocks[b]
-    gb = extended_bonding(data, p.e, b, p.g)
-    hb = extended_bonding(data, q.e, b, q.g)
-    total = abs(ae - af)
-    w = Fraction(1)
-    for t in blk.enumeration:
-        w /= 2
-        total += w * abs(ae * blk.d[gb][t] - af * blk.d[hb][t])
-    return total
+def _kernel_scale(data: BowmanMetricData) -> tuple:
+    """(D, position) of the integer kernel, built once per data.
+
+    D = D_E * D_G * 2^(|basis| + longest enumeration), where D_E is a common
+    denominator of rho and the weights and D_G one of the group metrics of
+    the basis blocks; so D rho, D 2^-j a_b(e) and D 2^-(j+k) a_b(e) d_b are
+    integers.  position maps a basis element to its 1-based index j."""
+    if data._scale is None:
+        blocks = [data.blocks[b] for b in data.basis]
+        d_g = math.lcm(*(v.denominator for blk in blocks for row in blk.d
+                         for v in row))
+        shift = len(data.basis) + max(len(blk.enumeration) for blk in blocks)
+        D = data.emodel.common_denominator() * d_g << shift
+        data._scale = (D, {b: j for j, b in enumerate(data.basis, start=1)})
+    return data._scale
+
+
+def _profile(data: BowmanMetricData, p: Point) -> dict:
+    """The integer profile Phi(p), by basis index j over the weight support
+    of p.e: D 2^-j a_b(e), then D 2^-(j+k) a_b(e) d_b(phi(g), t_k) for
+    k = 1, 2, ...  Cached on data."""
+    prof = data._profiles.get(p)
+    if prof is None:
+        D, position = _kernel_scale(data)
+        prof = {}
+        for b in data.emodel.weight_support(p.e):
+            j = position.get(b)
+            if j is None:  # a pseudo basis may leave b out
+                continue
+            a = a_weight(data, b, p.e)
+            a_D = a.numerator * (D // a.denominator)
+            blk = data.blocks[b]
+            row = blk.d[extended_bonding(data, p.e, b, p.g)]
+            terms = [a_D >> j]
+            for k, t in enumerate(blk.enumeration, start=1):
+                v = row[t]
+                terms.append(a_D * v.numerator // v.denominator >> (j + k))
+            prof[j] = terms
+        data._profiles[p] = prof
+    return prof
 
 
 def bowman_distance(data: BowmanMetricData, p: Point, q: Point,
                     truncation: Optional[int] = None) -> BoundedValue:
     """rho(e,f) plus the 2^-j series of comparison terms over the basis.
 
+    Every term is a positive weight times |x - y|, so the series is the L1
+    distance of the integer profiles of p and q over one denominator D,
+    summed over the basis indices j <= J in either weight support.
     With truncation J the tail bound is 2^(1-J) (each term is at most 2);
     with the full finite basis the bound is 0 and the value is exact."""
     J = len(data.basis) if truncation is None else truncation
     if J < 1:
         raise WorkbenchError("truncation must be >= 1")
-    value = data.emodel.rho(p.e, q.e)
-    w = Fraction(1)
-    for j in range(min(J, len(data.basis))):
-        w /= 2
-        value += w * p_term(data, data.basis[j], p, q)
+    D, _ = _kernel_scale(data)
+    P, Q = _profile(data, p), _profile(data, q)
+    r = data.emodel.rho(p.e, q.e)
+    total = r.numerator * (D // r.denominator)
+    for j, x in P.items():
+        if j <= J:
+            y = Q.get(j)
+            total += sum(x) if y is None else sum(abs(u - v) for u, v in zip(x, y))
+    for j, y in Q.items():
+        if j <= J and j not in P:
+            total += sum(y)
     tail = Fraction(0) if J >= len(data.basis) else Fraction(2) ** (1 - J)
-    return BoundedValue(value=value, tail_bound=tail)
+    return BoundedValue(value=Fraction(total, D), tail_bound=tail)
 
 
 def separation_witness(data: BowmanMetricData, e: int, g: int, h: int):
@@ -344,13 +410,14 @@ def flat_bowman_data(model: LazySemilatticeModel, fiber: FiniteSemigroup,
         down = tuple(ident for _ in fiber.elements())
     else:
         raise WorkbenchError(f"unknown bonding kind {bonding_kind!r}")
+    d, enumeration = discrete_metric(fiber.n), default_enumeration(fiber)
     blocks = {
         e: GroupBlock(
             group=fiber,
-            d=discrete_metric(fiber.n),
+            d=d,
             base_point=(base_points[e] if base_points and e in base_points
                         else ident),
-            enumeration=default_enumeration(fiber),
+            enumeration=enumeration,
         )
         for e in model.elements()
     }
@@ -435,26 +502,26 @@ class MetricReport:
 
 def metric_axiom_suite(dist: Callable, points) -> MetricReport:
     """Exhaustive metric-axiom check over a finite point set, with every
-    comparison exact."""
+    comparison exact: the table is scaled once by the lcm of its
+    denominators and checked on integers; violations report the values."""
     points = list(points)
     report = MetricReport([], [], [], [])
-    table = {}
-    for p in points:
-        for q in points:
-            table[(p, q)] = dist(p, q)
-    for p in points:
-        for q in points:
-            v = table[(p, q)]
+    table = [[dist(p, q) for q in points] for p in points]
+    scale = math.lcm(*(v.denominator for row in table for v in row))
+    m = [[v.numerator * (scale // v.denominator) for v in row] for row in table]
+    for i, p in enumerate(points):
+        for j, q in enumerate(points):
+            v = m[i][j]
             if v < 0:
-                report.negativity.append((p, q, v))
-            if v != table[(q, p)]:
-                report.symmetry.append((p, q, v, table[(q, p)]))
+                report.negativity.append((p, q, table[i][j]))
+            if v != m[j][i]:
+                report.symmetry.append((p, q, table[i][j], table[j][i]))
             if (v == 0) != (p == q):
-                report.identity.append((p, q, v))
-    for p in points:
-        for q in points:
-            for r in points:
-                if table[(p, r)] > table[(p, q)] + table[(q, r)]:
-                    report.triangle.append((p, q, r))
+                report.identity.append((p, q, table[i][j]))
+    for p, row_p in zip(points, m):
+        for q, pq, row_q in zip(points, row_p, m):
+            report.triangle.extend(
+                (p, q, r) for r, pr, qr in zip(points, row_p, row_q)
+                if pr > pq + qr
+            )
     return report
-

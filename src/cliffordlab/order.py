@@ -108,7 +108,12 @@ def way_below_by_definition(P: FinitePoset, x: int, y: int) -> bool:
 
 def is_basis(P: FinitePoset, B):
     """Is B a domain basis: each B_x = {b in B : b << x} up-directed with
-    sup x?  Returns (True, None) or (False, failing_x)."""
+    sup x?  Returns (True, None) or (False, failing_x).  Raises when some
+    element of B lies outside 0..n-1."""
+    outside = [b for b in B if not 0 <= b < P.n]
+    if outside:
+        raise WorkbenchError(f"basis element {outside[0]} is not in the poset "
+                             f"(elements 0..{P.n - 1})")
     B = sorted(set(B))
     for x in P.elements():
         Bx = [b for b in B if P.le(b, x)]

@@ -342,7 +342,8 @@ def criterion_convergence() -> CriterionResult:
     failures = []
     data = convergence_instance()
     limit = Point(0, 0)
-    du = {e: discrete_metric(2) for e in data.emodel.elements()}
+    d2 = discrete_metric(2)
+    du = {e: d2 for e in data.emodel.elements()}
     for k in CONVERGENCE_SCHEDULE:
         p = Point(k, 0)  # the point 1/k sits at index k
         bv = bowman_distance(data, p, limit)

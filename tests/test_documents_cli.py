@@ -201,3 +201,16 @@ def test_cli_basic_set_rejects_u_outside_e(capsys):
 def test_cli_c1_probe_rejects_a_zero_grid_step(capsys):
     err = cli_error(capsys, "c1-probe", "additive.chart", "--grid", "0")
     assert err.startswith("error:") and "0" in err
+
+
+@pytest.mark.parametrize("basis, bad", [("0,9", "9"), ("-1", "-1")])
+def test_cli_basis_check_rejects_an_element_outside_the_poset(capsys, basis, bad):
+    err = cli_error(capsys, "basis-check", "chain3.poset", "--basis", basis)
+    assert err.startswith("error:") and bad in err
+
+
+@pytest.mark.parametrize("option, value", [("--scan", "-1"), ("--newton", "-1"),
+                                           ("--scan", "nan"), ("--grid", "nan")])
+def test_cli_c1_probe_rejects_a_negative_or_nan_scan_argument(capsys, option, value):
+    err = cli_error(capsys, "c1-probe", "additive.chart", option, value)
+    assert err.startswith("error:") and value in err

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cliffordlab import catalog as cat
+from cliffordlab import suite
 from cliffordlab.errors import IsometryHypothesisViolated, WorkbenchError
 from cliffordlab.metrics import (
     Point,
@@ -20,11 +21,10 @@ from cliffordlab.metrics import (
     extended_bonding,
     flat_bowman_data,
     metric_axiom_suite,
-    p_term,
     separation_witness,
     yeager_distance,
 )
-from cliffordlab.order import flat_model
+from cliffordlab.order import flat_model, minimum
 
 RHO01 = [[0, 1], [1, 0]]
 
@@ -59,18 +59,27 @@ def test_extended_bonding_cases():
     assert extended_bonding(data, 1, 0, 1) == 0          # collapse bonding
 
 
-def test_p_term_vanishes_on_equal_points():
+def series_term(data, j, p, q):
+    """The j-th comparison term of the series (1-based), read off two
+    truncations of the distance: d_j - d_(j-1) = 2^-j * term."""
+    below = (bowman_distance(data, p, q, truncation=j - 1).value if j > 1
+             else data.emodel.rho(p.e, q.e))
+    return (bowman_distance(data, p, q, truncation=j).value - below) * 2 ** j
+
+
+def test_series_term_vanishes_on_equal_points():
     data = two_chain_data()
     p = Point(1, 0)
-    for b in data.basis:
-        assert p_term(data, b, p, p) == 0
+    for j in range(1, len(data.basis) + 1):
+        assert series_term(data, j, p, p) == 0
 
 
-def test_p_term_reference_value_and_symmetry():
+def test_series_term_reference_value_and_symmetry():
     data = two_chain_data()
     p, q = Point(1, 0), Point(1, 1)
-    assert p_term(data, 1, p, q) == Fraction(3, 4)
-    assert p_term(data, 1, q, p) == Fraction(3, 4)
+    assert data.basis[1] == 1
+    assert series_term(data, 2, p, q) == Fraction(3, 4)
+    assert series_term(data, 2, q, p) == Fraction(3, 4)
 
 
 def test_reference_distances_on_two_chain():
@@ -210,3 +219,83 @@ def test_symmetry_and_nonnegativity_on_flat_model(e1, e2, g1, g2):
     assert d_pq >= 0
     if p == q:
         assert d_pq == 0
+
+
+def test_basis_element_outside_e_is_rejected():
+    with pytest.raises(WorkbenchError, match="basis element 5"):
+        two_chain_data(basis=(0, 5), pseudo=True)
+
+
+@st.composite
+def rational_metric(draw, size):
+    """A random metric bounded by 1 with mixed denominators: off-diagonal
+    entries in [1/2, 1] always satisfy the triangle inequality."""
+    m = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            den = draw(st.integers(min_value=1, max_value=7))
+            num = draw(st.integers(min_value=0, max_value=den))
+            m[i][j] = m[j][i] = Fraction(1, 2) + Fraction(num, 2 * den)
+    return m
+
+
+@st.composite
+def spec_metric_data(draw):
+    """Series-metric data over a catalog spec with rational rho and group
+    metrics, shuffled enumerations, random base points, and a basis that
+    may be cut down (pseudo) or reordered."""
+    catalog = cat.spec_catalog()
+    spec = catalog[draw(st.sampled_from(sorted(catalog)))]
+    m = minimum(spec.E)
+    rest = [e for e in spec.E.elements() if e != m]
+    kept = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    groups = spec.groups
+    return bowman_data_from_spec(
+        spec,
+        draw(rational_metric(spec.E.n)),
+        basis=(m, *kept),
+        d={e: draw(rational_metric(g.n)) for e, g in groups.items()},
+        base_points={e: draw(st.sampled_from(range(g.n)))
+                     for e, g in groups.items()},
+        enumerations={e: draw(st.permutations(range(g.n)))
+                      for e, g in groups.items()},
+        pseudo=len(kept) < len(rest),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec_metric_data())
+def test_integer_kernel_matches_the_oracle_and_its_tail_bounds(data):
+    points = data.points()
+    for p in points:
+        for q in points:
+            full = bowman_distance(data, p, q)
+            assert full.value == suite.oracle_bowman(data, p, q)
+            assert full.tail_bound == 0
+            for J in range(1, len(data.basis) + 2):
+                cut = bowman_distance(data, p, q, truncation=J)
+                assert cut.value <= full.value <= cut.value + cut.tail_bound
+
+
+def test_axiom_suite_reports_the_triangle_violations_of_a_plain_check():
+    # mixed denominators; d(0,2) = d(0,1) + d(1,2) holds with equality, and
+    # d(2,3) = 1 is planted above d(2,1) + d(1,3)
+    d = [[Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)],
+         [Fraction(1, 3), Fraction(0), Fraction(1, 6), Fraction(3, 11)],
+         [Fraction(1, 2), Fraction(1, 6), Fraction(0), Fraction(1)],
+         [Fraction(5, 7), Fraction(3, 11), Fraction(1), Fraction(0)]]
+    points = range(4)
+    plain = [(p, q, r) for p in points for q in points for r in points
+             if d[p][r] > d[p][q] + d[q][r]]
+    rep = metric_axiom_suite(lambda p, q: d[p][q], points)
+    assert (2, 1, 3) in plain and (0, 1, 2) not in plain
+    assert rep.triangle == plain
+    assert not (rep.negativity or rep.symmetry or rep.identity)
+
+
+def test_axiom_suite_reports_the_original_fractions():
+    d = [[Fraction(0), Fraction(-1, 3)], [Fraction(1, 2), Fraction(0)]]
+    rep = metric_axiom_suite(lambda p, q: d[p][q], [0, 1])
+    assert rep.negativity == [(0, 1, Fraction(-1, 3))]
+    assert rep.symmetry == [(0, 1, Fraction(-1, 3), Fraction(1, 2)),
+                            (1, 0, Fraction(1, 2), Fraction(-1, 3))]
