@@ -9,6 +9,7 @@ All operations are pure functions over immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq, itemgetter
 from typing import Optional
 
 from .errors import (
@@ -60,6 +61,23 @@ def associativity_witnesses(table) -> list[tuple[int, int, int]]:
     return bad
 
 
+def _associative(rows) -> bool:
+    """Whether (xy)z = x(yz) for all x, y, z, on a square table of indices.
+
+    Row xy must equal row y read through row x.  The rows are built and
+    compared one at a time inside map, so the inner loops run in C and no
+    more than one new row is alive at once."""
+    n = len(rows)
+    if n == 1:
+        return True  # [[0]], the only table of order 1
+    for y in range(n):
+        through = itemgetter(*rows[y])
+        products = itemgetter(*[row[y] for row in rows])
+        if not all(map(eq, products(rows), map(through, rows))):
+            return False
+    return True
+
+
 def validate_semigroup(table, labels=None) -> FiniteSemigroup:
     """Check shape, index range, and associativity; return the semigroup.
 
@@ -76,9 +94,8 @@ def validate_semigroup(table, labels=None) -> FiniteSemigroup:
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
                 raise IndexOutOfRange(f"table[{i}][{j}] = {v!r} not an index < {n}")
-    bad = associativity_witnesses(rows)
-    if bad:
-        raise NotAssociative(bad)
+    if not _associative(rows):
+        raise NotAssociative(associativity_witnesses(rows))
     if labels is not None:
         labels = tuple(labels)
         if len(labels) != n:
@@ -331,21 +348,22 @@ def bonding_maps(S: FiniteSemigroup) -> CliffordDecomposition:
 def green_j_classes(S: FiniteSemigroup) -> list[tuple[int, ...]]:
     """Partition by equality of principal two-sided ideals S^1 x S^1.
 
-    Direct O(n^3) ideal-set construction; classes are returned sorted by
-    their least element."""
-    ideals = []
+    Each ideal is an int bitmask, the union of {u} u uS over u in {x} u Sx:
+    O(n^2) big-int ORs in all.  Classes are returned sorted by their least
+    element."""
+    right = []
+    for u, row in enumerate(S.table):
+        mask = 1 << u
+        for v in set(row):
+            mask |= 1 << v
+        right.append(mask)
+    classes: dict[int, list[int]] = {}
     for x in S.elements():
-        ideal = {x}
-        ideal.update(S.mul(s, x) for s in S.elements())
-        ideal.update(S.mul(x, t) for t in S.elements())
-        for s in S.elements():
-            sx = S.mul(s, x)
-            ideal.update(S.mul(sx, t) for t in S.elements())
-        ideals.append(frozenset(ideal))
-    classes: dict[frozenset, list[int]] = {}
-    for x, ideal in enumerate(ideals):
+        ideal = right[x]
+        for u in {row[x] for row in S.table}:
+            ideal |= right[u]
         classes.setdefault(ideal, []).append(x)
-    return sorted((tuple(sorted(c)) for c in classes.values()), key=lambda c: c[0])
+    return [tuple(c) for c in classes.values()]
 
 
 def element_signature(S: FiniteSemigroup, x: int) -> tuple[int, int, bool]:
@@ -399,6 +417,26 @@ def isomorphisms(G: FiniteSemigroup, H: FiniteSemigroup, budget: _Budget):
     if sorted(sig_g) != sorted(sig_h):
         return
     n = G.n
+    gt, ht = G.table, H.table
+    # The pairs (a, b) with a, b < z and ab = z become checkable when z is
+    # mapped: they sit at land_a[i], land_b[i] for start[z] <= i < start[z + 1],
+    # in two flat lists filled by a counting sort.
+    start = [0] * (n + 1)
+    for a in range(n):
+        for b, z in enumerate(gt[a]):
+            if a < z and b < z:
+                start[z + 1] += 1
+    for z in range(n):
+        start[z + 1] += start[z]
+    land_a = [0] * start[n]
+    land_b = [0] * start[n]
+    fill = start[:n]
+    for a in range(n):
+        for b, z in enumerate(gt[a]):
+            if a < z and b < z:
+                i = fill[z]
+                land_a[i], land_b[i] = a, b
+                fill[z] = i + 1
     mapping = [-1] * n
     used = [False] * n
 
@@ -406,6 +444,7 @@ def isomorphisms(G: FiniteSemigroup, H: FiniteSemigroup, budget: _Budget):
         if x == n:
             yield tuple(mapping)
             return
+        row_x = gt[x]
         for u in range(n):
             if used[u] or sig_h[u] != sig_g[x]:
                 continue
@@ -413,24 +452,21 @@ def isomorphisms(G: FiniteSemigroup, H: FiniteSemigroup, budget: _Budget):
             mapping[x] = u
             used[u] = True
             ok = True
+            hu = ht[u]
             for y in range(x + 1):
                 v = mapping[y]
-                im_xy = mapping[G.mul(x, y)]
-                if im_xy != -1 and im_xy != H.mul(u, v):
+                im_xy = mapping[row_x[y]]
+                if im_xy != -1 and im_xy != hu[v]:
                     ok = False
                     break
-                im_yx = mapping[G.mul(y, x)]
-                if im_yx != -1 and im_yx != H.mul(v, u):
+                im_yx = mapping[gt[y][x]]
+                if im_yx != -1 and im_yx != ht[v][u]:
                     ok = False
                     break
             if ok:
-                # products of earlier pairs landing on x become checkable now
-                for a in range(x):
-                    for b in range(x):
-                        if G.mul(a, b) == x and H.mul(mapping[a], mapping[b]) != u:
-                            ok = False
-                            break
-                    if not ok:
+                for i in range(start[x], start[x + 1]):
+                    if ht[mapping[land_a[i]]][mapping[land_b[i]]] != u:
+                        ok = False
                         break
             if ok:
                 yield from extend(x + 1)

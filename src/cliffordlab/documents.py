@@ -91,6 +91,9 @@ def _check_cayley_body(body, path):
             isinstance(s, str) for s in body["labels"]
         ):
             raise SchemaError(f"{path}.labels", "expected a list of strings")
+        if len(body["labels"]) != body["n"]:
+            raise SchemaError(f"{path}.labels", f"expected {body['n']} labels, "
+                              f"got {len(body['labels'])}")
 
 
 def _check_spec_body(body, path):

@@ -1,19 +1,27 @@
 """Structure analysis of finite semigroups from their Cayley tables."""
 
+import itertools
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cliffordlab import catalog as cat
 from cliffordlab.core import (
+    FiniteSemigroup,
+    _Budget,
+    associativity_witnesses,
     bonding_maps,
     classify,
+    element_signature,
     green_j_classes,
     is_trivial_clifford,
+    isomorphisms,
     pi_and_subgroups,
     validate_semigroup,
 )
-from cliffordlab.errors import IndexOutOfRange, NotAssociative
-from cliffordlab.semilattice import assemble, decompose
+from cliffordlab.errors import IndexOutOfRange, NotAssociative, SearchBudgetExceeded
+from cliffordlab.semilattice import assemble, decompose, direct_product
 
 
 def test_z2_table_is_valid():
@@ -146,3 +154,240 @@ def test_trivial_clifford_rejects_collapse_bonding():
 def test_cyclic_groups_classify_as_groups(n):
     c = classify(cat.cyclic_group(n))
     assert c.is_group and c.is_clifford
+
+
+# ---------------------------------------------------------------------------
+# the row-level kernels against the loops they replaced
+
+
+def transformation_closure(gens):
+    """All products of the maps in gens (tuples over range(k)), where x*y
+    applies x first; returns the Cayley table over the closure."""
+    elems = list(dict.fromkeys(gens))
+    seen = set(elems)
+    i = 0
+    while i < len(elems):
+        f = elems[i]
+        for g in elems[: i + 1]:
+            for h in (tuple(g[v] for v in f), tuple(f[v] for v in g)):
+                if h not in seen:
+                    seen.add(h)
+                    elems.append(h)
+        i += 1
+    pos = {f: i for i, f in enumerate(elems)}
+    return [[pos[tuple(g[v] for v in f)] for g in elems] for f in elems]
+
+
+@st.composite
+def transformation_tables(draw, max_order=32):
+    k = draw(st.integers(min_value=1, max_value=4))
+    point_map = st.tuples(*[st.integers(min_value=0, max_value=k - 1)] * k)
+    table = transformation_closure(draw(st.lists(point_map, min_size=1, max_size=3)))
+    assume(len(table) <= max_order)
+    return table
+
+
+CATALOG_TABLES = [[list(row) for row in S.table]
+                  for S in cat.semigroup_catalog().values()]
+
+
+@st.composite
+def tables_and_mutations(draw):
+    """A catalog or transformation-semigroup table, with one cell changed
+    half of the time."""
+    table = draw(st.one_of(st.sampled_from(CATALOG_TABLES), transformation_tables()))
+    table = [list(row) for row in table]
+    if draw(st.booleans()):
+        n = len(table)
+        i, j, v = (draw(st.integers(min_value=0, max_value=n - 1)) for _ in range(3))
+        table[i][j] = v
+    return table
+
+
+def assert_validation_matches_the_witness_loop(table):
+    bad = associativity_witnesses(table)
+    if bad:
+        with pytest.raises(NotAssociative) as exc:
+            validate_semigroup(table)
+        assert exc.value.witnesses == bad
+    else:
+        assert validate_semigroup(table).table == tuple(map(tuple, table))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_and_mutations())
+def test_validation_accepts_exactly_the_tables_without_witnesses(table):
+    assert_validation_matches_the_witness_loop(table)
+
+
+def test_validation_matches_the_witness_loop_on_every_table_of_order_at_most_3():
+    for n in (1, 2, 3):
+        for cells in itertools.product(range(n), repeat=n * n):
+            assert_validation_matches_the_witness_loop(
+                [list(cells[i * n:(i + 1) * n]) for i in range(n)])
+
+
+def j_classes_by_ideal_sets(S):
+    """Green's J-classes from the ideal sets S^1 x S^1, built element by
+    element."""
+    ideals = []
+    for x in S.elements():
+        ideal = {x}
+        ideal.update(S.mul(s, x) for s in S.elements())
+        ideal.update(S.mul(x, t) for t in S.elements())
+        for s in S.elements():
+            sx = S.mul(s, x)
+            ideal.update(S.mul(sx, t) for t in S.elements())
+        ideals.append(frozenset(ideal))
+    classes = {}
+    for x, ideal in enumerate(ideals):
+        classes.setdefault(ideal, []).append(x)
+    return sorted((tuple(sorted(c)) for c in classes.values()), key=lambda c: c[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(transformation_tables())
+def test_j_classes_match_the_ideal_sets_on_transformation_semigroups(table):
+    S = validate_semigroup(table)
+    assert green_j_classes(S) == j_classes_by_ideal_sets(S)
+
+
+def test_j_classes_match_the_ideal_sets_on_assembled_clifford_semigroups():
+    semigroups = [assemble(spec).semigroup for spec in cat.spec_catalog().values()]
+    semigroups += [direct_product(cat.diamond_semilattice(), G).semigroup
+                   for G in (cat.cyclic_group(3), cat.symmetric_group_3())]
+    for S in semigroups:
+        assert green_j_classes(S) == j_classes_by_ideal_sets(S)
+
+
+def reference_isomorphisms(G, H, budget):
+    """The backtracking search before the landing lists: at every node all
+    pairs a, b < x are rescanned for a product landing on x."""
+    if G.n != H.n:
+        return
+    sig_g = [element_signature(G, x) for x in G.elements()]
+    sig_h = [element_signature(H, x) for x in H.elements()]
+    if sorted(sig_g) != sorted(sig_h):
+        return
+    n = G.n
+    mapping = [-1] * n
+    used = [False] * n
+
+    def extend(x):
+        if x == n:
+            yield tuple(mapping)
+            return
+        for u in range(n):
+            if used[u] or sig_h[u] != sig_g[x]:
+                continue
+            budget.spend()
+            mapping[x] = u
+            used[u] = True
+            ok = True
+            for y in range(x + 1):
+                v = mapping[y]
+                im_xy = mapping[G.mul(x, y)]
+                if im_xy != -1 and im_xy != H.mul(u, v):
+                    ok = False
+                    break
+                im_yx = mapping[G.mul(y, x)]
+                if im_yx != -1 and im_yx != H.mul(v, u):
+                    ok = False
+                    break
+            if ok:
+                for a in range(x):
+                    for b in range(x):
+                        if G.mul(a, b) == x and H.mul(mapping[a], mapping[b]) != u:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+            if ok:
+                yield from extend(x + 1)
+            mapping[x] = -1
+            used[u] = False
+
+    yield from extend(0)
+
+
+def first_and_spent(search, G, H, limit=10**9):
+    budget = _Budget(limit)
+    return next(search(G, H, budget), None), budget.used
+
+
+def all_and_spent(search, G, H):
+    budget = _Budget(10**9)
+    found = [(iso, budget.used) for iso in search(G, H, budget)]
+    return found, budget.used
+
+
+def assert_search_matches_the_reference(G, H, enumerate_all=True):
+    first = first_and_spent(isomorphisms, G, H)
+    assert first == first_and_spent(reference_isomorphisms, G, H)
+    spent = first[1]
+    if spent:
+        for search in (isomorphisms, reference_isomorphisms):
+            with pytest.raises(SearchBudgetExceeded):
+                first_and_spent(search, G, H, limit=spent - 1)
+    assert first_and_spent(isomorphisms, G, H, limit=spent) == first
+    if enumerate_all:
+        assert all_and_spent(isomorphisms, G, H) == all_and_spent(
+            reference_isomorphisms, G, H)
+
+
+def relabelled(S, seed):
+    perm = list(S.elements())
+    random.Random(seed).shuffle(perm)
+    table = [[0] * S.n for _ in S.elements()]
+    for x in S.elements():
+        for y in S.elements():
+            table[perm[x]][perm[y]] = perm[S.mul(x, y)]
+    return FiniteSemigroup(tuple(map(tuple, table)))
+
+
+def group_product(A, B):
+    table = [[A.mul(a1, a2) * B.n + B.mul(b1, b2)
+              for a2 in A.elements() for b2 in B.elements()]
+             for a1 in A.elements() for b1 in B.elements()]
+    return validate_semigroup(table)
+
+
+def quaternion_group():
+    # element 4 s + u is (-1)^s times the unit u in (1, i, j, k)
+    units = {(1, 2): (0, 3), (2, 3): (0, 1), (3, 1): (0, 2),
+             (2, 1): (1, 3), (3, 2): (1, 1), (1, 3): (1, 2)}
+    def unit_product(u, v):
+        if u == 0 or v == 0:
+            return 0, u + v
+        return (1, 0) if u == v else units[(u, v)]
+    table = []
+    for x in range(8):
+        row = []
+        for y in range(8):
+            sign, unit = unit_product(x % 4, y % 4)
+            row.append(4 * ((x // 4 + y // 4 + sign) % 2) + unit)
+        table.append(row)
+    return validate_semigroup(table)
+
+
+def test_isomorphism_search_matches_the_reference_on_relabelled_catalog_tables():
+    for seed, S in enumerate(cat.semigroup_catalog().values()):
+        assert_search_matches_the_reference(S, relabelled(S, seed))
+
+
+def test_isomorphism_search_matches_the_reference_on_round_trips():
+    for S in cat.semigroup_catalog().values():
+        if classify(S).is_clifford:
+            assert_search_matches_the_reference(S, assemble(decompose(S)).semigroup)
+
+
+def test_isomorphism_search_matches_the_reference_on_same_signature_twins():
+    z4z4 = group_product(cat.cyclic_group(4), cat.cyclic_group(4))
+    z2q8 = group_product(cat.cyclic_group(2), quaternion_group())
+    for E in (cat.chain_semilattice(1), cat.chain_semilattice(2)):
+        S = direct_product(E, z4z4).semigroup
+        twin = direct_product(E, z2q8).semigroup
+        assert sorted(element_signature(S, x) for x in S.elements()) == sorted(
+            element_signature(twin, x) for x in twin.elements())
+        assert_search_matches_the_reference(S, twin)
+        assert_search_matches_the_reference(S, relabelled(S, 7), enumerate_all=False)

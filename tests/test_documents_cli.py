@@ -214,3 +214,20 @@ def test_cli_basis_check_rejects_an_element_outside_the_poset(capsys, basis, bad
 def test_cli_c1_probe_rejects_a_negative_or_nan_scan_argument(capsys, option, value):
     err = cli_error(capsys, "c1-probe", "additive.chart", option, value)
     assert err.startswith("error:") and value in err
+
+
+@pytest.mark.parametrize("name, command, where, field", [
+    ("z2.cayley.json", "classify", [], "body.labels"),
+    ("twochain.spec.json", "validate", ["groups", "1"], "body.groups.1.labels"),
+])
+def test_cli_wrong_label_count_names_its_field(capsys, tmp_path, name, command,
+                                                where, field):
+    raw = json.loads(read_shipped(name))
+    body = raw["body"]
+    for key in where:
+        body = body[key]
+    body["labels"] = ["a"]
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    err = cli_error(capsys, command, str(path))
+    assert err == f"error: {field}: expected 2 labels, got 1\n"

@@ -1,6 +1,8 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and the
+algebra modules load no numpy of their own.
 
-`__init__.py` is left out: its imports are the package's re-exports.
+`__init__.py` is left out of the first check: its imports are the
+package's re-exports.
 """
 
 import ast
@@ -34,4 +36,41 @@ def test_no_module_imports_an_unused_name():
     hits = [f"{path.name} {hit}"
             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
             for hit in unused_imports(path.read_text(encoding="utf-8"))]
+    assert hits == []
+
+
+ALGEBRA_MODULES = ("core.py", "semilattice.py", "documents.py", "order.py")
+
+
+def module_level_imports(source: str) -> list[str]:
+    """Top-level package names a module imports when it is loaded: every
+    import statement outside a function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend(alias.name.split(".")[0] for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.append(child.module.split(".")[0])
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_module_level_imports_are_found():
+    source = ("import numpy.linalg as la\n"
+              "try:\n    from numpy import array\nexcept ImportError:\n    pass\n"
+              "from .charts import x\n"
+              "def f():\n    import json\n"
+              "class C:\n    import math\n")
+    assert module_level_imports(source) == ["numpy", "numpy", "math"]
+
+
+def test_algebra_modules_do_not_import_numpy_at_module_level():
+    hits = [name for name in ALGEBRA_MODULES
+            if "numpy" in module_level_imports((PACKAGE / name).read_text(encoding="utf-8"))]
     assert hits == []
