@@ -12,6 +12,7 @@ are flagged before any operator is computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -31,9 +32,12 @@ Polynomial = list  # per coordinate: list of (coeff, exponent tuple of length 2n
 class ChartModel:
     """Local multiplication in chart coordinates, with domain ball radius.
 
-    polynomials, when present, give mu exactly as per-coordinate multivariate
-    polynomials in the 2n variables (u, v); derivative checks then have an
-    exact symbolic reference."""
+    mu acts on the last axis: for stacks u, v of shape (..., n) it returns
+    the (..., n) stack of products, each row rounded exactly as the
+    single-point call rounds it.  evaluate() is the single-point API with
+    the domain check.  polynomials, when present, give mu exactly as
+    per-coordinate multivariate polynomials in the 2n variables (u, v);
+    derivative checks then have an exact symbolic reference."""
 
     dim: int
     mu: Callable
@@ -57,18 +61,25 @@ class ChartModel:
             )
         return np.asarray(self.mu(u, v), dtype=float)
 
-    def squared(self, u) -> np.ndarray:
-        return self.evaluate(u, u)
+
+def _power(x, e):
+    """x ** e rounded as numpy's scalar power (C pow) rounds it; numpy's
+    float array power can differ in the last bit for e >= 2."""
+    if e == 1:
+        return x
+    x = np.asarray(x)
+    return np.fromiter((v ** e for v in x.flat), float, x.size).reshape(x.shape)
 
 
-def _poly_eval(terms, w) -> float:
-    total = 0.0
+def _poly_eval(terms, w) -> np.ndarray:
+    """One coordinate polynomial on the last axis of w (shape (..., 2n))."""
+    total = np.zeros(w.shape[:-1])
     for coeff, exps in terms:
         prod = coeff
-        for x, e in zip(w, exps):
+        for k, e in enumerate(exps):
             if e:
-                prod *= x ** e
-        total += prod
+                prod = prod * _power(w[..., k], e)
+        total = total + prod
     return total
 
 
@@ -86,8 +97,8 @@ def polynomial_model(dim: int, polynomials, radius: float = 1.0,
                 raise WorkbenchError("exponent tuples must have length 2*dim")
 
     def mu(u, v):
-        w = np.concatenate([u, v])
-        return np.array([_poly_eval(coord, w) for coord in polys])
+        w = np.concatenate([u, v], axis=-1)
+        return np.stack([_poly_eval(coord, w) for coord in polys], axis=-1)
 
     return ChartModel(dim=dim, mu=mu, radius=radius, name=name,
                       polynomials=polys)
@@ -102,8 +113,7 @@ def additive_model(dim: int = 2, radius: float = 1.0) -> ChartModel:
         eu[i] = 1
         ev[dim + i] = 1
         polys.append([(1.0, tuple(eu)), (1.0, tuple(ev))])
-    m = polynomial_model(dim, polys, radius, name="additive")
-    return m
+    return polynomial_model(dim, polys, radius, name="additive")
 
 
 def affine_model(dim: int = 1, radius: float = 1.0) -> ChartModel:
@@ -127,7 +137,8 @@ def min_plus_model(radius: float = 1.0) -> ChartModel:
     the first axis; not differentiable at the origin."""
 
     def mu(u, v):
-        return np.array([min(u[0], v[0]), u[1] + v[1]])
+        return np.stack([np.minimum(u[..., 0], v[..., 0]),
+                         u[..., 1] + v[..., 1]], axis=-1)
 
     return ChartModel(dim=2, mu=mu, radius=radius, name="min-plus")
 
@@ -135,12 +146,6 @@ def min_plus_model(radius: float = 1.0) -> ChartModel:
 def discrete_product_model(dim: int = 2, radius: float = 1.0) -> ChartModel:
     """Chart of an isolated idempotent in a product with a discrete factor:
     the first coordinate is killed, the second adds."""
-
-    def mu(u, v):
-        out = u + v
-        out[0] = 0.0
-        return out
-
     polys = []
     for i in range(dim):
         eu = [0] * (2 * dim)
@@ -384,6 +389,81 @@ def rigidity_report(model: ChartModel, scan_radius: Optional[float] = None,
     )
 
 
+MAX_GRID_POINTS = 10 ** 6  # seed grid of fixed_point_scan, before the ball filter
+_BATCH = 8192              # seeds per Newton batch, to bound memory
+
+
+def _norms(x) -> np.ndarray:
+    """Norms over the last axis, each rounded as np.linalg.norm rounds one
+    vector: sqrt of the BLAS dot product.  A sum of squares can differ in
+    the last bit and flip the comparisons of the scan."""
+    return np.sqrt(np.vecdot(x, x))
+
+
+def _damped_newton(model: ChartModel, seeds: np.ndarray, radius: float,
+                   newton_iters: int, residual_tol: float):
+    """Damped Newton on H(u) = mu(u,u) - u from every row of seeds at once.
+
+    Each row takes exactly the steps a one-seed loop takes: Jacobian by
+    central differences (a stencil point outside the model's domain makes
+    the seed diverge), a least-squares step, a line search over t = 2^-k,
+    k < 12, that keeps the first candidate in the domain with a smaller
+    residual (a seed whose search fails stops), divergence once |u| exceeds
+    4 * radius.  Returns the converged points inside the scan ball, in seed
+    order, and the number of divergent seeds."""
+    m, n = seeds.shape
+    h = 1e-6  # central-difference step
+
+    def H(x):
+        return model.mu(x, x) - x
+
+    u = seeds.copy()
+    hu = H(u)
+    r = _norms(hu)
+    active = np.ones(m, dtype=bool)
+    diverged = np.zeros(m, dtype=bool)
+    steps = np.eye(n) * h  # row j is the stencil step along axis j
+    for _ in range(newton_iters):
+        active &= ~(r < residual_tol)
+        rows = np.flatnonzero(active)
+        x = u[rows][:, None, :]
+        plus, minus = x + steps, x - steps  # (k, n, n): point j of the stencil
+        outside = ((_norms(plus) > model.radius + 1e-12) |
+                   (_norms(minus) > model.radius + 1e-12)).any(axis=1)
+        diverged[rows[outside]] = True
+        active[rows[outside]] = False
+        rows, plus, minus = rows[~outside], plus[~outside], minus[~outside]
+        if not rows.size:
+            break
+        jac = ((H(plus) - H(minus)) / (2 * h)).transpose(0, 2, 1)
+        delta = np.empty((rows.size, n))
+        for i, row in enumerate(rows):
+            delta[i], *_ = np.linalg.lstsq(jac[i], -hu[row], rcond=None)
+        t = np.ones(rows.size)
+        searching = np.ones(rows.size, dtype=bool)
+        for _ in range(12):
+            s = np.flatnonzero(searching)
+            if not s.size:
+                break
+            cand = u[rows[s]] + t[s, None] * delta[s]
+            inside = ~(_norms(cand) > model.radius)
+            s, cand = s[inside], cand[inside]
+            hc = H(cand)
+            rc = _norms(hc)
+            better = rc < r[rows[s]]
+            won = rows[s[better]]
+            u[won], hu[won], r[won] = cand[better], hc[better], rc[better]
+            searching[s[better]] = False
+            t[searching] /= 2
+        active[rows[searching]] = False
+        stepped = rows[~searching]
+        far = stepped[_norms(u[stepped]) > 4 * radius]
+        diverged[far] = True
+        active[far] = False
+    ok = ~diverged & (r < residual_tol) & (_norms(u) <= radius + 1e-9)
+    return u[ok], int(diverged.sum())
+
+
 def fixed_point_scan(model: ChartModel, radius: float, grid_step: float,
                      newton_iters: int = 30, residual_tol: float = 1e-9,
                      dedup_tol: float = 1e-6):
@@ -391,72 +471,41 @@ def fixed_point_scan(model: ChartModel, radius: float, grid_step: float,
 
     Jacobians by central finite differences; singular Jacobians are handled
     by least-squares steps (so continua of fixed points are sampled, not
-    fatal).  Returns (sorted fixed points, number of divergent seeds)."""
+    fatal).  All seeds run as one batch (see _damped_newton); the points
+    are deduplicated in seed order.  Returns (sorted fixed points, number of
+    divergent seeds)."""
     if not radius >= 0:  # also rejects nan
         raise WorkbenchError(f"scan radius must be >= 0, got {radius}")
     if newton_iters < 0:
         raise WorkbenchError(f"Newton iterations must be >= 0, got {newton_iters}")
     if radius > model.radius:
         raise WorkbenchError("scan radius exceeds the model's domain ball")
-    if not grid_step > 0:
-        raise WorkbenchError(f"grid step must be positive, got {grid_step}")
+    if not 0 < grid_step < math.inf:
+        raise WorkbenchError(
+            f"grid step must be positive and finite, got {grid_step}")
     n = model.dim
-
-    def H(u):
-        return model.squared(u) - u
-
-    def jac(u, h=1e-6):
-        cols = []
-        for j in range(n):
-            step = np.zeros(n)
-            step[j] = h
-            cols.append((H(u + step) - H(u - step)) / (2 * h))
-        return np.column_stack(cols)
+    per_axis = (2 * radius + grid_step / 2) / grid_step
+    if not per_axis <= MAX_GRID_POINTS or \
+            math.ceil(per_axis) ** n > MAX_GRID_POINTS:
+        raise WorkbenchError(
+            f"grid step {grid_step} makes a seed grid of more than "
+            f"{MAX_GRID_POINTS} points in dimension {n}")
 
     axes = np.arange(-radius, radius + grid_step / 2, grid_step)
-    seeds = []
-    for idx in np.ndindex(*([len(axes)] * n)):
-        u = np.array([axes[i] for i in idx])
-        if np.linalg.norm(u) <= radius:
-            seeds.append(u)
+    grid = np.stack(np.meshgrid(*[axes] * n, indexing="ij"), axis=-1)
+    grid = grid.reshape(-1, n)  # C order, as np.ndindex walks it
+    seeds = grid[_norms(grid) <= radius]
 
-    found = []
-    diverged = 0
-    for seed in seeds:
-        u = seed.astype(float)
-        ok = True
-        try:
-            r = float(np.linalg.norm(H(u)))
-            for _ in range(newton_iters):
-                if r < residual_tol:
-                    break
-                J = jac(u)
-                delta, *_ = np.linalg.lstsq(J, -H(u), rcond=None)
-                t = 1.0
-                for _ in range(12):
-                    cand = u + t * delta
-                    if np.linalg.norm(cand) > model.radius:
-                        t /= 2
-                        continue
-                    rc = float(np.linalg.norm(H(cand)))
-                    if rc < r:
-                        u, r = cand, rc
-                        break
-                    t /= 2
-                else:
-                    break
-                if np.linalg.norm(u) > 4 * radius:
-                    ok = False
-                    break
-        except EvaluationOutsideDomain:
-            ok = False
-        if not ok:
-            diverged += 1
-            continue
-        if float(np.linalg.norm(H(u))) < residual_tol and \
-                np.linalg.norm(u) <= radius + 1e-9:
-            if not any(np.linalg.norm(u - np.array(p)) < dedup_tol
-                       for p in found):
-                found.append(tuple(float(x) for x in u))
-    found.sort()
-    return found, diverged
+    points, diverged = [np.empty((0, n))], 0
+    for start in range(0, len(seeds), _BATCH):
+        found, lost = _damped_newton(model, seeds[start:start + _BATCH], radius,
+                                     newton_iters, residual_tol)
+        points.append(found)
+        diverged += lost
+    points = np.concatenate(points)
+    kept = 0
+    for u in points:
+        if not (_norms(u - points[:kept]) < dedup_tol).any():
+            points[kept] = u
+            kept += 1
+    return sorted(map(tuple, points[:kept].tolist())), diverged

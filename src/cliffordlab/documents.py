@@ -13,6 +13,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,12 +71,16 @@ def _require(obj, path, required, optional=()):
             raise SchemaError(f"{path}.{key}", "missing field")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_int_matrix(m, path):
     if not isinstance(m, list) or not all(isinstance(r, list) for r in m):
         raise SchemaError(path, "expected a list of rows")
     for i, row in enumerate(m):
         for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 raise SchemaError(f"{path}[{i}][{j}]", "expected an integer")
 
 
@@ -111,9 +116,7 @@ def _check_spec_body(body, path):
         parts = key.split("->")
         if len(parts) != 2 or not all(p.isdigit() for p in parts):
             raise SchemaError(f"{path}.bonding.{key}", 'keys look like "f->e"')
-        if not isinstance(phi, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in phi
-        ):
+        if not isinstance(phi, list) or not all(_is_int(v) for v in phi):
             raise SchemaError(f"{path}.bonding.{key}", "expected a list of ints")
 
 
@@ -160,9 +163,7 @@ def _check_topology_model(body):
     if not isinstance(body["opens"], list):
         raise SchemaError("body.opens", "expected a list of open sets")
     for i, O in enumerate(body["opens"]):
-        if not isinstance(O, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in O
-        ):
+        if not isinstance(O, list) or not all(_is_int(v) for v in O):
             raise SchemaError(f"body.opens[{i}]", "expected a list of indices")
 
 
@@ -191,9 +192,7 @@ def _check_metric_data(body):
                     parse_rational(v, f"body.d.{e}[{i}][{j}]")
     else:
         raise SchemaError("body.type", f"unknown metric-data type {body['type']!r}")
-    if "basis" in body and not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in body["basis"]
-    ):
+    if "basis" in body and not all(_is_int(v) for v in body["basis"]):
         raise SchemaError("body.basis", "expected a list of element indices")
     if "pseudo" in body and not isinstance(body["pseudo"], bool):
         raise SchemaError("body.pseudo", "expected a boolean")
@@ -212,24 +211,46 @@ def _check_chart_model(body):
             )
     else:
         _require(body, "body", ["dim", "polynomials"], ["radius"])
-        if not isinstance(body["polynomials"], list):
-            raise SchemaError("body.polynomials", "expected a list per coordinate")
-        for i, coord in enumerate(body["polynomials"]):
-            for k, term in enumerate(coord):
-                if (
-                    not isinstance(term, list)
-                    or len(term) != 2
-                    or not isinstance(term[0], (int, float))
-                    or not isinstance(term[1], list)
-                ):
-                    raise SchemaError(
-                        f"body.polynomials[{i}][{k}]",
-                        "expected [coefficient, [exponents]]",
-                    )
-    if "dim" in body and (not isinstance(body["dim"], int) or body["dim"] < 1):
+    if "dim" in body and (not _is_int(body["dim"]) or body["dim"] < 1):
         raise SchemaError("body.dim", "expected a positive integer")
-    if "radius" in body and not isinstance(body["radius"], (int, float)):
-        raise SchemaError("body.radius", "expected a number")
+    if body.get("builtin") == "min-plus" and body.get("dim", 2) != 2:
+        raise SchemaError("body.dim", "min-plus is 2-dimensional")
+    if "radius" in body and not (_is_finite_number(body["radius"])
+                                 and body["radius"] > 0):
+        raise SchemaError("body.radius", "expected a positive finite number")
+    if "polynomials" in body:
+        _check_polynomials(body["polynomials"], body["dim"])
+
+
+def _is_finite_number(v) -> bool:
+    """An int or float, not a bool, inf, nan or an int beyond float range."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and abs(v) <= sys.float_info.max
+
+
+def _check_polynomials(polys, dim):
+    if not isinstance(polys, list) or len(polys) != dim:
+        raise SchemaError("body.polynomials", f"expected a list of {dim} coordinates")
+    for i, coord in enumerate(polys):
+        if not isinstance(coord, list):
+            raise SchemaError(f"body.polynomials[{i}]", "expected a list of terms")
+        for k, term in enumerate(coord):
+            if (
+                not isinstance(term, list)
+                or len(term) != 2
+                or not _is_finite_number(term[0])
+                or not isinstance(term[1], list)
+            ):
+                raise SchemaError(
+                    f"body.polynomials[{i}][{k}]",
+                    "expected [finite coefficient, [exponents]]",
+                )
+            if len(term[1]) != 2 * dim or \
+                    not all(_is_int(e) and e >= 0 for e in term[1]):
+                raise SchemaError(
+                    f"body.polynomials[{i}][{k}]",
+                    f"expected {2 * dim} non-negative integer exponents",
+                )
 
 
 def parse_document(text: str) -> WorkbenchDocument:

@@ -3,8 +3,10 @@ operator, and fixed-point scans."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffordlab.charts import (
+    BUILTIN_MODELS,
     additive_model,
     affine_model,
     bilinear_parts,
@@ -120,3 +122,146 @@ def test_evaluation_outside_domain_rejected():
 def test_scan_radius_must_fit_the_model():
     with pytest.raises(WorkbenchError):
         fixed_point_scan(additive_model(2, radius=0.2), 0.5, 0.1)
+
+
+def test_polynomial_powers_round_as_numpy_scalars():
+    # the array power of numpy may differ from C pow in the last bit
+    model = polynomial_model(1, [[(1.0, (3, 0))]])
+    xs = np.linspace(-1.0, 1.0, 2001)
+    got = model.mu(xs[:, None], np.zeros((xs.size, 1)))[:, 0]
+    assert [float(g) for g in got] == [float(x ** 3) for x in xs]
+
+
+def reference_fixed_point_scan(model, radius, grid_step, newton_iters=30,
+                               residual_tol=1e-9, dedup_tol=1e-6):
+    """The per-seed damped-Newton loop that fixed_point_scan batches, on
+    single-point evaluations; arguments are taken as valid."""
+    n = model.dim
+
+    def H(u):
+        return model.evaluate(u, u) - u
+
+    def jac(u, h=1e-6):
+        cols = []
+        for j in range(n):
+            step = np.zeros(n)
+            step[j] = h
+            cols.append((H(u + step) - H(u - step)) / (2 * h))
+        return np.column_stack(cols)
+
+    axes = np.arange(-radius, radius + grid_step / 2, grid_step)
+    seeds = []
+    for idx in np.ndindex(*([len(axes)] * n)):
+        u = np.array([axes[i] for i in idx])
+        if np.linalg.norm(u) <= radius:
+            seeds.append(u)
+
+    found = []
+    diverged = 0
+    for seed in seeds:
+        u = seed.astype(float)
+        ok = True
+        try:
+            r = float(np.linalg.norm(H(u)))
+            for _ in range(newton_iters):
+                if r < residual_tol:
+                    break
+                J = jac(u)
+                delta, *_ = np.linalg.lstsq(J, -H(u), rcond=None)
+                t = 1.0
+                for _ in range(12):
+                    cand = u + t * delta
+                    if np.linalg.norm(cand) > model.radius:
+                        t /= 2
+                        continue
+                    rc = float(np.linalg.norm(H(cand)))
+                    if rc < r:
+                        u, r = cand, rc
+                        break
+                    t /= 2
+                else:
+                    break
+                if np.linalg.norm(u) > 4 * radius:
+                    ok = False
+                    break
+        except EvaluationOutsideDomain:
+            ok = False
+        if not ok:
+            diverged += 1
+            continue
+        if float(np.linalg.norm(H(u))) < residual_tol and \
+                np.linalg.norm(u) <= radius + 1e-9:
+            if not any(np.linalg.norm(u - np.array(p)) < dedup_tol
+                       for p in found):
+                found.append(tuple(float(x) for x in u))
+    found.sort()
+    return found, diverged
+
+
+COEFFS = st.one_of(st.sampled_from([1.0, -1.0, 0.5, 2.0]),
+                   st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@st.composite
+def chart_models(draw):
+    """A builtin model or a random polynomial model of dim 1 to 3 whose
+    terms have degree 1 to 3 (so mu(0, 0) = 0)."""
+    radius = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    name = draw(st.sampled_from(sorted(BUILTIN_MODELS) + ["polynomial"] * 3))
+    if name == "min-plus":
+        return BUILTIN_MODELS[name](radius=radius)
+    dim = draw(st.integers(1, 3))
+    if name != "polynomial":
+        return BUILTIN_MODELS[name](dim=dim, radius=radius)
+    polys = []
+    for _ in range(dim):
+        terms = []
+        for _ in range(draw(st.integers(0, 3))):
+            exps = [0] * (2 * dim)
+            for k in draw(st.lists(st.integers(0, 2 * dim - 1), min_size=1,
+                                   max_size=3)):
+                exps[k] += 1
+            terms.append((draw(COEFFS), tuple(exps)))
+        polys.append(terms)
+    return polynomial_model(dim, polys, radius)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chart_models(), st.data())
+def test_batched_scan_equals_the_per_seed_loop(model, data):
+    # the scan radius reaches the model radius, so stencils leave the ball
+    radius = model.radius * data.draw(st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    fractions = [0.25, 1 / 3, 0.5] if model.dim == 3 else [0.1, 0.125, 0.2, 0.25]
+    grid_step = model.radius * data.draw(st.sampled_from(fractions))
+    kwargs = dict(newton_iters=data.draw(st.sampled_from([0, 1, 3, 30])),
+                  dedup_tol=data.draw(st.sampled_from([1e-6, 1e-2])))
+    assert fixed_point_scan(model, radius, grid_step, **kwargs) == \
+        reference_fixed_point_scan(model, radius, grid_step, **kwargs)
+
+
+@pytest.mark.parametrize("model, radius, grid_step", [
+    # seeds on the sphere: a norm that rounds differently moves the count
+    (additive_model(3, radius=0.25), 0.25, 0.25 / 3),
+    # near-equal fixed points: the kept one depends on the dedup order
+    (min_plus_model(radius=0.25), 0.125, 0.025),
+])
+def test_batched_scan_equals_the_per_seed_loop_on_known_edges(model, radius,
+                                                              grid_step):
+    assert fixed_point_scan(model, radius, grid_step, newton_iters=1) == \
+        reference_fixed_point_scan(model, radius, grid_step, newton_iters=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chart_models(), st.data())
+def test_stacked_mu_rows_equal_single_point_evaluations(model, data):
+    n = model.dim
+    shape = data.draw(st.sampled_from([(5,), (2, 3)]))
+    size = n * int(np.prod(shape))
+    coords = st.lists(st.floats(-model.radius / n, model.radius / n),
+                      min_size=size, max_size=size)
+    u, v = (np.array(data.draw(coords)).reshape(shape + (n,)) for _ in range(2))
+    stacked = model.mu(u, v)
+    assert stacked.shape == shape + (n,)
+    for idx in np.ndindex(*shape):
+        assert stacked[idx].tobytes() == model.evaluate(u[idx], v[idx]).tobytes()

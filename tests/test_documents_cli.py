@@ -203,6 +203,36 @@ def test_cli_c1_probe_rejects_a_zero_grid_step(capsys):
     assert err.startswith("error:") and "0" in err
 
 
+@pytest.mark.parametrize("grid", ["inf", "1e-300"])
+def test_cli_c1_probe_rejects_a_grid_that_cannot_be_built(capsys, grid):
+    err = cli_error(capsys, "c1-probe", "additive.chart", "--grid", grid)
+    assert err.startswith("error: grid step") and grid in err
+
+
+@pytest.mark.parametrize("body, field", [
+    ({"dim": 1, "polynomials": [5]}, "body.polynomials[0]"),
+    ({"dim": 1, "polynomials": [[[1.0, [1, "a"]]]]}, "body.polynomials[0][0]"),
+    ({"dim": 1, "polynomials": [[[1.0, [1.5, 0]]]]}, "body.polynomials[0][0]"),
+    ({"dim": 1, "polynomials": [[[True, [1, 0]]]]}, "body.polynomials[0][0]"),
+    ({"dim": 1, "polynomials": [[[float("inf"), [1, 0]]]]},
+     "body.polynomials[0][0]"),
+    ({"dim": 1, "polynomials": [[[1.0, [True, 0]]]]}, "body.polynomials[0][0]"),
+    ({"dim": 1, "polynomials": [[[1.0, [-1, 1]]]]}, "body.polynomials[0][0]"),
+    ({"builtin": "min-plus", "dim": 3}, "body.dim"),
+    ({"builtin": "additive", "radius": 0}, "body.radius"),
+    ({"builtin": "additive", "radius": -1.0}, "body.radius"),
+], ids=["coordinate-not-a-list", "string-exponent", "float-exponent",
+        "bool-coefficient", "infinite-coefficient", "bool-exponent",
+        "negative-exponent", "min-plus-dim-3", "zero-radius",
+        "negative-radius"])
+def test_cli_validate_rejects_a_bad_chart_model(capsys, tmp_path, body, field):
+    path = tmp_path / "bad.chart.json"
+    path.write_text(json.dumps({"kind": "chart-model", "meta": {"name": "bad"},
+                                "body": body}))
+    err = cli_error(capsys, "validate", str(path))
+    assert err.startswith(f"error: {field}: ")
+
+
 @pytest.mark.parametrize("basis, bad", [("0,9", "9"), ("-1", "-1")])
 def test_cli_basis_check_rejects_an_element_outside_the_poset(capsys, basis, bad):
     err = cli_error(capsys, "basis-check", "chain3.poset", "--basis", basis)
