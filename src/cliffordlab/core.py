@@ -128,27 +128,30 @@ class InverseStructure:
     pi: tuple[int, ...]
 
 
-def _all_inverses(S: FiniteSemigroup, x: int) -> list[int]:
+def _all_inverses(rows, x: int) -> list[int]:
+    """Every y with xyx = x and yxy = y, read off the table rows."""
+    rx = rows[x]
     return [
         y
-        for y in S.elements()
-        if S.mul(S.mul(x, y), x) == x and S.mul(S.mul(y, x), y) == y
+        for y, ry in enumerate(rows)
+        if rows[rx[y]][x] == x and rows[ry[x]][y] == y
     ]
 
 
 def inverse_structure(S: FiniteSemigroup) -> Optional[InverseStructure]:
     """The inverse structure, or None when some element does not have a
     unique inverse (uniqueness is re-verified by full enumeration)."""
+    rows = S.table
     inv = []
     for x in S.elements():
-        cands = _all_inverses(S, x)
+        cands = _all_inverses(rows, x)
         if len(cands) != 1:
             return None
         inv.append(cands[0])
-    pi = tuple(S.mul(x, inv[x]) for x in S.elements())
+    pi = tuple(rows[x][inv[x]] for x in S.elements())
     for x in S.elements():
         e = pi[x]
-        if S.mul(e, e) != e:
+        if rows[e][e] != e:
             raise InternalInconsistency(f"pi[{x}] = {e} is not idempotent")
     return InverseStructure(tuple(inv), pi)
 

@@ -44,7 +44,7 @@ class WorkbenchDocument:
 
 
 def parse_rational(value, path: str) -> Fraction:
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -86,7 +86,7 @@ def _check_int_matrix(m, path):
 
 def _check_cayley_body(body, path):
     _require(body, path, ["n", "table"], ["labels"])
-    if not isinstance(body["n"], int):
+    if not _is_int(body["n"]):
         raise SchemaError(f"{path}.n", "expected an integer")
     _check_int_matrix(body["table"], f"{path}.table")
     if len(body["table"]) != body["n"]:
@@ -143,7 +143,7 @@ def _check_spec(body):
 @_checker("poset")
 def _check_poset(body):
     _require(body, "body", ["n", "leq"])
-    if not isinstance(body["n"], int):
+    if not _is_int(body["n"]):
         raise SchemaError("body.n", "expected an integer")
     leq = body["leq"]
     if not isinstance(leq, list) or len(leq) != body["n"]:
@@ -152,7 +152,7 @@ def _check_poset(body):
         if not isinstance(row, list) or len(row) != body["n"]:
             raise SchemaError(f"body.leq[{i}]", f"expected {body['n']} entries")
         for j, v in enumerate(row):
-            if not isinstance(v, (bool, int)):
+            if not (isinstance(v, bool) or _is_int(v) and v in (0, 1)):
                 raise SchemaError(f"body.leq[{i}][{j}]", "expected 0/1 or bool")
 
 
@@ -174,7 +174,7 @@ def _check_metric_data(body):
     if body["type"] == "flat":
         _require(body, "body", ["type", "truncation", "fiber", "bonding"],
                  ["basis", "base_points", "pseudo"])
-        if not isinstance(body["truncation"], int) or body["truncation"] < 1:
+        if not _is_int(body["truncation"]) or body["truncation"] < 1:
             raise SchemaError("body.truncation", "expected a positive integer")
         _check_cayley_body(body["fiber"], "body.fiber")
         if body["bonding"] not in ("identity", "collapse"):

@@ -2,15 +2,19 @@
 the minimal-neighborhood property w.r.t. J-classes, the openness equivalence
 chain, closedness of the order graph, and the two basic-set constructors.
 
-Topologies are explicit families of subsets (frozensets of indices), so all
-checks reduce to exact finite set algebra.  Finite topologies correspond to
-preorders, which is how the exhaustive enumeration is generated.
+Every finite topology is Alexandrov: it is the family of up-sets of its
+specialization preorder, and U_x, the least open set around x, is the up-set
+of x.  A topology keeps its opens as frozensets of indices and derives U_x
+once, as an int bitmask (bit y set iff y in U_x).  The checks are exact
+bitmask algebra on the U_x; the open sets themselves are read only to name a
+witness.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .core import (
@@ -25,6 +29,27 @@ from .errors import EOutOfU, InternalInconsistency, NotACover, WorkbenchError
 from .semilattice import Assembled
 
 
+def _mask(A) -> int:
+    """The bitmask of a set of indices."""
+    return sum(1 << x for x in A)
+
+
+def _members(m: int) -> list[int]:
+    """The indices whose bits are set in m, ascending."""
+    return [x for x in range(m.bit_length()) if m >> x & 1]
+
+
+def _least_opens(n: int, family) -> tuple[int, ...]:
+    """For each x in 0..n-1 the bitmask of the intersection of the members
+    of family that contain x (all of 0..n-1 when none does)."""
+    up = [(1 << n) - 1] * n
+    for O in family:
+        m = _mask(O)
+        for x in O:
+            up[x] &= m
+    return tuple(up)
+
+
 @dataclass(frozen=True)
 class FiniteTopology:
     """An explicit topology: the family of all open subsets of 0..n-1."""
@@ -32,28 +57,20 @@ class FiniteTopology:
     n: int
     opens: frozenset
 
-    def min_open(self, x: int) -> frozenset:
-        """Smallest open set containing x (open: finite intersection)."""
-        out = frozenset(range(self.n))
-        for O in self.opens:
-            if x in O and len(O) < len(out):
-                out = O
-        return out
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        """U_x for each point x as a bitmask: the intersection of the opens
+        containing x, an open set since the family is finite."""
+        return _least_opens(self.n, self.opens)
 
-    def subspace(self, A) -> frozenset:
-        A = frozenset(A)
-        return frozenset(O & A for O in self.opens)
+    def min_open(self, x: int) -> frozenset:
+        """Smallest open set containing x."""
+        return frozenset(_members(self.up[x]))
 
     def is_hausdorff(self) -> bool:
-        for x in range(self.n):
-            for y in range(x + 1, self.n):
-                if not any(
-                    x in O and y in P and not (O & P)
-                    for O in self.opens
-                    for P in self.opens
-                ):
-                    return False
-        return True
+        """Points x != y have disjoint neighborhoods iff U_x and U_y are
+        disjoint; on a finite space that makes the topology discrete."""
+        return all(not u & v for u, v in itertools.combinations(self.up, 2))
 
 
 def validate_topology(n: int, opens) -> FiniteTopology:
@@ -89,28 +106,43 @@ def indiscrete_topology(n: int) -> FiniteTopology:
 
 
 def all_topologies(n: int) -> Iterator[FiniteTopology]:
-    """Every topology on n points, one per preorder (finite topologies are
-    Alexandrov; opens are the up-sets of the specialization preorder)."""
-    offdiag = [(x, y) for x in range(n) for y in range(n) if x != y]
-    subsets = list(range(1 << n))
-    for mask in range(1 << len(offdiag)):
-        rel = [[x == y for y in range(n)] for x in range(n)]
-        for k, (x, y) in enumerate(offdiag):
-            if mask >> k & 1:
-                rel[x][y] = True
-        if any(
-            rel[x][y] and rel[y][z] and not rel[x][z]
-            for x in range(n)
-            for y in range(n)
-            for z in range(n)
-        ):
-            continue
-        opens = []
-        for s in subsets:
-            members = [x for x in range(n) if s >> x & 1]
-            if all(not rel[x][y] or s >> y & 1 for x in members for y in range(n)):
-                opens.append(frozenset(members))
-        yield FiniteTopology(n=n, opens=frozenset(opens))
+    """Every topology on n points, one per preorder: its opens are the
+    up-sets of the specialization preorder.  Each yielded topology carries
+    its opens as frozensets (shared between topologies) and its U_x."""
+    sets = [frozenset(_members(m)) for m in range(1 << n)]
+    for up, opens in _preorders(n, 0, (), [0]):
+        T = FiniteTopology(n, frozenset([sets[m] for m in opens]))
+        T.__dict__["up"] = up  # the cached_property, known from the preorder
+        yield T
+
+
+def _preorders(n: int, k: int, up: tuple, opens: list):
+    """(up, opens) for every preorder on 0..n-1 extending the preorder on
+    0..k-1 that has up-set masks up[x] and up-sets opens, as bitmasks.
+
+    Point k joins with a down-set D below it and an up-set U above it.  D is
+    the complement of an up-set, and d <= k <= u forces d <= u, so U must lie
+    in the up-set of every d in D (Brinkmann and McKay, "Posets on up to 16
+    points", Order 19, 2002, grow posets one point at a time the same way).
+    Each preorder restricts to one preorder on 0..k-1, so each arises once.
+    The new up-sets are the old ones that miss D, and k joined to the old
+    ones that contain U."""
+    if k == n:
+        yield up, opens
+        return
+    bit = 1 << k
+    for A in opens:
+        D = (bit - 1) & ~A
+        cap = bit - 1
+        for d in _members(D):
+            cap &= up[d]
+        lifted = tuple(u | bit if D >> x & 1 else u for x, u in enumerate(up))
+        missing_d = [O for O in opens if not O & D]
+        for U in opens:
+            if U & ~cap:
+                continue
+            yield from _preorders(n, k + 1, (*lifted, U | bit),
+                                  missing_d + [O | bit for O in opens if O & U == U])
 
 
 @dataclass(frozen=True)
@@ -123,50 +155,65 @@ class TopologicalSemigroupModel:
             raise WorkbenchError("semigroup and topology carrier sizes differ")
 
 
-def _product_open(T: FiniteTopology, W) -> bool:
-    """Is a set of pairs open in the product topology?  On finite spaces a
-    set is product-open iff it contains U_x x U_y around each of its points,
-    with U_z the minimal open neighborhood."""
-    W = set(W)
-    for (x, y) in W:
-        for a in T.min_open(x):
-            for b in T.min_open(y):
-                if (a, b) not in W:
-                    return False
-    return True
-
-
 def continuity_check(model: TopologicalSemigroupModel):
     """Is multiplication (and inversion, when S is inverse) continuous?
 
-    Returns (True, None) or (False, witness_open)."""
+    Returns (True, None) or (False, witness_open), the witness being the
+    first failing open in sorted(opens, key=sorted) order.
+
+    The preimage of an open O under multiplication is product-open iff it
+    holds U_x x U_y around each of its pairs (x, y).  Moving one factor at a
+    time, that fails iff some translation t (left or right by an element)
+    and some c in U_b have t(b) in O and t(c) outside it.  So with need[z]
+    the OR of the bits t(c) over all t, b, c with t(b) = z, O fails iff some
+    z in O has need[z] outside O; inversion is the same with t = inv."""
     S, T = model.S, model.T
-    for O in sorted(model.T.opens, key=sorted):
-        pre = {(x, y) for x in S.elements() for y in S.elements() if S.mul(x, y) in O}
-        if not _product_open(T, pre):
-            return False, O
-    inv = inverse_structure(S)
-    if inv is not None:
-        for O in sorted(T.opens, key=sorted):
-            pre_inv = frozenset(x for x in S.elements() if inv.inv[x] in O)
-            if pre_inv not in T.opens:
-                return False, O
-    return True, None
+    steps = [(b, c) for b, u in enumerate(T.up) for c in _members(u) if c != b]
+    need = [0] * S.n
+    for t in (*S.table, *zip(*S.table)):
+        for b, c in steps:
+            need[t[b]] |= 1 << t[c]
+    witness = _failing_open(T, need)
+    if witness is None:
+        inv = inverse_structure(S)
+        if inv is not None:
+            need = [0] * S.n
+            for b, c in steps:
+                need[inv.inv[b]] |= 1 << inv.inv[c]
+            witness = _failing_open(T, need)
+    return witness is None, witness
+
+
+def _failing_open(T: FiniteTopology, need: list[int]):
+    """The first open O in sorted(opens, key=sorted) order with some z in O
+    and need[z] outside O, or None.  Every open around z contains U_z, so
+    one exists iff need[z] lies outside U_z for some z."""
+    if all(not r & ~u for r, u in zip(need, T.up)):
+        return None
+    for O in sorted(T.opens, key=sorted):
+        m = _mask(O)
+        if any(need[z] & ~m for z in O):
+            return O
+    raise InternalInconsistency("U_z fails but no open set does")
+
+
+def _is_open(T: FiniteTopology, A) -> bool:
+    """A set is open iff it contains U_x for each of its points x."""
+    m = _mask(A)
+    return all(not T.up[x] & ~m for x in A)
 
 
 def mp_check(model: TopologicalSemigroupModel) -> bool:
-    """For every open O and x in O, some open U has x in U <= O n J_x."""
+    """For every open O and x in O, some open U has x in U <= O n J_x.
+
+    The least such candidate is U_x, and U_x <= O for every open O around x,
+    so the property is U_x <= J_x for every x."""
     S, T = model.S, model.T
-    jclass = {}
+    jclass = [0] * S.n
     for c in green_j_classes(S):
         for x in c:
-            jclass[x] = frozenset(c)
-    for O in T.opens:
-        for x in O:
-            target = O & jclass[x]
-            if not any(x in U and U <= target for U in T.opens):
-                return False
-    return True
+            jclass[x] = _mask(c)
+    return all(not u & ~j for u, j in zip(T.up, jclass))
 
 
 @dataclass(frozen=True)
@@ -196,19 +243,16 @@ def prop34_equivalences(model: TopologicalSemigroupModel) -> OpennessRecord:
     S, T = model.S, model.T
     _, groups = pi_and_subgroups(S)
     mp = mp_check(model)
-    j_open = all(frozenset(c) in T.opens for c in green_j_classes(S))
-    g_open = all(frozenset(g) in T.opens for g in groups.values())
-    E = frozenset(idempotents(S))
-    e_discrete = all(
-        any(O & E == {e} for O in T.opens) for e in E
-    )
-    sub = {e: T.subspace(g) for e, g in groups.items()}
-    union_opens = set()
-    for mask in range(1 << S.n):
-        A = frozenset(x for x in S.elements() if mask >> x & 1)
-        if all(A & frozenset(g) in sub[e] for e, g in groups.items()):
-            union_opens.add(A)
-    du_equal = union_opens == set(T.opens)
+    j_open = all(_is_open(T, c) for c in green_j_classes(S))
+    g_open = all(_is_open(T, g) for g in groups.values())
+    E = idempotents(S)
+    # some open meets E in {e} iff U_e, the least open around e, does
+    e_discrete = all(T.up[e] & _mask(E) == 1 << e for e in E)
+    # A is open in the disjoint union of the subspaces G_e iff each A n G_e
+    # is a trace of an open set, iff U_x n G_e <= A for every x in A n G_e;
+    # so that topology has least opens U_x n G_e, and it equals T iff those
+    # are the U_x
+    du_equal = all(T.up[x] & _mask(g) == T.up[x] for g in groups.values() for x in g)
     rec = OpennessRecord(
         mp=mp,
         j_classes_open=j_open,
@@ -224,15 +268,20 @@ def prop34_equivalences(model: TopologicalSemigroupModel) -> OpennessRecord:
 
 def order_graph_closed(model: TopologicalSemigroupModel) -> tuple[bool, bool]:
     """(order graph closed in S x S, topology Hausdorff) for a semilattice
-    model.  The two are equivalent on finite models; callers assert it."""
+    model.  The two are equivalent on finite models; callers assert it.
+
+    The graph is {(x, y) : xy = x}.  Its complement is product-open iff for
+    every (x, y) off the graph and every a in U_x, U_y misses the y' with
+    (a, y') on the graph."""
     S, T = model.S, model.T
     if not is_semilattice(S):
         raise WorkbenchError("order graph is defined for semilattice models")
-    graph = {(x, y) for x in S.elements() for y in S.elements() if S.mul(x, y) == x}
-    complement = {
-        (x, y) for x in S.elements() for y in S.elements() if (x, y) not in graph
-    }
-    return _product_open(T, complement), T.is_hausdorff()
+    graph = [_mask(y for y, xy in enumerate(row) if xy == x)
+             for x, row in enumerate(S.table)]
+    closed = not any(T.up[y] & graph[a]
+                     for x, u in enumerate(T.up) for a in _members(u)
+                     for y in S.elements() if not graph[x] >> y & 1)
+    return closed, T.is_hausdorff()
 
 
 def _idempotent_subset(assembled: Assembled, U) -> list[int]:
@@ -282,31 +331,18 @@ def bowman_basic_set(assembled: Assembled, U, V) -> frozenset:
 
 
 def generate_topology(n: int, basis) -> FiniteTopology:
-    """Close a covering family under finite intersections and unions."""
+    """The topology generated by a covering family: U_x is the intersection
+    of the members containing x, and the opens are the unions of U_x's."""
     basis = {frozenset(B) for B in basis}
     cover = set()
     for B in basis:
         cover |= B
     if cover != set(range(n)):
         raise NotACover(f"basis covers only {sorted(cover)}")
-    ints = set(basis)
-    changed = True
-    while changed:
-        changed = False
-        for A, B in itertools.combinations(list(ints), 2):
-            C = A & B
-            if C not in ints:
-                ints.add(C)
-                changed = True
-    opens = set(ints)
-    opens.add(frozenset())
-    opens.add(frozenset(range(n)))
-    changed = True
-    while changed:
-        changed = False
-        for A, B in itertools.combinations(list(opens), 2):
-            C = A | B
-            if C not in opens:
-                opens.add(C)
-                changed = True
-    return validate_topology(n, opens)
+    up = _least_opens(n, basis)
+    opens = {0}
+    for u in up:
+        opens |= {O | u for O in opens}
+    T = FiniteTopology(n, frozenset(frozenset(_members(O)) for O in opens))
+    T.__dict__["up"] = up  # the cached_property, known from the family
+    return T

@@ -261,3 +261,34 @@ def test_cli_wrong_label_count_names_its_field(capsys, tmp_path, name, command,
     path.write_text(json.dumps(raw))
     err = cli_error(capsys, command, str(path))
     assert err == f"error: {field}: expected 2 labels, got 1\n"
+
+
+ONE_POINT = {"n": True, "table": [[0]]}
+
+
+@pytest.mark.parametrize("name, command, where, value, field", [
+    ("flat3.metric.json", "converge", ["truncation"], True, "body.truncation"),
+    ("z2.cayley.json", "classify", [], ONE_POINT, "body.n"),
+    ("sierpinski.topology.json", "topo-check", [],
+     {"semigroup": ONE_POINT, "opens": [[], [0]]}, "body.semigroup.n"),
+    ("flat3.metric.json", "converge", ["fiber"], ONE_POINT, "body.fiber.n"),
+    ("chain3.poset.json", "way-below", [], {"n": True, "leq": [[True]]}, "body.n"),
+    ("chain3.poset.json", "way-below", ["leq", 0, 1], 7, "body.leq[0][1]"),
+    ("twochain.metric.json", "metric-suite", ["rho", 0, 1], True, "body.rho[0][1]"),
+], ids=["truncation-true", "cayley-n-true", "semigroup-n-true", "fiber-n-true",
+        "poset-n-true", "leq-entry-7", "rho-entry-true"])
+def test_cli_rejects_a_boolean_or_out_of_range_integer_field(
+        capsys, tmp_path, name, command, where, value, field):
+    raw = json.loads(read_shipped(name))
+    if where:
+        *outer, last = ["body", *where]
+        parent = raw
+        for key in outer:
+            parent = parent[key]
+        parent[last] = value
+    else:
+        raw["body"] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    err = cli_error(capsys, command, str(path))
+    assert err.startswith(f"error: {field}: ")

@@ -1,9 +1,11 @@
-"""The series-metric oracle stays independent of the kernel it checks.
+"""The oracles stay independent of the kernels they check.
 
 `suite.oracle_bowman` re-expands the series term by term.  It must not reach
 `metrics.bowman_distance` or its integer kernel (profiles, weight supports,
 common denominators, cached state), directly or through a metrics function
-it calls; otherwise a fast kernel would check itself.
+it calls; otherwise a fast kernel would check itself.  Likewise the
+`reference_*` functions of tests/test_topology.py, the scan-based topology
+checks, must not reach the least-open bitmasks of `cliffordlab.topology`.
 """
 
 import ast
@@ -25,16 +27,22 @@ def names_in(node) -> set:
             | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
 
 
-def kernel_names_reached(oracle, metrics: dict) -> list[str]:
-    """Kernel names used by `oracle` or by any metrics function it reaches."""
-    used, todo, seen = set(), [oracle], set()
+def names_reached(root, helpers: dict) -> set:
+    """Names used by `root` or by any function of `helpers` it reaches."""
+    used, todo, seen = set(), [root], set()
     while todo:
         names = names_in(todo.pop())
         used |= names
-        for name in names & set(metrics) - seen:
+        for name in names & set(helpers) - seen:
             seen.add(name)
-            todo.append(metrics[name])
-    return sorted(n for n in used if n in KERNEL or n.startswith("_"))
+            todo.append(helpers[name])
+    return used
+
+
+def kernel_names_reached(oracle, metrics: dict) -> list[str]:
+    """Kernel names used by `oracle` or by any metrics function it reaches."""
+    return sorted(n for n in names_reached(oracle, metrics)
+                  if n in KERNEL or n.startswith("_"))
 
 
 def test_kernel_names_are_found_through_helpers():
@@ -54,3 +62,41 @@ def test_oracle_reaches_no_kernel_name():
                if isinstance(node, ast.FunctionDef)}
     assert KERNEL <= defined  # a renamed kernel name must be renamed here
     assert kernel_names_reached(suite["oracle_bowman"], metrics) == []
+
+
+# the bitmask view of a topology and the checks the references mirror; the
+# private names of topology.py are kernel too
+TOPOLOGY_KERNEL = {"up", "min_open", "is_hausdorff", "all_topologies",
+                   "continuity_check", "mp_check", "prop34_equivalences",
+                   "order_graph_closed"}
+
+
+def topology_kernel_names_reached(tests_source: str, topology_source: str) -> dict:
+    """For each reference_* function of the test source, the kernel names of
+    topology.py that it or a test function it calls uses."""
+    defined = {node.name for node in ast.walk(ast.parse(topology_source))
+               if isinstance(node, ast.FunctionDef)}
+    kernel = TOPOLOGY_KERNEL | {n for n in defined if n.startswith("_")}
+    helpers = functions(tests_source)
+    return {name: sorted(names_reached(node, helpers) & kernel)
+            for name, node in helpers.items() if name.startswith("reference_")}
+
+
+def test_topology_kernel_names_are_found_through_helpers():
+    tests_source = ("def reference_a(T):\n    return helper(T)\n"
+                    "def helper(T):\n    return T.up, _mask(T.opens)\n")
+    topology_source = "def _mask(A):\n    pass\n"
+    assert topology_kernel_names_reached(tests_source, topology_source) == {
+        "reference_a": ["_mask", "up"]}
+
+
+def test_topology_references_reach_no_kernel_name():
+    topology_source = (PACKAGE / "topology.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.walk(ast.parse(topology_source))
+               if isinstance(node, ast.FunctionDef)}
+    assert TOPOLOGY_KERNEL <= defined  # a renamed kernel name must be renamed here
+    tests_source = (pathlib.Path(__file__).parent / "test_topology.py").read_text(
+        encoding="utf-8")
+    reached = topology_kernel_names_reached(tests_source, topology_source)
+    assert len(reached) >= 7
+    assert reached == {name: [] for name in reached}

@@ -1,12 +1,27 @@
 """Finite topologies on semigroup carriers and the openness equivalences."""
 
+import functools
+import itertools
+
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from cliffordlab import catalog as cat
-from cliffordlab.core import green_j_classes
+from cliffordlab.core import (
+    _associative,
+    classify,
+    green_j_classes,
+    idempotents,
+    inverse_structure,
+    is_semilattice,
+    pi_and_subgroups,
+    validate_semigroup,
+)
 from cliffordlab.errors import EOutOfU, NotACover
 from cliffordlab.semilattice import assemble, direct_product
 from cliffordlab.topology import (
+    FiniteTopology,
+    OpennessRecord,
     TopologicalSemigroupModel,
     all_topologies,
     basic_set,
@@ -21,6 +36,8 @@ from cliffordlab.topology import (
     validate_topology,
 )
 
+from test_core import transformation_closure
+
 
 def sierpinski_model():
     S = cat.chain_semilattice(2)
@@ -28,8 +45,9 @@ def sierpinski_model():
     return TopologicalSemigroupModel(S, T)
 
 
-def test_topology_counts_up_to_four_points():
-    for n, expected in ((1, 1), (2, 4), (3, 29), (4, 355)):
+def test_topology_counts_up_to_five_points():
+    # OEIS A000798
+    for n, expected in ((1, 1), (2, 4), (3, 29), (4, 355), (5, 6942)):
         assert sum(1 for _ in all_topologies(n)) == expected
 
 
@@ -171,3 +189,181 @@ def test_prop34_sweep_on_three_element_clifford():
         ok, _ = continuity_check(model)
         if ok:
             assert prop34_equivalences(model).all_equal()
+
+
+# ---------------------------------------------------------------------------
+# The scan-based forms that the Alexandrov bitmask kernels replaced, kept as
+# test-only references.  tests/test_oracle.py checks that they name none of
+# the kernels.
+
+
+@functools.cache
+def semigroup_facts(S):
+    """(J-classes, inverse structure, maximal subgroups or None), computed
+    once per semigroup for the references."""
+    groups = pi_and_subgroups(S)[1] if classify(S).is_clifford else None
+    return green_j_classes(S), inverse_structure(S), groups
+
+
+def reference_min_open(T, x):
+    out = frozenset(range(T.n))
+    for O in T.opens:
+        if x in O and len(O) < len(out):
+            out = O
+    return out
+
+
+def reference_all_topologies(n):
+    """The opens of every topology on n points, filtered from all relations."""
+    offdiag = [(x, y) for x in range(n) for y in range(n) if x != y]
+    for mask in range(1 << len(offdiag)):
+        rel = [[x == y for y in range(n)] for x in range(n)]
+        for k, (x, y) in enumerate(offdiag):
+            if mask >> k & 1:
+                rel[x][y] = True
+        if any(rel[x][y] and rel[y][z] and not rel[x][z]
+               for x in range(n) for y in range(n) for z in range(n)):
+            continue
+        opens = []
+        for s in range(1 << n):
+            members = [x for x in range(n) if s >> x & 1]
+            if all(not rel[x][y] or s >> y & 1 for x in members for y in range(n)):
+                opens.append(frozenset(members))
+        yield frozenset(opens)
+
+
+def reference_product_open(T, W):
+    W = set(W)
+    least = [reference_min_open(T, x) for x in range(T.n)]
+    for (x, y) in W:
+        for a in least[x]:
+            for b in least[y]:
+                if (a, b) not in W:
+                    return False
+    return True
+
+
+def reference_continuity_check(model):
+    S, T = model.S, model.T
+    for O in sorted(T.opens, key=sorted):
+        pre = {(x, y) for x in S.elements() for y in S.elements() if S.mul(x, y) in O}
+        if not reference_product_open(T, pre):
+            return False, O
+    inv = semigroup_facts(S)[1]
+    if inv is not None:
+        for O in sorted(T.opens, key=sorted):
+            pre_inv = frozenset(x for x in S.elements() if inv.inv[x] in O)
+            if pre_inv not in T.opens:
+                return False, O
+    return True, None
+
+
+def reference_mp_check(model):
+    S, T = model.S, model.T
+    jclass = {}
+    for c in semigroup_facts(S)[0]:
+        for x in c:
+            jclass[x] = frozenset(c)
+    return all(any(x in U and U <= O & jclass[x] for U in T.opens)
+               for O in T.opens for x in O)
+
+
+def reference_prop34_equivalences(model):
+    S, T = model.S, model.T
+    j_classes, _, groups = semigroup_facts(S)
+    E = frozenset(idempotents(S))
+    sub = {e: frozenset(O & frozenset(g) for O in T.opens) for e, g in groups.items()}
+    union_opens = set()
+    for mask in range(1 << S.n):
+        A = frozenset(x for x in S.elements() if mask >> x & 1)
+        if all(A & frozenset(g) in sub[e] for e, g in groups.items()):
+            union_opens.add(A)
+    return OpennessRecord(
+        mp=reference_mp_check(model),
+        j_classes_open=all(frozenset(c) in T.opens for c in j_classes),
+        subgroups_open=all(frozenset(g) in T.opens for g in groups.values()),
+        idempotents_discrete=all(any(O & E == {e} for O in T.opens) for e in E),
+        disjoint_union_topology=union_opens == set(T.opens),
+    )
+
+
+def reference_is_hausdorff(T):
+    return all(any(x in O and y in P and not O & P for O in T.opens for P in T.opens)
+               for x in range(T.n) for y in range(x + 1, T.n))
+
+
+def reference_order_graph_closed(model):
+    S, T = model.S, model.T
+    complement = {(x, y) for x in S.elements() for y in S.elements()
+                  if S.mul(x, y) != x}
+    return reference_product_open(T, complement), reference_is_hausdorff(T)
+
+
+@functools.cache
+def reference_topologies(n):
+    """Every topology on n points, built from the reference enumeration, so
+    that each derives its least opens from its open sets."""
+    return [FiniteTopology(n, opens) for opens in reference_all_topologies(n)]
+
+
+def assert_kernels_match_the_references(S):
+    clifford = classify(S).is_clifford
+    semilattice = is_semilattice(S)
+    for T in reference_topologies(S.n):
+        model = TopologicalSemigroupModel(S, T)
+        assert continuity_check(model) == reference_continuity_check(model)
+        assert mp_check(model) == reference_mp_check(model)
+        if clifford:
+            assert prop34_equivalences(model) == reference_prop34_equivalences(model)
+        if semilattice:
+            assert order_graph_closed(model) == reference_order_graph_closed(model)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_enumeration_matches_the_relation_filter(n):
+    found = list(all_topologies(n))
+    opens = [T.opens for T in found]
+    assert len(set(opens)) == len(opens)
+    assert set(opens) == set(reference_all_topologies(n))
+    for T in found:
+        assert T.up == FiniteTopology(n, T.opens).up
+        assert all(T.min_open(x) == reference_min_open(T, x) for x in range(n))
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, S in cat.semigroup_catalog().items() if S.n <= 4))
+def test_kernels_match_the_references_on_catalog_tables(name):
+    assert_kernels_match_the_references(cat.semigroup_catalog()[name])
+
+
+def test_kernels_match_the_references_on_every_semigroup_of_order_3():
+    tables = [[cells[0:3], cells[3:6], cells[6:9]]
+              for cells in itertools.product(range(3), repeat=9)]
+    semigroups = [validate_semigroup(t) for t in tables if _associative(t)]
+    assert len(semigroups) == 113
+    for S in semigroups:
+        assert_kernels_match_the_references(S)
+
+
+@st.composite
+def transformation_tables_of_order_4(draw):
+    k = draw(st.integers(min_value=2, max_value=3))
+    point_map = st.tuples(*[st.integers(min_value=0, max_value=k - 1)] * k)
+    table = transformation_closure(draw(st.lists(point_map, min_size=2, max_size=3)))
+    assume(len(table) == 4)
+    return table
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(transformation_tables_of_order_4())
+def test_kernels_match_the_references_on_transformation_semigroups(table):
+    assert_kernels_match_the_references(validate_semigroup(table))
+
+
+def test_generated_topology_has_the_intersections_as_least_opens():
+    T = generate_topology(4, [{0, 1}, {1, 2}, {3}])
+    assert T == validate_topology(4, T.opens)
+    assert T.up == FiniteTopology(4, T.opens).up
+    assert [reference_min_open(T, x) for x in range(4)] == [
+        {0, 1}, {1}, {1, 2}, {3}]
