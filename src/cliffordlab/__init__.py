@@ -8,9 +8,7 @@ chart models around an idempotent.
 
 from .core import (
     Classification,
-    CliffordDecomposition,
     FiniteSemigroup,
-    bonding_maps,
     classify,
     green_j_classes,
     is_trivial_clifford,
@@ -70,7 +68,6 @@ __all__ = [
     "BowmanMetricData",
     "ChartModel",
     "Classification",
-    "CliffordDecomposition",
     "FinitePoset",
     "FiniteSemigroup",
     "FiniteTopology",
@@ -84,7 +81,6 @@ __all__ = [
     "affine_model",
     "all_topologies",
     "assemble",
-    "bonding_maps",
     "bowman_data_from_spec",
     "bowman_distance",
     "classify",

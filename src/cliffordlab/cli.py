@@ -32,7 +32,6 @@ from .topology import (
     basic_set,
     bowman_basic_set,
     continuity_check,
-    mp_check,
     order_graph_closed,
     prop34_equivalences,
 )
@@ -214,11 +213,12 @@ def _cmd_trivial_check(args):
         payload = {"trivial": False}
     else:
         lines = ["trivial: isomorphic to a semilattice-group direct product"]
-        for e in sorted(theta):
+        images = {e: [t[x] for x in sorted(t)] for e, t in theta.items()}
+        for e in sorted(images):
             lines.append(f"  theta at idempotent {e}: "
-                         + ",".join(str(v) for v in theta[e]))
+                         + ",".join(str(v) for v in images[e]))
         payload = {"trivial": True,
-                   "theta": {str(e): list(t) for e, t in theta.items()}}
+                   "theta": {str(e): im for e, im in images.items()}}
     rows = [("trivial",), (str(theta is not None).lower(),)]
     return 0, Report(lines, rows, payload)
 
@@ -270,7 +270,7 @@ def _cmd_topo_check(args):
     # the order graph exists only on semilattice models
     extra = (zip(("order-graph-closed", "hausdorff"), order_graph_closed(model))
              if is_semilattice(model.S) else [])
-    for name, val in [*extra, ("mp-check", mp_check(model))]:
+    for name, val in [*extra, ("mp-check", rec.mp)]:
         lines.append(f"{name}: {str(val).lower()}")
         rows.append((name, str(val).lower()))
         payload[name] = val

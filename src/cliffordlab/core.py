@@ -1,6 +1,6 @@
 """Finite semigroups as Cayley tables: validation, inverse structure,
-Clifford classification, maximal subgroups, bonding maps, Green's J-classes,
-and detection of semigroups isomorphic to a semilattice-group direct product.
+Clifford classification, maximal subgroups, Green's J-classes, and
+detection of semigroups isomorphic to a semilattice-group direct product.
 
 Elements are dense integer indices 0..n-1; labels are display metadata only.
 All operations are pure functions over immutable values.
@@ -17,7 +17,6 @@ from .errors import (
     InternalInconsistency,
     NotAssociative,
     NotClifford,
-    NotSemilattice,
     SearchBudgetExceeded,
 )
 
@@ -157,51 +156,6 @@ def inverse_structure(S: FiniteSemigroup) -> Optional[InverseStructure]:
 
 
 @dataclass(frozen=True)
-class IdempotentOrder:
-    """E(S) with the natural partial order e <= f iff ef = e."""
-
-    idempotents: tuple[int, ...]
-    leq: frozenset  # pairs (e, f) of global indices with e <= f
-
-    def le(self, e: int, f: int) -> bool:
-        return (e, f) in self.leq
-
-
-def idempotent_order(S: FiniteSemigroup) -> IdempotentOrder:
-    """Compute the natural order on E(S), checking the poset axioms and,
-    when idempotents commute, that ef is the meet of {e, f}."""
-    E = idempotents(S)
-    pairs = set()
-    for e in E:
-        for f in E:
-            if S.mul(e, f) == e:
-                pairs.add((e, f))
-    for e in E:
-        if (e, e) not in pairs:
-            raise NotSemilattice(f"order not reflexive at {e}")
-    for e, f in pairs:
-        if e != f and (f, e) in pairs:
-            raise NotSemilattice(f"order not antisymmetric at ({e},{f})")
-    for e, f in pairs:
-        for g in E:
-            if (f, g) in pairs and (e, g) not in pairs:
-                raise NotSemilattice(f"order not transitive on ({e},{f},{g})")
-    commuting = all(S.mul(e, f) == S.mul(f, e) for e in E for f in E)
-    if commuting:
-        for e in E:
-            for f in E:
-                m = S.mul(e, f)
-                if m not in E:
-                    raise NotSemilattice(f"{e}*{f} = {m} not idempotent")
-                if (m, e) not in pairs or (m, f) not in pairs:
-                    raise NotSemilattice(f"{e}*{f} not a lower bound")
-                for g in E:
-                    if (g, e) in pairs and (g, f) in pairs and (g, m) not in pairs:
-                        raise NotSemilattice(f"{e}*{f} not greatest lower bound")
-    return IdempotentOrder(tuple(sorted(E)), frozenset(pairs))
-
-
-@dataclass(frozen=True)
 class Classification:
     is_inverse: bool
     inverse: Optional[InverseStructure]
@@ -288,64 +242,6 @@ def pi_and_subgroups(S: FiniteSemigroup):
     if covered != list(S.elements()):
         raise InternalInconsistency("fibers do not partition the carrier")
     return pi, groups
-
-
-@dataclass(frozen=True)
-class CliffordDecomposition:
-    """Maximal-subgroup partition plus the extracted bonding-map family.
-
-    bonding[(f, e)] for e <= f maps each x in G_f (global index) to
-    e*x in G_e (global index)."""
-
-    groups: dict
-    bonding: dict
-    order: IdempotentOrder
-
-
-def bonding_maps(S: FiniteSemigroup) -> CliffordDecomposition:
-    """Tabulate every bonding map phi_{f,e}(x) = ex and verify: each is a
-    group homomorphism, phi_{e,e} = id, and phi_{g,e} = phi_{f,e} o phi_{g,f}
-    along all chains e <= f <= g.  Raises NotClifford on other semigroups."""
-    _, groups = pi_and_subgroups(S)
-    order = idempotent_order(S)
-    bonding: dict[tuple[int, int], dict[int, int]] = {}
-    for f in order.idempotents:
-        for e in order.idempotents:
-            if not order.le(e, f):
-                continue
-            phi = {}
-            for x in groups[f]:
-                y = S.mul(e, x)
-                if S.mul(x, e) != y:
-                    raise InternalInconsistency(
-                        f"e*x != x*e for central idempotent {e}, x={x}"
-                    )
-                if y not in groups[e]:
-                    raise InternalInconsistency(
-                        f"phi_({f},{e})({x}) = {y} lands outside G_{e}"
-                    )
-                phi[x] = y
-            for x in groups[f]:
-                for y in groups[f]:
-                    if phi[S.mul(x, y)] != S.mul(phi[x], phi[y]):
-                        raise InternalInconsistency(
-                            f"phi_({f},{e}) not a homomorphism at ({x},{y})"
-                        )
-            bonding[(f, e)] = phi
-    for e in order.idempotents:
-        for x in groups[e]:
-            if bonding[(e, e)][x] != x:
-                raise InternalInconsistency(f"phi_({e},{e}) not the identity")
-    for e in order.idempotents:
-        for f in order.idempotents:
-            for g in order.idempotents:
-                if order.le(e, f) and order.le(f, g):
-                    for x in groups[g]:
-                        if bonding[(g, e)][x] != bonding[(f, e)][bonding[(g, f)][x]]:
-                            raise InternalInconsistency(
-                                f"bonding composition fails on chain ({e},{f},{g})"
-                            )
-    return CliffordDecomposition(groups=groups, bonding=bonding, order=order)
 
 
 def green_j_classes(S: FiniteSemigroup) -> list[tuple[int, ...]]:
@@ -486,76 +382,59 @@ def is_trivial_clifford(S: FiniteSemigroup, budget: int = 500_000):
     Returns {e: theta_e} on success (theta_e maps global indices of G_e to
     global indices of the reference group), None when no family exists.
     The search is exhaustive within the budget; exceeding it raises
-    SearchBudgetExceeded rather than guessing.
+    SearchBudgetExceeded rather than guessing.  It runs on the validated
+    spec of S, in E(S) and local group indices.
     """
-    dec = bonding_maps(S)
-    E = dec.order.idempotents
-    ref = max(E, key=lambda e: (len(dec.groups[e]), -e))
-    if any(len(dec.groups[e]) != len(dec.groups[ref]) for e in E):
+    from .semilattice import _decompose, direct_product, iso_equivalent
+
+    spec, fibers = _decompose(S)
+    groups = spec.groups
+    E = list(spec.E.elements())
+    ref = max(E, key=lambda e: (groups[e].n, -e))
+    if any(groups[e].n != groups[ref].n for e in E):
         return None
     bud = _Budget(budget)
-    locals_ = {e: local_group_table(S, dec.groups[e]) for e in E}
-    ref_table = locals_[ref]
     iso_lists = {}
     for e in E:
-        isos = list(isomorphisms(locals_[e], ref_table, bud))
+        isos = list(isomorphisms(groups[e], groups[ref], bud))
         if not isos:
             return None
         iso_lists[e] = isos
-
-    order_e = list(E)
+    # Fixing theta_ref = id is no loss: the condition is invariant under
+    # composing every theta_e with a common automorphism.
+    iso_lists[ref] = [tuple(range(groups[ref].n))]
     chosen: dict[int, tuple[int, ...]] = {}
 
-    def global_theta(e, iso):
-        # iso: local G_e index -> local ref index; lift to global indices
-        ge = dec.groups[e]
-        gr = dec.groups[ref]
-        return {ge[i]: gr[iso[i]] for i in range(len(ge))}
-
     def compatible(e, th_e, f, th_f):
-        # check phi = theta_lo^-1 o theta_hi on the comparable pair
-        for lo, hi in ((e, f), (f, e)):
-            if not dec.order.le(lo, hi):
-                continue
-            th_lo = th_e if lo == e else th_f
-            th_hi = th_f if lo == e else th_e
-            inv_lo = {v: k for k, v in th_lo.items()}
-            for x in dec.groups[hi]:
-                if dec.bonding[(hi, lo)][x] != inv_lo[th_hi[x]]:
-                    return False
+        # phi_{hi,lo} = theta_lo^-1 o theta_hi on the comparable pair
+        for lo, hi, th_lo, th_hi in ((e, f, th_e, th_f), (f, e, th_f, th_e)):
+            if spec.le(lo, hi) and any(
+                th_lo[y] != t for y, t in zip(spec.bonding[(hi, lo)], th_hi)
+            ):
+                return False
         return True
 
     def search(i):
-        if i == len(order_e):
-            return {e: dict(chosen[e]) for e in order_e}
-        e = order_e[i]
-        if e == ref:
-            # Fixing theta_ref = id is no loss: the condition is invariant
-            # under composing every theta_e with a common automorphism.
-            candidates = [tuple(range(len(dec.groups[ref])))]
-        else:
-            candidates = iso_lists[e]
-        for iso in candidates:
+        if i == len(E):
+            return True
+        e = E[i]
+        for iso in iso_lists[e]:
             bud.spend()
-            th = global_theta(e, iso)
-            if all(compatible(e, th, f, chosen[f]) for f in order_e[:i]):
-                chosen[e] = th
-                out = search(i + 1)
-                if out is not None:
-                    return out
+            if all(compatible(e, iso, f, chosen[f]) for f in E[:i]):
+                chosen[e] = iso
+                if search(i + 1):
+                    return True
                 del chosen[e]
-        return None
+        return False
 
-    family = search(0)
-    if family is None:
+    if not search(0):
         return None
     # A positive answer must mean S is isomorphic to E(S) x G_ref.
-    from .semilattice import direct_product, iso_equivalent, semilattice_of_idempotents
-
-    E_table = semilattice_of_idempotents(S)
-    prod = direct_product(E_table, ref_table)
+    prod = direct_product(spec.E, groups[ref])
     if iso_equivalent(prod.semigroup, S, budget=budget) is None:
         raise InternalInconsistency(
             "trivial-Clifford family found but product not isomorphic to S"
         )
-    return family
+    _, ref_members = fibers[ref]
+    return {idem: {x: ref_members[t] for x, t in zip(members, chosen[e])}
+            for e, (idem, members) in enumerate(fibers)}

@@ -16,12 +16,12 @@ from typing import Optional
 from .core import (
     FiniteSemigroup,
     _Budget,
-    bonding_maps,
     classify,
     idempotents,
     is_semilattice,
     isomorphisms,
     local_group_table,
+    pi_and_subgroups,
     validate_semigroup,
 )
 from .errors import (
@@ -221,25 +221,31 @@ def decompose(S: FiniteSemigroup) -> StrongSemilatticeSpec:
     the pi-fibers as groups, and multiplication-by-lower-idempotent as
     bonding.  assemble(decompose(S)) is isomorphic to S.  Raises NotClifford
     on other semigroups."""
-    dec = bonding_maps(S)
-    E_global = dec.order.idempotents
-    pos_e = {e: i for i, e in enumerate(E_global)}
+    return _decompose(S)[0]
+
+
+def _decompose(S: FiniteSemigroup):
+    """decompose(S) together with the fibers it was read from: fibers[i] is
+    (e, G_e) for the idempotent e of E-index i, with G_e as sorted global
+    indices, so local index j of group i is fibers[i][1][j].
+
+    The bonding map phi_{f,e}(x) = ex is read off row e of the table.  It
+    lands in G_e because pi_and_subgroups checked that pi is a
+    homomorphism, and ex = xe because classify found the idempotents
+    central; validate_spec checks the strong-semilattice laws."""
+    _, groups = pi_and_subgroups(S)
     E = semilattice_of_idempotents(S)
-    groups = {}
-    elem_pos = {}
-    for e in E_global:
-        members = dec.groups[e]
-        groups[pos_e[e]] = local_group_table(S, members)
-        elem_pos[e] = {g: i for i, g in enumerate(members)}
+    fibers = tuple(groups.items())
+    pos = [{x: j for j, x in enumerate(members)} for _, members in fibers]
     bonding = {}
-    for (f, e), phi in dec.bonding.items():
-        if f == e:
-            continue
-        table = [0] * len(dec.groups[f])
-        for x, y in phi.items():
-            table[elem_pos[f][x]] = elem_pos[e][y]
-        bonding[(pos_e[f], pos_e[e])] = tuple(table)
-    return validate_spec(E, groups, bonding)
+    for f, (_, upper) in enumerate(fibers):
+        for e, (idem, _) in enumerate(fibers):
+            if e != f and E.mul(e, f) == e:
+                row = S.table[idem]
+                bonding[(f, e)] = tuple(pos[e][row[x]] for x in upper)
+    local = {e: local_group_table(S, members)
+             for e, (_, members) in enumerate(fibers)}
+    return validate_spec(E, local, bonding), fibers
 
 
 def direct_product(E: FiniteSemigroup, G: FiniteSemigroup) -> Assembled:

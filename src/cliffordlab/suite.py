@@ -43,7 +43,6 @@ from .topology import (
     TopologicalSemigroupModel,
     all_topologies,
     continuity_check,
-    mp_check,
     order_graph_closed,
     prop34_equivalences,
 )
@@ -188,7 +187,7 @@ def criterion_openness() -> CriterionResult:
                 j_open = all(
                     frozenset(c) in T.opens for c in green_j_classes(S)
                 )
-                if mp_check(model) != j_open:
+                if rec.mp != j_open:
                     failures.append(f"{name}: MP and open J-classes disagree")
                 if is_semilattice(S):
                     closed, hd = order_graph_closed(model)

@@ -50,6 +50,17 @@ def _least_opens(n: int, family) -> tuple[int, ...]:
     return tuple(up)
 
 
+def _unions(up, most: int):
+    """The masks of all unions of members of up (0 for the empty union), or
+    None once there are more than most of them."""
+    opens = {0}
+    for u in up:
+        opens |= {O | u for O in opens}
+        if len(opens) > most:
+            return None
+    return opens
+
+
 @dataclass(frozen=True)
 class FiniteTopology:
     """An explicit topology: the family of all open subsets of 0..n-1."""
@@ -81,15 +92,24 @@ def validate_topology(n: int, opens) -> FiniteTopology:
     for O in fam:
         if not O <= full:
             raise WorkbenchError(f"open set {sorted(O)} outside carrier")
-    for O in fam:
-        for P in fam:
-            if O | P not in fam:
-                raise WorkbenchError(f"not closed under union: {sorted(O)}, {sorted(P)}")
-            if O & P not in fam:
-                raise WorkbenchError(
-                    f"not closed under intersection: {sorted(O)}, {sorted(P)}"
-                )
-    return FiniteTopology(n=n, opens=fam)
+    # With the empty and full sets in it, the family is a topology iff it is
+    # the set of unions of its least opens U_x; the pairwise scan below only
+    # names the witness pair of a family that is not.
+    up = _least_opens(n, fam)
+    if _unions(up, len(fam)) != {_mask(O) for O in fam}:
+        for O in fam:
+            for P in fam:
+                if O | P not in fam:
+                    raise WorkbenchError(
+                        f"not closed under union: {sorted(O)}, {sorted(P)}")
+                if O & P not in fam:
+                    raise WorkbenchError(
+                        f"not closed under intersection: {sorted(O)}, {sorted(P)}"
+                    )
+        raise InternalInconsistency("family closed pairwise but not a topology")
+    T = FiniteTopology(n=n, opens=fam)
+    T.__dict__["up"] = up  # the cached_property, known from the family
+    return T
 
 
 def discrete_topology(n: int) -> FiniteTopology:
@@ -340,9 +360,7 @@ def generate_topology(n: int, basis) -> FiniteTopology:
     if cover != set(range(n)):
         raise NotACover(f"basis covers only {sorted(cover)}")
     up = _least_opens(n, basis)
-    opens = {0}
-    for u in up:
-        opens |= {O | u for O in opens}
+    opens = _unions(up, 1 << n)
     T = FiniteTopology(n, frozenset(frozenset(_members(O)) for O in opens))
     T.__dict__["up"] = up  # the cached_property, known from the family
     return T

@@ -1,6 +1,7 @@
 """Structure analysis of finite semigroups from their Cayley tables."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -11,17 +12,29 @@ from cliffordlab.core import (
     FiniteSemigroup,
     _Budget,
     associativity_witnesses,
-    bonding_maps,
     classify,
     element_signature,
     green_j_classes,
     is_trivial_clifford,
     isomorphisms,
+    local_group_table,
     pi_and_subgroups,
     validate_semigroup,
 )
-from cliffordlab.errors import IndexOutOfRange, NotAssociative, SearchBudgetExceeded
-from cliffordlab.semilattice import assemble, decompose, direct_product
+from cliffordlab.errors import (
+    IndexOutOfRange,
+    InternalInconsistency,
+    NotAssociative,
+    SearchBudgetExceeded,
+)
+from cliffordlab.semilattice import (
+    assemble,
+    decompose,
+    direct_product,
+    iso_equivalent,
+    semilattice_of_idempotents,
+    validate_spec,
+)
 
 
 def test_z2_table_is_valid():
@@ -113,10 +126,9 @@ def test_bonding_recovered_as_mod_reduction():
 
 def test_bonding_identity_on_diagonal():
     S = cat.semigroup_catalog()["assembled-chain3-z4-z4-z2"]
-    dec = bonding_maps(S)
-    for (f, e), phi in dec.bonding.items():
-        if f == e:
-            assert all(phi[x] == x for x in phi)
+    spec = decompose(S)
+    for e in spec.E.elements():
+        assert spec.bonding[(e, e)] == tuple(range(spec.groups[e].n))
 
 
 def test_j_classes_of_group_and_left_zero():
@@ -391,3 +403,181 @@ def test_isomorphism_search_matches_the_reference_on_same_signature_twins():
             element_signature(twin, x) for x in twin.elements())
         assert_search_matches_the_reference(S, twin)
         assert_search_matches_the_reference(S, relabelled(S, 7), enumerate_all=False)
+
+
+# ---------------------------------------------------------------------------
+# decompose and is_trivial_clifford against the bonding-map tabulation in
+# global indices that they replaced
+
+
+def reference_bonding_maps(S):
+    """(groups, E, le, bonding): the fibers of S keyed by their idempotent,
+    the sorted idempotents, the pairs e <= f of the natural order, and every
+    bonding map phi_{f,e}(x) = ex as a dict on global indices, with the
+    homomorphism, identity and composition laws checked here."""
+    _, groups = pi_and_subgroups(S)
+    E = sorted(groups)
+    le = {(e, f) for e in E for f in E if S.mul(e, f) == e}
+    bonding = {}
+    for f in E:
+        for e in E:
+            if (e, f) not in le:
+                continue
+            phi = {}
+            for x in groups[f]:
+                y = S.mul(e, x)
+                assert S.mul(x, e) == y and y in groups[e]
+                phi[x] = y
+            for x in groups[f]:
+                for y in groups[f]:
+                    assert phi[S.mul(x, y)] == S.mul(phi[x], phi[y])
+            bonding[(f, e)] = phi
+    for e in E:
+        assert all(bonding[(e, e)][x] == x for x in groups[e])
+    for e, f in le:
+        for g in E:
+            if (f, g) in le:
+                for x in groups[g]:
+                    assert bonding[(g, e)][x] == bonding[(f, e)][bonding[(g, f)][x]]
+    return groups, E, le, bonding
+
+
+def reference_decompose(S):
+    groups, E, _, bonding = reference_bonding_maps(S)
+    pos_e = {e: i for i, e in enumerate(E)}
+    elem_pos = {e: {g: i for i, g in enumerate(groups[e])} for e in E}
+    local = {pos_e[e]: local_group_table(S, groups[e]) for e in E}
+    local_bonding = {
+        (pos_e[f], pos_e[e]): tuple(elem_pos[e][phi[x]] for x in groups[f])
+        for (f, e), phi in bonding.items() if f != e
+    }
+    return validate_spec(semilattice_of_idempotents(S), local, local_bonding)
+
+
+def reference_is_trivial_clifford(S, budget=500_000):
+    """(theta family or None, budget spent by the theta search), searching
+    in global indices over the tabulated bonding maps."""
+    groups, E, le, bonding = reference_bonding_maps(S)
+    ref = max(E, key=lambda e: (len(groups[e]), -e))
+    if any(len(groups[e]) != len(groups[ref]) for e in E):
+        return None, 0
+    bud = _Budget(budget)
+    locals_ = {e: local_group_table(S, groups[e]) for e in E}
+    iso_lists = {}
+    for e in E:
+        isos = list(isomorphisms(locals_[e], locals_[ref], bud))
+        if not isos:
+            return None, bud.used
+        iso_lists[e] = isos
+    chosen = {}
+
+    def global_theta(e, iso):
+        return {groups[e][i]: groups[ref][iso[i]] for i in range(len(groups[e]))}
+
+    def compatible(e, th_e, f, th_f):
+        for lo, hi in ((e, f), (f, e)):
+            if (lo, hi) not in le:
+                continue
+            th_lo = th_e if lo == e else th_f
+            th_hi = th_f if lo == e else th_e
+            inv_lo = {v: k for k, v in th_lo.items()}
+            if any(bonding[(hi, lo)][x] != inv_lo[th_hi[x]] for x in groups[hi]):
+                return False
+        return True
+
+    def search(i):
+        if i == len(E):
+            return {e: dict(chosen[e]) for e in E}
+        e = E[i]
+        candidates = [tuple(range(len(groups[ref])))] if e == ref else iso_lists[e]
+        for iso in candidates:
+            bud.spend()
+            th = global_theta(e, iso)
+            if all(compatible(e, th, f, chosen[f]) for f in E[:i]):
+                chosen[e] = th
+                out = search(i + 1)
+                if out is not None:
+                    return out
+                del chosen[e]
+        return None
+
+    family = search(0)
+    if family is None:
+        return None, bud.used
+    prod = direct_product(semilattice_of_idempotents(S), locals_[ref])
+    if iso_equivalent(prod.semigroup, S, budget=budget) is None:
+        raise InternalInconsistency("product not isomorphic to S")
+    return family, bud.used
+
+
+def outcome(check, S, budget):
+    try:
+        return check(S, budget=budget)
+    except SearchBudgetExceeded:
+        return "budget exceeded"
+
+
+def assert_structure_matches_the_references(S):
+    assert decompose(S) == reference_decompose(S)
+    theta, spent = reference_is_trivial_clifford(S)
+    assert is_trivial_clifford(S) == theta
+    if spent:
+        # the same charge: both run out one node short of the reference's
+        # spend (the final product check may run out too, in both)
+        for limit in (spent - 1, spent):
+            assert outcome(is_trivial_clifford, S, limit) == outcome(
+                lambda S, budget: reference_is_trivial_clifford(S, budget)[0], S, limit)
+
+
+@st.composite
+def strong_semilattice_specs(draw):
+    """A spec over an intersection-closed family of subsets of {0, 1, 2},
+    ordered by inclusion.  Fiber e is Z_m with m the lcm of the orders
+    drawn for the points below e (all equal half of the time), relabelled
+    by an automorphism x -> a_e x; bonding is reduction mod m through the
+    relabellings, except that the maps from outside a down-set into it
+    collapse to 0."""
+    family = set(draw(st.lists(st.integers(0, 7), min_size=2, max_size=5, unique=True)))
+    while len(closed := family | {a & b for a in family for b in family}) > len(family):
+        family = closed
+    sets = sorted(family)
+    index = {a: i for i, a in enumerate(sets)}
+    E = validate_semigroup([[index[a & b] for b in sets] for a in sets])
+    points = list(E.elements())
+
+    def below(f):
+        return [e for e in points if E.mul(e, f) == e]
+
+    if draw(st.booleans()):
+        drawn = [draw(st.sampled_from((1, 2, 3)))] * len(points)
+    else:
+        drawn = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=len(points),
+                              max_size=len(points)))
+    m = [math.lcm(*(drawn[e] for e in below(f))) for f in points]
+    a = [draw(st.sampled_from([u for u in range(1, m[e] + 1) if math.gcd(u, m[e]) == 1]))
+         for e in points]
+    tops = draw(st.lists(st.sampled_from(points), unique=True, max_size=2))
+    collapsed = {e for t in tops for e in below(t)}
+    bonding = {}
+    for f in points:
+        for e in below(f):
+            if e == f:
+                continue
+            if e in collapsed and f not in collapsed:
+                bonding[(f, e)] = (0,) * m[f]
+            else:
+                scale = a[e] * pow(a[f], -1, m[f])
+                bonding[(f, e)] = tuple(scale * x % m[e] for x in range(m[f]))
+    return validate_spec(E, {e: cat.cyclic_group(m[e]) for e in points}, bonding)
+
+
+def test_decompose_and_trivial_check_match_the_references_on_the_catalog():
+    for S in cat.semigroup_catalog().values():
+        if classify(S).is_clifford:
+            assert_structure_matches_the_references(S)
+
+
+@settings(max_examples=40, deadline=None)
+@given(strong_semilattice_specs())
+def test_decompose_and_trivial_check_match_the_references_on_generated_specs(spec):
+    assert_structure_matches_the_references(assemble(spec).semigroup)

@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from cliffordlab import catalog as cat
 from cliffordlab import documents as docs
 from cliffordlab.cli import main
 from cliffordlab.errors import NotHomomorphism, SchemaError
@@ -144,6 +145,22 @@ def test_cli_topo_check_sierpinski(capsys):
     payload = json.loads(out)
     assert payload["continuous"] is True
     assert payload["mp"] is False and payload["hausdorff"] is False
+
+
+def test_cli_trivial_check_prints_the_images_of_theta(capsys, tmp_path):
+    # E = {0 < 1} times Z3: G_0 is 0,1,2 and G_3 is 3,4,5, and theta_3 maps
+    # 3,4,5 onto the reference group G_0
+    table = [list(row) for row in cat.semigroup_catalog()["chain2-x-z3"].table]
+    doc = {"kind": "cayley", "meta": {"name": "chain2-x-z3"},
+           "body": {"n": 6, "table": table}}
+    path = tmp_path / "chain2-x-z3.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "trivial-check", str(path))
+    assert code == 0
+    assert out.splitlines()[1:] == ["  theta at idempotent 0: 0,1,2",
+                                    "  theta at idempotent 3: 0,1,2"]
+    code, out = run_cli(capsys, "trivial-check", str(path), "--format", "structured")
+    assert json.loads(out)["theta"] == {"0": [0, 1, 2], "3": [0, 1, 2]}
 
 
 def test_cli_converge_tsv_is_deterministic(capsys):

@@ -74,3 +74,24 @@ def test_algebra_modules_do_not_import_numpy_at_module_level():
     hits = [name for name in ALGEBRA_MODULES
             if "numpy" in module_level_imports((PACKAGE / name).read_text(encoding="utf-8"))]
     assert hits == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The names an __init__ module binds with `from .module import ...`."""
+    return {alias.asname or alias.name
+            for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+
+
+def test_package_imports_are_found():
+    assert package_imports("from .a import b, c as d\nimport os\nfrom x import y\n") == {
+        "b", "d"}
+
+
+def test_all_lists_exactly_the_names_the_package_imports():
+    import cliffordlab
+
+    source = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    assert sorted(cliffordlab.__all__) == sorted(package_imports(source))
+    assert len(cliffordlab.__all__) == len(set(cliffordlab.__all__))

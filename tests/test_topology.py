@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import re
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -17,7 +18,7 @@ from cliffordlab.core import (
     pi_and_subgroups,
     validate_semigroup,
 )
-from cliffordlab.errors import EOutOfU, NotACover
+from cliffordlab.errors import EOutOfU, NotACover, WorkbenchError
 from cliffordlab.semilattice import assemble, direct_product
 from cliffordlab.topology import (
     FiniteTopology,
@@ -166,6 +167,37 @@ def test_generate_topology_from_carrier_is_indiscrete():
 def test_generate_topology_requires_a_cover():
     with pytest.raises(NotACover):
         generate_topology(3, [{0, 1}])
+
+
+def test_validate_topology_names_a_pair_whose_union_is_missing():
+    # every union of two singletons is missing; the unions of the least
+    # opens {x} would be all 2^20 subsets
+    family = [set(), set(range(20)), *({x} for x in range(20))]
+    with pytest.raises(WorkbenchError) as exc:
+        validate_topology(20, family)
+    pair = re.fullmatch(r"not closed under union: \[(\d+)\], \[(\d+)\]", str(exc.value))
+    assert pair and pair[1] != pair[2]
+
+
+def test_validate_topology_names_a_pair_whose_intersection_is_missing():
+    with pytest.raises(WorkbenchError) as exc:
+        validate_topology(3, [set(), {0, 1}, {1, 2}, {0, 1, 2}])
+    assert str(exc.value) in ("not closed under intersection: [0, 1], [1, 2]",
+                              "not closed under intersection: [1, 2], [0, 1]")
+
+
+def test_validate_topology_accepts_exactly_the_enumerated_topologies():
+    subsets = [frozenset(c) for r in (1, 2) for c in itertools.combinations(range(3), r)]
+    topologies = {T.opens for T in all_topologies(3)}
+    accepted = set()
+    for k in range(len(subsets) + 1):
+        for chosen in itertools.combinations(subsets, k):
+            family = frozenset({frozenset(), frozenset(range(3)), *chosen})
+            try:
+                accepted.add(validate_topology(3, family).opens)
+            except WorkbenchError as exc:
+                assert str(exc).startswith("not closed under")
+    assert accepted == topologies
 
 
 def test_basic_sets_of_identity_product_generate_discrete():
