@@ -60,18 +60,53 @@ def associativity_witnesses(table) -> list[tuple[int, int, int]]:
     return bad
 
 
+def _reader(index):
+    """The map seq -> tuple(seq[i] for i in index), in C: an itemgetter,
+    which returns a bare item, not a 1-tuple, for a single index."""
+    if len(index) == 1:
+        i = index[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*index)
+
+
+def _generators(rows) -> list[int]:
+    """A generating set A, chosen greedily in index order: x joins A when
+    no left-normed product of earlier generators reaches it.
+
+    The right-closure of A (A and every r*a with r in it and a in A) is
+    grown as generators join, each product r*a looked up once, so the whole
+    carrier is covered after O(n |A|) lookups."""
+    gens, reached, seen = [], [], [False] * len(rows)
+    for x in range(len(rows)):
+        if seen[x]:
+            continue
+        gens.append(x)
+        done = len(reached)
+        pending = [x, *[rows[r][x] for r in reached]]
+        while pending:
+            for p in pending:
+                if not seen[p]:
+                    seen[p] = True
+                    reached.append(p)
+            pending = [p for r in reached[done:] for p in map(rows[r].__getitem__, gens)]
+            done = len(reached)
+    return gens
+
+
 def _associative(rows) -> bool:
     """Whether (xy)z = x(yz) for all x, y, z, on a square table of indices.
 
-    Row xy must equal row y read through row x.  The rows are built and
-    compared one at a time inside map, so the inner loops run in C and no
-    more than one new row is alive at once."""
-    n = len(rows)
-    if n == 1:
-        return True  # [[0]], the only table of order 1
-    for y in range(n):
-        through = itemgetter(*rows[y])
-        products = itemgetter(*[row[y] for row in rows])
+    Light's test: call y good when (xy)z = x(yz) for all x and z.  Good
+    elements are closed under products: if a and b are good, then
+    (x(ab))z = ((xa)b)z = (xa)(bz) = x(a(bz)) = x((ab)z).  So when every
+    generator is good, so is the closure of the generators, the whole
+    carrier: testing y over a generating set decides associativity, with
+    the same answer as testing every y.  For one y, row xy must equal row y
+    read through row x; the rows are built and compared one at a time
+    inside map, so the inner loops run in C."""
+    for y in _generators(rows):
+        through = _reader(rows[y])
+        products = _reader([row[y] for row in rows])
         if not all(map(eq, products(rows), map(through, rows))):
             return False
     return True
@@ -103,7 +138,7 @@ def validate_semigroup(table, labels=None) -> FiniteSemigroup:
 
 
 def idempotents(S: FiniteSemigroup) -> list[int]:
-    return [x for x in S.elements() if S.mul(x, x) == x]
+    return [x for x, row in enumerate(S.table) if row[x] == x]
 
 
 def is_commutative(S: FiniteSemigroup) -> bool:
@@ -173,16 +208,16 @@ def classify(S: FiniteSemigroup) -> Classification:
     and as "all idempotents are central"; disagreement would be an
     implementation bug and raises InternalInconsistency.
     """
+    rows = S.table
+    cols = list(zip(*rows))
     E = tuple(sorted(idempotents(S)))
     inv = inverse_structure(S)
     is_inverse = inv is not None
     if is_inverse:
         via_commuting_pi = all(
-            S.mul(x, inv.inv[x]) == S.mul(inv.inv[x], x) for x in S.elements()
+            rows[x][y] == cols[x][y] for x, y in enumerate(inv.inv)
         )
-        via_central = all(
-            S.mul(e, x) == S.mul(x, e) for e in E for x in S.elements()
-        )
+        via_central = all(tuple(rows[e]) == cols[e] for e in E)
         if via_commuting_pi != via_central:
             raise InternalInconsistency(
                 "the two Clifford criteria disagree: "
@@ -193,12 +228,8 @@ def classify(S: FiniteSemigroup) -> Classification:
     else:
         is_clifford = False
     is_group = is_inverse and len(E) == 1
-    left_canc = all(
-        len({S.mul(a, x) for x in S.elements()}) == S.n for a in S.elements()
-    )
-    right_canc = all(
-        len({S.mul(x, a) for x in S.elements()}) == S.n for a in S.elements()
-    )
+    left_canc = all(len(set(row)) == S.n for row in rows)
+    right_canc = all(len(set(col)) == S.n for col in cols)
     return Classification(
         is_inverse=is_inverse,
         inverse=inv,
@@ -221,10 +252,11 @@ def pi_and_subgroups(S: FiniteSemigroup):
     cls = classify(S)
     if not cls.is_clifford:
         raise NotClifford("not a Clifford semigroup")
-    pi = cls.inverse.pi
-    for x in S.elements():
-        for y in S.elements():
-            if pi[S.mul(x, y)] != S.mul(pi[x], pi[y]):
+    pi, inv, rows = cls.inverse.pi, cls.inverse.inv, S.table
+    for x, row in enumerate(rows):
+        image_row = rows[pi[x]]
+        for y, xy in enumerate(row):
+            if pi[xy] != image_row[pi[y]]:
                 raise InternalInconsistency(f"pi not a homomorphism at ({x},{y})")
     groups: dict[int, tuple[int, ...]] = {}
     for e in cls.idempotents:
@@ -232,11 +264,10 @@ def pi_and_subgroups(S: FiniteSemigroup):
         if e not in fiber:
             raise InternalInconsistency(f"{e} not in its own fiber")
         for x in fiber:
-            if pi[S.mul(x, cls.inverse.inv[x])] != e:
+            if pi[rows[x][inv[x]]] != e:
                 raise InternalInconsistency(f"fiber of {e} not inverse-closed")
-            for y in fiber:
-                if pi[S.mul(x, y)] != e:
-                    raise InternalInconsistency(f"fiber of {e} not product-closed")
+            if any(pi[xy] != e for xy in map(rows[x].__getitem__, fiber)):
+                raise InternalInconsistency(f"fiber of {e} not product-closed")
         groups[e] = fiber
     covered = sorted(x for fiber in groups.values() for x in fiber)
     if covered != list(S.elements()):

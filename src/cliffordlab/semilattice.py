@@ -10,12 +10,15 @@ is exhaustively checkable and specs serialize exactly.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .core import (
     FiniteSemigroup,
     _Budget,
+    _reader,
     classify,
     idempotents,
     is_semilattice,
@@ -56,16 +59,14 @@ class StrongSemilatticeSpec:
 
 def _check_group(table: FiniteSemigroup, key) -> int:
     """Verify a validated semigroup is a group; return its identity index."""
-    ident = None
-    for e in table.elements():
-        if all(table.mul(e, x) == x and table.mul(x, e) == x for x in table.elements()):
-            ident = e
-            break
+    rows = table.table
+    cols = list(zip(*rows))
+    ids = tuple(range(table.n))
+    ident = next((e for e in ids if tuple(rows[e]) == ids and cols[e] == ids), None)
     if ident is None:
         raise NotGroup(key, "no identity element")
-    for x in table.elements():
-        if not any(table.mul(x, y) == ident and table.mul(y, x) == ident
-                   for y in table.elements()):
+    for x in ids:
+        if (ident, ident) not in zip(rows[x], cols[x]):
             raise NotGroup(key, f"element {x} has no inverse")
     return ident
 
@@ -80,6 +81,9 @@ def validate_spec(E, groups, bonding) -> StrongSemilatticeSpec:
     E must be a semilattice; every groups[e] a group; every bonding entry a
     homomorphism with the right domain/codomain; and the family must satisfy
     phi_{e,e} = id and phi_{g,e} = phi_{f,e} o phi_{g,f} on all chains.
+    Homomorphisms are checked over pairs e <= f with f, then e, ascending,
+    and chains e <= f <= g in ascending order, so the first violation in
+    that order is the one reported, with its least witness.
     """
     if not isinstance(E, FiniteSemigroup):
         E = validate_semigroup(E)
@@ -97,48 +101,49 @@ def validate_spec(E, groups, bonding) -> StrongSemilatticeSpec:
         if not (0 <= f < E.n and 0 <= e < E.n):
             raise IndexOutOfRange(f"bonding key {f}->{e} outside 0..{E.n - 1}")
 
-    def le(e, f):
-        return E.mul(e, f) == e
-
+    # e <= f iff ef = e: down[f] lists the e <= f, up[e] the f >= e
+    down = [[e for e, fe in enumerate(row) if fe == e] for row in E.table]
+    up = [[f for f, ef in enumerate(row) if ef == e] for e, row in enumerate(E.table)]
     full = {}
-    for f in E.elements():
-        for e in E.elements():
-            if not le(e, f):
-                continue
+    for f, below in enumerate(down):
+        Gf = groups[f]
+        for e in below:
+            Ge = groups[e]
             if e == f:
-                phi = bonding.get((f, e), tuple(range(groups[e].n)))
+                phi = bonding.get((f, e), range(Gf.n))
+            elif (f, e) not in bonding:
+                raise NotHomomorphism((f, e), "missing bonding map")
             else:
-                if (f, e) not in bonding:
-                    raise NotHomomorphism((f, e), "missing bonding map")
                 phi = bonding[(f, e)]
-            phi = tuple(phi[x] for x in range(groups[f].n)) if not isinstance(
-                phi, tuple) else phi
-            if len(phi) != groups[f].n:
+            if not isinstance(phi, Sequence):
+                raise NotHomomorphism((f, e), f"{phi!r} is not a lookup table")
+            phi = tuple(phi)
+            if len(phi) != Gf.n:
                 raise NotHomomorphism((f, e), f"domain size {len(phi)}")
-            for x, y in enumerate(phi):
-                if not (0 <= y < groups[e].n):
-                    raise NotHomomorphism((f, e), f"image {y} outside G_{e}")
-            for x in groups[f].elements():
-                for y in groups[f].elements():
-                    if phi[groups[f].mul(x, y)] != groups[e].mul(phi[x], phi[y]):
+            for y in phi:
+                if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < Ge.n:
+                    raise NotHomomorphism((f, e), f"image {y!r} outside G_{e}")
+            for x, row in enumerate(Gf.table):
+                image_row = Ge.table[phi[x]]
+                for y, xy in enumerate(row):
+                    if phi[xy] != image_row[phi[y]]:
                         raise NotHomomorphism((f, e), "product not preserved",
                                               witness=(x, y))
             full[(f, e)] = phi
     for (f, e) in bonding:
-        if not le(e, f):
+        if E.mul(e, f) != e:
             raise NotHomomorphism((f, e), "bonding given for incomparable pair")
     for e in E.elements():
         if full[(e, e)] != tuple(range(groups[e].n)):
             raise FunctorLawViolated((e, e), "phi_{e,e} is not the identity")
-    for e in E.elements():
-        for f in E.elements():
-            for g in E.elements():
-                if le(e, f) and le(f, g):
-                    for x in groups[g].elements():
-                        if full[(g, e)][x] != full[(f, e)][full[(g, f)][x]]:
-                            raise FunctorLawViolated(
-                                (e, f, g), f"composition fails at x={x}"
-                            )
+    for e, above in enumerate(up):
+        for f in above:
+            phi_fe = full[(f, e)]
+            for g in up[f]:
+                phi_ge = full[(g, e)]
+                for x, y in enumerate(full[(g, f)]):
+                    if phi_ge[x] != phi_fe[y]:
+                        raise FunctorLawViolated((e, f, g), f"composition fails at x={x}")
     return StrongSemilatticeSpec(E=E, groups=groups, bonding=full)
 
 
@@ -163,29 +168,24 @@ class Assembled:
 
 
 def assemble(spec: StrongSemilatticeSpec) -> Assembled:
-    """Build the Cayley table: for s in G_e and t in G_f, the product lives
-    in G_{ef} and equals phi_{e,ef}(s) * phi_{f,ef}(t)."""
-    E = spec.E
-    offsets = []
-    total = 0
-    for e in E.elements():
-        offsets.append(total)
-        total += spec.groups[e].n
-    offsets = tuple(offsets)
-
-    def point(e, g):
-        return offsets[e] + g
-
-    table = [[0] * total for _ in range(total)]
-    for e in E.elements():
-        for f in E.elements():
-            ef = E.mul(e, f)
-            Gef = spec.groups[ef]
-            for s in spec.groups[e].elements():
-                ps = spec.phi(e, ef, s)
-                for t in spec.groups[f].elements():
-                    pt = spec.phi(f, ef, t)
-                    table[point(e, s)][point(f, t)] = point(ef, Gef.mul(ps, pt))
+    """Build the Cayley table one block pair at a time: for s in G_e and t
+    in G_f the product lives in G_{ef} and equals phi_{e,ef}(s) * phi_{f,ef}(t),
+    so row s of block (e, f) is row phi_{e,ef}(s) of G_{ef}, shifted to
+    global indices, read through phi_{f,ef}."""
+    E, groups, bonding = spec.E, spec.groups, spec.bonding
+    sizes = [groups[e].n for e in E.elements()]
+    offsets = tuple(accumulate(sizes[:-1], initial=0))
+    shifted = [[tuple(offsets[e] + v for v in row) for row in groups[e].table]
+               for e in E.elements()]
+    table = []
+    for e, row_e in enumerate(E.table):
+        blocks = [(shifted[ef], bonding[(e, ef)], _reader(bonding[(f, ef)]))
+                  for f, ef in enumerate(row_e)]
+        for s in range(sizes[e]):
+            row = []
+            for block, phi_e, through in blocks:
+                row.extend(through(block[phi_e[s]]))
+            table.append(row)
     labels = []
     for e in E.elements():
         g = spec.groups[e]

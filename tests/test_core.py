@@ -1,20 +1,28 @@
 """Structure analysis of finite semigroups from their Cayley tables."""
 
+import dataclasses
 import itertools
 import math
 import random
+from operator import eq, itemgetter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cliffordlab import catalog as cat
+from cliffordlab import catalog as cat, core
 from cliffordlab.core import (
+    Classification,
     FiniteSemigroup,
+    InverseStructure,
     _Budget,
+    _associative,
+    _generators,
     associativity_witnesses,
     classify,
     element_signature,
     green_j_classes,
+    idempotents,
+    inverse_structure,
     is_trivial_clifford,
     isomorphisms,
     local_group_table,
@@ -25,7 +33,9 @@ from cliffordlab.errors import (
     IndexOutOfRange,
     InternalInconsistency,
     NotAssociative,
+    NotClifford,
     SearchBudgetExceeded,
+    WorkbenchError,
 )
 from cliffordlab.semilattice import (
     assemble,
@@ -530,13 +540,13 @@ def assert_structure_matches_the_references(S):
 
 
 @st.composite
-def strong_semilattice_specs(draw):
+def strong_semilattice_specs(draw, orders=(1, 2, 3)):
     """A spec over an intersection-closed family of subsets of {0, 1, 2},
     ordered by inclusion.  Fiber e is Z_m with m the lcm of the orders
-    drawn for the points below e (all equal half of the time), relabelled
-    by an automorphism x -> a_e x; bonding is reduction mod m through the
-    relabellings, except that the maps from outside a down-set into it
-    collapse to 0."""
+    drawn from `orders` for the points below e (all equal half of the
+    time), relabelled by an automorphism x -> a_e x; bonding is reduction
+    mod m through the relabellings, except that the maps from outside a
+    down-set into it collapse to 0."""
     family = set(draw(st.lists(st.integers(0, 7), min_size=2, max_size=5, unique=True)))
     while len(closed := family | {a & b for a in family for b in family}) > len(family):
         family = closed
@@ -549,9 +559,9 @@ def strong_semilattice_specs(draw):
         return [e for e in points if E.mul(e, f) == e]
 
     if draw(st.booleans()):
-        drawn = [draw(st.sampled_from((1, 2, 3)))] * len(points)
+        drawn = [draw(st.sampled_from(orders))] * len(points)
     else:
-        drawn = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=len(points),
+        drawn = draw(st.lists(st.sampled_from(orders), min_size=len(points),
                               max_size=len(points)))
     m = [math.lcm(*(drawn[e] for e in below(f))) for f in points]
     a = [draw(st.sampled_from([u for u in range(1, m[e] + 1) if math.gcd(u, m[e]) == 1]))
@@ -581,3 +591,184 @@ def test_decompose_and_trivial_check_match_the_references_on_the_catalog():
 @given(strong_semilattice_specs())
 def test_decompose_and_trivial_check_match_the_references_on_generated_specs(spec):
     assert_structure_matches_the_references(assemble(spec).semigroup)
+
+
+# ---------------------------------------------------------------------------
+# Light's associativity test on a generating set against the loop over all y
+
+
+def reference_associative(rows):
+    """The row test run for all n values of y: row xy must equal row y read
+    through row x."""
+    n = len(rows)
+    if n == 1:
+        return True  # [[0]], the only table of order 1
+    for y in range(n):
+        through = itemgetter(*rows[y])
+        products = itemgetter(*[row[y] for row in rows])
+        if not all(map(eq, products(rows), map(through, rows))):
+            return False
+    return True
+
+
+def right_closure(rows, gens):
+    """The left-normed products of gens: gens and every r*a with r reached."""
+    reached, todo = set(gens), list(gens)
+    while todo:
+        r = todo.pop()
+        for a in gens:
+            if rows[r][a] not in reached:
+                reached.add(rows[r][a])
+                todo.append(rows[r][a])
+    return reached
+
+
+def assert_generators_span_the_carrier(rows):
+    gens = _generators(rows)
+    assert gens == sorted(set(gens))
+    assert right_closure(rows, gens) == set(range(len(rows)))
+
+
+@st.composite
+def mutated_large_assembled_tables(draw):
+    """The table of an assembled spec of order at least 24, with one cell
+    changed."""
+    table = assemble(draw(strong_semilattice_specs(orders=(4, 6)))).semigroup.table
+    n = len(table)
+    assume(n >= 24)
+    table = [list(row) for row in table]
+    i, j, v = (draw(st.integers(min_value=0, max_value=n - 1)) for _ in range(3))
+    table[i][j] = v
+    return tuple(map(tuple, table))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_and_mutations())
+def test_light_test_matches_the_loop_over_all_y_on_catalog_and_transformation_tables(table):
+    rows = tuple(map(tuple, table))
+    assert _associative(rows) == reference_associative(rows)
+    assert_generators_span_the_carrier(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutated_large_assembled_tables())
+def test_light_test_matches_the_loop_over_all_y_on_mutated_assembled_tables(rows):
+    assert _associative(rows) == reference_associative(rows)
+    assert_generators_span_the_carrier(rows)
+    assert_validation_matches_the_witness_loop(rows)
+
+
+def test_generators_span_every_catalog_table():
+    for S in cat.semigroup_catalog().values():
+        assert_generators_span_the_carrier(S.table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(strong_semilattice_specs())
+def test_generators_span_generated_assembled_tables(spec):
+    assert_generators_span_the_carrier(assemble(spec).semigroup.table)
+
+
+def test_generators_of_left_zero_and_null_tables_are_every_element():
+    left_zero = tuple((x,) * 8 for x in range(8))
+    null = tuple((0,) * 8 for _ in range(8))
+    assert _generators(left_zero) == _generators(null) == list(range(8))
+
+
+@st.composite
+def random_tables(draw):
+    """A table with uniformly drawn entries, of order 1 to 8: almost never
+    associative, and a magma whose right-closures differ from its
+    two-sided closures."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    cell = st.integers(min_value=0, max_value=n - 1)
+    return tuple(tuple(draw(cell) for _ in range(n)) for _ in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_tables())
+def test_light_test_and_generators_on_random_tables(rows):
+    assert _associative(rows) == reference_associative(rows)
+    assert_generators_span_the_carrier(rows)
+
+
+# ---------------------------------------------------------------------------
+# classify and pi_and_subgroups on table rows against the mul-call loops
+
+
+def reference_inverse_structure(S):
+    inv = []
+    for x in S.elements():
+        cands = [y for y in S.elements()
+                 if S.mul(S.mul(x, y), x) == x and S.mul(S.mul(y, x), y) == y]
+        if len(cands) != 1:
+            return None
+        inv.append(cands[0])
+    return InverseStructure(tuple(inv), tuple(S.mul(x, inv[x]) for x in S.elements()))
+
+
+def reference_classify(S):
+    E = tuple(x for x in S.elements() if S.mul(x, x) == x)
+    inv = reference_inverse_structure(S)
+    is_clifford = inv is not None and all(
+        S.mul(x, inv.inv[x]) == S.mul(inv.inv[x], x) for x in S.elements())
+    assert is_clifford == (inv is not None and all(
+        S.mul(e, x) == S.mul(x, e) for e in E for x in S.elements()))
+    return Classification(
+        is_inverse=inv is not None,
+        inverse=inv,
+        is_clifford=is_clifford,
+        is_group=inv is not None and len(E) == 1,
+        is_left_cancellative=all(
+            len({S.mul(a, x) for x in S.elements()}) == S.n for a in S.elements()),
+        is_right_cancellative=all(
+            len({S.mul(x, a) for x in S.elements()}) == S.n for a in S.elements()),
+        idempotents=E,
+    )
+
+
+def reference_pi_and_subgroups(S, cls=None):
+    cls = cls or reference_classify(S)
+    if not cls.is_clifford:
+        raise NotClifford("not a Clifford semigroup")
+    pi = cls.inverse.pi
+    for x in S.elements():
+        for y in S.elements():
+            if pi[S.mul(x, y)] != S.mul(pi[x], pi[y]):
+                raise InternalInconsistency(f"pi not a homomorphism at ({x},{y})")
+    return pi, {e: tuple(x for x in S.elements() if pi[x] == e) for e in cls.idempotents}
+
+
+def error_or_result(check, *args):
+    """check(*args), or the class, message and attributes of the
+    WorkbenchError it raises."""
+    try:
+        return check(*args)
+    except WorkbenchError as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(CATALOG_TABLES), transformation_tables()))
+def test_classify_and_pi_match_the_mul_loops(table):
+    S = validate_semigroup(table)
+    assert inverse_structure(S) == reference_inverse_structure(S)
+    assert idempotents(S) == list(reference_classify(S).idempotents)
+    assert classify(S) == reference_classify(S)
+    assert (error_or_result(pi_and_subgroups, S)
+            == error_or_result(reference_pi_and_subgroups, S))
+
+
+def test_pi_homomorphism_check_names_the_first_pair():
+    # classify made to return a pi that sends the last element to E[0]: the row
+    # check must name the same first failing pair as the loop over (x, y)
+    S = cat.semigroup_catalog()["assembled-chain3-z4-z4-z2"]
+    cls = classify(S)
+    pi = list(cls.inverse.pi)
+    pi[-1] = pi[0]
+    bad = dataclasses.replace(cls, inverse=InverseStructure(cls.inverse.inv, tuple(pi)))
+    expected = error_or_result(lambda S: reference_pi_and_subgroups(S, bad), S)
+    assert expected[0] is InternalInconsistency and "(0," not in expected[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "classify", lambda S: bad)
+        assert error_or_result(pi_and_subgroups, S) == expected

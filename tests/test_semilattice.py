@@ -1,21 +1,49 @@
 """Strong-semilattice specs: validation, assembly, decomposition, round trips."""
 
-import pytest
+from collections import Counter
 
-from cliffordlab import catalog as cat
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from cliffordlab import catalog as cat, core, semilattice
+from cliffordlab.core import (
+    FiniteSemigroup,
+    classify,
+    green_j_classes,
+    is_semilattice,
+    is_trivial_clifford,
+    validate_semigroup,
+)
+from cliffordlab.documents import (
+    WorkbenchDocument,
+    build_spec,
+    parse_document,
+    serialize_document,
+    spec_to_body,
+)
 from cliffordlab.errors import (
     EmptyDirectedSet,
     FunctorLawViolated,
     IndexOutOfRange,
+    InternalInconsistency,
+    NotGroup,
     NotHomomorphism,
+    NotSemilattice,
 )
 from cliffordlab.semilattice import (
+    Assembled,
     assemble,
     decompose,
     direct_product,
     eta_injectivity,
     iso_equivalent,
     validate_spec,
+)
+from test_core import (
+    CATALOG_TABLES,
+    error_or_result,
+    strong_semilattice_specs,
+    transformation_tables,
 )
 
 
@@ -59,6 +87,28 @@ def test_not_homomorphism_keeps_reason_and_witness_apart():
         validate_spec(cat.chain_semilattice(2), {0: z2, 1: z2}, {(1, 0): (1, 0)})
     assert exc.value.witness is not None
     assert f"witness {exc.value.witness}" in str(exc.value)
+
+
+def test_bonding_entry_shorter_than_its_domain_is_rejected():
+    z2 = cat.cyclic_group(2)
+    with pytest.raises(NotHomomorphism) as exc:
+        validate_spec(cat.chain_semilattice(2), {0: z2, 1: z2}, {(1, 0): [0]})
+    assert exc.value.pair == (1, 0) and "domain size 1" in str(exc.value)
+
+
+def test_bonding_entry_with_a_non_integer_image_is_rejected():
+    z2 = cat.cyclic_group(2)
+    with pytest.raises(NotHomomorphism) as exc:
+        validate_spec(cat.chain_semilattice(2), {0: z2, 1: z2}, {(1, 0): (0, "a")})
+    assert exc.value.pair == (1, 0) and "'a'" in str(exc.value)
+
+
+def test_bonding_entry_that_is_not_a_sequence_is_rejected():
+    z2 = cat.cyclic_group(2)
+    for phi in (5, {0: 1, 1: 0}):  # a dict would otherwise be read as its keys
+        with pytest.raises(NotHomomorphism) as exc:
+            validate_spec(cat.chain_semilattice(2), {0: z2, 1: z2}, {(1, 0): phi})
+        assert exc.value.pair == (1, 0) and "not a lookup table" in str(exc.value)
 
 
 def test_functor_law_violation_reports_chain():
@@ -160,3 +210,246 @@ def test_iso_found_under_permuted_carrier():
     for x in S.elements():
         for y in S.elements():
             assert mapping[S.mul(x, y)] == T.mul(mapping[x], mapping[y])
+
+
+# ---------------------------------------------------------------------------
+# block-pair assembly and up-set validation against the cell-by-cell and
+# le-call loops they replaced
+
+
+def reference_check_group(table, key):
+    ident = None
+    for e in table.elements():
+        if all(table.mul(e, x) == x and table.mul(x, e) == x for x in table.elements()):
+            ident = e
+            break
+    if ident is None:
+        raise NotGroup(key, "no identity element")
+    for x in table.elements():
+        if not any(table.mul(x, y) == ident and table.mul(y, x) == ident
+                   for y in table.elements()):
+            raise NotGroup(key, f"element {x} has no inverse")
+    return ident
+
+
+def reference_validate_spec(E, groups, bonding):
+    """The strong-semilattice laws checked through le calls over all pairs
+    and all triples of E, and FiniteSemigroup.mul on the groups."""
+    if not isinstance(E, FiniteSemigroup):
+        E = validate_semigroup(E)
+    if not is_semilattice(E):
+        raise NotSemilattice("E is not a commutative idempotent semigroup")
+    groups = {int(e): g if isinstance(g, FiniteSemigroup) else validate_semigroup(g)
+              for e, g in groups.items()}
+    if sorted(groups) != list(E.elements()):
+        raise IndexOutOfRange(
+            f"groups keyed by {sorted(groups)}, expected 0..{E.n - 1}"
+        )
+    for e, g in groups.items():
+        reference_check_group(g, e)
+    for (f, e) in bonding:
+        if not (0 <= f < E.n and 0 <= e < E.n):
+            raise IndexOutOfRange(f"bonding key {f}->{e} outside 0..{E.n - 1}")
+
+    def le(e, f):
+        return E.mul(e, f) == e
+
+    full = {}
+    for f in E.elements():
+        for e in E.elements():
+            if not le(e, f):
+                continue
+            if e == f:
+                phi = bonding.get((f, e), tuple(range(groups[e].n)))
+            else:
+                if (f, e) not in bonding:
+                    raise NotHomomorphism((f, e), "missing bonding map")
+                phi = bonding[(f, e)]
+            phi = tuple(phi[x] for x in range(groups[f].n)) if not isinstance(
+                phi, tuple) else phi
+            if len(phi) != groups[f].n:
+                raise NotHomomorphism((f, e), f"domain size {len(phi)}")
+            for x, y in enumerate(phi):
+                if not (0 <= y < groups[e].n):
+                    raise NotHomomorphism((f, e), f"image {y} outside G_{e}")
+            for x in groups[f].elements():
+                for y in groups[f].elements():
+                    if phi[groups[f].mul(x, y)] != groups[e].mul(phi[x], phi[y]):
+                        raise NotHomomorphism((f, e), "product not preserved",
+                                              witness=(x, y))
+            full[(f, e)] = phi
+    for (f, e) in bonding:
+        if not le(e, f):
+            raise NotHomomorphism((f, e), "bonding given for incomparable pair")
+    for e in E.elements():
+        if full[(e, e)] != tuple(range(groups[e].n)):
+            raise FunctorLawViolated((e, e), "phi_{e,e} is not the identity")
+    for e in E.elements():
+        for f in E.elements():
+            for g in E.elements():
+                if le(e, f) and le(f, g):
+                    for x in groups[g].elements():
+                        if full[(g, e)][x] != full[(f, e)][full[(g, f)][x]]:
+                            raise FunctorLawViolated(
+                                (e, f, g), f"composition fails at x={x}"
+                            )
+    return semilattice.StrongSemilatticeSpec(E=E, groups=groups, bonding=full)
+
+
+def reference_assemble(spec):
+    """The Cayley table filled cell by cell through spec.phi."""
+    E = spec.E
+    offsets = []
+    total = 0
+    for e in E.elements():
+        offsets.append(total)
+        total += spec.groups[e].n
+    offsets = tuple(offsets)
+
+    def point(e, g):
+        return offsets[e] + g
+
+    table = [[0] * total for _ in range(total)]
+    for e in E.elements():
+        for f in E.elements():
+            ef = E.mul(e, f)
+            Gef = spec.groups[ef]
+            for s in spec.groups[e].elements():
+                ps = spec.phi(e, ef, s)
+                for t in spec.groups[f].elements():
+                    pt = spec.phi(f, ef, t)
+                    table[point(e, s)][point(f, t)] = point(ef, Gef.mul(ps, pt))
+    labels = []
+    for e in E.elements():
+        g = spec.groups[e]
+        for x in g.elements():
+            labels.append(f"{E.label(e)}:{g.label(x)}")
+    S = validate_semigroup(table, labels)
+    if not classify(S).is_clifford:
+        raise InternalInconsistency("assembled semigroup is not Clifford")
+    return Assembled(semigroup=S, spec=spec, offsets=offsets)
+
+
+CATALOG_SPECS = list(cat.spec_catalog().values())
+
+
+def test_assembly_matches_the_cell_by_cell_fill_on_the_catalog():
+    for spec in CATALOG_SPECS:
+        assert assemble(spec) == reference_assemble(spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(strong_semilattice_specs())
+def test_assembly_matches_the_cell_by_cell_fill_on_generated_towers(spec):
+    assert assemble(spec) == reference_assemble(spec)
+
+
+def relabelled_table(table, perm):
+    """The table with element a renamed perm[a]."""
+    out = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            out[perm[a]][perm[b]] = perm[ab]
+    return out
+
+
+@st.composite
+def spec_inputs_with_one_change(draw):
+    """The raw E table, group tables and bonding tables of a catalog or
+    generated spec, its points renamed half of the time (so that index
+    order need not extend the order of E), with one change: a bonding
+    entry, a group cell or an E cell set to a new value (which may lie one
+    past the end of its range), one bonding map collapsed onto the identity
+    (a homomorphism that may break the composition law on several chains),
+    or one group renamed while the bonding maps keep the old names."""
+    spec = draw(st.one_of(st.sampled_from(CATALOG_SPECS), strong_semilattice_specs()))
+    points = list(spec.E.elements())
+    perm = draw(st.one_of(st.just(points), st.permutations(points)))
+    E = relabelled_table(spec.E.table, perm)
+    groups = {perm[e]: [list(row) for row in G.table] for e, G in spec.groups.items()}
+    bonding = {(perm[f], perm[e]): list(phi)
+               for (f, e), phi in spec.bonding.items() if f != e}
+    where = draw(st.sampled_from(["bonding", "collapse", "rename", "group", "E"] if bonding
+                                 else ["group", "E"]))
+    if where in ("collapse", "rename"):
+        f, e = draw(st.sampled_from(sorted(bonding)))
+        if where == "collapse":
+            ident = next(i for i, row in enumerate(groups[e]) if row == sorted(row))
+            bonding[(f, e)] = [ident] * len(bonding[(f, e)])
+        else:
+            groups[e] = relabelled_table(
+                groups[e], draw(st.permutations(range(len(groups[e])))))
+        return E, groups, {key: tuple(phi) for key, phi in bonding.items()}
+    if where == "bonding":
+        f, e = draw(st.sampled_from(sorted(bonding)))
+        cells, n = bonding[(f, e)], len(groups[e])
+    else:
+        table = E if where == "E" else groups[draw(st.sampled_from(sorted(groups)))]
+        cells, n = table[draw(st.integers(0, len(table) - 1))], len(table)
+    j = draw(st.integers(0, len(cells) - 1))
+    v = draw(st.integers(0, n))
+    assume(v != cells[j])
+    cells[j] = v
+    return E, groups, {key: tuple(phi) for key, phi in bonding.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_inputs_with_one_change())
+def test_validation_matches_the_le_call_loops_on_specs_with_one_change(inputs):
+    assert (error_or_result(validate_spec, *inputs)
+            == error_or_result(reference_validate_spec, *inputs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(CATALOG_TABLES), transformation_tables()))
+def test_group_check_matches_the_mul_loops(table):
+    S = validate_semigroup(table)
+    assert (error_or_result(semilattice._check_group, S, "key")
+            == error_or_result(reference_check_group, S, "key"))
+
+
+def test_validation_matches_the_le_call_loops_on_the_catalog():
+    for spec in CATALOG_SPECS:
+        inputs = spec.E, spec.groups, spec.bonding
+        assert validate_spec(*inputs) == reference_validate_spec(*inputs) == spec
+
+
+# ---------------------------------------------------------------------------
+# the call graph of one structure-style op, as a traced benchmark run counts it
+
+
+@settings(max_examples=20, deadline=None)
+@given(strong_semilattice_specs())
+def test_one_structure_op_calls_classify_and_iso_equivalent_a_fixed_number_of_times(spec):
+    """spec text -> assemble -> classify -> decompose -> text -> assemble ->
+    iso_equivalent, green_j_classes, is_trivial_clifford.  The trivial check
+    assembles and compares E x G exactly when every bonding map is a
+    bijection."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def text(spec):
+        return serialize_document(WorkbenchDocument("spec", "op", "", spec_to_body(spec)))
+
+    with pytest.MonkeyPatch.context() as mp:
+        counted = counting("classify", core.classify)
+        mp.setattr(core, "classify", counted)
+        mp.setattr(semilattice, "classify", counted)
+        mp.setattr(semilattice, "iso_equivalent",
+                   counting("iso_equivalent", semilattice.iso_equivalent))
+        S = semilattice.assemble(build_spec(parse_document(text(spec)))).semigroup
+        core.classify(S)
+        S2 = semilattice.assemble(build_spec(parse_document(
+            text(semilattice.decompose(S))))).semigroup
+        assert semilattice.iso_equivalent(S, S2) is not None
+        green_j_classes(S)
+        trivial = is_trivial_clifford(S)
+    bijective = all(sorted(phi) == list(range(spec.groups[e].n))
+                    for (f, e), phi in spec.bonding.items())
+    assert (trivial is not None) == bijective
+    assert calls == {"classify": 5 + bijective, "iso_equivalent": 1 + bijective}
