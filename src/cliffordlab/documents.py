@@ -75,19 +75,49 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_int_matrix(m, path):
+def _check_rows(m, path):
     if not isinstance(m, list) or not all(isinstance(r, list) for r in m):
         raise SchemaError(path, "expected a list of rows")
+
+
+def _check_int_matrix(m, path):
+    _check_rows(m, path)
     for i, row in enumerate(m):
         for j, v in enumerate(row):
             if not _is_int(v):
                 raise SchemaError(f"{path}[{i}][{j}]", "expected an integer")
 
 
+def _rational_matrix(m, path) -> list:
+    _check_rows(m, path)
+    return [[parse_rational(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)]
+            for i, row in enumerate(m)]
+
+
+def _check_int(v, path):
+    if not _is_int(v):
+        raise SchemaError(path, "expected an integer")
+
+
+def _check_int_list(v, path):
+    if not isinstance(v, list) or not all(_is_int(x) for x in v):
+        raise SchemaError(path, "expected a list of ints")
+
+
+def _check_by_element(obj, path, n, check_value):
+    """An object keyed by the element indices 0..n-1 of E."""
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "expected an object")
+    for key, value in obj.items():
+        if not (key.isdecimal() and int(key) < n):
+            raise SchemaError(f"{path}.{key}",
+                              f"keys are element indices 0..{n - 1}")
+        check_value(value, f"{path}.{key}")
+
+
 def _check_cayley_body(body, path):
     _require(body, path, ["n", "table"], ["labels"])
-    if not _is_int(body["n"]):
-        raise SchemaError(f"{path}.n", "expected an integer")
+    _check_int(body["n"], f"{path}.n")
     _check_int_matrix(body["table"], f"{path}.table")
     if len(body["table"]) != body["n"]:
         raise SchemaError(f"{path}.table", f"expected {body['n']} rows")
@@ -116,8 +146,7 @@ def _check_spec_body(body, path):
         parts = key.split("->")
         if len(parts) != 2 or not all(p.isdigit() for p in parts):
             raise SchemaError(f"{path}.bonding.{key}", 'keys look like "f->e"')
-        if not isinstance(phi, list) or not all(_is_int(v) for v in phi):
-            raise SchemaError(f"{path}.bonding.{key}", "expected a list of ints")
+        _check_int_list(phi, f"{path}.bonding.{key}")
 
 
 _CHECKERS = {}
@@ -143,8 +172,7 @@ def _check_spec(body):
 @_checker("poset")
 def _check_poset(body):
     _require(body, "body", ["n", "leq"])
-    if not _is_int(body["n"]):
-        raise SchemaError("body.n", "expected an integer")
+    _check_int(body["n"], "body.n")
     leq = body["leq"]
     if not isinstance(leq, list) or len(leq) != body["n"]:
         raise SchemaError("body.leq", f"expected {body['n']} rows")
@@ -179,21 +207,22 @@ def _check_metric_data(body):
         _check_cayley_body(body["fiber"], "body.fiber")
         if body["bonding"] not in ("identity", "collapse"):
             raise SchemaError("body.bonding", 'expected "identity" or "collapse"')
+        n = body["truncation"] + 1
     elif body["type"] == "spec":
         _require(body, "body", ["type", "spec", "rho"],
                  ["basis", "d", "base_points", "enumerations", "pseudo"])
         _check_spec_body(body["spec"], "body.spec")
-        for i, row in enumerate(body["rho"]):
-            for j, v in enumerate(row):
-                parse_rational(v, f"body.rho[{i}][{j}]")
-        for e, m in body.get("d", {}).items():
-            for i, row in enumerate(m):
-                for j, v in enumerate(row):
-                    parse_rational(v, f"body.d.{e}[{i}][{j}]")
+        n = body["spec"]["e"]["n"]
+        _rational_matrix(body["rho"], "body.rho")
+        _check_by_element(body.get("d", {}), "body.d", n, _rational_matrix)
+        _check_by_element(body.get("enumerations", {}), "body.enumerations", n,
+                          _check_int_list)
     else:
         raise SchemaError("body.type", f"unknown metric-data type {body['type']!r}")
-    if "basis" in body and not all(_is_int(v) for v in body["basis"]):
-        raise SchemaError("body.basis", "expected a list of element indices")
+    if "basis" in body:
+        _check_int_list(body["basis"], "body.basis")
+    _check_by_element(body.get("base_points", {}), "body.base_points", n,
+                      _check_int)
     if "pseudo" in body and not isinstance(body["pseudo"], bool):
         raise SchemaError("body.pseudo", "expected a boolean")
 
@@ -324,6 +353,15 @@ def build_topology_model(doc: WorkbenchDocument) -> TopologicalSemigroupModel:
     return TopologicalSemigroupModel(S, T)
 
 
+def _metric_spec_from_body(body):
+    """The spec, rho and group metrics d of a spec-type metric-data body."""
+    spec = _spec_from_body(body["spec"])
+    rho = _rational_matrix(body["rho"], "body.rho")
+    d = {int(e): _rational_matrix(m, f"body.d.{e}")
+         for e, m in body.get("d", {}).items()}
+    return spec, rho, d
+
+
 def build_bowman_data(doc: WorkbenchDocument) -> BowmanMetricData:
     _expect_kind(doc, "metric-data")
     body = doc.body
@@ -338,20 +376,12 @@ def build_bowman_data(doc: WorkbenchDocument) -> BowmanMetricData:
             or None,
             pseudo=body.get("pseudo", False),
         )
-    spec = _spec_from_body(body["spec"])
-    rho = [
-        [parse_rational(v, f"body.rho[{i}][{j}]") for j, v in enumerate(row)]
-        for i, row in enumerate(body["rho"])
-    ]
-    d = {
-        int(e): [[parse_rational(v, f"body.d.{e}") for v in row] for row in m]
-        for e, m in body.get("d", {}).items()
-    } or None
+    spec, rho, d = _metric_spec_from_body(body)
     return bowman_data_from_spec(
         spec,
         rho,
         basis=tuple(body["basis"]) if "basis" in body else None,
-        d=d,
+        d=d or None,
         base_points={int(k): v for k, v in body.get("base_points", {}).items()}
         or None,
         enumerations={int(k): tuple(v)
@@ -366,12 +396,7 @@ def build_yeager_data(doc: WorkbenchDocument) -> YeagerMetricData:
     if body["type"] != "spec":
         raise SchemaError("body.type",
                           "the isometric metric needs a spec-type document")
-    spec = _spec_from_body(body["spec"])
-    rho = [[parse_rational(v, "body.rho") for v in row] for row in body["rho"]]
-    d = {
-        int(e): [[parse_rational(v, f"body.d.{e}") for v in row] for row in m]
-        for e, m in body.get("d", {}).items()
-    }
+    spec, rho, d = _metric_spec_from_body(body)
     for e in spec.E.elements():
         if e not in d:
             d[e] = discrete_metric(spec.groups[e].n)

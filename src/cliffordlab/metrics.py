@@ -40,26 +40,21 @@ class Point:
 
 class PosetEModel:
     """Idempotent-semilattice side of the metric data, given by a finite
-    poset and an exact metric matrix rho bounded by 1."""
+    poset and an exact metric matrix rho bounded by 1.  Way-below is <= on
+    a finite poset, so the weights read le."""
 
     def __init__(self, poset: FinitePoset, rho):
         self.poset = poset
         self.rho_matrix = tuple(
             tuple(Fraction(v) for v in row) for row in rho
         )
-        n = poset.n
-        if len(self.rho_matrix) != n or any(len(r) != n for r in self.rho_matrix):
-            raise WorkbenchError("rho matrix shape does not match poset")
-        _check_metric_matrix(self.rho_matrix, bound=Fraction(1))
+        _check_metric_matrix(self.rho_matrix, "rho", poset.n, bound=Fraction(1))
 
     def elements(self):
         return self.poset.elements()
 
     def le(self, e, f):
         return self.poset.le(e, f)
-
-    def way_below(self, b, e):
-        return self.poset.le(b, e)  # way-below is <= on a finite poset
 
     def rho(self, e, f):
         return self.rho_matrix[e][f]
@@ -70,11 +65,8 @@ class PosetEModel:
             raise WorkbenchError("E-model has no minimum element")
         return m
 
-    def check_basis(self, basis):
-        return is_basis(self.poset, basis)
-
     def a_weight_raw(self, b, e):
-        complement = [x for x in self.elements() if not self.way_below(b, x)]
+        complement = [x for x in self.elements() if not self.le(b, x)]
         if not complement:
             raise WorkbenchError(f"complement of the way-up set of {b} is empty")
         return min(self.rho(e, x) for x in complement)
@@ -92,82 +84,27 @@ class PosetEModel:
         return math.lcm(*(v.denominator for row in self.rho_matrix for v in row))
 
 
-class FlatEModel:
-    """E-model over the truncated flat semilattice, with O(1) weights.
-
-    Way-below follows the untruncated flat order (0 << x, x << x), so the
-    complement of the way-up set of b != 0 is everything except b and the
-    weight a_b(e) is 0 off b and the gap to the nearest other point at b.
-    """
-
-    def __init__(self, model: LazySemilatticeModel):
-        self.model = model
-        pts = model.points
-        order = sorted(range(len(pts)), key=lambda i: pts[i])
-        gaps = [Fraction(0)] * len(pts)
-        for k, i in enumerate(order):
-            best = None
-            if k > 0:
-                best = pts[i] - pts[order[k - 1]]
-            if k + 1 < len(order):
-                right = pts[order[k + 1]] - pts[i]
-                best = right if best is None else min(best, right)
-            gaps[i] = best if best is not None else Fraction(0)
-        self._gaps = tuple(gaps)
-
-    def elements(self):
-        return self.model.elements()
-
-    def le(self, e, f):
-        return self.model.le(e, f)
-
-    def way_below(self, b, e):
-        return self.model.way_below(b, e)
-
-    def rho(self, e, f):
-        return self.model.rho(e, f)
-
-    def minimum(self):
-        return 0
-
-    def check_basis(self, basis):
-        # B_x subset {0, x} needs x itself to reach sup x
-        members = set(basis)
-        missing = [x for x in self.elements() if x != 0 and x not in members]
-        if missing:
-            return False, missing[0]
-        return True, None
-
-    def a_weight_raw(self, b, e):
-        return self._gaps[b] if e == b else Fraction(0)
-
-    def weight_support(self, e):
-        """The elements b with a_b(e) != 0: the minimum, and e itself."""
-        return (0,) if e == 0 else (0, e)
-
-    def common_denominator(self) -> int:
-        """A denominator of every rho value and every weight (both are
-        differences of points)."""
-        return math.lcm(*(p.denominator for p in self.model.points))
-
-
-def _check_metric_matrix(m, bound: Optional[Fraction] = None):
-    n = len(m)
+def _check_metric_matrix(m, name: str, n: int,
+                         bound: Optional[Fraction] = None):
+    """Is m an n x n metric matrix (bounded by bound)?  Errors start with
+    name: "rho", or "d_e" for the group metric at e."""
+    if len(m) != n or any(len(row) != n for row in m):
+        raise WorkbenchError(f"{name} is not a {n}x{n} matrix")
     for i in range(n):
         if m[i][i] != 0:
-            raise WorkbenchError(f"d({i},{i}) != 0")
+            raise WorkbenchError(f"{name}({i},{i}) != 0")
         for j in range(n):
             if m[i][j] < 0:
-                raise WorkbenchError(f"d({i},{j}) < 0")
+                raise WorkbenchError(f"{name}({i},{j}) < 0")
             if bound is not None and m[i][j] > bound:
-                raise WorkbenchError(f"d({i},{j}) > {bound}")
+                raise WorkbenchError(f"{name}({i},{j}) > {bound}")
             if m[i][j] != m[j][i]:
-                raise WorkbenchError(f"d not symmetric at ({i},{j})")
+                raise WorkbenchError(f"{name} not symmetric at ({i},{j})")
             if i != j and m[i][j] == 0:
-                raise WorkbenchError(f"d({i},{j}) = 0 for distinct points")
+                raise WorkbenchError(f"{name}({i},{j}) = 0 for distinct points")
             for k in range(n):
                 if m[i][k] > m[i][j] + m[j][k]:
-                    raise WorkbenchError(f"triangle fails at ({i},{j},{k})")
+                    raise WorkbenchError(f"{name} triangle fails at ({i},{j},{k})")
 
 
 def discrete_metric(n: int):
@@ -213,7 +150,7 @@ class BowmanMetricData:
 
     def __post_init__(self):
         self.basis = tuple(self.basis)
-        if self.basis[0] != self.emodel.minimum():
+        if not self.basis or self.basis[0] != self.emodel.minimum():
             raise WorkbenchError("basis enumeration must start at the minimum")
         if len(set(self.basis)) != len(self.basis):
             raise WorkbenchError("basis enumeration repeats an element")
@@ -221,14 +158,17 @@ class BowmanMetricData:
         if outside:
             raise WorkbenchError(f"basis element {outside[0]} is not in E")
         if not self.pseudo:
-            ok, witness = self.emodel.check_basis(self.basis)
+            ok, witness = is_basis(self.emodel, self.basis)
             if not ok:
                 raise WorkbenchError(f"not a domain basis (fails at {witness})")
         checked = set()  # blocks often share one matrix object: check it once
         for e, blk in self.blocks.items():
-            if id(blk.d) not in checked:
-                _check_metric_matrix(blk.d, bound=Fraction(1))
-                checked.add(id(blk.d))
+            if (id(blk.d), blk.group.n) not in checked:
+                _check_metric_matrix(blk.d, f"d_{e}", blk.group.n, bound=Fraction(1))
+                checked.add((id(blk.d), blk.group.n))
+            if blk.base_point not in blk.group.elements():
+                raise WorkbenchError(f"base point {blk.base_point!r} at {e} "
+                                     f"is not in G_{e}")
             if sorted(blk.enumeration) != list(blk.group.elements()):
                 raise WorkbenchError(f"enumeration at {e} is not the whole group")
 
@@ -341,7 +281,7 @@ def separation_witness(data: BowmanMetricData, e: int, g: int, h: int):
     """A basis element b way-below e whose bonding map separates g and h,
     or None when the (possibly truncated) basis cannot separate them."""
     for b in data.basis:
-        if data.emodel.way_below(b, e) and data.phi(e, b, g) != data.phi(e, b, h):
+        if data.emodel.le(b, e) and data.phi(e, b, g) != data.phi(e, b, h):
             return b
     return None
 
@@ -352,7 +292,7 @@ def default_basis_order(emodel) -> tuple[int, ...]:
     m = emodel.minimum()
     rest = [e for e in emodel.elements() if e != m]
     support = {
-        e: sum(1 for x in emodel.elements() if emodel.way_below(e, x)) for e in rest
+        e: sum(1 for x in emodel.elements() if emodel.le(e, x)) for e in rest
     }
     rest.sort(key=lambda e: (-support[e], e))
     return (m,) + tuple(rest)
@@ -402,7 +342,6 @@ def flat_bowman_data(model: LazySemilatticeModel, fiber: FiniteSemigroup,
                      pseudo: bool = False) -> BowmanMetricData:
     """Metric data on the flat model with a copy of one group at every point
     and either identity or collapse-to-identity bonding into the bottom."""
-    emodel = FlatEModel(model)
     ident = group_identity(fiber)
     if bonding_kind == "identity":
         down = tuple(range(fiber.n))
@@ -424,7 +363,7 @@ def flat_bowman_data(model: LazySemilatticeModel, fiber: FiniteSemigroup,
     bonding = {(e, 0): down for e in model.elements() if e != 0}
     if basis is None:
         basis = tuple(model.elements())
-    return BowmanMetricData(emodel=emodel, basis=tuple(basis), blocks=blocks,
+    return BowmanMetricData(emodel=model, basis=tuple(basis), blocks=blocks,
                             bonding=bonding, pseudo=pseudo)
 
 
@@ -440,13 +379,14 @@ class YeagerMetricData:
 
     def __post_init__(self):
         self.rho = tuple(tuple(Fraction(v) for v in row) for row in self.rho)
-        _check_metric_matrix(self.rho, bound=Fraction(1))
+        _check_metric_matrix(self.rho, "rho", self.spec.E.n, bound=Fraction(1))
         self.d = {
             e: tuple(tuple(Fraction(v) for v in row) for row in m)
             for e, m in self.d.items()
         }
         for e, m in self.d.items():
-            _check_metric_matrix(m, bound=Fraction(1))
+            _check_metric_matrix(m, f"d_{e}", self.spec.groups[e].n,
+                                 bound=Fraction(1))
 
 
 def isometry_check(data: YeagerMetricData):

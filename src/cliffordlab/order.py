@@ -3,7 +3,8 @@ and the truncated flat-semilattice model over exact rationals.
 
 In a finite poset every directed set attains its supremum at its maximum
 element, so way-below coincides with <=: the code uses P.le, and
-way_below_by_definition is kept as the independent oracle.
+way_below_by_definition is kept as the independent oracle.  For the same
+reason the only domain basis of a finite poset is the whole carrier.
 
 All order data is exact (integers and Fractions) so the metric machinery
 downstream never sees rounded inputs.
@@ -12,7 +13,9 @@ downstream never sees rounded inputs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -38,9 +41,6 @@ class FinitePoset:
 
     def up(self, x: int) -> frozenset:
         return frozenset(y for y in self.elements() if self.le(x, y))
-
-    def down(self, x: int) -> frozenset:
-        return frozenset(y for y in self.elements() if self.le(y, x))
 
     def minimum(self) -> Optional[int]:
         for x in self.elements():
@@ -106,20 +106,20 @@ def way_below_by_definition(P: FinitePoset, x: int, y: int) -> bool:
     return True
 
 
-def is_basis(P: FinitePoset, B):
+def is_basis(P, B):
     """Is B a domain basis: each B_x = {b in B : b << x} up-directed with
-    sup x?  Returns (True, None) or (False, failing_x).  Raises when some
-    element of B lies outside 0..n-1."""
-    outside = [b for b in B if not 0 <= b < P.n]
+    sup x?  B_x is finite, so when directed it has a greatest element, and
+    sup B_x = x exactly when x is in B.  Returns (True, None) or (False, the
+    least element missing from B).  Raises when some element of B lies
+    outside P.elements()."""
+    elements = P.elements()
+    outside = [b for b in B if b not in elements]
     if outside:
         raise WorkbenchError(f"basis element {outside[0]} is not in the poset "
-                             f"(elements 0..{P.n - 1})")
-    B = sorted(set(B))
-    for x in P.elements():
-        Bx = [b for b in B if P.le(b, x)]
-        if not Bx or not P.is_up_directed(Bx) or P.sup(Bx) != x:
-            return False, x
-    return True, None
+                             f"(elements 0..{len(elements) - 1})")
+    members = set(B)
+    missing = next((x for x in elements if x not in members), None)
+    return missing is None, missing
 
 
 def lawson_basic(P: FinitePoset, x: int, F) -> frozenset:
@@ -157,12 +157,15 @@ def poset_of_semilattice(S: FiniteSemigroup) -> FinitePoset:
 
 @dataclass(frozen=True)
 class LazySemilatticeModel:
-    """The flat semilattice {0} u {1/n : 1 <= n <= N} with exact rationals.
+    """The flat semilattice {0} u {1/n : 1 <= n <= N} with exact rationals,
+    as its own E-model for the series metric.
 
-    meet(x, y) = x if x == y else 0; rho = |x - y|.  Way-below follows the
-    flat order of the untruncated space (0 << x and x << x, nothing else),
-    so truncations are consistent with the intended infinite model.
-    Element i is points[i]; index 0 is the minimum 0, then 1, 1/2, ..., 1/N.
+    rho = |x - y|.  The order is the flat order of the untruncated space
+    (0 <= x and x <= x, nothing else), so truncations are consistent with
+    the intended infinite model.  The complement of the way-up set of
+    b != 0 is everything but b, so the weight a_b(e) is 0 off b and the gap
+    to the nearest other point at b.  Element i is points[i]; index 0 is
+    the minimum 0, then 1, 1/2, ..., 1/N.
     """
 
     N: int
@@ -175,27 +178,37 @@ class LazySemilatticeModel:
     def elements(self) -> range:
         return range(self.n)
 
-    def meet(self, i: int, j: int) -> int:
-        return i if i == j else 0
-
     def rho(self, i: int, j: int) -> Fraction:
         return abs(self.points[i] - self.points[j])
 
     def le(self, i: int, j: int) -> bool:
         return i == 0 or i == j
 
-    def way_below(self, i: int, j: int) -> bool:
-        return i == 0 or i == j
-
     def minimum(self) -> int:
         return 0
 
-    def semigroup(self) -> FiniteSemigroup:
-        table = tuple(
-            tuple(self.meet(i, j) for j in self.elements()) for i in self.elements()
-        )
-        labels = tuple(str(p) for p in self.points)
-        return FiniteSemigroup(table, labels)
+    @cached_property
+    def _gaps(self) -> tuple[Fraction, ...]:
+        """Distance from each point to its nearest neighbour (0 when alone)."""
+        order = sorted(self.elements(), key=self.points.__getitem__)
+        pts = [self.points[i] for i in order]
+        steps = [b - a for a, b in zip(pts, pts[1:])]
+        gaps = [Fraction(0)] * self.n
+        for k, i in enumerate(order):  # between steps[k - 1] and steps[k]
+            gaps[i] = min(steps[max(k - 1, 0):k + 1], default=Fraction(0))
+        return tuple(gaps)
+
+    def a_weight_raw(self, b: int, e: int) -> Fraction:
+        return self._gaps[b] if e == b else Fraction(0)
+
+    def weight_support(self, e: int) -> tuple[int, ...]:
+        """The elements b with a_b(e) != 0: the minimum, and e itself."""
+        return (0,) if e == 0 else (0, e)
+
+    def common_denominator(self) -> int:
+        """A denominator of every rho value and every weight (both are
+        differences of points)."""
+        return math.lcm(*(p.denominator for p in self.points))
 
 
 def flat_model(N: int) -> LazySemilatticeModel:

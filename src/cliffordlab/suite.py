@@ -275,7 +275,7 @@ def criterion_metric_axioms() -> CriterionResult:
 def eta_injective_on_data(data, e):
     """Injectivity of g -> (phi_{e,b}(g)) over the basis elements way-below
     e, straight from the definition."""
-    D = [b for b in data.basis if data.emodel.way_below(b, e)]
+    D = [b for b in data.basis if data.emodel.le(b, e)]
     seen = {}
     for g in data.blocks[e].group.elements():
         key = tuple(data.phi(e, b, g) for b in D)
@@ -310,7 +310,7 @@ def criterion_separation() -> CriterionResult:
                         if d <= 0:
                             failures.append(f"{name}: zero distance at e={e}")
                         b = separation_witness(inst, e, g, h)
-                        if b is None or not inst.emodel.way_below(b, e):
+                        if b is None or not inst.emodel.le(b, e):
                             failures.append(f"{name}: no separating witness at e={e}")
                     elif d > 0:
                         failures.append(f"{name}: unexpected separation at e={e}")

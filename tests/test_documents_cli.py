@@ -1,9 +1,14 @@
 """Document parsing, shipped example files, and the command-line front end."""
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffordlab import catalog as cat
 from cliffordlab import documents as docs
@@ -309,3 +314,98 @@ def test_cli_rejects_a_boolean_or_out_of_range_integer_field(
     path.write_text(json.dumps(raw))
     err = cli_error(capsys, command, str(path))
     assert err.startswith(f"error: {field}: ")
+
+
+def write_metric_doc(directory, name, change=None, drop=None):
+    """A shipped metric-data document with body fields replaced or dropped,
+    written as JSON text; returns its path."""
+    raw = json.loads(read_shipped(f"{name}.metric.json"))
+    raw["body"].update(change or {})
+    raw["body"].pop(drop, None)
+    path = directory / f"{name}.metric.json"
+    # a sentinel stands for the float literal 1e999, which parses to inf
+    path.write_text(json.dumps(raw).replace('"<1e999>"', "1e999"))
+    return path
+
+
+@pytest.mark.parametrize("name, change, field", [
+    ("twochain", {"rho": 5}, "body.rho"),
+    ("twochain", {"rho": [5, 6]}, "body.rho"),
+    ("twochain", {"d": 5}, "body.d"),
+    ("twochain", {"d": {"0": 5}}, "body.d.0"),
+    ("twochain", {"d": {"x": [[0]]}}, "body.d.x"),
+    ("twochain", {"d": {"9": [["0"]]}}, "body.d.9"),
+    ("twochain", {"basis": 5}, "body.basis"),
+    ("twochain", {"base_points": 5}, "body.base_points"),
+    ("twochain", {"base_points": {"x": 0}}, "body.base_points.x"),
+    ("twochain", {"base_points": {"1": "a"}}, "body.base_points.1"),
+    ("twochain", {"enumerations": 5}, "body.enumerations"),
+    ("twochain", {"enumerations": {"1": 5}}, "body.enumerations.1"),
+    ("twochain", {"enumerations": {"1": [0, "a"]}}, "body.enumerations.1"),
+    ("flat3", {"base_points": 5}, "body.base_points"),
+    ("flat3", {"base_points": {"4": 0}}, "body.base_points.4"),
+], ids=["rho-int", "rho-row-int", "d-int", "d-value-int", "d-key-x",
+        "d-key-outside-e", "basis-int", "base-points-int", "base-points-key-x",
+        "base-point-string", "enumerations-int", "enumeration-int",
+        "enumeration-string", "flat-base-points-int",
+        "flat-base-points-key-outside-e"])
+def test_cli_validate_names_the_bad_metric_data_field(capsys, tmp_path, name,
+                                                       change, field):
+    err = cli_error(capsys, "validate", str(write_metric_doc(tmp_path, name, change)))
+    assert err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize("name, change, command, block", [
+    ("twochain", {"d": {"1": [["0"]]}}, ["validate"], "d_1"),
+    ("twochain", {"d": {"1": [["0"]]}}, ["metric-suite"], "d_1"),
+    ("twochain", {"d": {"1": [["0"]]}}, ["metric-eval", "bowman"], "d_1"),
+    ("twochain", {"d": {"1": [["0"]]}}, ["metric-eval", "yeager"], "d_1"),
+    ("twochain", {"d": {"1": [["0", "1"], ["1"]]}}, ["validate"], "d_1"),
+    ("twochain", {"d": {"1": [["0", "1"], ["1"]]}}, ["metric-eval", "yeager"],
+     "d_1"),
+    ("twochain", {"rho": [["0", "1"], ["1"]]}, ["metric-eval", "yeager"], "rho"),
+    ("twochain", {"rho": [["0"]]}, ["metric-eval", "yeager"], "rho"),
+    ("twochain", {"base_points": {"1": 7}}, ["validate"], "base point 7 at 1"),
+    ("flat3", {"base_points": {"1": 7}}, ["validate"], "base point 7 at 1"),
+    ("twochain", {"basis": []}, ["validate"], "basis"),
+], ids=["d-too-small-validate", "d-too-small-suite", "d-too-small-bowman",
+        "d-too-small-yeager", "d-ragged-validate", "d-ragged-yeager",
+        "rho-ragged-yeager", "rho-too-small-yeager", "base-point-outside-group",
+        "flat-base-point-outside-group", "basis-empty"])
+def test_cli_metric_shape_errors_name_the_block(capsys, tmp_path, name, change,
+                                                command, block):
+    path = str(write_metric_doc(tmp_path, name, change))
+    points = ["--p", "1,0", "--q", "0,0"] if command[0] == "metric-eval" else []
+    err = cli_error(capsys, *command, path, *points)
+    assert err.startswith(f"error: {block} ")
+
+
+BODY_FIELDS = {
+    "twochain": ["type", "spec", "rho", "basis", "d", "base_points",
+                 "enumerations", "pseudo"],
+    "flat3": ["type", "truncation", "fiber", "bonding", "basis", "base_points",
+              "pseudo"],
+}
+DROP = object()
+WRONG_VALUES = [5, 0.5, "<1e999>", True, False, "a", None, [], [0, 1], {},
+                {"1": 0}, {"1": [0, 1]}, [[0, 1], [1]], [["0", "1"], ["1"]],
+                [["0", "1"], ["1", "0"]], [["0"]]]
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(BODY_FIELDS)), data=st.data())
+def test_fuzzed_metric_data_ends_in_a_result_or_an_error_line(name, data):
+    field = data.draw(st.sampled_from(BODY_FIELDS[name]))
+    value = data.draw(st.sampled_from([DROP, *WRONG_VALUES]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = (write_metric_doc(Path(tmp), name, drop=field) if value is DROP
+                else write_metric_doc(Path(tmp), name, {field: value}))
+        for command in ("validate", "metric-suite"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, str(path)])
+            if code == 0:
+                assert out.getvalue() and not err.getvalue()
+            else:
+                assert code == 1 and err.getvalue().startswith("error: "), \
+                    (field, value, command, err.getvalue())

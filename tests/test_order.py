@@ -1,11 +1,15 @@
 """Way-below relation, domain bases, and the flat semilattice model."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from cliffordlab import catalog as cat
-from cliffordlab.errors import TooLarge
+from cliffordlab import suite
+from cliffordlab.errors import TooLarge, WorkbenchError
+from cliffordlab.metrics import PosetEModel
 from cliffordlab.order import (
     flat_model,
     is_basis,
@@ -65,6 +69,35 @@ def test_bottom_alone_is_not_a_basis_of_flat_poset():
     assert witness in (1, 2, 3)
 
 
+def reference_is_basis(P, B):
+    """The definition loop is_basis replaces: each B_x = {b in B : b <= x}
+    must be nonempty, up-directed and have sup x."""
+    B = sorted(set(B))
+    for x in P.elements():
+        Bx = [b for b in B if P.le(b, x)]
+        if not Bx or not P.is_up_directed(Bx) or P.sup(Bx) != x:
+            return False, x
+    return True, None
+
+
+def test_is_basis_matches_the_directed_sup_loop_on_every_subset():
+    checked = 0
+    for P in suite._poset_family():
+        for r in range(P.n + 1):
+            for B in itertools.combinations(P.elements(), r):
+                assert is_basis(P, B) == reference_is_basis(P, B), (P, B)
+                checked += 1
+    assert checked > 1000
+
+
+def test_is_basis_reads_only_the_elements_of_the_flat_model():
+    M = flat_model(3)
+    assert is_basis(M, [0, 1, 2, 3]) == (True, None)
+    assert is_basis(M, [3, 1, 0]) == (False, 2)
+    with pytest.raises(WorkbenchError, match="basis element 4"):
+        is_basis(M, [0, 4])
+
+
 def test_lawson_basic_on_flat_poset():
     P = poset_of_semilattice(cat.flat_semilattice(3))
     # way-up of the bottom is everything; removing the upper set of one atom
@@ -89,11 +122,58 @@ def test_flat_model_points_and_order():
     M = flat_model(3)
     assert M.points == (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3))
     assert M.minimum() == 0
-    # the way-up set of 1/2 is {1/2}; the bottom is way below everything
+    # way-below is <=: the way-up set of 1/2 is {1/2}, and the bottom is
+    # way below everything
     for x in M.elements():
-        assert M.way_below(2, x) == (x == 2)
-        assert M.way_below(0, x)
+        assert M.le(2, x) == (x == 2)
+        assert M.le(0, x)
     assert M.rho(2, 3) == Fraction(1, 6)
+
+
+def reference_flat_gaps(points):
+    """The nearest-point gap loop of the former stand-alone flat E-model."""
+    order = sorted(range(len(points)), key=lambda i: points[i])
+    gaps = [Fraction(0)] * len(points)
+    for k, i in enumerate(order):
+        best = None
+        if k > 0:
+            best = points[i] - points[order[k - 1]]
+        if k + 1 < len(order):
+            right = points[order[k + 1]] - points[i]
+            best = right if best is None else min(best, right)
+        gaps[i] = best if best is not None else Fraction(0)
+    return gaps
+
+
+def test_flat_weights_match_the_gap_loop():
+    for N in range(1, 61):
+        M = flat_model(N)
+        gaps = reference_flat_gaps(M.points)
+        for b in M.elements():
+            assert M.a_weight_raw(b, b) == gaps[b]
+            assert M.a_weight_raw(b, (b + 1) % M.n) == 0
+        for e in M.elements():
+            assert tuple(M.weight_support(e)) == ((0,) if e == 0 else (0, e))
+        assert M.common_denominator() == math.lcm(
+            *(p.denominator for p in M.points))
+        assert all(M.common_denominator() % g.denominator == 0 for g in gaps)
+
+
+def test_flat_model_is_the_poset_e_model_of_its_order_and_rho():
+    # PosetEModel reads the weights off the definition: the distance from e
+    # to the complement of the up-set of b (the raw weight of the minimum is
+    # never read: a_weight is 1 there)
+    for N in range(1, 9):
+        M = flat_model(N)
+        P = validate_poset([[M.le(i, j) for j in M.elements()]
+                            for i in M.elements()])
+        ref = PosetEModel(P, [[M.rho(i, j) for j in M.elements()]
+                              for i in M.elements()])
+        for e in M.elements():
+            assert list(M.weight_support(e)) == ref.weight_support(e)
+            for b in M.elements()[1:]:
+                assert M.a_weight_raw(b, e) == ref.a_weight_raw(b, e)
+        assert ref.common_denominator() == M.common_denominator()
 
 
 def test_random_posets_oracle_equivalence():
