@@ -80,7 +80,7 @@ def _parse_point(groups: dict, text: str) -> Point:
     if e not in groups:
         raise WorkbenchError(f"no group block at element {e}")
     group = groups[e]
-    if g_part.lstrip("-").isdigit():
+    if g_part.removeprefix("-").isdecimal():
         g = int(g_part)
         if not 0 <= g < group.n:
             raise WorkbenchError(f"group index {g} out of range at {e}")
@@ -207,7 +207,7 @@ def _cmd_j_classes(args):
 
 def _cmd_trivial_check(args):
     S = docs.build_semigroup(_load(args.file))
-    theta = is_trivial_clifford(S, budget=args.budget)
+    theta = is_trivial_clifford(S)
     if theta is None:
         lines = ["not a semilattice-group direct product"]
         payload = {"trivial": False}
@@ -464,8 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("trivial-check", _cmd_trivial_check,
             "is the semigroup a semilattice-group direct product?")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=500_000,
-                   help="search step budget")
     p = add("way-below", _cmd_way_below, "way-below relation of a poset")
     p.add_argument("file")
     p = add("basis-check", _cmd_basis_check, "is a subset a domain basis?")

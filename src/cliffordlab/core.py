@@ -9,6 +9,7 @@ All operations are pure functions over immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from operator import eq, itemgetter
 from typing import Optional
 
@@ -406,66 +407,40 @@ def isomorphisms(G: FiniteSemigroup, H: FiniteSemigroup, budget: _Budget):
     yield from extend(0)
 
 
-def is_trivial_clifford(S: FiniteSemigroup, budget: int = 500_000):
-    """Search for isomorphisms theta_e: G_e -> G_ref exhibiting every bonding
-    map as theta_e^-1 o theta_f, i.e. S as a semilattice-group direct product.
+def is_trivial_clifford(S: FiniteSemigroup):
+    """The isomorphisms theta_e: G_e -> G_ref exhibiting every bonding map as
+    phi_{f,e} = theta_e^-1 o theta_f, i.e. S as the direct product
+    E(S) x G_ref, or None when S is no such product.
 
-    Returns {e: theta_e} on success (theta_e maps global indices of G_e to
-    global indices of the reference group), None when no family exists.
-    The search is exhaustive within the budget; exceeding it raises
-    SearchBudgetExceeded rather than guessing.  It runs on the validated
-    spec of S, in E(S) and local group indices.
+    Returns {e: theta_e} keyed by idempotent, theta_e mapping global indices
+    of G_e to global indices of G_ref, the group of E-index 0; theta_ref = id.
+    Proof: E(S) has a minimum m and phi_{f,m} = phi_{e,m} o phi_{f,e}, so any
+    family has theta_e = theta_m o phi_{e,m} and needs every phi_{e,m}
+    bijective; if they are, theta_e = phi_{ref,m}^-1 o phi_{e,m} is one, and
+    the only one with theta_ref = id.  It reads the validated spec of S.
     """
-    from .semilattice import _decompose, direct_product, iso_equivalent
+    from .semilattice import _decompose
 
     spec, fibers = _decompose(S)
-    groups = spec.groups
-    E = list(spec.E.elements())
-    ref = max(E, key=lambda e: (groups[e].n, -e))
-    if any(groups[e].n != groups[ref].n for e in E):
+    E, G = spec.E, spec.groups[0]
+    m = reduce(E.mul, E.elements())
+    to_min = [spec.bonding[(e, m)] for e in E.elements()]
+    # phi_{m,m} = id, so the lengths also ask |G_m| = |G_0|
+    if any(len(set(phi)) != len(phi) or len(phi) != G.n for phi in to_min):
         return None
-    bud = _Budget(budget)
-    iso_lists = {}
-    for e in E:
-        isos = list(isomorphisms(groups[e], groups[ref], bud))
-        if not isos:
-            return None
-        iso_lists[e] = isos
-    # Fixing theta_ref = id is no loss: the condition is invariant under
-    # composing every theta_e with a common automorphism.
-    iso_lists[ref] = [tuple(range(groups[ref].n))]
-    chosen: dict[int, tuple[int, ...]] = {}
-
-    def compatible(e, th_e, f, th_f):
-        # phi_{hi,lo} = theta_lo^-1 o theta_hi on the comparable pair
-        for lo, hi, th_lo, th_hi in ((e, f, th_e, th_f), (f, e, th_f, th_e)):
-            if spec.le(lo, hi) and any(
-                th_lo[y] != t for y, t in zip(spec.bonding[(hi, lo)], th_hi)
-            ):
-                return False
-        return True
-
-    def search(i):
-        if i == len(E):
-            return True
-        e = E[i]
-        for iso in iso_lists[e]:
-            bud.spend()
-            if all(compatible(e, iso, f, chosen[f]) for f in E[:i]):
-                chosen[e] = iso
-                if search(i + 1):
-                    return True
-                del chosen[e]
-        return False
-
-    if not search(0):
-        return None
-    # A positive answer must mean S is isomorphic to E(S) x G_ref.
-    prod = direct_product(spec.E, groups[ref])
-    if iso_equivalent(prod.semigroup, S, budget=budget) is None:
-        raise InternalInconsistency(
-            "trivial-Clifford family found but product not isomorphic to S"
-        )
-    _, ref_members = fibers[ref]
-    return {idem: {x: ref_members[t] for x, t in zip(members, chosen[e])}
+    from_min = {t: u for u, t in enumerate(to_min[0])}
+    theta = [[from_min[t] for t in phi] for phi in to_min]
+    # A positive answer must mean x = (e, i) -> (e, theta_e(i)) is an
+    # isomorphism of S onto E(S) x G_ref.
+    image = [None] * S.n
+    for e, (_, members) in enumerate(fibers):
+        for x, u in zip(members, theta[e]):
+            image[x] = (e, u)
+    for (e, u), row in zip(image, S.table):
+        if any(image[xy] != (E.table[e][f], G.table[u][v])
+               for xy, (f, v) in zip(row, image)):
+            raise InternalInconsistency(
+                "trivial-Clifford family does not preserve the products of S")
+    _, ref_members = fibers[0]
+    return {idem: {x: ref_members[u] for x, u in zip(members, theta[e])}
             for e, (idem, members) in enumerate(fibers)}

@@ -137,14 +137,14 @@ def _check_spec_body(body, path):
     if not isinstance(body["groups"], dict):
         raise SchemaError(f"{path}.groups", "expected an object")
     for key, g in body["groups"].items():
-        if not key.isdigit():
+        if not key.isdecimal():
             raise SchemaError(f"{path}.groups.{key}", "keys are element indices")
         _check_cayley_body(g, f"{path}.groups.{key}")
     if not isinstance(body["bonding"], dict):
         raise SchemaError(f"{path}.bonding", "expected an object")
     for key, phi in body["bonding"].items():
         parts = key.split("->")
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
             raise SchemaError(f"{path}.bonding.{key}", 'keys look like "f->e"')
         _check_int_list(phi, f"{path}.bonding.{key}")
 

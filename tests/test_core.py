@@ -9,7 +9,7 @@ from operator import eq, itemgetter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cliffordlab import catalog as cat, core
+from cliffordlab import catalog as cat, core, semilattice
 from cliffordlab.core import (
     Classification,
     FiniteSemigroup,
@@ -464,20 +464,20 @@ def reference_decompose(S):
     return validate_spec(semilattice_of_idempotents(S), local, local_bonding)
 
 
-def reference_is_trivial_clifford(S, budget=500_000):
-    """(theta family or None, budget spent by the theta search), searching
-    in global indices over the tabulated bonding maps."""
+def reference_is_trivial_clifford(S):
+    """The theta family or None, searching the isomorphisms G_e -> G_ref in
+    global indices over the tabulated bonding maps."""
     groups, E, le, bonding = reference_bonding_maps(S)
     ref = max(E, key=lambda e: (len(groups[e]), -e))
     if any(len(groups[e]) != len(groups[ref]) for e in E):
-        return None, 0
-    bud = _Budget(budget)
+        return None
+    bud = _Budget(500_000)
     locals_ = {e: local_group_table(S, groups[e]) for e in E}
     iso_lists = {}
     for e in E:
         isos = list(isomorphisms(locals_[e], locals_[ref], bud))
         if not isos:
-            return None, bud.used
+            return None
         iso_lists[e] = isos
     chosen = {}
 
@@ -513,30 +513,16 @@ def reference_is_trivial_clifford(S, budget=500_000):
 
     family = search(0)
     if family is None:
-        return None, bud.used
+        return None
     prod = direct_product(semilattice_of_idempotents(S), locals_[ref])
-    if iso_equivalent(prod.semigroup, S, budget=budget) is None:
+    if iso_equivalent(prod.semigroup, S) is None:
         raise InternalInconsistency("product not isomorphic to S")
-    return family, bud.used
-
-
-def outcome(check, S, budget):
-    try:
-        return check(S, budget=budget)
-    except SearchBudgetExceeded:
-        return "budget exceeded"
+    return family
 
 
 def assert_structure_matches_the_references(S):
     assert decompose(S) == reference_decompose(S)
-    theta, spent = reference_is_trivial_clifford(S)
-    assert is_trivial_clifford(S) == theta
-    if spent:
-        # the same charge: both run out one node short of the reference's
-        # spend (the final product check may run out too, in both)
-        for limit in (spent - 1, spent):
-            assert outcome(is_trivial_clifford, S, limit) == outcome(
-                lambda S, budget: reference_is_trivial_clifford(S, budget)[0], S, limit)
+    assert is_trivial_clifford(S) == reference_is_trivial_clifford(S)
 
 
 @st.composite
@@ -591,6 +577,54 @@ def test_decompose_and_trivial_check_match_the_references_on_the_catalog():
 @given(strong_semilattice_specs())
 def test_decompose_and_trivial_check_match_the_references_on_generated_specs(spec):
     assert_structure_matches_the_references(assemble(spec).semigroup)
+
+
+# S3 fibres over two maximal elements 0, 1 and their meet 2, with no top;
+# S3 is ordered as sorted(permutations(range(3))), so 2 is (01), 5 is (02)
+# and 1 is (12).
+S3 = cat.symmetric_group_3()
+TWO_MAXIMAL = validate_semigroup([[0, 2, 2], [2, 1, 2], [2, 2, 2]])
+
+
+def conjugation(t):
+    return tuple(S3.mul(S3.mul(t, x), t) for x in S3.elements())
+
+
+def s3_over_two_maximal(phi_0, phi_1):
+    spec = validate_spec(TWO_MAXIMAL, {e: S3 for e in range(3)},
+                         {(0, 2): phi_0, (1, 2): phi_1})
+    return assemble(spec).semigroup
+
+
+def test_trivial_check_on_s3_bonded_by_distinct_conjugations():
+    S = s3_over_two_maximal(conjugation(2), conjugation(1))
+    theta = is_trivial_clifford(S)
+    assert theta == reference_is_trivial_clifford(S)
+    assert theta[0] == {x: x for x in range(6)}  # theta_ref = id
+    for e in theta:
+        for f in theta:
+            if e != f and S.mul(e, f) == e:
+                # phi_{f,e}(x) = ex equals theta_e^-1 theta_f(x)
+                assert all(theta[e][S.mul(e, x)] == theta[f][x] for x in theta[f])
+
+
+def test_trivial_check_rejects_s3_with_a_sign_bonding():
+    # onto {id, (01)}: all fibres have order 6, but phi_{1,2} is no bijection
+    sign = tuple(0 if p in (0, 3, 4) else 2 for p in S3.elements())
+    S = s3_over_two_maximal(conjugation(2), sign)
+    assert is_trivial_clifford(S) is None
+    assert reference_is_trivial_clifford(S) is None
+
+
+def test_trivial_check_guard_certifies_the_family_on_the_table(monkeypatch):
+    # the identity family of E x S3 read against a table bonded by conjugation
+    twisted = s3_over_two_maximal(conjugation(2), conjugation(1))
+    product = s3_over_two_maximal(tuple(range(6)), tuple(range(6)))
+    monkeypatch.setattr(semilattice, "_decompose",
+                        lambda S, real=semilattice._decompose: real(product))
+    assert is_trivial_clifford(product) is not None
+    with pytest.raises(InternalInconsistency):
+        is_trivial_clifford(twisted)
 
 
 # ---------------------------------------------------------------------------

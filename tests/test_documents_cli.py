@@ -401,11 +401,86 @@ def test_fuzzed_metric_data_ends_in_a_result_or_an_error_line(name, data):
         path = (write_metric_doc(Path(tmp), name, drop=field) if value is DROP
                 else write_metric_doc(Path(tmp), name, {field: value}))
         for command in ("validate", "metric-suite"):
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main([command, str(path)])
-            if code == 0:
-                assert out.getvalue() and not err.getvalue()
-            else:
-                assert code == 1 and err.getvalue().startswith("error: "), \
-                    (field, value, command, err.getvalue())
+            assert_result_or_error_line(command, path, (field, value))
+
+
+def assert_result_or_error_line(command, path, case):
+    """Run `command path` in-process: exit 0 with output, or exit 1 with an
+    `error:` line and no output."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command, str(path)])
+    if code == 0:
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert code == 1 and err.getvalue().startswith("error: "), \
+            (case, command, err.getvalue())
+
+
+@pytest.mark.parametrize("where, old, new", [
+    ("groups", "1", "²"),
+    ("bonding", "1->0", "¹->0"),
+], ids=["group-key-superscript", "bonding-key-superscript"])
+def test_cli_validate_rejects_a_spec_key_that_is_no_decimal_index(
+        capsys, tmp_path, where, old, new):
+    raw = json.loads(read_shipped("twochain.spec.json"))
+    keys = raw["body"][where]
+    keys[new] = keys.pop(old)
+    path = tmp_path / "twochain.spec.json"
+    path.write_text(json.dumps(raw))
+    err = cli_error(capsys, "validate", str(path))
+    assert err.startswith(f"error: body.{where}.{new}: ")
+
+
+@pytest.mark.parametrize("point", ["1,²", "1,--1"])
+def test_cli_metric_eval_rejects_a_point_that_is_no_index_or_label(capsys, point):
+    err = cli_error(capsys, "metric-eval", "bowman", "twochain.metric",
+                    "--p", point, "--q", "1,b")
+    assert err == f"error: unknown group element {point[2:]!r} at 1\n"
+
+
+SCHEMA_FIELDS = {"twochain.spec": ["e", "groups", "bonding"],
+                 "z2.cayley": ["n", "table", "labels"]}
+NON_ASCII_DIGITS = ["²", "¹", "٣", "１"]
+
+
+def key_paths(node, path=()):
+    """The path of every object key inside a JSON value."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield (*path, key)
+            yield from key_paths(value, (*path, key))
+
+
+def renamed(key, digit):
+    """key with its first ASCII digit, or the whole key if it has none,
+    replaced by digit."""
+    i = next((i for i, c in enumerate(key) if c in "0123456789"), None)
+    return digit if i is None else key[:i] + digit + key[i + 1:]
+
+
+@settings(max_examples=70, deadline=None)
+@given(name=st.sampled_from(sorted(SCHEMA_FIELDS)), data=st.data())
+def test_fuzzed_structure_documents_end_in_a_result_or_an_error_line(name, data):
+    raw = json.loads(read_shipped(f"{name}.json"))
+    body = raw["body"]
+    edit = data.draw(st.sampled_from(["rename", "drop", "replace"]))
+    if edit == "rename":
+        *outer, key = data.draw(st.sampled_from(list(key_paths(body))))
+        parent = body
+        for k in outer:
+            parent = parent[k]
+        case = (key, renamed(key, data.draw(st.sampled_from(NON_ASCII_DIGITS))))
+        parent[case[1]] = parent.pop(key)
+    elif edit == "drop":
+        case = (data.draw(st.sampled_from(SCHEMA_FIELDS[name])), "dropped")
+        del body[case[0]]
+    else:
+        case = (data.draw(st.sampled_from(SCHEMA_FIELDS[name])),
+                data.draw(st.sampled_from(WRONG_VALUES)))
+        body[case[0]] = case[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{name}.json"
+        path.write_text(json.dumps(raw).replace('"<1e999>"', "1e999"))
+        for command in ("validate", "trivial-check"):
+            assert_result_or_error_line(command, path, case)

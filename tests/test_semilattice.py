@@ -423,8 +423,8 @@ def test_validation_matches_the_le_call_loops_on_the_catalog():
 def test_one_structure_op_calls_classify_and_iso_equivalent_a_fixed_number_of_times(spec):
     """spec text -> assemble -> classify -> decompose -> text -> assemble ->
     iso_equivalent, green_j_classes, is_trivial_clifford.  The trivial check
-    assembles and compares E x G exactly when every bonding map is a
-    bijection."""
+    reads the bonding maps into the minimum and the table, so it neither
+    classifies nor searches."""
     calls = Counter()
 
     def counting(name, fn):
@@ -452,4 +452,4 @@ def test_one_structure_op_calls_classify_and_iso_equivalent_a_fixed_number_of_ti
     bijective = all(sorted(phi) == list(range(spec.groups[e].n))
                     for (f, e), phi in spec.bonding.items())
     assert (trivial is not None) == bijective
-    assert calls == {"classify": 5 + bijective, "iso_equivalent": 1 + bijective}
+    assert calls == {"classify": 5, "iso_equivalent": 1}
