@@ -4,6 +4,10 @@ Structure analysis of finite semigroups, strong-semilattice assembly and
 decomposition, explicit series/isometric metrics with rigorous truncation
 bounds, finite-topology openness equivalences, and numerical probes of
 chart models around an idempotent.
+
+Only the chart probes use numpy, so the `charts` names (`ChartModel`, the
+four model builders, `differentiability_probe`, `fixed_point_scan`,
+`rigidity_report`) are re-exported lazily: numpy loads on first access.
 """
 
 from .core import (
@@ -51,16 +55,30 @@ from .topology import (
     prop34_equivalences,
     validate_topology,
 )
-from .charts import (
-    ChartModel,
-    additive_model,
-    affine_model,
-    differentiability_probe,
-    fixed_point_scan,
-    min_plus_model,
-    polynomial_model,
-    rigidity_report,
+
+_CHART_NAMES = (
+    "ChartModel",
+    "additive_model",
+    "affine_model",
+    "differentiability_probe",
+    "fixed_point_scan",
+    "min_plus_model",
+    "polynomial_model",
+    "rigidity_report",
 )
+
+
+def __getattr__(name):
+    if name in _CHART_NAMES:
+        from . import charts
+
+        return getattr(charts, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_CHART_NAMES])
+
 
 __version__ = "0.1.0"
 

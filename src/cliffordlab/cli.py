@@ -16,10 +16,10 @@ from fractions import Fraction
 from importlib import resources
 
 from . import documents as docs
-from . import suite
 from .core import classify, green_j_classes, is_semilattice, is_trivial_clifford
 from .errors import WorkbenchError
 from .metrics import (
+    CONVERGENCE_SCHEDULE,
     Point,
     bowman_distance,
     disjoint_union_distance,
@@ -35,7 +35,6 @@ from .topology import (
     order_graph_closed,
     prop34_equivalences,
 )
-from .charts import rigidity_report
 
 
 def _load(path: str) -> docs.WorkbenchDocument:
@@ -354,7 +353,7 @@ def _cmd_converge(args):
     if args.ks:
         ks = _parse_ints(args.ks)
     else:  # the default schedule, cut to the blocks of this document
-        ks = [k for k in suite.CONVERGENCE_SCHEDULE if k in data.blocks]
+        ks = [k for k in CONVERGENCE_SCHEDULE if k in data.blocks]
     groups = {e: blk.group for e, blk in data.blocks.items()}
     limit = _parse_point(groups, f"0,{args.g}")
     du = {e: blk.d for e, blk in data.blocks.items()}
@@ -379,6 +378,8 @@ def _cmd_converge(args):
 
 
 def _cmd_c1_probe(args):
+    from .charts import rigidity_report
+
     model = docs.build_chart_model(_load(args.file))
     rep = rigidity_report(model, scan_radius=args.scan, grid_step=args.grid,
                           newton_iters=args.newton)
@@ -417,6 +418,8 @@ def _cmd_c1_probe(args):
 
 
 def _cmd_demo(args):
+    from . import suite
+
     results = suite.run_all()
     ok = all(r.passed for r in results)
     lines = suite.human_report(results).splitlines()

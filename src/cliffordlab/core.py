@@ -126,6 +126,9 @@ def validate_semigroup(table, labels=None) -> FiniteSemigroup:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise IndexOutOfRange(f"row {i} has length {len(row)}, expected {n}")
+        # any other row (int subclasses too) is read cell by cell below
+        if set(map(type, row)) == {int} and 0 <= min(row) and max(row) < n:
+            continue
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
                 raise IndexOutOfRange(f"table[{i}][{j}] = {v!r} not an index < {n}")

@@ -17,7 +17,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charts import BUILTIN_MODELS, ChartModel, polynomial_model
 from .core import FiniteSemigroup, validate_semigroup
 from .errors import SchemaError
 from .metrics import (
@@ -232,7 +231,11 @@ def _check_chart_model(body):
     if not isinstance(body, dict):
         raise SchemaError("body", "expected object")
     if "builtin" in body:
+        from .charts import BUILTIN_MODELS
+
         _require(body, "body", ["builtin"], ["dim", "radius"])
+        if not isinstance(body["builtin"], str):
+            raise SchemaError("body.builtin", "expected a string")
         if body["builtin"] not in BUILTIN_MODELS:
             raise SchemaError(
                 "body.builtin",
@@ -404,6 +407,8 @@ def build_yeager_data(doc: WorkbenchDocument) -> YeagerMetricData:
 
 
 def build_chart_model(doc: WorkbenchDocument) -> ChartModel:
+    from .charts import BUILTIN_MODELS, polynomial_model
+
     _expect_kind(doc, "chart-model")
     body = doc.body
     if "builtin" in body:

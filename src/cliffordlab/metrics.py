@@ -277,6 +277,10 @@ def bowman_distance(data: BowmanMetricData, p: Point, q: Point,
     return BoundedValue(value=Fraction(total, D), tail_bound=tail)
 
 
+# k of the points 1/k where convergence along (1/k, g) is sampled
+CONVERGENCE_SCHEDULE = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000)
+
+
 def separation_witness(data: BowmanMetricData, e: int, g: int, h: int):
     """A basis element b way-below e whose bonding map separates g and h,
     or None when the (possibly truncated) basis cannot separate them."""

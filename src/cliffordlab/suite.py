@@ -26,6 +26,7 @@ from .charts import (
 )
 from .core import classify, green_j_classes, pi_and_subgroups
 from .metrics import (
+    CONVERGENCE_SCHEDULE,
     Point,
     a_weight,
     bowman_data_from_spec,
@@ -327,9 +328,6 @@ def criterion_separation() -> CriterionResult:
                    f"{checked} pairs + pseudo-metric failure" +
                    ("; " + "; ".join(failures[:3]) if failures else ""),
                    t0)
-
-
-CONVERGENCE_SCHEDULE = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000)
 
 
 def convergence_instance(N: int = 2000):

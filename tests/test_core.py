@@ -1,6 +1,7 @@
 """Structure analysis of finite semigroups from their Cayley tables."""
 
 import dataclasses
+import enum
 import itertools
 import math
 import random
@@ -247,6 +248,76 @@ def test_validation_matches_the_witness_loop_on_every_table_of_order_at_most_3()
         for cells in itertools.product(range(n), repeat=n * n):
             assert_validation_matches_the_witness_loop(
                 [list(cells[i * n:(i + 1) * n]) for i in range(n)])
+
+
+def reference_validate_index(table):
+    """The shape and index check of validate_semigroup as it was: every
+    cell read with two isinstance calls and a chained comparison."""
+    rows = tuple(tuple(row) for row in table)
+    n = len(rows)
+    if n == 0:
+        raise IndexOutOfRange("empty table")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise IndexOutOfRange(f"row {i} has length {len(row)}, expected {n}")
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
+                raise IndexOutOfRange(f"table[{i}][{j}] = {v!r} not an index < {n}")
+
+
+class Cell(enum.IntEnum):
+    A = 0
+    B = 1
+    C = 2
+    D = 5
+
+
+def index_check_outcome(check, table):
+    """The IndexOutOfRange message of check(table), or None when the table
+    passes the index check (a NotAssociative table passes it)."""
+    try:
+        check(table)
+    except IndexOutOfRange as exc:
+        return str(exc)
+    except NotAssociative:
+        pass
+    return None
+
+
+@st.composite
+def tables_with_odd_cells(draw):
+    """Tables of order 1-4 whose cells are mostly indices, some of them
+    bools, floats, negatives, n or more, or IntEnum members; a row is
+    ragged now and then."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    odd = st.one_of(st.booleans(), st.sampled_from([0.0, 1.0, 0.5, float("nan")]),
+                    st.integers(min_value=-3, max_value=-1),
+                    st.integers(min_value=n, max_value=n + 2), st.sampled_from(Cell))
+    cell = st.one_of(st.integers(min_value=0, max_value=n - 1), odd)
+    table = [draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        table[i] = draw(st.lists(cell, max_size=n + 1))
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_odd_cells())
+def test_index_check_matches_the_cell_loop(table):
+    expected = index_check_outcome(reference_validate_index, table)
+    assert index_check_outcome(validate_semigroup, table) == expected
+    if expected is None and not associativity_witnesses(table):
+        assert validate_semigroup(table).table == tuple(map(tuple, table))
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 1], [1, True]], [[0, 1], [1, 0.0]], [[0, -1], [1, 0]], [[0, 1], [1, 2]],
+    [[Cell.A, Cell.B], [Cell.B, Cell.A]], [[0, 1], [Cell.B, Cell.C]],
+    [[0, 1], [1]], [[0, 1], [1, 0, 1]], [], [[0]], [[1]],
+])
+def test_index_check_matches_the_cell_loop_on_each_kind_of_cell(table):
+    assert (index_check_outcome(validate_semigroup, table)
+            == index_check_outcome(reference_validate_index, table))
 
 
 def j_classes_by_ideal_sets(S):

@@ -243,10 +243,12 @@ def test_cli_c1_probe_rejects_a_grid_that_cannot_be_built(capsys, grid):
     ({"builtin": "min-plus", "dim": 3}, "body.dim"),
     ({"builtin": "additive", "radius": 0}, "body.radius"),
     ({"builtin": "additive", "radius": -1.0}, "body.radius"),
+    ({"builtin": []}, "body.builtin"),
+    ({"builtin": {"additive": 1}}, "body.builtin"),
 ], ids=["coordinate-not-a-list", "string-exponent", "float-exponent",
         "bool-coefficient", "infinite-coefficient", "bool-exponent",
         "negative-exponent", "min-plus-dim-3", "zero-radius",
-        "negative-radius"])
+        "negative-radius", "builtin-list", "builtin-object"])
 def test_cli_validate_rejects_a_bad_chart_model(capsys, tmp_path, body, field):
     path = tmp_path / "bad.chart.json"
     path.write_text(json.dumps({"kind": "chart-model", "meta": {"name": "bad"},
@@ -459,9 +461,10 @@ def renamed(key, digit):
     return digit if i is None else key[:i] + digit + key[i + 1:]
 
 
-@settings(max_examples=70, deadline=None)
-@given(name=st.sampled_from(sorted(SCHEMA_FIELDS)), data=st.data())
-def test_fuzzed_structure_documents_end_in_a_result_or_an_error_line(name, data):
+def fuzzed_document(name, fields, data):
+    """The shipped document `name` with one key renamed to a non-ASCII digit,
+    or one of `fields` dropped or replaced by a wrong value; returns the
+    JSON text and the edit."""
     raw = json.loads(read_shipped(f"{name}.json"))
     body = raw["body"]
     edit = data.draw(st.sampled_from(["rename", "drop", "replace"]))
@@ -473,14 +476,45 @@ def test_fuzzed_structure_documents_end_in_a_result_or_an_error_line(name, data)
         case = (key, renamed(key, data.draw(st.sampled_from(NON_ASCII_DIGITS))))
         parent[case[1]] = parent.pop(key)
     elif edit == "drop":
-        case = (data.draw(st.sampled_from(SCHEMA_FIELDS[name])), "dropped")
-        del body[case[0]]
+        case = (data.draw(st.sampled_from(fields)), "dropped")
+        body.pop(case[0], None)  # an optional field may be absent
     else:
-        case = (data.draw(st.sampled_from(SCHEMA_FIELDS[name])),
-                data.draw(st.sampled_from(WRONG_VALUES)))
+        case = (data.draw(st.sampled_from(fields)), data.draw(st.sampled_from(WRONG_VALUES)))
         body[case[0]] = case[1]
+    return json.dumps(raw).replace('"<1e999>"', "1e999"), case
+
+
+def assert_fuzzed_document_ends_in_a_result_or_an_error_line(name, fields, commands,
+                                                             data):
+    text, case = fuzzed_document(name, fields, data)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"{name}.json"
-        path.write_text(json.dumps(raw).replace('"<1e999>"', "1e999"))
-        for command in ("validate", "trivial-check"):
+        path.write_text(text)
+        for command in commands:
             assert_result_or_error_line(command, path, case)
+
+
+@settings(max_examples=70, deadline=None)
+@given(name=st.sampled_from(sorted(SCHEMA_FIELDS)), data=st.data())
+def test_fuzzed_structure_documents_end_in_a_result_or_an_error_line(name, data):
+    assert_fuzzed_document_ends_in_a_result_or_an_error_line(
+        name, SCHEMA_FIELDS[name], ("validate", "trivial-check"), data)
+
+
+# Fields and commands of the other shipped documents; the chart documents
+# also run the chart schema branch and the probe.
+MODEL_FIELDS = {
+    "additive.chart": (["builtin", "dim", "radius"], ("validate", "c1-probe")),
+    "minplus.chart": (["builtin", "dim", "radius"], ("validate", "c1-probe")),
+    "chain3.poset": (["n", "leq"], ("validate",)),
+    "sierpinski.topology": (["semigroup", "opens"], ("validate",)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(MODEL_FIELDS)), data=st.data())
+def test_fuzzed_chart_poset_and_topology_documents_end_in_a_result_or_an_error_line(
+        name, data):
+    fields, commands = MODEL_FIELDS[name]
+    assert_fuzzed_document_ends_in_a_result_or_an_error_line(name, fields, commands,
+                                                             data)

@@ -1,12 +1,17 @@
-"""Every name a library module imports is used in that module, and the
-algebra modules load no numpy of their own.
+"""Every name a library module imports is used in that module, and only
+the chart path loads numpy: the other modules import neither numpy nor
+`charts` or `suite` when they load, and the package re-exports `charts`
+lazily.
 
 `__init__.py` is left out of the first check: its imports are the
 package's re-exports.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "cliffordlab"
 
@@ -39,12 +44,15 @@ def test_no_module_imports_an_unused_name():
     assert hits == []
 
 
-ALGEBRA_MODULES = ("core.py", "semilattice.py", "documents.py", "order.py")
+LEAN_MODULES = ("core.py", "semilattice.py", "documents.py", "order.py",
+                "metrics.py", "topology.py", "catalog.py", "cli.py")
 
 
 def module_level_imports(source: str) -> list[str]:
     """Top-level package names a module imports when it is loaded: every
-    import statement outside a function body."""
+    import statement outside a function body.  A relative import is
+    reported with its dot, as ".charts" for `from .charts import x` and
+    `from . import charts`."""
     found = []
 
     def visit(node):
@@ -55,6 +63,9 @@ def module_level_imports(source: str) -> list[str]:
                 found.extend(alias.name.split(".")[0] for alias in child.names)
             elif isinstance(child, ast.ImportFrom) and child.level == 0:
                 found.append(child.module.split(".")[0])
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module] if child.module else [a.name for a in child.names]
+                found.extend("." + name.split(".")[0] for name in names)
             visit(child)
 
     visit(ast.parse(source))
@@ -65,15 +76,45 @@ def test_module_level_imports_are_found():
     source = ("import numpy.linalg as la\n"
               "try:\n    from numpy import array\nexcept ImportError:\n    pass\n"
               "from .charts import x\n"
-              "def f():\n    import json\n"
+              "from . import suite, catalog as cat\n"
+              "def f():\n    import json\n    from . import charts\n"
               "class C:\n    import math\n")
-    assert module_level_imports(source) == ["numpy", "numpy", "math"]
+    assert module_level_imports(source) == [
+        "numpy", "numpy", ".charts", ".suite", ".catalog", "math"]
 
 
 def test_algebra_modules_do_not_import_numpy_at_module_level():
-    hits = [name for name in ALGEBRA_MODULES
+    hits = [name for name in LEAN_MODULES
             if "numpy" in module_level_imports((PACKAGE / name).read_text(encoding="utf-8"))]
     assert hits == []
+
+
+def test_lean_modules_do_not_import_charts_or_suite_at_module_level():
+    hits = [f"{name} {found}" for name in LEAN_MODULES
+            for found in module_level_imports((PACKAGE / name).read_text(encoding="utf-8"))
+            if found in (".charts", ".suite")]
+    assert hits == []
+
+
+NUMPY_PROBE = """
+import contextlib, io, sys
+import cliffordlab, cliffordlab.core, cliffordlab.semilattice, cliffordlab.order
+import cliffordlab.metrics, cliffordlab.topology, cliffordlab.documents
+import cliffordlab.catalog, cliffordlab.cli
+from cliffordlab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["classify", "z2.cayley"]), main(["converge", "twochain.metric"])]
+    before = "numpy" in sys.modules
+    codes.append(main(["c1-probe", "additive.chart"]))
+print(codes, before, "numpy" in sys.modules)
+"""
+
+
+def test_numpy_loads_only_on_the_chart_path():
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout == "[0, 0, 0] False True\n"
 
 
 def package_imports(source: str) -> set[str]:
@@ -93,5 +134,20 @@ def test_all_lists_exactly_the_names_the_package_imports():
     import cliffordlab
 
     source = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
-    assert sorted(cliffordlab.__all__) == sorted(package_imports(source))
+    assert not package_imports(source) & set(cliffordlab._CHART_NAMES)
+    assert sorted(cliffordlab.__all__) == sorted(
+        package_imports(source) | set(cliffordlab._CHART_NAMES))
     assert len(cliffordlab.__all__) == len(set(cliffordlab.__all__))
+
+
+def test_lazy_names_are_the_charts_objects():
+    import cliffordlab
+    from cliffordlab import charts
+
+    for name in cliffordlab._CHART_NAMES:
+        assert getattr(cliffordlab, name) is getattr(charts, name)
+        assert name in dir(cliffordlab)
+    star = {}
+    exec("from cliffordlab import *", star)
+    assert all(star[name] is getattr(cliffordlab, name) for name in cliffordlab.__all__)
+    assert not hasattr(cliffordlab, "no_such_name")
