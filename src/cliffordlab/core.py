@@ -9,7 +9,7 @@ All operations are pure functions over immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import eq, itemgetter
 from typing import Optional
 
@@ -28,10 +28,36 @@ class FiniteSemigroup:
 
     Construct via :func:`validate_semigroup`; the constructor itself does not
     re-check associativity.
+
+    The table is immutable, so the structure read off it is computed once per
+    instance and kept as a cached property: the classification, pi with its
+    fibers, the J-classes and the validated decomposition.  A property that
+    raises caches nothing and raises again on the next read.  Cached values
+    live in the instance __dict__, not in fields, so ==, hash and repr see
+    only the table and the labels.
     """
 
     table: tuple[tuple[int, ...], ...]
     labels: Optional[tuple[str, ...]] = None
+
+    @cached_property
+    def classification(self) -> Classification:
+        return _classify(self)
+
+    @cached_property
+    def pi_fibers(self) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+        return _pi_and_subgroups(self)
+
+    @cached_property
+    def j_classes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_green_j_classes(self))
+
+    @cached_property
+    def decomposition(self):
+        """The (spec, fibers) pair of semilattice._decompose."""
+        from .semilattice import _decompose
+
+        return _decompose(self)
 
     @property
     def n(self) -> int:
@@ -146,9 +172,8 @@ def idempotents(S: FiniteSemigroup) -> list[int]:
 
 
 def is_commutative(S: FiniteSemigroup) -> bool:
-    return all(
-        S.mul(x, y) == S.mul(y, x) for x in S.elements() for y in S.elements()
-    )
+    """xy = yx for all x, y: the table equals its transpose."""
+    return S.table == tuple(zip(*S.table))
 
 
 def is_semilattice(S: FiniteSemigroup) -> bool:
@@ -206,6 +231,12 @@ class Classification:
 
 
 def classify(S: FiniteSemigroup) -> Classification:
+    """Full structural classification by exhaustive checks, computed once
+    per instance (see :func:`_classify`)."""
+    return S.classification
+
+
+def _classify(S: FiniteSemigroup) -> Classification:
     """Full structural classification by exhaustive checks.
 
     The Clifford property is computed twice, as "x x^-1 = x^-1 x for all x"
@@ -249,10 +280,17 @@ def pi_and_subgroups(S: FiniteSemigroup):
     """The projection pi(x) = x x^-1 and its fibers, the maximal subgroups.
 
     Returns (pi, groups) where groups maps each idempotent e to the sorted
-    tuple of elements of G_e.  Verifies that pi is a homomorphism and that
-    each fiber is a group with identity e.  Raises NotClifford otherwise;
-    this is the one Clifford check on the decomposition path.
+    tuple of elements of G_e; groups is a fresh dict on every call.
+    Verifies that pi is a homomorphism and that each fiber is a group with
+    identity e.  Raises NotClifford otherwise; this is the one Clifford
+    check on the decomposition path.
     """
+    pi, groups = S.pi_fibers
+    return pi, dict(groups)
+
+
+def _pi_and_subgroups(S: FiniteSemigroup):
+    """pi_and_subgroups(S), computed."""
     cls = classify(S)
     if not cls.is_clifford:
         raise NotClifford("not a Clifford semigroup")
@@ -280,9 +318,13 @@ def pi_and_subgroups(S: FiniteSemigroup):
 
 
 def green_j_classes(S: FiniteSemigroup) -> list[tuple[int, ...]]:
-    """Partition by equality of principal two-sided ideals S^1 x S^1.
+    """Partition by equality of principal two-sided ideals S^1 x S^1, as a
+    fresh list of classes sorted by their least element."""
+    return list(S.j_classes)
 
-    Each ideal is an int bitmask, the union of {u} u uS over u in {x} u Sx:
+
+def _green_j_classes(S: FiniteSemigroup) -> list[tuple[int, ...]]:
+    """Each ideal is an int bitmask, the union of {u} u uS over u in {x} u Sx:
     O(n^2) big-int ORs in all.  Classes are returned sorted by their least
     element."""
     right = []
@@ -422,9 +464,7 @@ def is_trivial_clifford(S: FiniteSemigroup):
     bijective; if they are, theta_e = phi_{ref,m}^-1 o phi_{e,m} is one, and
     the only one with theta_ref = id.  It reads the validated spec of S.
     """
-    from .semilattice import _decompose
-
-    spec, fibers = _decompose(S)
+    spec, fibers = S.decomposition
     E, G = spec.E, spec.groups[0]
     m = reduce(E.mul, E.elements())
     to_min = [spec.bonding[(e, m)] for e in E.elements()]

@@ -220,12 +220,15 @@ def decompose(S: FiniteSemigroup) -> StrongSemilatticeSpec:
     """Extract the strong-semilattice data of a Clifford semigroup: E(S),
     the pi-fibers as groups, and multiplication-by-lower-idempotent as
     bonding.  assemble(decompose(S)) is isomorphic to S.  Raises NotClifford
-    on other semigroups."""
-    return _decompose(S)[0]
+    on other semigroups.  The spec is computed once per instance of S; each
+    call returns it with fresh groups and bonding dicts."""
+    spec, _ = S.decomposition
+    return StrongSemilatticeSpec(spec.E, dict(spec.groups), dict(spec.bonding))
 
 
 def _decompose(S: FiniteSemigroup):
-    """decompose(S) together with the fibers it was read from: fibers[i] is
+    """The spec of decompose(S), computed, together with the fibers it was
+    read from (FiniteSemigroup.decomposition holds the pair): fibers[i] is
     (e, G_e) for the idempotent e of E-index i, with G_e as sorted global
     indices, so local index j of group i is fibers[i][1][j].
 

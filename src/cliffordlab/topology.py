@@ -5,9 +5,9 @@ chain, closedness of the order graph, and the two basic-set constructors.
 Every finite topology is Alexandrov: it is the family of up-sets of its
 specialization preorder, and U_x, the least open set around x, is the up-set
 of x.  A topology keeps its opens as frozensets of indices and derives U_x
-once, as an int bitmask (bit y set iff y in U_x).  The checks are exact
-bitmask algebra on the U_x; the open sets themselves are read only to name a
-witness.
+once, as an int bitmask (bit y set iff y in U_x); a model derives its
+continuity verdict once.  The checks are exact bitmask algebra on the U_x;
+the open sets themselves are read only to name a witness.
 """
 
 from __future__ import annotations
@@ -15,16 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Optional
 
-from .core import (
-    FiniteSemigroup,
-    green_j_classes,
-    idempotents,
-    inverse_structure,
-    is_semilattice,
-    pi_and_subgroups,
-)
+from .core import FiniteSemigroup, idempotents, is_semilattice
 from .errors import EOutOfU, InternalInconsistency, NotACover, WorkbenchError
 from .semilattice import Assembled
 
@@ -73,6 +66,18 @@ class FiniteTopology:
         """U_x for each point x as a bitmask: the intersection of the opens
         containing x, an open set since the family is finite."""
         return _least_opens(self.n, self.opens)
+
+    @cached_property
+    def arrows(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (b, c) with c in U_b and c != b."""
+        return tuple((b, c) for b, u in enumerate(self.up) for c in _members(u)
+                     if c != b)
+
+    @cached_property
+    def ordered_opens(self) -> tuple[frozenset, ...]:
+        """The opens in sorted(opens, key=sorted) order, the order in which
+        a failing open is named."""
+        return tuple(sorted(self.opens, key=sorted))
 
     def min_open(self, x: int) -> frozenset:
         """Smallest open set containing x."""
@@ -174,12 +179,23 @@ class TopologicalSemigroupModel:
         if self.S.n != self.T.n:
             raise WorkbenchError("semigroup and topology carrier sizes differ")
 
+    @cached_property
+    def continuity(self) -> tuple[bool, Optional[frozenset]]:
+        """The verdict of continuity_check, computed once per model."""
+        return _continuity(self)
+
 
 def continuity_check(model: TopologicalSemigroupModel):
     """Is multiplication (and inversion, when S is inverse) continuous?
 
     Returns (True, None) or (False, witness_open), the witness being the
-    first failing open in sorted(opens, key=sorted) order.
+    first failing open in sorted(opens, key=sorted) order.  The verdict is
+    computed once per model."""
+    return model.continuity
+
+
+def _continuity(model: TopologicalSemigroupModel):
+    """The verdict of continuity_check, computed.
 
     The preimage of an open O under multiplication is product-open iff it
     holds U_x x U_y around each of its pairs (x, y).  Moving one factor at a
@@ -188,14 +204,14 @@ def continuity_check(model: TopologicalSemigroupModel):
     the OR of the bits t(c) over all t, b, c with t(b) = z, O fails iff some
     z in O has need[z] outside O; inversion is the same with t = inv."""
     S, T = model.S, model.T
-    steps = [(b, c) for b, u in enumerate(T.up) for c in _members(u) if c != b]
+    steps = T.arrows
     need = [0] * S.n
     for t in (*S.table, *zip(*S.table)):
         for b, c in steps:
             need[t[b]] |= 1 << t[c]
     witness = _failing_open(T, need)
     if witness is None:
-        inv = inverse_structure(S)
+        inv = S.classification.inverse
         if inv is not None:
             need = [0] * S.n
             for b, c in steps:
@@ -210,7 +226,7 @@ def _failing_open(T: FiniteTopology, need: list[int]):
     one exists iff need[z] lies outside U_z for some z."""
     if all(not r & ~u for r, u in zip(need, T.up)):
         return None
-    for O in sorted(T.opens, key=sorted):
+    for O in T.ordered_opens:
         m = _mask(O)
         if any(need[z] & ~m for z in O):
             return O
@@ -230,7 +246,7 @@ def mp_check(model: TopologicalSemigroupModel) -> bool:
     so the property is U_x <= J_x for every x."""
     S, T = model.S, model.T
     jclass = [0] * S.n
-    for c in green_j_classes(S):
+    for c in S.j_classes:
         for x in c:
             jclass[x] = _mask(c)
     return all(not u & ~j for u, j in zip(T.up, jclass))
@@ -261,9 +277,9 @@ def prop34_equivalences(model: TopologicalSemigroupModel) -> OpennessRecord:
     provably equivalent) and raises InternalInconsistency.  Raises
     NotClifford on other semigroups."""
     S, T = model.S, model.T
-    _, groups = pi_and_subgroups(S)
+    _, groups = S.pi_fibers
     mp = mp_check(model)
-    j_open = all(_is_open(T, c) for c in green_j_classes(S))
+    j_open = all(_is_open(T, c) for c in S.j_classes)
     g_open = all(_is_open(T, g) for g in groups.values())
     E = idempotents(S)
     # some open meets E in {e} iff U_e, the least open around e, does
@@ -280,7 +296,7 @@ def prop34_equivalences(model: TopologicalSemigroupModel) -> OpennessRecord:
         idempotents_discrete=e_discrete,
         disjoint_union_topology=du_equal,
     )
-    cont, _ = continuity_check(model)
+    cont, _ = model.continuity
     if cont and not rec.all_equal():
         raise InternalInconsistency(f"openness conditions disagree: {rec}")
     return rec

@@ -24,6 +24,7 @@ from cliffordlab.core import (
     green_j_classes,
     idempotents,
     inverse_structure,
+    is_commutative,
     is_trivial_clifford,
     isomorphisms,
     local_group_table,
@@ -877,3 +878,87 @@ def test_pi_homomorphism_check_names_the_first_pair():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "classify", lambda S: bad)
         assert error_or_result(pi_and_subgroups, S) == expected
+
+
+# ---------------------------------------------------------------------------
+# structure computed once per FiniteSemigroup instance
+
+
+def catalog_tables():
+    """Every table of both catalogs: the semigroup catalog, and the
+    semilattices and groups of the spec catalog."""
+    tables = list(cat.semigroup_catalog().values())
+    for spec in cat.spec_catalog().values():
+        tables += [spec.E, *spec.groups.values()]
+    return tables
+
+
+def cold(S):
+    """A new instance of the table of S, with nothing computed on it."""
+    return FiniteSemigroup(S.table, S.labels)
+
+
+def structure_by_the_cache(S):
+    return (classify(S), error_or_result(pi_and_subgroups, S), green_j_classes(S),
+            error_or_result(decompose, S), error_or_result(is_trivial_clifford, S))
+
+
+def structure_computed(S):
+    """What the cached properties hold, from their uncached bodies."""
+    return (core._classify(S), error_or_result(core._pi_and_subgroups, S),
+            core._green_j_classes(S),
+            error_or_result(lambda S: semilattice._decompose(S)[0], S),
+            error_or_result(is_trivial_clifford, S))
+
+
+def assert_cache_matches_a_fresh_computation(S):
+    warm = cold(S)
+    first = structure_by_the_cache(warm)
+    assert structure_by_the_cache(warm) == first == structure_computed(cold(S))
+
+
+def test_cached_structure_matches_a_fresh_computation_on_the_catalogs():
+    for S in catalog_tables():
+        assert_cache_matches_a_fresh_computation(S)
+
+
+@settings(max_examples=40, deadline=None)
+@given(strong_semilattice_specs())
+def test_cached_structure_matches_a_fresh_computation_on_generated_specs(spec):
+    assert_cache_matches_a_fresh_computation(assemble(spec).semigroup)
+
+
+def test_a_non_clifford_table_raises_not_clifford_on_every_call():
+    for S in (cat.brandt_b2(), cat.left_zero(2), cat.null_semigroup(3)):
+        for _ in range(3):
+            for structure in (pi_and_subgroups, decompose, is_trivial_clifford):
+                with pytest.raises(NotClifford):
+                    structure(S)
+        assert not classify(S).is_clifford
+
+
+def test_mutating_a_returned_container_leaves_the_next_result_alone():
+    S = cat.semigroup_catalog()["assembled-chain3-z4-z4-z2"]
+    expected = structure_by_the_cache(cold(S))
+    classes, (_, groups), spec = green_j_classes(S), pi_and_subgroups(S), decompose(S)
+    classes.reverse()
+    classes.append((0,))
+    groups.clear()
+    spec.groups[0] = spec.groups[1]
+    spec.bonding.clear()
+    assert structure_by_the_cache(S) == expected
+
+
+def test_a_warmed_instance_equals_a_cold_one():
+    for S in catalog_tables():
+        warm, fresh = cold(S), cold(S)
+        structure_by_the_cache(warm)
+        assert warm == fresh
+        assert hash(warm) == hash(fresh)
+        assert repr(warm) == repr(fresh)
+
+
+def test_commutativity_on_rows_matches_the_pairwise_definition():
+    for S in catalog_tables():
+        assert is_commutative(S) == all(S.mul(x, y) == S.mul(y, x)
+                                        for x in S.elements() for y in S.elements())

@@ -6,6 +6,9 @@ common denominators, cached state), directly or through a metrics function
 it calls; otherwise a fast kernel would check itself.  Likewise the
 `reference_*` functions of tests/test_topology.py, the scan-based topology
 checks, must not reach the least-open bitmasks of `cliffordlab.topology`.
+No `reference_*` function of the tests and not `suite.oracle_bowman` may read
+the structure cached on a semigroup or a model: a reference that did would
+check the cache against itself.
 """
 
 import ast
@@ -66,9 +69,9 @@ def test_oracle_reaches_no_kernel_name():
 
 # the bitmask view of a topology and the checks the references mirror; the
 # private names of topology.py are kernel too
-TOPOLOGY_KERNEL = {"up", "min_open", "is_hausdorff", "all_topologies",
-                   "continuity_check", "mp_check", "prop34_equivalences",
-                   "order_graph_closed"}
+TOPOLOGY_KERNEL = {"up", "arrows", "ordered_opens", "min_open", "is_hausdorff",
+                   "all_topologies", "continuity_check", "mp_check",
+                   "prop34_equivalences", "order_graph_closed"}
 
 
 def topology_kernel_names_reached(tests_source: str, topology_source: str) -> dict:
@@ -100,3 +103,61 @@ def test_topology_references_reach_no_kernel_name():
     reached = topology_kernel_names_reached(tests_source, topology_source)
     assert len(reached) >= 7
     assert reached == {name: [] for name in reached}
+
+
+# the cached properties of FiniteSemigroup (core.py) and of
+# TopologicalSemigroupModel (topology.py)
+CACHED = {"classification", "pi_fibers", "j_classes", "decomposition", "continuity"}
+
+
+def cached_properties(source: str, cls: str) -> set:
+    """The names of the cached properties that class `cls` of the source
+    defines."""
+    body = next(node.body for node in ast.parse(source).body
+                if isinstance(node, ast.ClassDef) and node.name == cls)
+    return {node.name for node in body if isinstance(node, ast.FunctionDef)
+            and "cached_property" in set().union(*map(names_in, node.decorator_list))}
+
+
+def cached_reads(root, helpers: dict) -> list[str]:
+    """The cached properties read, as attributes, by `root` or by any
+    function of `helpers` it reaches."""
+    reached = [root, *(helpers[name] for name in names_reached(root, helpers)
+                       if name in helpers)]
+    return sorted(CACHED & {n.attr for node in reached for n in ast.walk(node)
+                            if isinstance(n, ast.Attribute)})
+
+
+def cached_names_reached(source: str) -> dict:
+    """For each reference_* function of the source, the cached properties
+    that it or a function of the source it calls reads."""
+    helpers = functions(source)
+    return {name: cached_reads(node, helpers)
+            for name, node in helpers.items() if name.startswith("reference_")}
+
+
+def test_cached_names_are_found_through_helpers():
+    source = ("def reference_a(S):\n    return helper(S)\n"
+              "def helper(S):\n    j_classes = 0\n"
+              "    return S.decomposition, S.table, j_classes\n"
+              "class Model:\n    @functools.cached_property\n"
+              "    def continuity(self):\n        pass\n")
+    assert cached_names_reached(source) == {"reference_a": ["decomposition"]}
+    assert cached_properties(source, "Model") == {"continuity"}
+
+
+def test_references_and_the_oracle_read_no_cached_structure():
+    core_source = (PACKAGE / "core.py").read_text(encoding="utf-8")
+    topology_source = (PACKAGE / "topology.py").read_text(encoding="utf-8")
+    # a renamed or added property must be named here
+    assert (cached_properties(core_source, "FiniteSemigroup")
+            | cached_properties(topology_source, "TopologicalSemigroupModel")) == CACHED
+    reached = {}
+    for path in sorted(pathlib.Path(__file__).parent.glob("test_*.py")):
+        for name, names in cached_names_reached(path.read_text(encoding="utf-8")).items():
+            reached[f"{path.stem}.{name}"] = names
+    assert len(reached) >= 20
+    assert reached == {name: [] for name in reached}
+    helpers = {**functions((PACKAGE / "metrics.py").read_text(encoding="utf-8")),
+               **functions((PACKAGE / "suite.py").read_text(encoding="utf-8"))}
+    assert cached_reads(helpers["oracle_bowman"], helpers) == []
