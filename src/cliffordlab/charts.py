@@ -1,31 +1,26 @@
-"""Numerical lab for local multiplication charts around an idempotent.
+"""Lab for local multiplication charts around an idempotent.
 
 A chart model is an evaluable map mu: R^n x R^n -> R^n with mu(0,0) = 0.
-The lab probes one-sided differentiability at the origin, extracts the two
-partial-derivative operators L and R by central differences, forms the
-displacement derivative L + R - I, and scans for fixed points of
-f(u) = mu(u, u) with damped Newton from a grid of seeds.  For smooth models
-with a commuting-idempotent structure L = R =: P is a projection and
-(2P - I)^2 = I, which isolates the idempotent; non-smooth models (min-plus)
-are flagged before any operator is computed.
+For a polynomial model the partial-derivative operators L and R at the
+origin are its linear terms, read as exact Fractions; exact arithmetic then
+decides whether L = R =: P is a projection, (2P - I)^2 = I, and whether the
+displacement derivative L + R - I is invertible, which isolates the
+idempotent.  Damped Newton on f(u) = mu(u, u) from a grid of seeds confirms
+the verdict.  A model without polynomials (min-plus) is only probed by
+finite differences: a non-smooth one is flagged, a smooth one is refused.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    EvaluationOutsideDomain,
-    InternalInconsistency,
-    NotDifferentiable,
-    WorkbenchError,
-)
-
-Polynomial = list  # per coordinate: list of (coeff, exponent tuple of length 2n)
+from .errors import EvaluationOutsideDomain, InternalInconsistency, WorkbenchError
 
 
 @dataclass
@@ -36,8 +31,8 @@ class ChartModel:
     the (..., n) stack of products, each row rounded exactly as the
     single-point call rounds it.  evaluate() is the single-point API with
     the domain check.  polynomials, when present, give mu exactly as
-    per-coordinate multivariate polynomials in the 2n variables (u, v);
-    derivative checks then have an exact symbolic reference."""
+    per-coordinate multivariate polynomials in the 2n variables (u, v), and
+    the rigidity verdict reads its derivative off them exactly."""
 
     dim: int
     mu: Callable
@@ -46,9 +41,11 @@ class ChartModel:
     polynomials: Optional[list] = None
 
     def __post_init__(self):
-        z = np.zeros(self.dim)
-        if float(np.linalg.norm(self.evaluate(z, z))) > 1e-12:
-            raise WorkbenchError("mu(0, 0) must vanish")
+        # polynomial_model checks the constant terms exactly
+        if self.polynomials is None:
+            z = np.zeros(self.dim)
+            if float(np.linalg.norm(self.evaluate(z, z))) > 1e-12:
+                raise WorkbenchError("mu(0, 0) must vanish")
 
     def evaluate(self, u, v) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -91,10 +88,14 @@ def polynomial_model(dim: int, polynomials, radius: float = 1.0,
     ]
     if len(polys) != dim:
         raise WorkbenchError(f"need {dim} coordinate polynomials")
-    for coord in polys:
-        for _, exps in coord:
+    for i, coord in enumerate(polys):
+        for k, (coeff, exps) in enumerate(coord):
             if len(exps) != 2 * dim:
                 raise WorkbenchError("exponent tuples must have length 2*dim")
+            if coeff and not any(exps):
+                raise WorkbenchError(
+                    f"coordinate {i} term {k}: constant term {coeff!r} makes "
+                    "mu(0, 0) nonzero")
 
     def mu(u, v):
         w = np.concatenate([u, v], axis=-1)
@@ -176,19 +177,9 @@ class ProbeVerdict:
 
 
 def _default_directions(dim: int):
-    dirs = []
-    m = 2 * dim
-    for i in range(m):
-        w = np.zeros(m)
-        w[i] = 1.0
-        dirs.append(w)
-    for i in range(m):
-        for j in range(i + 1, m):
-            w = np.zeros(m)
-            w[i] = 1.0
-            w[j] = 1.0
-            dirs.append(w)
-    return dirs
+    """The 2 dim axes, then the sums of two of them."""
+    base = np.eye(2 * dim)
+    return list(base) + [a + b for a, b in itertools.combinations(base, 2)]
 
 
 def differentiability_probe(model: ChartModel, directions=None,
@@ -224,22 +215,14 @@ def differentiability_probe(model: ChartModel, directions=None,
             worst = mismatch
             witness = tuple(w)
     # additivity of the candidate derivative over direction sums
-    base = []
-    for i in range(2 * n):
-        w = np.zeros(2 * n)
-        w[i] = 1.0
-        base.append(w)
-    for i in range(2 * n):
-        for j in range(i + 1, 2 * n):
-            s = base[i] + base[j]
-            if tuple(s) not in deriv:
-                continue
-            gap = float(np.linalg.norm(
-                deriv[tuple(s)] - deriv[tuple(base[i])] - deriv[tuple(base[j])]
-            ))
-            if gap > worst:
-                worst = gap
-                witness = tuple(s)
+    for a, b in itertools.combinations(np.eye(2 * n), 2):
+        s = a + b
+        if tuple(s) not in deriv:
+            continue
+        gap = float(np.linalg.norm(deriv[tuple(s)] - deriv[tuple(a)] - deriv[tuple(b)]))
+        if gap > worst:
+            worst = gap
+            witness = tuple(s)
     return ProbeVerdict(
         differentiable=worst <= threshold,
         worst_mismatch=worst,
@@ -249,60 +232,52 @@ def differentiability_probe(model: ChartModel, directions=None,
 
 
 def _symbolic_parts(model: ChartModel):
-    """Exact L and R for polynomial models: linear-term coefficients."""
+    """Exact L and R of a polynomial model: the sums of its linear-term
+    coefficients, as Fractions (a float is a dyadic rational, so Fraction(c)
+    is c exactly)."""
     n = model.dim
-    L = np.zeros((n, n))
-    R = np.zeros((n, n))
+    L = [[Fraction(0)] * n for _ in range(n)]
+    R = [[Fraction(0)] * n for _ in range(n)]
     for i, coord in enumerate(model.polynomials):
         for coeff, exps in coord:
-            if sum(exps) != 1:
-                continue
-            j = exps.index(1)
-            if j < n:
-                L[i][j] = coeff
-            else:
-                R[i][j - n] = coeff
+            if sum(exps) == 1:
+                j = exps.index(1)
+                (L if j < n else R)[i][j % n] += Fraction(coeff)
     return L, R
 
 
-def bilinear_parts(model: ChartModel, step: float = 1e-3):
-    """L and R, the partial derivatives of mu at (0,0) in each slot, by
-    Richardson-extrapolated central differences.  Polynomial models are
-    cross-checked against the exact symbolic derivative (<= 1e-8)."""
-    verdict = differentiability_probe(model)
-    if not verdict.differentiable:
-        raise NotDifferentiable(
-            f"probe mismatch {verdict.worst_mismatch:.3g} at "
-            f"{verdict.witness_direction}"
-        )
-    n = model.dim
+def _matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
 
-    def column(slot, j, t):
-        w = np.zeros(n)
-        w[j] = t
-        z = np.zeros(n)
-        if slot == 0:
-            return (model.evaluate(w, z) - model.evaluate(-w, z)) / (2 * t)
-        return (model.evaluate(z, w) - model.evaluate(z, -w)) / (2 * t)
 
-    def matrix(slot):
-        cols = []
-        for j in range(n):
-            d1 = column(slot, j, step)
-            d2 = column(slot, j, step / 2)
-            cols.append((4 * d2 - d1) / 3)
-        return np.column_stack(cols)
+def _nonsingular(A) -> bool:
+    """Whether the square matrix A of Fractions is invertible: exact
+    Gaussian elimination, one column at a time."""
+    while A:
+        pivot = next((row for row in A if row[0]), None)
+        if pivot is None:
+            return False
+        A = [[x - row[0] / pivot[0] * y for x, y in zip(row[1:], pivot[1:])]
+             for row in A if row is not pivot]
+    return True
 
-    L = matrix(0)
-    R = matrix(1)
-    if model.polynomials is not None:
-        Ls, Rs = _symbolic_parts(model)
-        gap = max(float(np.linalg.norm(L - Ls)), float(np.linalg.norm(R - Rs)))
-        if gap > 1e-8:
-            raise InternalInconsistency(
-                f"finite-difference derivative off by {gap:.3g} from symbolic"
-            )
-    return L, R
+
+def _float(x) -> float:
+    """x rounded to a float; a signed infinity beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _floats(A) -> np.ndarray:
+    return np.array([[_float(x) for x in row] for row in A])
+
+
+def _defect(A, B) -> float:
+    """The Frobenius norm of A - B as a float, inf beyond the float range."""
+    return math.hypot(*(_float(a - b) for ra, rb in zip(A, B)
+                        for a, b in zip(ra, rb)))
 
 
 @dataclass
@@ -327,13 +302,20 @@ class RigidityReport:
 def rigidity_report(model: ChartModel, scan_radius: Optional[float] = None,
                     grid_step: float = 0.05, newton_iters: int = 30
                     ) -> RigidityReport:
-    """Full dichotomy check: derivative operators, the displacement
-    derivative L + R - I with its involution identity, the invertibility
-    prediction, and the confirming fixed-point scan."""
-    verdict = differentiability_probe(model)
+    """Full dichotomy check of a polynomial model: its exact parts L and R,
+    the displacement derivative L + R - I with its involution identity, the
+    invertibility prediction, all decided in Fractions, and the confirming
+    fixed-point scan.  A model without polynomials is only probed: one that
+    is not C1 at the origin gets the scan and no prediction, one that passes
+    the probe is refused."""
     if scan_radius is None:
         scan_radius = min(0.25, model.radius / 2)
-    if not verdict.differentiable:
+    if model.polynomials is None:
+        verdict = differentiability_probe(model)
+        if verdict.differentiable:
+            raise WorkbenchError(
+                f"model {model.name} passes the differentiability probe, but "
+                "the exact rigidity verdict needs polynomials")
         points, diverged = fixed_point_scan(
             model, scan_radius, grid_step, newton_iters
         )
@@ -349,38 +331,42 @@ def rigidity_report(model: ChartModel, scan_radius: Optional[float] = None,
             fixed_points_found=points,
             divergent_seeds=diverged,
         )
-    L, R = bilinear_parts(model)
+    L, R = _symbolic_parts(model)
     n = model.dim
-    eye = np.eye(n)
-    l_def = float(np.linalg.norm(L @ L - L))
-    r_def = float(np.linalg.norm(R @ R - R))
-    c_def = float(np.linalg.norm(L - R))
-    DH0 = L + R - eye
-    inv_def = float(np.linalg.norm(DH0 @ DH0 - eye))
-    if l_def <= 1e-8 and r_def <= 1e-8 and c_def <= 1e-8 and inv_def > 1e-6:
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    DH0 = [[l + r - e for l, r, e in zip(*rows)] for rows in zip(L, R, eye)]
+    LL, RR, DH0_squared = _matmul(L, L), _matmul(R, R), _matmul(DH0, DH0)
+    if LL == L and L == R and DH0_squared != eye:
         raise InternalInconsistency(
-            f"projection passed but involution defect is {inv_def:.3g}"
+            f"projection passed but involution defect is "
+            f"{_defect(DH0_squared, eye):.3g}"
         )
-    smin = float(np.linalg.svd(DH0, compute_uv=False)[-1])
-    invertible = smin > 1e-6
-    if c_def > 1e-6:
+    invertible = _nonsingular(DH0)
+    if L != R:
         prediction = "left and right parts differ; out of theorem scope"
     elif invertible:
         prediction = "isolated idempotent"
     else:
         prediction = "displacement derivative singular; no isolation claim"
+    DH0_floats = _floats(DH0)
+    if not np.isfinite(DH0_floats).all():
+        raise WorkbenchError(
+            f"model {model.name}: the displacement derivative has an entry "
+            "beyond the float range, so its smallest singular value cannot "
+            "be reported")
+    smin = float(np.linalg.svd(DH0_floats, compute_uv=False)[-1])
     points, diverged = fixed_point_scan(model, scan_radius, grid_step,
                                         newton_iters)
     return RigidityReport(
         model_name=model.name,
         differentiable_at_origin=True,
-        worst_mismatch=verdict.worst_mismatch,
-        L=L, R=R,
-        L_projection_defect=l_def,
-        R_projection_defect=r_def,
-        centrality_defect=c_def,
-        DH0=DH0,
-        involution_defect=inv_def,
+        worst_mismatch=0.0,
+        L=_floats(L), R=_floats(R),
+        L_projection_defect=_defect(LL, L),
+        R_projection_defect=_defect(RR, R),
+        centrality_defect=_defect(L, R),
+        DH0=DH0_floats,
+        involution_defect=_defect(DH0_squared, eye),
         DH0_invertible=invertible,
         smallest_singular_value=smin,
         prediction=prediction,

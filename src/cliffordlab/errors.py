@@ -89,10 +89,6 @@ class IsometryHypothesisViolated(WorkbenchError):
         super().__init__(f"bonding {pair} not an isometry (witness {witness})")
 
 
-class NotDifferentiable(WorkbenchError):
-    """Differentiability probe failed; derivative extraction refused."""
-
-
 class EvaluationOutsideDomain(WorkbenchError):
     """A chart model was evaluated outside its domain ball."""
 

@@ -19,7 +19,6 @@ from . import catalog as cat
 from .charts import (
     additive_model,
     affine_model,
-    bilinear_parts,
     min_plus_model,
     rigidity_report,
     _symbolic_parts,
@@ -360,6 +359,17 @@ def criterion_convergence() -> CriterionResult:
                    t0)
 
 
+def oracle_chart_parts(model, h=1e-4):
+    """L and R by plain central differences of evaluate at the origin: the
+    independent check of the exact parts that the rigidity verdict reads."""
+    z = np.zeros(model.dim)
+    steps = np.eye(model.dim) * h
+    return (np.column_stack([(model.evaluate(w, z) - model.evaluate(-w, z)) / (2 * h)
+                             for w in steps]),
+            np.column_stack([(model.evaluate(z, w) - model.evaluate(z, -w)) / (2 * h)
+                             for w in steps]))
+
+
 def criterion_rigidity() -> CriterionResult:
     t0 = time.perf_counter()
     failures = []
@@ -384,8 +394,8 @@ def criterion_rigidity() -> CriterionResult:
     if len(axis) < 10:
         failures.append(f"min-plus: only {len(axis)} fixed points on the axis")
     for model in (additive_model(2), affine_model(1), affine_model(2)):
-        L, R = bilinear_parts(model)
-        Ls, Rs = _symbolic_parts(model)
+        L, R = oracle_chart_parts(model)
+        Ls, Rs = (np.array(P, dtype=float) for P in _symbolic_parts(model))
         gap = max(float(np.linalg.norm(L - Ls)), float(np.linalg.norm(R - Rs)))
         if gap > 1e-6:
             failures.append(f"{model.name}: Jacobian off symbolic by {gap:.3g}")

@@ -1,35 +1,80 @@
 """Chart models around an idempotent: derivatives, the displacement
 operator, and fixed-point scans."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cliffordlab import charts
 from cliffordlab.charts import (
     BUILTIN_MODELS,
+    ChartModel,
     additive_model,
     affine_model,
-    bilinear_parts,
     differentiability_probe,
     discrete_product_model,
     fixed_point_scan,
     min_plus_model,
     polynomial_model,
     rigidity_report,
+    _nonsingular,
     _symbolic_parts,
 )
-from cliffordlab.errors import (
-    EvaluationOutsideDomain,
-    NotDifferentiable,
-    WorkbenchError,
-)
+from cliffordlab.errors import EvaluationOutsideDomain, WorkbenchError
+
+
+def projection_model():
+    """mu(u, v) = P u + P v with P = diag(1, 0)."""
+    return polynomial_model(
+        2,
+        [
+            [(1.0, (1, 0, 0, 0)), (1.0, (0, 0, 1, 0))],
+            [],
+        ],
+        name="projection",
+    )
+
+
+def reference_bilinear_parts(model, step=1e-3):
+    """L and R, the partial derivatives of mu at (0,0) in each slot, by
+    Richardson-extrapolated central differences of evaluate: the float
+    route that the exact parts of polynomial models replaced."""
+    n = model.dim
+
+    def column(slot, j, t):
+        w = np.zeros(n)
+        w[j] = t
+        z = np.zeros(n)
+        if slot == 0:
+            return (model.evaluate(w, z) - model.evaluate(-w, z)) / (2 * t)
+        return (model.evaluate(z, w) - model.evaluate(z, -w)) / (2 * t)
+
+    def matrix(slot):
+        cols = []
+        for j in range(n):
+            d1 = column(slot, j, step)
+            d2 = column(slot, j, step / 2)
+            cols.append((4 * d2 - d1) / 3)
+        return np.column_stack(cols)
+
+    return matrix(0), matrix(1)
+
+
+def assert_reference_parts_match_the_exact_parts(model):
+    L, R = reference_bilinear_parts(model)
+    Ls, Rs = (np.array(P, dtype=float) for P in _symbolic_parts(model))
+    assert np.linalg.norm(L - Ls) <= 1e-6
+    assert np.linalg.norm(R - Rs) <= 1e-6
 
 
 def test_additive_model_is_differentiable_with_identity_parts():
     model = additive_model(2)
     assert differentiability_probe(model).differentiable
-    L, R = bilinear_parts(model)
-    assert np.allclose(L, np.eye(2)) and np.allclose(R, np.eye(2))
+    eye = [[Fraction(int(i == j)) for j in range(2)] for i in range(2)]
+    assert _symbolic_parts(model) == (eye, eye)
 
 
 def test_min_plus_mismatch_is_one():
@@ -38,32 +83,73 @@ def test_min_plus_mismatch_is_one():
     assert verdict.worst_mismatch >= 1 - 1e-9
 
 
-def test_min_plus_bilinear_parts_refuse():
-    with pytest.raises(NotDifferentiable):
-        bilinear_parts(min_plus_model())
+def test_a_model_without_polynomials_gets_a_report_only_if_not_c1():
+    rep = rigidity_report(min_plus_model(), scan_radius=0.25, grid_step=0.05)
+    assert rep.worst_mismatch >= 0.5
+    smooth = ChartModel(dim=2, mu=lambda u, v: np.sin(u + v), name="sine")
+    assert differentiability_probe(smooth).differentiable
+    with pytest.raises(WorkbenchError, match="needs polynomials"):
+        rigidity_report(smooth)
 
 
-def test_affine_polynomial_matches_symbolic_derivative():
-    for model in (affine_model(1), affine_model(2)):
-        assert differentiability_probe(model).differentiable
-        L, R = bilinear_parts(model)
-        Ls, Rs = _symbolic_parts(model)
-        assert np.linalg.norm(L - Ls) <= 1e-6
-        assert np.linalg.norm(R - Rs) <= 1e-6
+def test_reference_bilinear_parts_match_the_exact_parts():
+    for model in (additive_model(2), affine_model(1), affine_model(2),
+                  discrete_product_model(2), projection_model()):
+        assert_reference_parts_match_the_exact_parts(model)
+
+
+def test_repeated_linear_terms_add_up():
+    model = polynomial_model(1, [[(1.0, (1, 0)), (0.5, (1, 0)), (1.0, (0, 1))]])
+    assert _symbolic_parts(model) == ([[Fraction(3, 2)]], [[Fraction(1)]])
+    assert_reference_parts_match_the_exact_parts(model)
+
+
+def test_the_verdict_on_a_polynomial_model_never_probes(monkeypatch):
+    def probe(model, *args, **kwargs):
+        raise AssertionError("the finite-difference probe ran")
+
+    monkeypatch.setattr(charts, "differentiability_probe", probe)
+    for model in (affine_model(2), projection_model()):
+        rep = rigidity_report(model, scan_radius=0.25, grid_step=0.1)
+        assert rep.differentiable_at_origin and rep.worst_mismatch == 0
+
+
+def reference_determinant(A):
+    """The Leibniz expansion over all permutations."""
+    n = len(A)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in itertools.combinations(range(n), 2))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= A[i][j]
+        total += term
+    return total
+
+
+ENTRIES = st.sampled_from([Fraction(k, d) for k in range(-2, 3) for d in (1, 2, 3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(ENTRIES, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_exact_elimination_agrees_with_the_determinant(A):
+    assert _nonsingular(A) == (reference_determinant(A) != 0)
+
+
+def test_a_nonzero_constant_term_is_refused_exactly():
+    with pytest.raises(WorkbenchError,
+                       match="coordinate 1 term 0: constant term 1e-13"):
+        polynomial_model(2, [[(1.0, (1, 0, 0, 0))], [(1e-13, (0, 0, 0, 0))]])
+    polynomial_model(1, [[(0.0, (0, 0)), (1.0, (1, 0))]])  # a zero constant is allowed
 
 
 def test_projection_model_prediction_isolated():
-    # mu(u, v) = P u + P v with P = diag(1, 0): a degenerate-looking P whose
-    # displacement derivative diag(1, -1) is still invertible
-    model = polynomial_model(
-        2,
-        [
-            [(1.0, (1, 0, 0, 0)), (1.0, (0, 0, 1, 0))],
-            [],
-        ],
-        name="projection",
-    )
-    rep = rigidity_report(model, scan_radius=0.25, grid_step=0.05)
+    # a degenerate-looking P whose displacement derivative diag(1, -1) is
+    # still invertible
+    rep = rigidity_report(projection_model(), scan_radius=0.25, grid_step=0.05)
     assert np.allclose(rep.L, np.diag([1.0, 0.0]), atol=1e-6)
     assert np.allclose(rep.DH0, np.diag([1.0, -1.0]), atol=1e-6)
     assert rep.DH0_invertible
@@ -75,7 +161,7 @@ def test_additive_report_has_identity_displacement():
     rep = rigidity_report(additive_model(2), scan_radius=0.25, grid_step=0.05)
     assert np.allclose(rep.DH0, np.eye(2), atol=1e-6)
     assert rep.smallest_singular_value >= 0.9
-    assert rep.involution_defect <= 1e-8
+    assert rep.involution_defect == 0 and rep.worst_mismatch == 0
 
 
 def test_min_plus_report_flags_non_differentiability():
@@ -203,16 +289,10 @@ COEFFS = st.one_of(st.sampled_from([1.0, -1.0, 0.5, 2.0]),
 
 
 @st.composite
-def chart_models(draw):
-    """A builtin model or a random polynomial model of dim 1 to 3 whose
-    terms have degree 1 to 3 (so mu(0, 0) = 0)."""
-    radius = draw(st.sampled_from([0.25, 0.5, 1.0]))
-    name = draw(st.sampled_from(sorted(BUILTIN_MODELS) + ["polynomial"] * 3))
-    if name == "min-plus":
-        return BUILTIN_MODELS[name](radius=radius)
-    dim = draw(st.integers(1, 3))
-    if name != "polynomial":
-        return BUILTIN_MODELS[name](dim=dim, radius=radius)
+def polynomial_models(draw, max_dim, radius):
+    """A polynomial model of dim 1 to max_dim whose terms have degree 1 to 3
+    (so mu(0, 0) = 0) and coefficients in [-2, 2]."""
+    dim = draw(st.integers(1, max_dim))
     polys = []
     for _ in range(dim):
         terms = []
@@ -224,6 +304,24 @@ def chart_models(draw):
             terms.append((draw(COEFFS), tuple(exps)))
         polys.append(terms)
     return polynomial_model(dim, polys, radius)
+
+
+@st.composite
+def chart_models(draw):
+    """A builtin model or a random polynomial model of dim 1 to 3."""
+    radius = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    name = draw(st.sampled_from(sorted(BUILTIN_MODELS) + ["polynomial"] * 3))
+    if name == "min-plus":
+        return BUILTIN_MODELS[name](radius=radius)
+    if name == "polynomial":
+        return draw(polynomial_models(3, radius))
+    return BUILTIN_MODELS[name](dim=draw(st.integers(1, 3)), radius=radius)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomial_models(2, 1.0))
+def test_reference_bilinear_parts_match_the_exact_parts_of_random_polynomials(model):
+    assert_reference_parts_match_the_exact_parts(model)
 
 
 @settings(max_examples=40, deadline=None)

@@ -263,6 +263,53 @@ def test_cli_basis_check_rejects_an_element_outside_the_poset(capsys, basis, bad
     assert err.startswith("error:") and bad in err
 
 
+def write_chart(tmp_path, dim, polynomials, radius=None):
+    body = {"dim": dim, "polynomials": polynomials}
+    if radius is not None:
+        body["radius"] = radius
+    path = tmp_path / "poly.chart.json"
+    path.write_text(json.dumps({"kind": "chart-model", "meta": {"name": "poly"},
+                                "body": body}))
+    return path
+
+
+U, V, UV, UU = [1, 0], [0, 1], [1, 1], [2, 0]
+
+
+@pytest.mark.parametrize("polynomials, radius, prediction", [
+    ([[[1.0, U], [1.0, V], [10.0, UV]]], None, "isolated idempotent"),
+    ([[[1.0, U], [1.0, V], [1e300, UU]]], None, "isolated idempotent"),
+    ([[[0.5, U], [0.5 + 1e-10, V]]], None,
+     "left and right parts differ; out of theorem scope"),
+    ([[[1.0, U], [1.0, V]]], 1e-300, "isolated idempotent"),
+], ids=["10uv", "1e300-square", "parts-1e-10-apart", "radius-1e-300"])
+def test_cli_c1_probe_decides_a_polynomial_chart_exactly(capsys, tmp_path,
+                                                         polynomials, radius,
+                                                         prediction):
+    path = write_chart(tmp_path, 1, polynomials, radius)
+    code, out = run_cli(capsys, "c1-probe", str(path), "--format", "tsv")
+    assert code == 0
+    assert out.splitlines()[1].split("\t")[:2] == ["true", "0"]
+    assert out.splitlines()[1].split("\t")[-1] == prediction
+
+
+@pytest.mark.parametrize("polynomials", [
+    [[[1e308, U], [1.0, V]]],
+    [[[1e308, U], [1e308, V]]],
+    [[[1e308, U], [1e308, U], [1.0, V]]],
+], ids=["one-1e308", "two-1e308", "repeated-1e308"])
+def test_cli_c1_probe_on_a_1e308_coefficient_ends_in_a_result_or_an_error_line(
+        tmp_path, polynomials):
+    path = write_chart(tmp_path, 1, polynomials)
+    assert_result_or_error_line("c1-probe", path, polynomials)
+
+
+def test_cli_c1_probe_rejects_a_nonzero_constant_term(capsys, tmp_path):
+    path = write_chart(tmp_path, 1, [[[1.0, U], [1.0, V], [1e-13, [0, 0]]]])
+    err = cli_error(capsys, "c1-probe", str(path))
+    assert err.startswith("error: coordinate 0 term 2: constant term 1e-13")
+
+
 @pytest.mark.parametrize("option, value", [("--scan", "-1"), ("--newton", "-1"),
                                            ("--scan", "nan"), ("--grid", "nan")])
 def test_cli_c1_probe_rejects_a_negative_or_nan_scan_argument(capsys, option, value):

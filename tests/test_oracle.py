@@ -8,7 +8,10 @@ it calls; otherwise a fast kernel would check itself.  Likewise the
 checks, must not reach the least-open bitmasks of `cliffordlab.topology`.
 No `reference_*` function of the tests and not `suite.oracle_bowman` may read
 the structure cached on a semigroup or a model: a reference that did would
-check the cache against itself.
+check the cache against itself.  The finite-difference parts of a chart model,
+`suite.oracle_chart_parts` and `reference_bilinear_parts` of
+tests/test_charts.py, must not reach its polynomials or the exact helpers of
+`cliffordlab.charts` that read them.
 """
 
 import ast
@@ -161,3 +164,45 @@ def test_references_and_the_oracle_read_no_cached_structure():
     helpers = {**functions((PACKAGE / "metrics.py").read_text(encoding="utf-8")),
                **functions((PACKAGE / "suite.py").read_text(encoding="utf-8"))}
     assert cached_reads(helpers["oracle_bowman"], helpers) == []
+
+
+# the exact route of the rigidity verdict: the polynomials of a chart model
+# and the helpers of charts.py that read them; its private names are kernel too
+CHART_KERNEL = {"polynomials", "_symbolic_parts", "_matmul", "_nonsingular"}
+
+
+def chart_kernel_names_reached(root, helpers: dict, charts_source: str) -> list[str]:
+    """Exact-route names used by `root` or by any function of `helpers` or
+    of charts.py that it reaches."""
+    charts = functions(charts_source)
+    kernel = CHART_KERNEL | {n for n in charts if n.startswith("_")}
+    return sorted(names_reached(root, {**charts, **helpers}) & kernel)
+
+
+def test_chart_kernel_names_are_found_through_helpers():
+    helpers = functions("def oracle(model):\n    return helper(model)\n"
+                        "def helper(model):\n    return parts(model)\n")
+    charts_source = ("def parts(model):\n    return model.polynomials\n"
+                     "def _exact(A):\n    pass\n")
+    assert chart_kernel_names_reached(helpers["oracle"], helpers, charts_source) == [
+        "polynomials"]
+    helpers = functions("def oracle(model):\n    return _exact(model)\n")
+    assert chart_kernel_names_reached(helpers["oracle"], helpers, charts_source) == [
+        "_exact"]
+
+
+def test_chart_oracles_reach_no_exact_part():
+    charts_source = (PACKAGE / "charts.py").read_text(encoding="utf-8")
+    nodes = list(ast.walk(ast.parse(charts_source)))
+    # function names and class fields such as ChartModel.polynomials
+    defined = ({n.name for n in nodes if isinstance(n, ast.FunctionDef)}
+               | {n.target.id for n in nodes
+                  if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)})
+    assert CHART_KERNEL <= defined  # a renamed helper must be renamed here
+    suite = functions((PACKAGE / "suite.py").read_text(encoding="utf-8"))
+    tests = functions((pathlib.Path(__file__).parent / "test_charts.py").read_text(
+        encoding="utf-8"))
+    assert chart_kernel_names_reached(suite["oracle_chart_parts"], suite,
+                                      charts_source) == []
+    assert chart_kernel_names_reached(tests["reference_bilinear_parts"], tests,
+                                      charts_source) == []
