@@ -391,11 +391,11 @@ def _damped_newton(model: ChartModel, seeds: np.ndarray, radius: float,
     """Damped Newton on H(u) = mu(u,u) - u from every row of seeds at once.
 
     Each row takes exactly the steps a one-seed loop takes: Jacobian by
-    central differences (a stencil point outside the model's domain makes
-    the seed diverge), a least-squares step, a line search over t = 2^-k,
-    k < 12, that keeps the first candidate in the domain with a smaller
-    residual (a seed whose search fails stops), divergence once |u| exceeds
-    4 * radius.  Returns the converged points inside the scan ball, in seed
+    central differences (a stencil point outside the model's domain, or a
+    Jacobian or residual that is not finite, makes the seed diverge), a
+    least-squares step, a line search over t = 2^-k, k < 12, that keeps the
+    first candidate in the domain with a smaller residual (a seed whose
+    search fails stops), divergence once |u| exceeds 4 * radius.  Returns the converged points inside the scan ball, in seed
     order, and the number of divergent seeds."""
     m, n = seeds.shape
     h = 1e-6  # central-difference step
@@ -422,6 +422,13 @@ def _damped_newton(model: ChartModel, seeds: np.ndarray, radius: float,
         if not rows.size:
             break
         jac = ((H(plus) - H(minus)) / (2 * h)).transpose(0, 2, 1)
+        finite = (np.isfinite(jac).all(axis=(1, 2))
+                  & np.isfinite(hu[rows]).all(axis=1))
+        diverged[rows[~finite]] = True
+        active[rows[~finite]] = False
+        rows, jac = rows[finite], jac[finite]
+        if not rows.size:
+            break
         delta = np.empty((rows.size, n))
         for i, row in enumerate(rows):
             delta[i], *_ = np.linalg.lstsq(jac[i], -hu[row], rcond=None)
@@ -483,11 +490,13 @@ def fixed_point_scan(model: ChartModel, radius: float, grid_step: float,
     seeds = grid[_norms(grid) <= radius]
 
     points, diverged = [np.empty((0, n))], 0
-    for start in range(0, len(seeds), _BATCH):
-        found, lost = _damped_newton(model, seeds[start:start + _BATCH], radius,
-                                     newton_iters, residual_tol)
-        points.append(found)
-        diverged += lost
+    # an overflowing mu only makes seeds diverge; it is no cause for warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(seeds), _BATCH):
+            found, lost = _damped_newton(model, seeds[start:start + _BATCH],
+                                         radius, newton_iters, residual_tol)
+            points.append(found)
+            diverged += lost
     points = np.concatenate(points)
     kept = 0
     for u in points:

@@ -31,10 +31,10 @@ class FiniteSemigroup:
 
     The table is immutable, so the structure read off it is computed once per
     instance and kept as a cached property: the classification, pi with its
-    fibers, the J-classes and the validated decomposition.  A property that
-    raises caches nothing and raises again on the next read.  Cached values
-    live in the instance __dict__, not in fields, so ==, hash and repr see
-    only the table and the labels.
+    fibers, the J-classes, the validated decomposition and the masks of the
+    topology checks.  A property that raises caches nothing and raises
+    again on the next read.  Cached values live in the instance __dict__,
+    not in fields, so ==, hash and repr see only the table and the labels.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -58,6 +58,14 @@ class FiniteSemigroup:
         from .semilattice import _decompose
 
         return _decompose(self)
+
+    @cached_property
+    def topology_masks(self):
+        """The bitmask data that the checks of topology read (its
+        _SemigroupMasks); the pair images fill in as models read them."""
+        from .topology import _SemigroupMasks
+
+        return _SemigroupMasks(self)
 
     @property
     def n(self) -> int:

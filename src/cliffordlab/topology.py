@@ -5,16 +5,22 @@ chain, closedness of the order graph, and the two basic-set constructors.
 Every finite topology is Alexandrov: it is the family of up-sets of its
 specialization preorder, and U_x, the least open set around x, is the up-set
 of x.  A topology keeps its opens as frozensets of indices and derives U_x
-once, as an int bitmask (bit y set iff y in U_x); a model derives its
-continuity verdict once.  The checks are exact bitmask algebra on the U_x;
-the open sets themselves are read only to name a witness.
+once, as an int bitmask (bit y set iff y in U_x), together with its relation
+mask R (bit b*n + c set iff c in U_b).  A semigroup keeps the masks these
+checks read of it (FiniteSemigroup.topology_masks): the image of each pair
+(b, c) under all translations, as an n^2-bit mask filled when first read,
+and the masks of its J-classes, maximal subgroups and idempotents.  So
+continuity of a model is an OR of pair images and one test against R, and a
+model derives its verdict once.  The open sets themselves are read only to
+name a witness.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterator, Optional
 
 from .core import FiniteSemigroup, idempotents, is_semilattice
@@ -29,7 +35,12 @@ def _mask(A) -> int:
 
 def _members(m: int) -> list[int]:
     """The indices whose bits are set in m, ascending."""
-    return [x for x in range(m.bit_length()) if m >> x & 1]
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
 
 
 def _least_opens(n: int, family) -> tuple[int, ...]:
@@ -68,16 +79,25 @@ class FiniteTopology:
         return _least_opens(self.n, self.opens)
 
     @cached_property
-    def arrows(self) -> tuple[tuple[int, int], ...]:
-        """The pairs (b, c) with c in U_b and c != b."""
-        return tuple((b, c) for b, u in enumerate(self.up) for c in _members(u)
-                     if c != b)
+    def relation(self) -> int:
+        """The specialization preorder as an n^2-bit mask: bit b*n + c is
+        set iff c is in U_b."""
+        return sum(u << b * self.n for b, u in enumerate(self.up))
 
     @cached_property
-    def ordered_opens(self) -> tuple[frozenset, ...]:
-        """The opens in sorted(opens, key=sorted) order, the order in which
-        a failing open is named."""
-        return tuple(sorted(self.opens, key=sorted))
+    def arrows(self) -> tuple[int, ...]:
+        """The pair indices b*n + c with c in U_b and c != b."""
+        diagonal = sum(1 << b * (self.n + 1) for b in range(self.n))
+        return tuple(_members(self.relation & ~diagonal))
+
+    @cached_property
+    def witness_opens(self) -> tuple[tuple[frozenset, int], ...]:
+        """(O, the n^2-bit mask of the pairs (z, c) with z in O and c not in
+        O) for the opens in sorted(opens, key=sorted) order, the order in
+        which a failing open is named."""
+        n, full = self.n, (1 << self.n) - 1
+        return tuple((O, (full ^ _mask(O)) * sum(1 << z * n for z in O))
+                     for O in sorted(self.opens, key=sorted))
 
     def min_open(self, x: int) -> frozenset:
         """Smallest open set containing x."""
@@ -200,43 +220,102 @@ def _continuity(model: TopologicalSemigroupModel):
     The preimage of an open O under multiplication is product-open iff it
     holds U_x x U_y around each of its pairs (x, y).  Moving one factor at a
     time, that fails iff some translation t (left or right by an element)
-    and some c in U_b have t(b) in O and t(c) outside it.  So with need[z]
-    the OR of the bits t(c) over all t, b, c with t(b) = z, O fails iff some
-    z in O has need[z] outside O; inversion is the same with t = inv."""
+    and some c in U_b have t(b) in O and t(c) outside it.  Every open around
+    t(b) contains U_t(b), so some O fails iff some pair (t(b), t(c)) lies
+    outside the relation R.  The pairs (t(b), t(c)) over all t are the pair
+    image of (b, c), kept with S; OR-ing the images of T's arrows costs
+    O(sum |U_x|) big-int ORs, and the products are continuous iff the OR
+    misses no bit outside R.  Inversion is the same with t = inv, its bits
+    set straight from the arrows.  Only a failing model scans the opens."""
     S, T = model.S, model.T
-    steps = T.arrows
-    need = [0] * S.n
-    for t in (*S.table, *zip(*S.table)):
-        for b, c in steps:
-            need[t[b]] |= 1 << t[c]
-    witness = _failing_open(T, need)
-    if witness is None:
+    acc = reduce(or_, map(S.topology_masks.images.__getitem__, T.arrows), 0)
+    if not acc & ~T.relation:
         inv = S.classification.inverse
-        if inv is not None:
-            need = [0] * S.n
-            for b, c in steps:
-                need[inv.inv[b]] |= 1 << inv.inv[c]
-            witness = _failing_open(T, need)
-    return witness is None, witness
+        if inv is None:
+            return True, None
+        n, inv = S.n, inv.inv
+        acc = 0
+        for p in T.arrows:
+            b, c = divmod(p, n)
+            acc |= 1 << inv[b] * n + inv[c]
+        if not acc & ~T.relation:
+            return True, None
+    return False, _failing_open(T, acc)
 
 
-def _failing_open(T: FiniteTopology, need: list[int]):
+def _failing_open(T: FiniteTopology, acc: int):
     """The first open O in sorted(opens, key=sorted) order with some z in O
-    and need[z] outside O, or None.  Every open around z contains U_z, so
-    one exists iff need[z] lies outside U_z for some z."""
-    if all(not r & ~u for r, u in zip(need, T.up)):
-        return None
-    for O in T.ordered_opens:
-        m = _mask(O)
-        if any(need[z] & ~m for z in O):
+    and need[z] outside O, where need[z] = (acc >> z*n) & full is row z of
+    the pair mask acc: the first O whose mask of pairs leaving O meets acc.
+    Every open around z contains U_z, so only the points z with need[z]
+    outside U_z make an open fail, and some z does since acc leaves R."""
+    for O, f in T.witness_opens:
+        if acc & f:
             return O
     raise InternalInconsistency("U_z fails but no open set does")
 
 
-def _is_open(T: FiniteTopology, A) -> bool:
-    """A set is open iff it contains U_x for each of its points x."""
-    m = _mask(A)
-    return all(not T.up[x] & ~m for x in A)
+def _is_open(T: FiniteTopology, m: int) -> bool:
+    """The set with mask m is open iff it contains U_x for each of its
+    points x."""
+    return all(not T.up[x] & ~m for x in _members(m))
+
+
+class _PairImages(dict):
+    """Pair index b*n + c -> the n^2-bit mask of the pairs t(b)*n + t(c)
+    over the 2n left and right translations t of the table, each computed
+    when first read."""
+
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, p: int) -> int:
+        table = self.table
+        n = len(table)
+        b, c = divmod(p, n)
+        rb, rc = table[b], table[c]
+        m = 0
+        for x, row in enumerate(table):
+            m |= 1 << row[b] * n + row[c] | 1 << rb[x] * n + rc[x]
+        self[p] = m
+        return m
+
+
+class _SemigroupMasks:
+    """The bitmask data of a semigroup that the checks of this module read,
+    kept with it as FiniteSemigroup.topology_masks and built on first use:
+    the pair images of the continuity test, and the masks of the J-classes,
+    the maximal subgroups and the idempotents."""
+
+    def __init__(self, S: FiniteSemigroup):
+        self.S = S
+        self.images = _PairImages(S.table)
+
+    @cached_property
+    def j_masks(self) -> tuple[int, ...]:
+        """The mask of each J-class."""
+        return tuple(map(_mask, self.S.j_classes))
+
+    @cached_property
+    def jclass_of(self) -> tuple[int, ...]:
+        """The mask of the J-class of each point."""
+        of = [0] * self.S.n
+        for m in self.j_masks:
+            for x in _members(m):
+                of[x] = m
+        return tuple(of)
+
+    @cached_property
+    def group_masks(self) -> tuple[int, ...]:
+        """The mask of each maximal subgroup; raises NotClifford on a
+        semigroup that is not Clifford."""
+        return tuple(map(_mask, self.S.pi_fibers[1].values()))
+
+    @cached_property
+    def idempotent_mask(self) -> int:
+        """The mask of E."""
+        return _mask(idempotents(self.S))
 
 
 def mp_check(model: TopologicalSemigroupModel) -> bool:
@@ -244,12 +323,8 @@ def mp_check(model: TopologicalSemigroupModel) -> bool:
 
     The least such candidate is U_x, and U_x <= O for every open O around x,
     so the property is U_x <= J_x for every x."""
-    S, T = model.S, model.T
-    jclass = [0] * S.n
-    for c in S.j_classes:
-        for x in c:
-            jclass[x] = _mask(c)
-    return all(not u & ~j for u, j in zip(T.up, jclass))
+    jclass = model.S.topology_masks.jclass_of
+    return all(not u & ~j for u, j in zip(model.T.up, jclass))
 
 
 @dataclass(frozen=True)
@@ -276,19 +351,19 @@ def prop34_equivalences(model: TopologicalSemigroupModel) -> OpennessRecord:
     Clifford model.  Disagreement would falsify the implementation (they are
     provably equivalent) and raises InternalInconsistency.  Raises
     NotClifford on other semigroups."""
-    S, T = model.S, model.T
-    _, groups = S.pi_fibers
+    masks, T = model.S.topology_masks, model.T
+    groups = masks.group_masks
     mp = mp_check(model)
-    j_open = all(_is_open(T, c) for c in S.j_classes)
-    g_open = all(_is_open(T, g) for g in groups.values())
-    E = idempotents(S)
+    j_open = all(_is_open(T, m) for m in masks.j_masks)
+    g_open = all(_is_open(T, m) for m in groups)
+    E = masks.idempotent_mask
     # some open meets E in {e} iff U_e, the least open around e, does
-    e_discrete = all(T.up[e] & _mask(E) == 1 << e for e in E)
+    e_discrete = all(T.up[e] & E == 1 << e for e in _members(E))
     # A is open in the disjoint union of the subspaces G_e iff each A n G_e
     # is a trace of an open set, iff U_x n G_e <= A for every x in A n G_e;
     # so that topology has least opens U_x n G_e, and it equals T iff those
     # are the U_x
-    du_equal = all(T.up[x] & _mask(g) == T.up[x] for g in groups.values() for x in g)
+    du_equal = all(T.up[x] & m == T.up[x] for m in groups for x in _members(m))
     rec = OpennessRecord(
         mp=mp,
         j_classes_open=j_open,

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
@@ -302,6 +305,27 @@ def test_cli_c1_probe_on_a_1e308_coefficient_ends_in_a_result_or_an_error_line(
         tmp_path, polynomials):
     path = write_chart(tmp_path, 1, polynomials)
     assert_result_or_error_line("c1-probe", path, polynomials)
+
+
+def test_cli_c1_probe_scan_through_an_overflowing_jacobian_ends_cleanly(tmp_path):
+    # the Jacobian is inf near 0, so each seed diverges; LAPACK, handed inf,
+    # would print its DLASCL complaint to the process's own stdout
+    path = write_chart(tmp_path, 1,
+                       [[[1.0, U], [1.0, V], [1e308, UU], [1e308, [0, 2]]]])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from cliffordlab.cli import main; sys.exit(main(sys.argv[1:]))",
+         "c1-probe", str(path), "--scan", "1.0"],
+        capture_output=True, text=True, env=env)
+    if run.returncode == 0:
+        assert "fixed points in the scan ball" in run.stdout and not run.stderr
+    else:
+        assert run.returncode == 1 and run.stderr.startswith("error: ")
+    for word in ("Traceback", "LAPACK", "DLASCL"):
+        assert word not in run.stdout + run.stderr
 
 
 def test_cli_c1_probe_rejects_a_nonzero_constant_term(capsys, tmp_path):

@@ -70,11 +70,13 @@ def test_oracle_reaches_no_kernel_name():
     assert kernel_names_reached(suite["oracle_bowman"], metrics) == []
 
 
-# the bitmask view of a topology and the checks the references mirror; the
-# private names of topology.py are kernel too
-TOPOLOGY_KERNEL = {"up", "arrows", "ordered_opens", "min_open", "is_hausdorff",
-                   "all_topologies", "continuity_check", "mp_check",
-                   "prop34_equivalences", "order_graph_closed"}
+# the bitmask view of a topology, the masks a semigroup keeps for the
+# topology checks and the checks the references mirror; the private names of
+# topology.py are kernel too
+TOPOLOGY_KERNEL = {"up", "relation", "arrows", "witness_opens", "min_open",
+                   "is_hausdorff", "j_masks", "jclass_of", "group_masks",
+                   "idempotent_mask", "all_topologies", "continuity_check",
+                   "mp_check", "prop34_equivalences", "order_graph_closed"}
 
 
 def topology_kernel_names_reached(tests_source: str, topology_source: str) -> dict:
@@ -110,7 +112,8 @@ def test_topology_references_reach_no_kernel_name():
 
 # the cached properties of FiniteSemigroup (core.py) and of
 # TopologicalSemigroupModel (topology.py)
-CACHED = {"classification", "pi_fibers", "j_classes", "decomposition", "continuity"}
+CACHED = {"classification", "pi_fibers", "j_classes", "decomposition",
+          "topology_masks", "continuity"}
 
 
 def cached_properties(source: str, cls: str) -> set:

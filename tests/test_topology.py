@@ -338,10 +338,20 @@ def reference_topologies(n):
     return [FiniteTopology(n, opens) for opens in reference_all_topologies(n)]
 
 
+@functools.cache
+def enumerated_topologies(n):
+    """Every topology on n points as all_topologies yields it, with the
+    least opens it hands over."""
+    return list(all_topologies(n))
+
+
 def assert_kernels_match_the_references(S):
+    """The kernels agree with the references on every topology on S's
+    carrier, both as the reference enumeration builds it and as
+    all_topologies yields it."""
     clifford = classify(S).is_clifford
     semilattice = is_semilattice(S)
-    for T in reference_topologies(S.n):
+    for T in (*reference_topologies(S.n), *enumerated_topologies(S.n)):
         model = TopologicalSemigroupModel(S, T)
         assert continuity_check(model) == reference_continuity_check(model)
         assert mp_check(model) == reference_mp_check(model)
@@ -399,3 +409,40 @@ def test_generated_topology_has_the_intersections_as_least_opens():
     assert T.up == FiniteTopology(4, T.opens).up
     assert [reference_min_open(T, x) for x in range(4)] == [
         {0, 1}, {1}, {1, 2}, {3}]
+
+
+def test_verdicts_do_not_depend_on_the_order_in_which_models_are_checked():
+    # each run starts from a fresh semigroup, so its pair images are filled
+    # by the models in the order they are checked
+    table = cat.semigroup_catalog()["chain2-x-z2"].table
+
+    def verdicts(order):
+        S, found = validate_semigroup(table), list(all_topologies(4))
+        out = {}
+        for i in order(range(len(found))):
+            model = TopologicalSemigroupModel(S, found[i])
+            out[i] = continuity_check(model), mp_check(model)
+            if out[i][0][0]:
+                out[i] += (prop34_equivalences(model),)
+        return out
+
+    forward = verdicts(list)
+    assert forward == verdicts(reversed)
+    assert 0 < sum(v[0][0] for v in forward.values()) < len(forward)
+
+
+def sierpinski_on(n):
+    """The topology on n points whose only arrow is 0 in U_1."""
+    return generate_topology(n, [{x} for x in range(n) if x != 1] + [{0, 1}])
+
+
+def test_pair_images_are_filled_only_as_models_read_them():
+    S = validate_semigroup(cat.semigroup_catalog()["chain2-x-z2"].table)
+    assert "topology_masks" not in S.__dict__
+    assert continuity_check(TopologicalSemigroupModel(S, discrete_topology(4)))[0]
+    assert S.topology_masks.images == {}
+    assert not continuity_check(TopologicalSemigroupModel(S, sierpinski_on(4)))[0]
+    assert sorted(S.topology_masks.images) == [1 * 4 + 0]
+    continuity_check(TopologicalSemigroupModel(S, indiscrete_topology(4)))
+    assert len(S.topology_masks.images) == 4 * 3
+
