@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
 
 from . import documents as docs
@@ -57,18 +56,6 @@ def _load(path: str) -> docs.WorkbenchDocument:
     raise WorkbenchError(f"no such document: {path}")
 
 
-def _build_for_kind(doc: docs.WorkbenchDocument):
-    builders = {
-        "cayley": docs.build_semigroup,
-        "spec": docs.build_spec,
-        "poset": docs.build_poset,
-        "topology-model": docs.build_topology_model,
-        "metric-data": docs.build_bowman_data,
-        "chart-model": docs.build_chart_model,
-    }
-    return builders[doc.kind](doc)
-
-
 def _parse_point(groups: dict, text: str) -> Point:
     """Parse "e,g": e is an element index, g a local group index or label."""
     try:
@@ -97,10 +84,6 @@ def _parse_ints(text: str) -> list[int]:
         raise WorkbenchError(f"expected comma-separated integers, got {text!r}")
 
 
-def _frac_str(v) -> str:
-    return docs.format_rational(Fraction(v))
-
-
 class Report:
     """One result in three renderings: text lines, TSV rows, JSON payload."""
 
@@ -124,7 +107,7 @@ class Report:
 
 def _cmd_validate(args):
     doc = _load(args.file)
-    _build_for_kind(doc)
+    docs.build(doc)
     return 0, Report(
         [f"{doc.kind} document {doc.name!r}: valid"],
         [("kind", "name", "valid"), (doc.kind, doc.name, "true")],
@@ -167,29 +150,28 @@ def _cmd_decompose(args):
                      json.loads(docs.serialize_document(out)))
 
 
-def _cmd_assemble(args):
-    doc = _load(args.file)
-    A = assemble(docs.build_spec(doc))
-    S = A.semigroup
-    body = docs.semigroup_to_body(S)
-    out = docs.WorkbenchDocument("cayley", f"{doc.name}-assembled", "", body)
-    lines = [f"assembled semigroup of order {S.n}",
+def _table_report(title: str, S, name: str):
+    """The Cayley table of S: its order and labels, its rows, and the cayley
+    document called name."""
+    out = docs.WorkbenchDocument("cayley", name, "", docs.semigroup_to_body(S))
+    lines = [f"{title} of order {S.n}",
              "elements: " + ", ".join(S.label(x) for x in S.elements())]
     rows = [tuple(row) for row in S.table]
     return 0, Report(lines, rows, json.loads(docs.serialize_document(out)))
+
+
+def _cmd_assemble(args):
+    doc = _load(args.file)
+    A = assemble(docs.build_spec(doc))
+    return _table_report("assembled semigroup", A.semigroup,
+                         f"{doc.name}-assembled")
 
 
 def _cmd_product(args):
     e_doc, g_doc = _load(args.semilattice), _load(args.group)
     A = direct_product(docs.build_semigroup(e_doc), docs.build_semigroup(g_doc))
-    S = A.semigroup
-    out = docs.WorkbenchDocument(
-        "cayley", f"{e_doc.name}-x-{g_doc.name}", "", docs.semigroup_to_body(S)
-    )
-    lines = [f"direct product of order {S.n}",
-             "elements: " + ", ".join(S.label(x) for x in S.elements())]
-    rows = [tuple(row) for row in S.table]
-    return 0, Report(lines, rows, json.loads(docs.serialize_document(out)))
+    return _table_report("direct product", A.semigroup,
+                         f"{e_doc.name}-x-{g_doc.name}")
 
 
 def _cmd_j_classes(args):
@@ -247,33 +229,29 @@ def _cmd_basis_check(args):
 def _cmd_topo_check(args):
     model = docs.build_topology_model(_load(args.file))
     continuous, witness = continuity_check(model)
-    payload = {"continuous": continuous}
-    lines = [f"continuous: {str(continuous).lower()}"]
-    rows = [("check", "value"), ("continuous", str(continuous).lower())]
-    if not continuous:
-        lines.append(f"  witness open set: {{{', '.join(map(str, sorted(witness)))}}}")
-        payload["witness"] = sorted(witness)
-        return 1, Report(lines, rows, payload)
-    rec = prop34_equivalences(model)
-    checks = {
-        "mp": rec.mp,
-        "j-classes-open": rec.j_classes_open,
-        "subgroups-open": rec.subgroups_open,
-        "idempotents-discrete": rec.idempotents_discrete,
-        "disjoint-union-topology": rec.disjoint_union_topology,
-    }
+    checks = {"continuous": continuous}
+    if continuous:
+        rec = prop34_equivalences(model)
+        checks.update({
+            "mp": rec.mp,
+            "j-classes-open": rec.j_classes_open,
+            "subgroups-open": rec.subgroups_open,
+            "idempotents-discrete": rec.idempotents_discrete,
+            "disjoint-union-topology": rec.disjoint_union_topology,
+        })
+        # the order graph exists only on semilattice models
+        if is_semilattice(model.S):
+            checks.update(zip(("order-graph-closed", "hausdorff"),
+                              order_graph_closed(model)))
+        checks["mp-check"] = rec.mp
+    lines, rows, payload = [], [("check", "value")], dict(checks)
     for name, val in checks.items():
         lines.append(f"{name}: {str(val).lower()}")
         rows.append((name, str(val).lower()))
-        payload[name] = val
-    # the order graph exists only on semilattice models
-    extra = (zip(("order-graph-closed", "hausdorff"), order_graph_closed(model))
-             if is_semilattice(model.S) else [])
-    for name, val in [*extra, ("mp-check", rec.mp)]:
-        lines.append(f"{name}: {str(val).lower()}")
-        rows.append((name, str(val).lower()))
-        payload[name] = val
-    return 0, Report(lines, rows, payload)
+    if not continuous:
+        lines.append(f"  witness open set: {{{', '.join(map(str, sorted(witness)))}}}")
+        payload["witness"] = sorted(witness)
+    return (0 if continuous else 1), Report(lines, rows, payload)
 
 
 def _cmd_basic_set(args):
@@ -292,33 +270,30 @@ def _cmd_basic_set(args):
     return 0, Report(lines, rows, {"members": members})
 
 
+def _distance_report(v):
+    text = docs.format_rational(v)
+    return 0, Report([text], [("distance",), (text,)], {"distance": text})
+
+
 def _cmd_metric_eval(args):
     doc = _load(args.file)
     if args.metric == "yeager":
         data = docs.build_yeager_data(doc)
         groups = dict(data.spec.groups)
         p, q = _parse_point(groups, args.p), _parse_point(groups, args.q)
-        v = yeager_distance(data, p, q)
-        lines = [_frac_str(v)]
-        payload = {"distance": _frac_str(v)}
-        rows = [("distance",), (_frac_str(v),)]
-        return 0, Report(lines, rows, payload)
+        return _distance_report(yeager_distance(data, p, q))
     data = docs.build_bowman_data(doc)
     groups = {e: blk.group for e, blk in data.blocks.items()}
     p, q = _parse_point(groups, args.p), _parse_point(groups, args.q)
     if args.metric == "disjoint":
         du = {e: blk.d for e, blk in data.blocks.items()}
-        v = disjoint_union_distance(du, p, q)
-        lines = [_frac_str(v)]
-        return 0, Report(lines, [("distance",), (_frac_str(v),)],
-                         {"distance": _frac_str(v)})
+        return _distance_report(disjoint_union_distance(du, p, q))
     bv = bowman_distance(data, p, q, truncation=args.truncation)
-    lines = [f"{_frac_str(bv.value)} (tail {_frac_str(bv.tail_bound)})"]
-    rows = [("distance", "tail_bound"),
-            (_frac_str(bv.value), _frac_str(bv.tail_bound))]
-    payload = {"distance": _frac_str(bv.value),
-               "tail_bound": _frac_str(bv.tail_bound)}
-    return 0, Report(lines, rows, payload)
+    value = docs.format_rational(bv.value)
+    tail = docs.format_rational(bv.tail_bound)
+    return 0, Report([f"{value} (tail {tail})"],
+                     [("distance", "tail_bound"), (value, tail)],
+                     {"distance": value, "tail_bound": tail})
 
 
 def _cmd_metric_suite(args):
@@ -363,17 +338,14 @@ def _cmd_converge(args):
     for k in ks:
         p = _parse_point(groups, f"{k},{args.g}")
         bv = bowman_distance(data, p, limit, truncation=args.truncation)
-        dd = disjoint_union_distance(du, p, limit)
-        rows.append((k, _frac_str(bv.value), f"{float(bv.value):.6e}",
-                     _frac_str(bv.tail_bound), _frac_str(dd)))
-        payload["rows"].append({
-            "k": k, "distance": _frac_str(bv.value),
-            "tail_bound": _frac_str(bv.tail_bound),
-            "disjoint_union": _frac_str(dd),
-        })
+        value = docs.format_rational(bv.value)
+        tail = docs.format_rational(bv.tail_bound)
+        dd = docs.format_rational(disjoint_union_distance(du, p, limit))
+        rows.append((k, value, f"{float(bv.value):.6e}", tail, dd))
+        payload["rows"].append({"k": k, "distance": value, "tail_bound": tail,
+                                "disjoint_union": dd})
         lines.append(f"  k={k}: d = {float(bv.value):.6e} "
-                     f"(tail {_frac_str(bv.tail_bound)}), "
-                     f"disjoint-union = {_frac_str(dd)}")
+                     f"(tail {tail}), disjoint-union = {dd}")
     return 0, Report(lines, rows, payload)
 
 
@@ -444,41 +416,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, *positionals):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("text", "tsv", "structured"),
                        default="text", help="output channel")
+        for arg in positionals:
+            p.add_argument(arg)
         p.set_defaults(fn=fn)
         return p
 
-    p = add("validate", _cmd_validate, "parse and validate any document")
-    p.add_argument("file")
-    p = add("classify", _cmd_classify, "structural classification of a Cayley table")
-    p.add_argument("file")
-    p = add("decompose", _cmd_decompose, "Clifford semigroup -> strong-semilattice spec")
-    p.add_argument("file")
-    p = add("assemble", _cmd_assemble, "strong-semilattice spec -> Cayley table")
-    p.add_argument("file")
-    p = add("product", _cmd_product, "semilattice x group direct product")
-    p.add_argument("semilattice")
-    p.add_argument("group")
-    p = add("j-classes", _cmd_j_classes, "Green's J-classes of a Cayley table")
-    p.add_argument("file")
-    p = add("trivial-check", _cmd_trivial_check,
-            "is the semigroup a semilattice-group direct product?")
-    p.add_argument("file")
-    p = add("way-below", _cmd_way_below, "way-below relation of a poset")
-    p.add_argument("file")
-    p = add("basis-check", _cmd_basis_check, "is a subset a domain basis?")
-    p.add_argument("file")
+    add("validate", _cmd_validate, "parse and validate any document", "file")
+    add("classify", _cmd_classify, "structural classification of a Cayley table",
+        "file")
+    add("decompose", _cmd_decompose,
+        "Clifford semigroup -> strong-semilattice spec", "file")
+    add("assemble", _cmd_assemble, "strong-semilattice spec -> Cayley table",
+        "file")
+    add("product", _cmd_product, "semilattice x group direct product",
+        "semilattice", "group")
+    add("j-classes", _cmd_j_classes, "Green's J-classes of a Cayley table",
+        "file")
+    add("trivial-check", _cmd_trivial_check,
+        "is the semigroup a semilattice-group direct product?", "file")
+    add("way-below", _cmd_way_below, "way-below relation of a poset", "file")
+    p = add("basis-check", _cmd_basis_check, "is a subset a domain basis?",
+            "file")
     p.add_argument("--basis", required=True,
                    help="comma-separated element indices")
-    p = add("topo-check", _cmd_topo_check,
-            "continuity and openness equivalences of a topology model")
-    p.add_argument("file")
+    add("topo-check", _cmd_topo_check,
+        "continuity and openness equivalences of a topology model", "file")
     p = add("basic-set", _cmd_basic_set,
-            "W(U,(e,V)) basic set of an assembled spec")
-    p.add_argument("file")
+            "W(U,(e,V)) basic set of an assembled spec", "file")
     p.add_argument("--u", required=True, help="idempotent indices of U")
     p.add_argument("--e", type=int, default=None,
                    help="anchor idempotent (omit to anchor at inf U)")
@@ -491,17 +459,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncation", type=int, default=None,
                    help="cut the basis series after J terms")
     p = add("metric-suite", _cmd_metric_suite,
-            "exhaustive metric-axiom check over all points")
-    p.add_argument("file")
+            "exhaustive metric-axiom check over all points", "file")
     p.add_argument("--truncation", type=int, default=None)
-    p = add("converge", _cmd_converge, "distance along the sequence (1/k, g)")
-    p.add_argument("file")
+    p = add("converge", _cmd_converge, "distance along the sequence (1/k, g)",
+            "file")
     p.add_argument("--ks", default="", help="comma-separated schedule of k")
     p.add_argument("--g", type=int, default=0, help="group element index")
     p.add_argument("--truncation", type=int, default=None)
     p = add("c1-probe", _cmd_c1_probe,
-            "differentiability and rigidity probe of a chart model")
-    p.add_argument("file")
+            "differentiability and rigidity probe of a chart model", "file")
     p.add_argument("--scan", type=float, default=None,
                    help="fixed-point scan radius")
     p.add_argument("--grid", type=float, default=0.05, help="seed grid step")

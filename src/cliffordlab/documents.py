@@ -30,9 +30,6 @@ from .order import FinitePoset, flat_model, validate_poset
 from .semilattice import StrongSemilatticeSpec, validate_spec
 from .topology import TopologicalSemigroupModel, validate_topology
 
-KINDS = ("cayley", "spec", "poset", "topology-model", "metric-data",
-         "chart-model")
-
 
 @dataclass(frozen=True)
 class WorkbenchDocument:
@@ -114,7 +111,7 @@ def _check_by_element(obj, path, n, check_value):
         check_value(value, f"{path}.{key}")
 
 
-def _check_cayley_body(body, path):
+def _check_cayley_body(body, path="body"):
     _require(body, path, ["n", "table"], ["labels"])
     _check_int(body["n"], f"{path}.n")
     _check_int_matrix(body["table"], f"{path}.table")
@@ -130,7 +127,7 @@ def _check_cayley_body(body, path):
                               f"got {len(body['labels'])}")
 
 
-def _check_spec_body(body, path):
+def _check_spec_body(body, path="body"):
     _require(body, path, ["e", "groups", "bonding"])
     _check_cayley_body(body["e"], f"{path}.e")
     if not isinstance(body["groups"], dict):
@@ -148,27 +145,6 @@ def _check_spec_body(body, path):
         _check_int_list(phi, f"{path}.bonding.{key}")
 
 
-_CHECKERS = {}
-
-
-def _checker(kind):
-    def wrap(fn):
-        _CHECKERS[kind] = fn
-        return fn
-    return wrap
-
-
-@_checker("cayley")
-def _check_cayley(body):
-    _check_cayley_body(body, "body")
-
-
-@_checker("spec")
-def _check_spec(body):
-    _check_spec_body(body, "body")
-
-
-@_checker("poset")
 def _check_poset(body):
     _require(body, "body", ["n", "leq"])
     _check_int(body["n"], "body.n")
@@ -183,7 +159,6 @@ def _check_poset(body):
                 raise SchemaError(f"body.leq[{i}][{j}]", "expected 0/1 or bool")
 
 
-@_checker("topology-model")
 def _check_topology_model(body):
     _require(body, "body", ["semigroup", "opens"])
     _check_cayley_body(body["semigroup"], "body.semigroup")
@@ -194,7 +169,6 @@ def _check_topology_model(body):
             raise SchemaError(f"body.opens[{i}]", "expected a list of indices")
 
 
-@_checker("metric-data")
 def _check_metric_data(body):
     if not isinstance(body, dict) or "type" not in body:
         raise SchemaError("body.type", "missing field")
@@ -226,7 +200,6 @@ def _check_metric_data(body):
         raise SchemaError("body.pseudo", "expected a boolean")
 
 
-@_checker("chart-model")
 def _check_chart_model(body):
     if not isinstance(body, dict):
         raise SchemaError("body", "expected object")
@@ -294,12 +267,13 @@ def parse_document(text: str) -> WorkbenchDocument:
         raise SchemaError(f"line {exc.lineno}, column {exc.colno}", exc.msg)
     _require(raw, "$", ["kind", "meta", "body"])
     kind = raw["kind"]
-    if kind not in KINDS:
-        raise SchemaError("$.kind", f"unknown kind {kind!r}; have {KINDS}")
+    if not isinstance(kind, str) or kind not in KINDS:  # a list is unhashable
+        raise SchemaError("$.kind", f"unknown kind {kind!r}; have {tuple(KINDS)}")
     _require(raw["meta"], "$.meta", ["name"], ["description"])
     if not isinstance(raw["meta"]["name"], str):
         raise SchemaError("$.meta.name", "expected a string")
-    _CHECKERS[kind](raw["body"])
+    check, _ = KINDS[kind]
+    check(raw["body"])
     return WorkbenchDocument(
         kind=kind,
         name=raw["meta"]["name"],
@@ -428,6 +402,24 @@ def build_chart_model(doc: WorkbenchDocument) -> ChartModel:
 def _expect_kind(doc: WorkbenchDocument, kind: str):
     if doc.kind != kind:
         raise SchemaError("$.kind", f"expected {kind!r}, got {doc.kind!r}")
+
+
+# kind -> (body check of parse_document, builder of build)
+KINDS = {
+    "cayley": (_check_cayley_body, build_semigroup),
+    "spec": (_check_spec_body, build_spec),
+    "poset": (_check_poset, build_poset),
+    "topology-model": (_check_topology_model, build_topology_model),
+    "metric-data": (_check_metric_data, build_bowman_data),
+    "chart-model": (_check_chart_model, build_chart_model),
+}
+
+
+def build(doc: WorkbenchDocument):
+    """The validated domain object of any document; metric data builds as
+    Bowman data."""
+    _, builder = KINDS[doc.kind]
+    return builder(doc)
 
 
 def semigroup_to_body(S: FiniteSemigroup) -> dict:

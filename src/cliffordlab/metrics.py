@@ -379,7 +379,10 @@ class YeagerMetricData:
     spec: StrongSemilatticeSpec
     rho: tuple
     d: dict
-    _isometry_checked: bool = field(default=False, repr=False)
+    # set by isometry_check once every bonding map passes: a cached verdict,
+    # which no caller may preset and which leaves equality alone
+    _isometry_checked: bool = field(default=False, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         self.rho = tuple(tuple(Fraction(v) for v in row) for row in self.rho)

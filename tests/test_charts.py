@@ -2,6 +2,7 @@
 operator, and fixed-point scans."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +91,58 @@ def test_a_model_without_polynomials_gets_a_report_only_if_not_c1():
     assert differentiability_probe(smooth).differentiable
     with pytest.raises(WorkbenchError, match="needs polynomials"):
         rigidity_report(smooth)
+
+
+def reference_differentiability_probe(model, directions=None, steps=None):
+    """The probe before its directions and steps became constants: one-sided
+    difference quotients at the smallest step along each direction, and
+    additivity over the axis sums that are among the directions.  Returns
+    (differentiable, worst mismatch)."""
+    n = model.dim
+    if directions is None:
+        base = np.eye(2 * n)
+        directions = list(base) + [a + b for a, b in
+                                   itertools.combinations(base, 2)]
+    if steps is None:
+        steps = [10.0 ** (-k) for k in range(2, 7)]
+    t_min = min(steps)
+    threshold = 10.0 * max(t_min, 1e-14 / t_min)
+
+    def quotient(w, t):
+        w = np.asarray(w, dtype=float)
+        tt = t / max(np.linalg.norm(w), 1.0)
+        return model.evaluate(tt * w[:n], tt * w[n:]) / tt
+
+    worst = 0.0
+    deriv = {}
+    for w in directions:
+        q_plus = quotient(w, t_min)
+        q_minus = quotient(w, -t_min)
+        mismatch = float(np.linalg.norm(q_plus - q_minus))
+        deriv[tuple(w)] = 0.5 * (q_plus + q_minus)
+        if mismatch > worst:
+            worst = mismatch
+    for a, b in itertools.combinations(np.eye(2 * n), 2):
+        s = a + b
+        if tuple(s) not in deriv:
+            continue
+        gap = float(np.linalg.norm(deriv[tuple(s)] - deriv[tuple(a)]
+                                   - deriv[tuple(b)]))
+        if gap > worst:
+            worst = gap
+    return worst <= threshold, worst
+
+
+@pytest.mark.parametrize("model", [
+    min_plus_model(), min_plus_model(radius=0.25),
+    ChartModel(dim=2, mu=lambda u, v: np.sin(u + v), name="sine"),
+    additive_model(1), additive_model(3), affine_model(1), affine_model(2),
+    discrete_product_model(2), discrete_product_model(3),
+], ids=lambda m: f"{m.name}-{m.dim}-{m.radius}")
+def test_probe_equals_the_reference_probe(model):
+    verdict = differentiability_probe(model)
+    assert (verdict.differentiable, verdict.worst_mismatch) == \
+        reference_differentiability_probe(model)
 
 
 def test_reference_bilinear_parts_match_the_exact_parts():
@@ -235,7 +288,8 @@ def reference_fixed_point_scan(model, radius, grid_step, newton_iters=30,
             cols.append((H(u + step) - H(u - step)) / (2 * h))
         return np.column_stack(cols)
 
-    axes = np.arange(-radius, radius + grid_step / 2, grid_step)
+    k = math.floor(radius / grid_step)
+    axes = grid_step * np.arange(-k, k + 1)
     seeds = []
     for idx in np.ndindex(*([len(axes)] * n)):
         u = np.array([axes[i] for i in idx])

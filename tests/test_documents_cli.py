@@ -64,6 +64,17 @@ def test_unknown_kind_rejected():
         docs.parse_document(json.dumps(raw))
 
 
+@pytest.mark.parametrize("kind", [["cayley"], {"cayley": 1}, None])
+def test_a_kind_that_is_no_string_is_an_unknown_kind(kind):
+    raw = json.loads(read_shipped("z2.cayley.json"))
+    raw["kind"] = kind
+    with pytest.raises(SchemaError) as exc:
+        docs.parse_document(json.dumps(raw))
+    assert str(exc.value) == (
+        f"$.kind: unknown kind {kind!r}; have ('cayley', 'spec', 'poset', "
+        "'topology-model', 'metric-data', 'chart-model')")
+
+
 def test_broken_bonding_parses_but_fails_to_build():
     # shape-valid spec whose bonding is not a homomorphism: parsing is
     # strictly syntactic, the algebra check fires in the builder
@@ -228,7 +239,7 @@ def test_cli_c1_probe_rejects_a_zero_grid_step(capsys):
     assert err.startswith("error:") and "0" in err
 
 
-@pytest.mark.parametrize("grid", ["inf", "1e-300"])
+@pytest.mark.parametrize("grid", ["inf", "1e-300", "5e-324"])
 def test_cli_c1_probe_rejects_a_grid_that_cannot_be_built(capsys, grid):
     err = cli_error(capsys, "c1-probe", "additive.chart", "--grid", grid)
     assert err.startswith("error: grid step") and grid in err
@@ -326,6 +337,15 @@ def test_cli_c1_probe_scan_through_an_overflowing_jacobian_ends_cleanly(tmp_path
         assert run.returncode == 1 and run.stderr.startswith("error: ")
     for word in ("Traceback", "LAPACK", "DLASCL"):
         assert word not in run.stdout + run.stderr
+
+
+def test_cli_c1_probe_scan_seeds_the_origin(capsys, tmp_path):
+    # on 1e300 u^2 Newton stalls or diverges from every seed off the origin,
+    # so the scan finds the fixed point 0 only if 0 is a seed
+    path = write_chart(tmp_path, 1, [[[1.0, U], [1.0, V], [1e300, UU]]])
+    code, out = run_cli(capsys, "c1-probe", str(path), "--scan", "1.0")
+    assert code == 0
+    assert out.splitlines()[-1] == "1 fixed points in the scan ball"
 
 
 def test_cli_c1_probe_rejects_a_nonzero_constant_term(capsys, tmp_path):

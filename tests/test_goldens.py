@@ -10,20 +10,29 @@ After an intended change of output, rewrite the files with
     PYTHONPATH=src python tests/test_goldens.py
 """
 
+import argparse
 import contextlib
 import io
+import json
 import pathlib
 import sys
 
 import pytest
 
-from cliffordlab.cli import main
+from cliffordlab import documents as docs
+from cliffordlab.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 SHIPPED = ("additive.chart", "chain3.poset", "flat3.metric", "minplus.chart",
            "sierpinski.topology", "twochain.metric", "twochain.spec",
            "z2.cayley")
+
+
+def beside(name):
+    """An input document kept beside the goldens, by its path."""
+    return str(GOLDEN / f"{name}.json")
+
 
 # case name -> (argv, exit code)
 CASES = {
@@ -33,6 +42,7 @@ CASES = {
     "j-classes-z2": (["j-classes", "z2.cayley"], 0),
     "trivial-check-z2": (["trivial-check", "z2.cayley"], 0),
     "assemble-twochain": (["assemble", "twochain.spec"], 0),
+    "product-chain2-z2": (["product", beside("chain2.cayley"), "z2.cayley"], 0),
     "way-below-chain3": (["way-below", "chain3.poset"], 0),
     "basis-check-chain3": (["basis-check", "chain3.poset", "--basis", "0,1,2"], 0),
     "topo-check-sierpinski": (["topo-check", "sierpinski.topology"], 0),
@@ -46,6 +56,9 @@ CASES = {
     # the collapse bonding is no isometry: exit 1, nothing on stdout
     "metric-eval-yeager": (["metric-eval", "yeager", "twochain.metric",
                             "--p", "1,a", "--q", "1,b"], 1),
+    "metric-eval-yeager-identity": (["metric-eval", "yeager",
+                                     beside("chain2-identity.metric"),
+                                     "--p", "1,g1", "--q", "0,g0"], 0),
     "metric-suite-flat3": (["metric-suite", "flat3.metric"], 0),
     "metric-suite-twochain": (["metric-suite", "twochain.metric"], 0),
     "converge-flat3": (["converge", "flat3.metric", "--ks", "1,2,3"], 0),
@@ -74,6 +87,23 @@ def test_golden(case, fmt):
     code, out = run(argv, fmt)
     assert code == expected_code
     assert out == golden_path(case, fmt).read_text(encoding="utf-8")
+
+
+def test_every_subcommand_but_demo_has_a_golden_case():
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction))
+    covered = {argv[0] for argv, _ in CASES.values()}
+    assert set(sub.choices) - covered == {"demo"}
+
+
+def test_validate_accepts_a_shipped_document_of_every_kind():
+    kinds = set()
+    for name in SHIPPED:
+        code, out = run(["validate", name], "structured")
+        assert code == 0
+        kinds.add(json.loads(out)["kind"])
+    assert kinds == set(docs.KINDS)
 
 
 if __name__ == "__main__":

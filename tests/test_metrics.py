@@ -154,6 +154,29 @@ def test_yeager_refuses_non_isometric_bonding():
         yeager_distance(yd, Point(1, 1), Point(0, 0))
 
 
+def yeager_data(bonding, **kwargs):
+    return YeagerMetricData(
+        spec=cat.spec_catalog()[f"chain2-z2-z2-{bonding}"],
+        rho=RHO01,
+        d={0: discrete_metric(2), 1: discrete_metric(2)},
+        **kwargs,
+    )
+
+
+def test_yeager_data_takes_no_isometry_verdict_from_its_caller():
+    with pytest.raises(TypeError, match="_isometry_checked"):
+        yeager_data("collapse", _isometry_checked=True)
+    with pytest.raises(IsometryHypothesisViolated):
+        yeager_distance(yeager_data("collapse"), Point(1, 0), Point(1, 1))
+
+
+def test_yeager_data_equality_ignores_the_cached_isometry_verdict():
+    served, fresh = yeager_data("identity"), yeager_data("identity")
+    assert yeager_distance(served, Point(1, 0), Point(0, 1)) == 2
+    assert served == fresh
+    assert served != yeager_data("collapse")
+
+
 def test_disjoint_union_distance():
     d = {0: discrete_metric(2), 1: discrete_metric(2)}
     assert disjoint_union_distance(d, Point(0, 0), Point(0, 1)) == 1
