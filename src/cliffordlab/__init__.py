@@ -2,8 +2,8 @@
 
 Structure analysis of finite semigroups, strong-semilattice assembly and
 decomposition, explicit series/isometric metrics with rigorous truncation
-bounds, finite-topology openness equivalences, and numerical probes of
-chart models around an idempotent.
+bounds, finite-topology openness equivalences, and exact C1 verdicts and
+fixed-point scans of piecewise-polynomial charts around an idempotent.
 
 Only the chart probes use numpy, so the `charts` names (`ChartModel`, the
 four model builders, `differentiability_probe`, `fixed_point_scan`,

@@ -1,22 +1,23 @@
 """Lab for local multiplication charts around an idempotent.
 
-A chart model is an evaluable map mu: R^n x R^n -> R^n with mu(0,0) = 0.
-For a polynomial model the partial-derivative operators L and R at the
-origin are its linear terms, read as exact Fractions; exact arithmetic then
-decides whether L = R =: P is a projection, (2P - I)^2 = I, and whether the
-displacement derivative L + R - I is invertible, which isolates the
-idempotent.  Damped Newton on f(u) = mu(u, u) from a grid of seeds confirms
-the verdict.  A model without polynomials (min-plus) is only probed by
-finite differences: a non-smooth one is flagged, a smooth one is refused.
+A chart model is a map mu: R^n x R^n -> R^n whose coordinate i is the min
+of polynomial pieces without constant term; a polynomial coordinate has one
+piece.  Every piece is active at the origin, so mu is C1 there exactly when
+the pieces of each coordinate share one linear part, and then the partial-
+derivative operators L and R are that part, read as exact Fractions.  Exact
+arithmetic decides whether L = R =: P is a projection, (2P - I)^2 = I, and
+whether the displacement derivative L + R - I is invertible, which isolates
+the idempotent.  Damped Newton on f(u) = mu(u, u) from a grid of seeds
+confirms the verdict.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,25 +28,45 @@ from .errors import EvaluationOutsideDomain, InternalInconsistency, WorkbenchErr
 class ChartModel:
     """Local multiplication in chart coordinates, with domain ball radius.
 
-    mu acts on the last axis: for stacks u, v of shape (..., n) it returns
-    the (..., n) stack of products, each row rounded exactly as the
-    single-point call rounds it.  evaluate() is the single-point API with
-    the domain check.  polynomials, when present, give mu exactly as
-    per-coordinate multivariate polynomials in the 2n variables (u, v), and
-    the rigidity verdict reads its derivative off them exactly."""
+    pieces[i] lists the polynomial pieces of coordinate i, each a list of
+    (coefficient, exponent tuple) terms in the 2n variables (u, v); the
+    coordinate is their min.  No piece has a nonzero constant term, so every
+    piece is active at the origin and mu(0, 0) = 0."""
 
     dim: int
-    mu: Callable
+    pieces: list
     radius: float = 1.0
     name: str = "custom"
-    polynomials: Optional[list] = None
 
     def __post_init__(self):
-        # polynomial_model checks the constant terms exactly
-        if self.polynomials is None:
-            z = np.zeros(self.dim)
-            if float(np.linalg.norm(self.evaluate(z, z))) > 1e-12:
-                raise WorkbenchError("mu(0, 0) must vanish")
+        self.pieces = [
+            [[(float(c), tuple(int(e) for e in exps)) for c, exps in piece]
+             for piece in coord]
+            for coord in self.pieces
+        ]
+        if len(self.pieces) != self.dim:
+            raise WorkbenchError(f"need {self.dim} coordinates")
+        for i, coord in enumerate(self.pieces):
+            if not coord:
+                raise WorkbenchError(f"coordinate {i} has no piece")
+            for p, piece in enumerate(coord):
+                where = f"coordinate {i}" + (f" piece {p}" if len(coord) > 1 else "")
+                for k, (coeff, exps) in enumerate(piece):
+                    if len(exps) != 2 * self.dim:
+                        raise WorkbenchError("exponent tuples must have length 2*dim")
+                    if coeff and not any(exps):
+                        raise WorkbenchError(
+                            f"{where} term {k}: constant term {coeff!r} makes "
+                            "mu(0, 0) nonzero")
+
+    def mu(self, u, v) -> np.ndarray:
+        """mu on the last axis: for stacks u, v of shape (..., n) the (..., n)
+        stack of products, each row rounded exactly as the single-point call
+        rounds it."""
+        w = np.concatenate([u, v], axis=-1)
+        return np.stack([functools.reduce(np.minimum,
+                                          (_poly_eval(piece, w) for piece in coord))
+                         for coord in self.pieces], axis=-1)
 
     def evaluate(self, u, v) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -69,7 +90,7 @@ def _power(x, e):
 
 
 def _poly_eval(terms, w) -> np.ndarray:
-    """One coordinate polynomial on the last axis of w (shape (..., 2n))."""
+    """One polynomial piece on the last axis of w (shape (..., 2n))."""
     total = np.zeros(w.shape[:-1])
     for coeff, exps in terms:
         prod = coeff
@@ -82,27 +103,9 @@ def _poly_eval(terms, w) -> np.ndarray:
 
 def polynomial_model(dim: int, polynomials, radius: float = 1.0,
                      name: str = "polynomial") -> ChartModel:
-    polys = [
-        [(float(c), tuple(int(e) for e in exps)) for c, exps in coord]
-        for coord in polynomials
-    ]
-    if len(polys) != dim:
-        raise WorkbenchError(f"need {dim} coordinate polynomials")
-    for i, coord in enumerate(polys):
-        for k, (coeff, exps) in enumerate(coord):
-            if len(exps) != 2 * dim:
-                raise WorkbenchError("exponent tuples must have length 2*dim")
-            if coeff and not any(exps):
-                raise WorkbenchError(
-                    f"coordinate {i} term {k}: constant term {coeff!r} makes "
-                    "mu(0, 0) nonzero")
-
-    def mu(u, v):
-        w = np.concatenate([u, v], axis=-1)
-        return np.stack([_poly_eval(coord, w) for coord in polys], axis=-1)
-
-    return ChartModel(dim=dim, mu=mu, radius=radius, name=name,
-                      polynomials=polys)
+    """The chart whose coordinate i is the polynomial polynomials[i]."""
+    return ChartModel(dim=dim, pieces=[[coord] for coord in polynomials],
+                      radius=radius, name=name)
 
 
 def _sum_terms(dim: int, i: int, *products) -> list:
@@ -133,12 +136,9 @@ def affine_model(dim: int = 1, radius: float = 1.0) -> ChartModel:
 def min_plus_model(radius: float = 1.0) -> ChartModel:
     """mu((e,s),(f,t)) = (min(e,f), s+t): a continuum of idempotents along
     the first axis; not differentiable at the origin."""
-
-    def mu(u, v):
-        return np.stack([np.minimum(u[..., 0], v[..., 0]),
-                         u[..., 1] + v[..., 1]], axis=-1)
-
-    return ChartModel(dim=2, mu=mu, radius=radius, name="min-plus")
+    u0, v0 = [(1.0, (1, 0, 0, 0))], [(1.0, (0, 0, 1, 0))]
+    return ChartModel(dim=2, pieces=[[u0, v0], [_sum_terms(2, 1)]],
+                      radius=radius, name="min-plus")
 
 
 def discrete_product_model(dim: int = 2, radius: float = 1.0) -> ChartModel:
@@ -162,52 +162,38 @@ class ProbeVerdict:
     worst_mismatch: float
 
 
-PROBE_STEP = 1e-6  # of the one-sided difference quotients
-# 10x the finite-difference noise floor
-PROBE_THRESHOLD = 10.0 * max(PROBE_STEP, 1e-14 / PROBE_STEP)
+def _linear_part(piece, n: int) -> list:
+    """The linear coefficients of a piece at the 2n variables (u, v), as
+    Fractions (a float is a dyadic rational, so Fraction(c) is c exactly);
+    repeated terms add up."""
+    row = [Fraction(0)] * (2 * n)
+    for coeff, exps in piece:
+        if sum(exps) == 1:
+            row[exps.index(1)] += Fraction(coeff)
+    return row
 
 
 def differentiability_probe(model: ChartModel) -> ProbeVerdict:
-    """Compare one-sided difference quotients of mu at the origin along the
-    2 dim axes of (u, v) and the sums of two of them, and additivity of the
-    directional derivative across those sums.  Any mismatch beyond
-    PROBE_THRESHOLD fails the probe."""
-    n = model.dim
-    axes = np.eye(2 * n)
-    pairs = list(itertools.combinations(axes, 2))
-
-    def quotient(w, t):
-        tt = t / max(np.linalg.norm(w), 1.0)
-        return model.evaluate(tt * w[:n], tt * w[n:]) / tt
-
-    worst = 0.0
-    deriv = {}
-    for w in [*axes, *(a + b for a, b in pairs)]:
-        q_plus = quotient(w, PROBE_STEP)
-        q_minus = quotient(w, -PROBE_STEP)
-        worst = max(worst, float(np.linalg.norm(q_plus - q_minus)))
-        deriv[tuple(w)] = 0.5 * (q_plus + q_minus)
-    # additivity of the candidate derivative over the sums
-    for a, b in pairs:
-        gap = deriv[tuple(a + b)] - deriv[tuple(a)] - deriv[tuple(b)]
-        worst = max(worst, float(np.linalg.norm(gap)))
-    return ProbeVerdict(differentiable=worst <= PROBE_THRESHOLD,
+    """The exact C1 verdict at the origin.  Along axis j of (u, v) the
+    one-sided derivatives of coordinate i are the min (forward) and max
+    (backward) of its pieces' coefficients at j; their gap is max - min.
+    worst_mismatch is the largest Euclidean norm over the 2 dim axes of the
+    per-coordinate gaps, and mu is C1 at 0 exactly when every gap is 0."""
+    gaps = [[max(col) - min(col) for col in
+             zip(*(_linear_part(piece, model.dim) for piece in coord))]
+            for coord in model.pieces]
+    worst = max(math.hypot(*(_float(row[j]) for row in gaps))
+                for j in range(2 * model.dim))
+    return ProbeVerdict(differentiable=not any(map(any, gaps)),
                         worst_mismatch=worst)
 
 
 def _symbolic_parts(model: ChartModel):
-    """Exact L and R of a polynomial model: the sums of its linear-term
-    coefficients, as Fractions (a float is a dyadic rational, so Fraction(c)
-    is c exactly)."""
+    """Exact L and R of a C1 model: the linear part that the pieces of each
+    coordinate share, read off the first piece and split at u | v."""
     n = model.dim
-    L = [[Fraction(0)] * n for _ in range(n)]
-    R = [[Fraction(0)] * n for _ in range(n)]
-    for i, coord in enumerate(model.polynomials):
-        for coeff, exps in coord:
-            if sum(exps) == 1:
-                j = exps.index(1)
-                (L if j < n else R)[i][j % n] += Fraction(coeff)
-    return L, R
+    rows = [_linear_part(coord[0], n) for coord in model.pieces]
+    return [row[:n] for row in rows], [row[n:] for row in rows]
 
 
 def _matmul(A, B):
@@ -249,48 +235,39 @@ class RigidityReport:
     model_name: str
     differentiable_at_origin: bool
     worst_mismatch: float
-    L: Optional[np.ndarray]
-    R: Optional[np.ndarray]
-    L_projection_defect: Optional[float]
-    R_projection_defect: Optional[float]
-    centrality_defect: Optional[float]
-    DH0: Optional[np.ndarray]
-    involution_defect: Optional[float]
-    DH0_invertible: Optional[bool]
-    smallest_singular_value: Optional[float]
     prediction: str
     fixed_points_found: list = field(default_factory=list)
     divergent_seeds: int = 0
+    L: Optional[np.ndarray] = None
+    R: Optional[np.ndarray] = None
+    L_projection_defect: Optional[float] = None
+    R_projection_defect: Optional[float] = None
+    centrality_defect: Optional[float] = None
+    DH0: Optional[np.ndarray] = None
+    involution_defect: Optional[float] = None
+    DH0_invertible: Optional[bool] = None
+    smallest_singular_value: Optional[float] = None
 
 
 def rigidity_report(model: ChartModel, scan_radius: Optional[float] = None,
                     grid_step: float = 0.05, newton_iters: int = 30
                     ) -> RigidityReport:
-    """Full dichotomy check of a polynomial model: its exact parts L and R,
-    the displacement derivative L + R - I with its involution identity, the
-    invertibility prediction, all decided in Fractions, and the confirming
-    fixed-point scan.  A model without polynomials is only probed: one that
-    is not C1 at the origin gets the scan and no prediction, one that passes
-    the probe is refused."""
+    """Full dichotomy check of a chart: the exact C1 verdict, then on a C1
+    chart its exact parts L and R, the displacement derivative L + R - I
+    with its involution identity and the invertibility prediction, all
+    decided in Fractions, and the confirming fixed-point scan.  A chart that
+    is not C1 at the origin gets the scan, no prediction and None for the
+    exact-verdict fields."""
     if scan_radius is None:
         scan_radius = min(0.25, model.radius / 2)
-    if model.polynomials is None:
-        verdict = differentiability_probe(model)
-        if verdict.differentiable:
-            raise WorkbenchError(
-                f"model {model.name} passes the differentiability probe, but "
-                "the exact rigidity verdict needs polynomials")
-        points, diverged = fixed_point_scan(
-            model, scan_radius, grid_step, newton_iters
-        )
+    verdict = differentiability_probe(model)
+    if not verdict.differentiable:
+        points, diverged = fixed_point_scan(model, scan_radius, grid_step,
+                                            newton_iters)
         return RigidityReport(
             model_name=model.name,
             differentiable_at_origin=False,
             worst_mismatch=verdict.worst_mismatch,
-            L=None, R=None,
-            L_projection_defect=None, R_projection_defect=None,
-            centrality_defect=None, DH0=None, involution_defect=None,
-            DH0_invertible=None, smallest_singular_value=None,
             prediction="not C1 at the idempotent; no prediction",
             fixed_points_found=points,
             divergent_seeds=diverged,
@@ -324,7 +301,7 @@ def rigidity_report(model: ChartModel, scan_radius: Optional[float] = None,
     return RigidityReport(
         model_name=model.name,
         differentiable_at_origin=True,
-        worst_mismatch=0.0,
+        worst_mismatch=verdict.worst_mismatch,
         L=_floats(L), R=_floats(R),
         L_projection_defect=_defect(LL, L),
         R_projection_defect=_defect(RR, R),

@@ -327,6 +327,9 @@ def _cmd_converge(args):
     data = docs.build_bowman_data(_load(args.file))
     if args.ks:
         ks = _parse_ints(args.ks)
+        if min(ks, default=1) < 1:
+            raise WorkbenchError(
+                f"k must be >= 1: 1/{min(ks)} is no point of the sequence")
     else:  # the default schedule, cut to the blocks of this document
         ks = [k for k in CONVERGENCE_SCHEDULE if k in data.blocks]
     groups = {e: blk.group for e, blk in data.blocks.items()}

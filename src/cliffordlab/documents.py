@@ -392,11 +392,8 @@ def build_chart_model(doc: WorkbenchDocument) -> ChartModel:
         if "radius" in body:
             kwargs["radius"] = float(body["radius"])
         return BUILTIN_MODELS[body["builtin"]](**kwargs)
-    return polynomial_model(
-        body["dim"],
-        [[(c, tuple(e)) for c, e in coord] for coord in body["polynomials"]],
-        radius=float(body.get("radius", 1.0)),
-    )
+    return polynomial_model(body["dim"], body["polynomials"],
+                            radius=float(body.get("radius", 1.0)))
 
 
 def _expect_kind(doc: WorkbenchDocument, kind: str):

@@ -370,12 +370,28 @@ def oracle_chart_parts(model, h=1e-4):
                              for w in steps]))
 
 
+def oracle_one_sided_gap(model, t=1e-6):
+    """The largest gap over the 2n axes w of (u, v) between the one-sided
+    difference quotients of evaluate at the origin, |mu(t w) + mu(-t w)| / t:
+    the independent check of the exact mismatch that the C1 verdict reads."""
+    n = model.dim
+    return max(float(np.linalg.norm(model.evaluate(t * w[:n], t * w[n:])
+                                    + model.evaluate(-t * w[:n], -t * w[n:]))) / t
+               for w in np.eye(2 * n))
+
+
 def criterion_rigidity() -> CriterionResult:
     t0 = time.perf_counter()
     failures = []
-    for model in (additive_model(2), affine_model(1)):
-        rep = rigidity_report(model, scan_radius=0.25, grid_step=0.01,
-                              newton_iters=30)
+    reports = [(model, rigidity_report(model, scan_radius=0.25, grid_step=0.01,
+                                       newton_iters=30))
+               for model in (additive_model(2), affine_model(1), min_plus_model())]
+    for model, rep in reports:
+        gap = oracle_one_sided_gap(model)
+        if abs(rep.worst_mismatch - gap) > 1e-5:
+            failures.append(f"{model.name}: mismatch {rep.worst_mismatch:.3g}, "
+                            f"one-sided gap {gap:.3g}")
+    for model, rep in reports[:2]:
         if not rep.differentiable_at_origin:
             failures.append(f"{model.name}: probe failed")
             continue
@@ -384,8 +400,7 @@ def criterion_rigidity() -> CriterionResult:
                             f"{rep.smallest_singular_value:.3g}")
         if len(rep.fixed_points_found) != 1:
             failures.append(f"{model.name}: {len(rep.fixed_points_found)} fixed points")
-    mp = rigidity_report(min_plus_model(), scan_radius=0.25, grid_step=0.01,
-                         newton_iters=30)
+    mp = reports[2][1]
     if mp.differentiable_at_origin:
         failures.append("min-plus: not flagged non-differentiable")
     if mp.worst_mismatch < 0.5:

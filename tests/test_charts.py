@@ -81,16 +81,7 @@ def test_additive_model_is_differentiable_with_identity_parts():
 def test_min_plus_mismatch_is_one():
     verdict = differentiability_probe(min_plus_model())
     assert not verdict.differentiable
-    assert verdict.worst_mismatch >= 1 - 1e-9
-
-
-def test_a_model_without_polynomials_gets_a_report_only_if_not_c1():
-    rep = rigidity_report(min_plus_model(), scan_radius=0.25, grid_step=0.05)
-    assert rep.worst_mismatch >= 0.5
-    smooth = ChartModel(dim=2, mu=lambda u, v: np.sin(u + v), name="sine")
-    assert differentiability_probe(smooth).differentiable
-    with pytest.raises(WorkbenchError, match="needs polynomials"):
-        rigidity_report(smooth)
+    assert verdict.worst_mismatch == 1.0
 
 
 def reference_differentiability_probe(model, directions=None, steps=None):
@@ -135,14 +126,14 @@ def reference_differentiability_probe(model, directions=None, steps=None):
 
 @pytest.mark.parametrize("model", [
     min_plus_model(), min_plus_model(radius=0.25),
-    ChartModel(dim=2, mu=lambda u, v: np.sin(u + v), name="sine"),
     additive_model(1), additive_model(3), affine_model(1), affine_model(2),
     discrete_product_model(2), discrete_product_model(3),
 ], ids=lambda m: f"{m.name}-{m.dim}-{m.radius}")
 def test_probe_equals_the_reference_probe(model):
     verdict = differentiability_probe(model)
-    assert (verdict.differentiable, verdict.worst_mismatch) == \
-        reference_differentiability_probe(model)
+    differentiable, worst = reference_differentiability_probe(model)
+    assert verdict.differentiable == differentiable
+    assert abs(verdict.worst_mismatch - worst) <= 1e-5
 
 
 def test_reference_bilinear_parts_match_the_exact_parts():
@@ -157,14 +148,49 @@ def test_repeated_linear_terms_add_up():
     assert_reference_parts_match_the_exact_parts(model)
 
 
-def test_the_verdict_on_a_polynomial_model_never_probes(monkeypatch):
-    def probe(model, *args, **kwargs):
-        raise AssertionError("the finite-difference probe ran")
+def test_the_probe_never_evaluates_the_chart(monkeypatch):
+    def mu(self, u, v):
+        raise AssertionError("the probe evaluated the chart")
 
-    monkeypatch.setattr(charts, "differentiability_probe", probe)
-    for model in (affine_model(2), projection_model()):
-        rep = rigidity_report(model, scan_radius=0.25, grid_step=0.1)
-        assert rep.differentiable_at_origin and rep.worst_mismatch == 0
+    monkeypatch.setattr(ChartModel, "mu", mu)
+    for name, build in BUILTIN_MODELS.items():
+        for dim in (1, 2, 3):
+            model = build(dim=dim)
+            assert differentiability_probe(model).differentiable == (name != "min-plus")
+
+
+# pieces of dim-1 charts: u + v + u^2 and u + v - u^2 share their linear part
+SHARED = [[(1.0, (1, 0)), (1.0, (0, 1)), (1.0, (2, 0))],
+          [(1.0, (1, 0)), (1.0, (0, 1)), (-1.0, (2, 0))]]
+
+
+def test_pieces_that_share_a_linear_part_make_a_c1_chart():
+    model = ChartModel(dim=1, pieces=[SHARED], name="shared")
+    assert differentiability_probe(model) == charts.ProbeVerdict(True, 0.0)
+    assert _symbolic_parts(model) == ([[Fraction(1)]], [[Fraction(1)]])
+    assert_reference_parts_match_the_exact_parts(model)
+    rep = rigidity_report(model, scan_radius=0.25, grid_step=0.05)
+    assert rep.differentiable_at_origin and rep.prediction == "isolated idempotent"
+    assert reference_differentiability_probe(model)[0]
+
+
+@pytest.mark.parametrize("pieces, worst", [
+    # min(u + v + u^2, 2u - v^2): gap 1 along u and along v
+    ([[(1.0, (1, 0)), (1.0, (0, 1)), (1.0, (2, 0))],
+      [(2.0, (1, 0)), (-1.0, (0, 2))]], 1.0),
+    # min(u, 3u, 0.5 v): gap 3 along u, 0.5 along v
+    ([[(1.0, (1, 0))], [(3.0, (1, 0))], [(0.5, (0, 1))]], 3.0),
+], ids=["quadratic-pieces", "three-pieces"])
+def test_pieces_that_differ_make_a_chart_that_is_not_c1(pieces, worst):
+    model = ChartModel(dim=1, pieces=[pieces], name="kinked")
+    verdict = differentiability_probe(model)
+    assert not verdict.differentiable and verdict.worst_mismatch == worst
+    differentiable, reference_worst = reference_differentiability_probe(model)
+    assert not differentiable
+    assert abs(verdict.worst_mismatch - reference_worst) <= 1e-5
+    rep = rigidity_report(model, scan_radius=0.25, grid_step=0.05)
+    assert rep.prediction == "not C1 at the idempotent; no prediction"
+    assert rep.L is None and rep.DH0_invertible is None
 
 
 def reference_determinant(A):
@@ -196,6 +222,11 @@ def test_a_nonzero_constant_term_is_refused_exactly():
     with pytest.raises(WorkbenchError,
                        match="coordinate 1 term 0: constant term 1e-13"):
         polynomial_model(2, [[(1.0, (1, 0, 0, 0))], [(1e-13, (0, 0, 0, 0))]])
+    with pytest.raises(WorkbenchError,
+                       match="coordinate 0 piece 1 term 1: constant term 1e-13"):
+        ChartModel(dim=1, pieces=[[[(1.0, (1, 0))], [(1.0, (0, 1)), (1e-13, (0, 0))]]])
+    with pytest.raises(WorkbenchError, match="coordinate 0 has no piece"):
+        ChartModel(dim=1, pieces=[[]])
     polynomial_model(1, [[(0.0, (0, 0)), (1.0, (1, 0))]])  # a zero constant is allowed
 
 
@@ -343,32 +374,37 @@ COEFFS = st.one_of(st.sampled_from([1.0, -1.0, 0.5, 2.0]),
 
 
 @st.composite
-def polynomial_models(draw, max_dim, radius):
-    """A polynomial model of dim 1 to max_dim whose terms have degree 1 to 3
-    (so mu(0, 0) = 0) and coefficients in [-2, 2]."""
+def polynomial_models(draw, max_dim, radius, max_pieces=1):
+    """A chart of dim 1 to max_dim whose coordinates are mins of 1 to
+    max_pieces polynomials with terms of degree 1 to 3 (so mu(0, 0) = 0) and
+    coefficients in [-2, 2]."""
     dim = draw(st.integers(1, max_dim))
-    polys = []
+    pieces = []
     for _ in range(dim):
-        terms = []
-        for _ in range(draw(st.integers(0, 3))):
-            exps = [0] * (2 * dim)
-            for k in draw(st.lists(st.integers(0, 2 * dim - 1), min_size=1,
-                                   max_size=3)):
-                exps[k] += 1
-            terms.append((draw(COEFFS), tuple(exps)))
-        polys.append(terms)
-    return polynomial_model(dim, polys, radius)
+        coord = []
+        for _ in range(draw(st.integers(1, max_pieces))):
+            terms = []
+            for _ in range(draw(st.integers(0, 3))):
+                exps = [0] * (2 * dim)
+                for k in draw(st.lists(st.integers(0, 2 * dim - 1), min_size=1,
+                                       max_size=3)):
+                    exps[k] += 1
+                terms.append((draw(COEFFS), tuple(exps)))
+            coord.append(terms)
+        pieces.append(coord)
+    return ChartModel(dim, pieces, radius, name="polynomial")
 
 
 @st.composite
 def chart_models(draw):
-    """A builtin model or a random polynomial model of dim 1 to 3."""
+    """A builtin model or a random chart of dim 1 to 3, with up to three
+    pieces per coordinate."""
     radius = draw(st.sampled_from([0.25, 0.5, 1.0]))
     name = draw(st.sampled_from(sorted(BUILTIN_MODELS) + ["polynomial"] * 3))
     if name == "min-plus":
         return BUILTIN_MODELS[name](radius=radius)
     if name == "polynomial":
-        return draw(polynomial_models(3, radius))
+        return draw(polynomial_models(3, radius, max_pieces=3))
     return BUILTIN_MODELS[name](dim=draw(st.integers(1, 3)), radius=radius)
 
 

@@ -221,7 +221,14 @@ def cli_error(capsys, *argv):
 
 def test_cli_converge_rejects_a_k_without_block(capsys):
     err = cli_error(capsys, "converge", "flat3.metric", "--ks", "9")
-    assert err.startswith("error:") and "9" in err
+    assert err == "error: no group block at element 9\n"
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_cli_converge_rejects_a_k_below_1(capsys, k):
+    # 1/0 is no term of the sequence, though element 0 is the limit point
+    err = cli_error(capsys, "converge", "flat3.metric", f"--ks=1,{k}")
+    assert err == f"error: k must be >= 1: 1/{k} is no point of the sequence\n"
 
 
 def test_cli_converge_rejects_a_g_outside_the_group(capsys):
@@ -497,13 +504,19 @@ def test_fuzzed_metric_data_ends_in_a_result_or_an_error_line(name, data):
             assert_result_or_error_line(command, path, (field, value))
 
 
-def assert_result_or_error_line(command, path, case):
-    """Run `command path` in-process: exit 0 with output, or exit 1 with an
-    `error:` line and no output."""
+# subcommands that exit 1 with their report on stdout on a negative verdict
+VERDICT_COMMANDS = {"basis-check", "metric-suite", "topo-check"}
+
+
+def assert_result_or_error_line(command, path, case, *options):
+    """Run `command path options` in-process: exit 0 with output (or exit 1
+    with output on a negative verdict), or exit 1 with an `error:` line and
+    no output.  command may carry a positional argument that comes before
+    the file, as in "metric-eval bowman"."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main([command, str(path)])
-    if code == 0:
+        code = main([*command.split(), str(path), *options])
+    if code == 0 or (code == 1 and command in VERDICT_COMMANDS and out.getvalue()):
         assert out.getvalue() and not err.getvalue()
     else:
         assert code == 1 and err.getvalue().startswith("error: "), \
@@ -609,3 +622,49 @@ def test_fuzzed_chart_poset_and_topology_documents_end_in_a_result_or_an_error_l
     fields, commands = MODEL_FIELDS[name]
     assert_fuzzed_document_ends_in_a_result_or_an_error_line(name, fields, commands,
                                                              data)
+
+
+HUGE = 10 ** 20
+INTS = st.sampled_from([-HUGE, -3, -1, 0, 1, 2, 3, 9, HUGE]).map(str)
+INT_LISTS = st.one_of(st.lists(INTS, max_size=3).map(",".join),
+                      st.sampled_from([",", "1,,2", "1e999", "nan", "a"]))
+POINTS = st.one_of(
+    st.tuples(INTS, st.one_of(INTS, st.sampled_from(["a", "b", "z", "²", ""])))
+    .map(",".join),
+    st.sampled_from(["", ",", "1", "x,0"]))
+# Values that argparse accepts.  The seed grid stays small: a step below 0.1
+# with a scan radius above 0 meets the 10^6-seed guard, and Newton runs at
+# most 30 iterations.
+OPTION_VALUES = {
+    "--grid": st.sampled_from(["nan", "inf", "-inf", "-1", "0", "5e-324", "1e-300",
+                               "1e-5", "0.1", "0.25", "1", "1e308"]),
+    "--scan": st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.25", "0.5", "1",
+                               "2", "1e308"]),
+    "--newton": st.sampled_from([str(-HUGE), "-1", "0", "1", "3", "30"]),
+    "--ks": INT_LISTS, "--g": INTS, "--truncation": INTS,
+    "--basis": INT_LISTS, "--e": INTS, "--u": INT_LISTS, "--v": INT_LISTS,
+    "--p": POINTS, "--q": POINTS,
+}
+METRIC_FILES = ["flat3.metric", "twochain.metric"]
+# command, files, required options, optional options
+ARGUMENT_COMMANDS = [
+    ("c1-probe", ["additive.chart", "minplus.chart"], [], ["--grid", "--scan", "--newton"]),
+    ("converge", METRIC_FILES, [], ["--ks", "--g", "--truncation"]),
+    ("metric-eval bowman", METRIC_FILES, ["--p", "--q"], ["--truncation"]),
+    ("metric-eval yeager", METRIC_FILES, ["--p", "--q"], ["--truncation"]),
+    ("metric-eval disjoint", METRIC_FILES, ["--p", "--q"], ["--truncation"]),
+    ("metric-suite", METRIC_FILES, [], ["--truncation"]),
+    ("basis-check", ["chain3.poset"], ["--basis"], []),
+    ("basic-set", ["twochain.spec"], ["--u", "--v"], ["--e"]),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_cli_arguments_end_in_a_result_or_an_error_line(data):
+    command, files, required, optional = data.draw(st.sampled_from(ARGUMENT_COMMANDS))
+    names = required + [name for name in optional if data.draw(st.booleans())]
+    # --name=value keeps a value such as "-1,0" from reading as an option
+    options = [f"{name}={data.draw(OPTION_VALUES[name])}" for name in names]
+    assert_result_or_error_line(command, data.draw(st.sampled_from(files)), options,
+                                *options)

@@ -8,10 +8,11 @@ it calls; otherwise a fast kernel would check itself.  Likewise the
 checks, must not reach the least-open bitmasks of `cliffordlab.topology`.
 No `reference_*` function of the tests and not `suite.oracle_bowman` may read
 the structure cached on a semigroup or a model: a reference that did would
-check the cache against itself.  The finite-difference parts of a chart model,
-`suite.oracle_chart_parts` and `reference_bilinear_parts` of
-tests/test_charts.py, must not reach its polynomials or the exact helpers of
-`cliffordlab.charts` that read them.
+check the cache against itself.  The finite-difference checks of a chart
+model, `suite.oracle_chart_parts`, `suite.oracle_one_sided_gap`, and
+`reference_bilinear_parts` and `reference_differentiability_probe` of
+tests/test_charts.py, must not reach its polynomial pieces or the exact
+helpers of `cliffordlab.charts` that read them.
 """
 
 import ast
@@ -169,9 +170,10 @@ def test_references_and_the_oracle_read_no_cached_structure():
     assert cached_reads(helpers["oracle_bowman"], helpers) == []
 
 
-# the exact route of the rigidity verdict: the polynomials of a chart model
-# and the helpers of charts.py that read them; its private names are kernel too
-CHART_KERNEL = {"polynomials", "_symbolic_parts", "_matmul", "_nonsingular"}
+# the exact route of the rigidity verdict: the polynomial pieces of a chart
+# model and the helpers of charts.py that read them; its private names are
+# kernel too
+CHART_KERNEL = {"pieces", "_symbolic_parts", "_matmul", "_nonsingular"}
 
 
 def chart_kernel_names_reached(root, helpers: dict, charts_source: str) -> list[str]:
@@ -185,10 +187,10 @@ def chart_kernel_names_reached(root, helpers: dict, charts_source: str) -> list[
 def test_chart_kernel_names_are_found_through_helpers():
     helpers = functions("def oracle(model):\n    return helper(model)\n"
                         "def helper(model):\n    return parts(model)\n")
-    charts_source = ("def parts(model):\n    return model.polynomials\n"
+    charts_source = ("def parts(model):\n    return model.pieces\n"
                      "def _exact(A):\n    pass\n")
     assert chart_kernel_names_reached(helpers["oracle"], helpers, charts_source) == [
-        "polynomials"]
+        "pieces"]
     helpers = functions("def oracle(model):\n    return _exact(model)\n")
     assert chart_kernel_names_reached(helpers["oracle"], helpers, charts_source) == [
         "_exact"]
@@ -197,7 +199,7 @@ def test_chart_kernel_names_are_found_through_helpers():
 def test_chart_oracles_reach_no_exact_part():
     charts_source = (PACKAGE / "charts.py").read_text(encoding="utf-8")
     nodes = list(ast.walk(ast.parse(charts_source)))
-    # function names and class fields such as ChartModel.polynomials
+    # function names and class fields such as ChartModel.pieces
     defined = ({n.name for n in nodes if isinstance(n, ast.FunctionDef)}
                | {n.target.id for n in nodes
                   if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)})
@@ -205,7 +207,7 @@ def test_chart_oracles_reach_no_exact_part():
     suite = functions((PACKAGE / "suite.py").read_text(encoding="utf-8"))
     tests = functions((pathlib.Path(__file__).parent / "test_charts.py").read_text(
         encoding="utf-8"))
-    assert chart_kernel_names_reached(suite["oracle_chart_parts"], suite,
-                                      charts_source) == []
-    assert chart_kernel_names_reached(tests["reference_bilinear_parts"], tests,
-                                      charts_source) == []
+    for oracle in ("oracle_chart_parts", "oracle_one_sided_gap"):
+        assert chart_kernel_names_reached(suite[oracle], suite, charts_source) == []
+    for reference in ("reference_bilinear_parts", "reference_differentiability_probe"):
+        assert chart_kernel_names_reached(tests[reference], tests, charts_source) == []
