@@ -40,8 +40,7 @@ class ChartModel:
 
     def __post_init__(self):
         self.pieces = [
-            [[(float(c), tuple(int(e) for e in exps)) for c, exps in piece]
-             for piece in coord]
+            [[(float(c), tuple(exps)) for c, exps in piece] for piece in coord]
             for coord in self.pieces
         ]
         if len(self.pieces) != self.dim:
@@ -54,6 +53,10 @@ class ChartModel:
                 for k, (coeff, exps) in enumerate(piece):
                     if len(exps) != 2 * self.dim:
                         raise WorkbenchError("exponent tuples must have length 2*dim")
+                    if not all(e >= 0 and e % 1 == 0 for e in exps):
+                        raise WorkbenchError(f"{where} term {k}: exponents {list(exps)} "
+                                             "must be non-negative integers")
+                    piece[k] = (coeff, tuple(map(int, exps)))
                     if coeff and not any(exps):
                         raise WorkbenchError(
                             f"{where} term {k}: constant term {coeff!r} makes "

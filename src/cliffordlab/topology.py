@@ -4,15 +4,15 @@ chain, closedness of the order graph, and the two basic-set constructors.
 
 Every finite topology is Alexandrov: it is the family of up-sets of its
 specialization preorder, and U_x, the least open set around x, is the up-set
-of x.  A topology keeps its opens as frozensets of indices and derives U_x
-once, as an int bitmask (bit y set iff y in U_x), together with its relation
-mask R (bit b*n + c set iff c in U_b).  A semigroup keeps the masks these
-checks read of it (FiniteSemigroup.topology_masks): the image of each pair
-(b, c) under all translations, as an n^2-bit mask filled when first read,
-and the masks of its J-classes, maximal subgroups and idempotents.  So
-continuity of a model is an OR of pair images and one test against R, and a
-model derives its verdict once.  The open sets themselves are read only to
-name a witness.
+of x.  A topology is held as its least opens, each an int bitmask (bit y set
+iff y in U_x), and derives its relation mask R (bit b*n + c set iff c in
+U_b) and its open sets, the unions of the U_x, when first read.  A semigroup
+keeps the masks these checks read of it (FiniteSemigroup.topology_masks):
+the image of each pair (b, c) under all translations, as an n^2-bit mask
+filled when first read, and the masks of its J-classes, maximal subgroups
+and idempotents.  So continuity of a model is an OR of pair images and one
+test against R, and a model derives its verdict once.  The open sets
+themselves are read only to name a witness.
 """
 
 from __future__ import annotations
@@ -67,16 +67,13 @@ def _unions(up, most: int):
 
 @dataclass(frozen=True)
 class FiniteTopology:
-    """An explicit topology: the family of all open subsets of 0..n-1."""
+    """A topology on 0..n-1 held as its least opens: up[x] is the bitmask of
+    U_x, so == and hash are those of the preorder.  Construct one through
+    validate_topology, all_topologies or generate_topology: the constructor
+    does not check that up is a preorder."""
 
     n: int
-    opens: frozenset
-
-    @cached_property
-    def up(self) -> tuple[int, ...]:
-        """U_x for each point x as a bitmask: the intersection of the opens
-        containing x, an open set since the family is finite."""
-        return _least_opens(self.n, self.opens)
+    up: tuple[int, ...]
 
     @cached_property
     def relation(self) -> int:
@@ -96,8 +93,14 @@ class FiniteTopology:
         O) for the opens in sorted(opens, key=sorted) order, the order in
         which a failing open is named."""
         n, full = self.n, (1 << self.n) - 1
-        return tuple((O, (full ^ _mask(O)) * sum(1 << z * n for z in O))
-                     for O in sorted(self.opens, key=sorted))
+        members = sorted((_members(m), m) for m in _unions(self.up, 1 << n))
+        return tuple((frozenset(O), (full ^ m) * sum(1 << z * n for z in O))
+                     for O, m in members)
+
+    @cached_property
+    def opens(self) -> frozenset:
+        """The family of all open sets, each a frozenset of indices."""
+        return frozenset(O for O, _ in self.witness_opens)
 
     def min_open(self, x: int) -> frozenset:
         """Smallest open set containing x."""
@@ -132,38 +135,28 @@ def validate_topology(n: int, opens) -> FiniteTopology:
                         f"not closed under intersection: {sorted(O)}, {sorted(P)}"
                     )
         raise InternalInconsistency("family closed pairwise but not a topology")
-    T = FiniteTopology(n=n, opens=fam)
-    T.__dict__["up"] = up  # the cached_property, known from the family
-    return T
+    return FiniteTopology(n, up)
 
 
 def discrete_topology(n: int) -> FiniteTopology:
-    opens = frozenset(
-        frozenset(c)
-        for r in range(n + 1)
-        for c in itertools.combinations(range(n), r)
-    )
-    return FiniteTopology(n=n, opens=opens)
+    return FiniteTopology(n, tuple(1 << x for x in range(n)))
 
 
 def indiscrete_topology(n: int) -> FiniteTopology:
-    return FiniteTopology(n=n, opens=frozenset({frozenset(), frozenset(range(n))}))
+    return FiniteTopology(n, ((1 << n) - 1,) * n)
 
 
 def all_topologies(n: int) -> Iterator[FiniteTopology]:
     """Every topology on n points, one per preorder: its opens are the
-    up-sets of the specialization preorder.  Each yielded topology carries
-    its opens as frozensets (shared between topologies) and its U_x."""
-    sets = [frozenset(_members(m)) for m in range(1 << n)]
-    for up, opens in _preorders(n, 0, (), [0]):
-        T = FiniteTopology(n, frozenset([sets[m] for m in opens]))
-        T.__dict__["up"] = up  # the cached_property, known from the preorder
-        yield T
+    up-sets of the specialization preorder, and each yielded topology holds
+    the up-set masks of its preorder."""
+    for up in _preorders(n, 0, (), [0]):
+        yield FiniteTopology(n, up)
 
 
 def _preorders(n: int, k: int, up: tuple, opens: list):
-    """(up, opens) for every preorder on 0..n-1 extending the preorder on
-    0..k-1 that has up-set masks up[x] and up-sets opens, as bitmasks.
+    """The up-set masks of every preorder on 0..n-1 extending the preorder
+    on 0..k-1 that has up-set masks up[x] and up-sets opens, as bitmasks.
 
     Point k joins with a down-set D below it and an up-set U above it.  D is
     the complement of an up-set, and d <= k <= u forces d <= u, so U must lie
@@ -173,7 +166,7 @@ def _preorders(n: int, k: int, up: tuple, opens: list):
     The new up-sets are the old ones that miss D, and k joined to the old
     ones that contain U."""
     if k == n:
-        yield up, opens
+        yield up
         return
     bit = 1 << k
     for A in opens:
@@ -448,10 +441,9 @@ def generate_topology(n: int, basis) -> FiniteTopology:
     cover = set()
     for B in basis:
         cover |= B
+    outside = sorted(x for x in cover if not 0 <= x < n)
+    if outside:
+        raise WorkbenchError(f"basis element {outside[0]} outside carrier")
     if cover != set(range(n)):
         raise NotACover(f"basis covers only {sorted(cover)}")
-    up = _least_opens(n, basis)
-    opens = _unions(up, 1 << n)
-    T = FiniteTopology(n, frozenset(frozenset(_members(O)) for O in opens))
-    T.__dict__["up"] = up  # the cached_property, known from the family
-    return T
+    return FiniteTopology(n, _least_opens(n, basis))

@@ -3,6 +3,7 @@ operator, and fixed-point scans."""
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -228,6 +229,21 @@ def test_a_nonzero_constant_term_is_refused_exactly():
     with pytest.raises(WorkbenchError, match="coordinate 0 has no piece"):
         ChartModel(dim=1, pieces=[[]])
     polynomial_model(1, [[(0.0, (0, 0)), (1.0, (1, 0))]])  # a zero constant is allowed
+
+
+def test_a_negative_or_fractional_exponent_is_refused():
+    # int(1.5) would read u^1.5 as u, and v^-1 would pass as a linear term
+    with pytest.raises(WorkbenchError, match=re.escape(
+            "coordinate 0 term 0: exponents [1.5, 0] must be non-negative integers")):
+        polynomial_model(1, [[(1.0, (1.5, 0)), (1.0, (0, 1))]])
+    with pytest.raises(WorkbenchError, match=re.escape(
+            "coordinate 0 term 2: exponents [2, -1] must be non-negative integers")):
+        polynomial_model(1, [[(1.0, (1, 0)), (1.0, (0, 1)), (1.0, (2, -1))]])
+    with pytest.raises(WorkbenchError, match=re.escape(
+            "coordinate 0 piece 1 term 0: exponents [nan, 1] must be non-negative")):
+        ChartModel(dim=1, pieces=[[[(1.0, (1, 0))], [(1.0, (math.nan, 1))]]])
+    model = polynomial_model(1, [[(1.0, (1.0, 0)), (1.0, (0, 1))]])
+    assert model.pieces == [[[(1.0, (1, 0)), (1.0, (0, 1))]]]
 
 
 def test_projection_model_prediction_isolated():

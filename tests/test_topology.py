@@ -1,5 +1,6 @@
 """Finite topologies on semigroup carriers and the openness equivalences."""
 
+import dataclasses
 import functools
 import itertools
 import re
@@ -49,7 +50,15 @@ def sierpinski_model():
 def test_topology_counts_up_to_five_points():
     # OEIS A000798
     for n, expected in ((1, 1), (2, 4), (3, 29), (4, 355), (5, 6942)):
-        assert sum(1 for _ in all_topologies(n)) == expected
+        assert len(set(all_topologies(n))) == expected
+
+
+def test_a_topology_is_its_least_opens():
+    assert [f.name for f in dataclasses.fields(FiniteTopology)] == ["n", "up"]
+    T = FiniteTopology(2, (0b11, 0b10))
+    assert T == sierpinski_model().T and "opens" not in T.__dict__
+    assert T.opens == {frozenset(), frozenset({1}), frozenset({0, 1})}
+    assert [O for O, _ in T.witness_opens] == sorted(T.opens, key=sorted)
 
 
 def test_discrete_and_indiscrete_are_always_continuous():
@@ -167,6 +176,14 @@ def test_generate_topology_from_carrier_is_indiscrete():
 def test_generate_topology_requires_a_cover():
     with pytest.raises(NotACover):
         generate_topology(3, [{0, 1}])
+
+
+def test_generate_topology_names_an_element_outside_the_carrier():
+    for basis, x in (([{0, 1, 2, 5}], 5), ([{0, 1}, {-1, 2}], -1)):
+        with pytest.raises(WorkbenchError) as exc:
+            generate_topology(3, basis)
+        assert not isinstance(exc.value, NotACover)
+        assert str(exc.value) == f"basis element {x} outside carrier"
 
 
 def test_validate_topology_names_a_pair_whose_union_is_missing():
@@ -335,7 +352,7 @@ def reference_order_graph_closed(model):
 def reference_topologies(n):
     """Every topology on n points, built from the reference enumeration, so
     that each derives its least opens from its open sets."""
-    return [FiniteTopology(n, opens) for opens in reference_all_topologies(n)]
+    return [validate_topology(n, opens) for opens in reference_all_topologies(n)]
 
 
 @functools.cache
@@ -368,8 +385,18 @@ def test_enumeration_matches_the_relation_filter(n):
     assert len(set(opens)) == len(opens)
     assert set(opens) == set(reference_all_topologies(n))
     for T in found:
-        assert T.up == FiniteTopology(n, T.opens).up
         assert all(T.min_open(x) == reference_min_open(T, x) for x in range(n))
+    assert len(set(found)) == len(found)
+    constructed = (discrete_topology(n), indiscrete_topology(n))
+    assert constructed[0].opens == {frozenset(c) for r in range(n + 1)
+                                    for c in itertools.combinations(range(n), r)}
+    assert constructed[1].opens == {frozenset(), frozenset(range(n))}
+    # one topology, one value: equal and equally hashed from every constructor
+    for T in (*found, *constructed):
+        for same in (validate_topology(n, T.opens),
+                     generate_topology(n, [T.min_open(x) for x in range(n)])):
+            assert same == T and hash(same) == hash(T)
+            assert same.opens == T.opens
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -406,7 +433,6 @@ def test_kernels_match_the_references_on_transformation_semigroups(table):
 def test_generated_topology_has_the_intersections_as_least_opens():
     T = generate_topology(4, [{0, 1}, {1, 2}, {3}])
     assert T == validate_topology(4, T.opens)
-    assert T.up == FiniteTopology(4, T.opens).up
     assert [reference_min_open(T, x) for x in range(4)] == [
         {0, 1}, {1}, {1, 2}, {3}]
 
