@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import chain
 from operator import eq, itemgetter
 from typing import Optional
 
@@ -104,28 +105,34 @@ def _reader(index):
     return itemgetter(*index)
 
 
-def _generators(rows) -> list[int]:
+def _generators(rows) -> tuple[list[int], list[tuple[list[int], ...]]]:
     """A generating set A, chosen greedily in index order: x joins A when
-    no left-normed product of earlier generators reaches it.
+    no left-normed product of earlier generators reaches it; and the steps
+    of its right closure (A and every r*a with r in it and a in A).
 
-    The right-closure of A (A and every r*a with r in it and a in A) is
-    grown as generators join, each product r*a looked up once, so the whole
-    carrier is covered after O(n |A|) lookups."""
-    gens, reached, seen = [], [], [False] * len(rows)
+    The closure grows as generators join.  The step of generator g_k is g_k
+    itself, then the products p = r*a it looks up, in order: r*g_k for
+    every r reached before g_k, then r*a for every r that g_k newly reaches
+    and every a in A so far.  They are kept as three parallel lists
+    (ps, rs, as_).  A product that reaches a new p is a derive step, one
+    that lands on a reached p a check step.  When a product is looked up,
+    r is reached and a is a generator.  Over all steps each pair (r, a)
+    with r in S and a in A is looked up exactly once: n |A| lookups."""
+    gens, steps, reached, seen = [], [], [], [False] * len(rows)
     for x in range(len(rows)):
         if seen[x]:
             continue
         gens.append(x)
-        done = len(reached)
-        pending = [x, *[rows[r][x] for r in reached]]
-        while pending:
-            for p in pending:
-                if not seen[p]:
-                    seen[p] = True
-                    reached.append(p)
-            pending = [p for r in reached[done:] for p in map(rows[r].__getitem__, gens)]
-            done = len(reached)
-    return gens
+        ps, rs, as_ = [rows[r][x] for r in reached], reached[:], [x] * len(reached)
+        for p in chain((x,), ps):  # the derive steps extend ps while it is read
+            if not seen[p]:
+                seen[p] = True
+                reached.append(p)
+                ps += map(rows[p].__getitem__, gens)
+                rs += [p] * len(gens)
+                as_ += gens
+        steps.append((ps, rs, as_))
+    return gens, steps
 
 
 def _associative(rows) -> bool:
@@ -139,7 +146,7 @@ def _associative(rows) -> bool:
     the same answer as testing every y.  For one y, row xy must equal row y
     read through row x; the rows are built and compared one at a time
     inside map, so the inner loops run in C."""
-    for y in _generators(rows):
+    for y in _generators(rows)[0]:
         through = _reader(rows[y])
         products = _reader([row[y] for row in rows])
         if not all(map(eq, products(rows), map(through, rows))):
@@ -354,15 +361,16 @@ def element_signature(S: FiniteSemigroup, x: int) -> tuple[int, int, bool]:
     """(index, period) of the monogenic subsemigroup of x, plus idempotency.
 
     Isomorphism-invariant; used for search pruning."""
+    rows = S.table
     seen = {}
     cur = x
     k = 0
     while cur not in seen:
         seen[cur] = k
-        cur = S.mul(cur, x)
+        cur = rows[cur][x]
         k += 1
     first = seen[cur]
-    return (first, k - first, S.mul(x, x) == x)
+    return (first, k - first, rows[x][x] == x)
 
 
 def local_group_table(S: FiniteSemigroup, elements) -> FiniteSemigroup:
@@ -391,71 +399,61 @@ def isomorphisms(G: FiniteSemigroup, H: FiniteSemigroup, budget: _Budget):
     """Yield all isomorphisms G -> H (as index tuples) by backtracking, for
     any two semigroup tables.
 
-    Elements of G are mapped in index order, each to the unused elements of
-    H with the same signature in index order; every node spends one unit of
-    the budget, and exceeding it raises SearchBudgetExceeded."""
+    The search branches only on the images of the generators g_1, g_2, ...
+    that _generators picks in G: g_k goes to each unused element of H with
+    its signature in index order, and every such node spends one unit of
+    the budget; exceeding it raises SearchBudgetExceeded.  Placing g_k
+    replays its closure step against H: a derive step p = r*a sets
+    m(p) = m(r)m(a), pruned when that image is used or has another
+    signature; a check step prunes unless m(p) = m(r)m(a).
+
+    A map that survives the last step is an isomorphism, with no check at
+    the leaf.  It is injective on the whole carrier, so a bijection.  And
+    m(ra) = m(r)m(a) for every r in G and every generator a, since the
+    steps look up each such pair.  Every y is a generator, or y'a with a a
+    generator and y' a shorter left-normed product of generators, so by
+    induction on that length, with both tables associative,
+    m(xy) = m((xy')a) = m(xy')m(a) = m(x)m(y')m(a) = m(x)m(y):
+    Light's closure argument again."""
     if G.n != H.n:
         return
     sig_g = [element_signature(G, x) for x in G.elements()]
     sig_h = [element_signature(H, x) for x in H.elements()]
     if sorted(sig_g) != sorted(sig_h):
         return
-    n = G.n
-    gt, ht = G.table, H.table
-    # The pairs (a, b) with a, b < z and ab = z become checkable when z is
-    # mapped: they sit at land_a[i], land_b[i] for start[z] <= i < start[z + 1],
-    # in two flat lists filled by a counting sort.
-    start = [0] * (n + 1)
-    for a in range(n):
-        for b, z in enumerate(gt[a]):
-            if a < z and b < z:
-                start[z + 1] += 1
-    for z in range(n):
-        start[z + 1] += start[z]
-    land_a = [0] * start[n]
-    land_b = [0] * start[n]
-    fill = start[:n]
-    for a in range(n):
-        for b, z in enumerate(gt[a]):
-            if a < z and b < z:
-                i = fill[z]
-                land_a[i], land_b[i] = a, b
-                fill[z] = i + 1
-    mapping = [-1] * n
-    used = [False] * n
+    gens, steps = _generators(G.table)
+    images = [[u for u in H.elements() if sig_h[u] == sig_g[g]] for g in gens]
+    ht = H.table
+    mapping = [-1] * G.n
+    used = [False] * H.n
 
-    def extend(x):
-        if x == n:
+    def extend(k):
+        if k == len(gens):
             yield tuple(mapping)
             return
-        row_x = gt[x]
-        for u in range(n):
-            if used[u] or sig_h[u] != sig_g[x]:
+        g = gens[k]
+        for u in images[k]:
+            if used[u]:
                 continue
             budget.spend()
-            mapping[x] = u
+            mapping[g] = u
             used[u] = True
-            ok = True
-            hu = ht[u]
-            for y in range(x + 1):
-                v = mapping[y]
-                im_xy = mapping[row_x[y]]
-                if im_xy != -1 and im_xy != hu[v]:
-                    ok = False
-                    break
-                im_yx = mapping[gt[y][x]]
-                if im_yx != -1 and im_yx != ht[v][u]:
-                    ok = False
-                    break
-            if ok:
-                for i in range(start[x], start[x + 1]):
-                    if ht[mapping[land_a[i]]][mapping[land_b[i]]] != u:
-                        ok = False
+            placed = [g]
+            for p, r, a in zip(*steps[k]):
+                v = ht[mapping[r]][mapping[a]]
+                if mapping[p] == -1:
+                    if used[v] or sig_h[v] != sig_g[p]:
                         break
-            if ok:
-                yield from extend(x + 1)
-            mapping[x] = -1
-            used[u] = False
+                    mapping[p] = v
+                    used[v] = True
+                    placed.append(p)
+                elif mapping[p] != v:
+                    break
+            else:
+                yield from extend(k + 1)
+            for p in placed:
+                used[mapping[p]] = False
+                mapping[p] = -1
 
     yield from extend(0)
 

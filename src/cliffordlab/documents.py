@@ -125,6 +125,12 @@ def _check_cayley_body(body, path="body"):
         if len(body["labels"]) != body["n"]:
             raise SchemaError(f"{path}.labels", f"expected {body['n']} labels, "
                               f"got {len(body['labels'])}")
+        first = {}
+        for j, label in enumerate(body["labels"]):
+            i = first.setdefault(label, j)
+            if i != j:
+                raise SchemaError(f"{path}.labels",
+                                  f"label {label!r} repeats at indices {i} and {j}")
 
 
 def _check_spec_body(body, path="body"):

@@ -291,8 +291,8 @@ def eta_injectivity(spec: StrongSemilatticeSpec, e: int, D):
 
 def iso_equivalent(S1: FiniteSemigroup, S2: FiniteSemigroup,
                    budget: int = 500_000) -> Optional[tuple[int, ...]]:
-    """The first multiplication-preserving bijection S1 -> S2 found by
-    core.isomorphisms, or None if none exists.
+    """A multiplication-preserving bijection S1 -> S2, found by
+    core.isomorphisms (which one is unspecified), or None if none exists.
 
     Exceeding the node budget raises SearchBudgetExceeded."""
     return next(isomorphisms(S1, S2, _Budget(budget)), None)

@@ -355,8 +355,9 @@ def test_j_classes_match_the_ideal_sets_on_assembled_clifford_semigroups():
 
 
 def reference_isomorphisms(G, H, budget):
-    """The backtracking search before the landing lists: at every node all
-    pairs a, b < x are rescanned for a product landing on x."""
+    """The index-order backtracking search, as it was before the landing
+    lists: the elements of G are mapped in index order, and at every node
+    all pairs a, b < x are rescanned for a product landing on x."""
     if G.n != H.n:
         return
     sig_g = [element_signature(G, x) for x in G.elements()]
@@ -409,23 +410,26 @@ def first_and_spent(search, G, H, limit=10**9):
     return next(search(G, H, budget), None), budget.used
 
 
-def all_and_spent(search, G, H):
-    budget = _Budget(10**9)
-    found = [(iso, budget.used) for iso in search(G, H, budget)]
-    return found, budget.used
+def all_isomorphisms(search, G, H):
+    return sorted(search(G, H, _Budget(10**9)))
 
 
 def assert_search_matches_the_reference(G, H, enumerate_all=True):
-    first = first_and_spent(isomorphisms, G, H)
-    assert first == first_and_spent(reference_isomorphisms, G, H)
-    spent = first[1]
+    """The search finds an isomorphism exactly when the reference does, and
+    with enumerate_all the same set of them.  Which one comes first and the
+    budget it charges are the search's own, so the budget boundary is
+    checked on the search alone."""
+    first, spent = first_and_spent(isomorphisms, G, H)
+    assert (first is None) == (first_and_spent(reference_isomorphisms, G, H)[0] is None)
+    if first is not None:
+        assert all(first[G.mul(x, y)] == H.mul(first[x], first[y])
+                   for x in G.elements() for y in G.elements())
     if spent:
-        for search in (isomorphisms, reference_isomorphisms):
-            with pytest.raises(SearchBudgetExceeded):
-                first_and_spent(search, G, H, limit=spent - 1)
-    assert first_and_spent(isomorphisms, G, H, limit=spent) == first
+        with pytest.raises(SearchBudgetExceeded):
+            first_and_spent(isomorphisms, G, H, limit=spent - 1)
+    assert first_and_spent(isomorphisms, G, H, limit=spent) == (first, spent)
     if enumerate_all:
-        assert all_and_spent(isomorphisms, G, H) == all_and_spent(
+        assert all_isomorphisms(isomorphisms, G, H) == all_isomorphisms(
             reference_isomorphisms, G, H)
 
 
@@ -485,6 +489,37 @@ def test_isomorphism_search_matches_the_reference_on_same_signature_twins():
             element_signature(twin, x) for x in twin.elements())
         assert_search_matches_the_reference(S, twin)
         assert_search_matches_the_reference(S, relabelled(S, 7), enumerate_all=False)
+
+
+def test_isomorphism_search_matches_the_reference_on_every_pair_of_order_3():
+    semigroups = [FiniteSemigroup(rows) for rows in (
+        (cells[0:3], cells[3:6], cells[6:9])
+        for cells in itertools.product(range(3), repeat=9)) if _associative(rows)]
+    assert len(semigroups) == 113
+    for G in semigroups:
+        for H in semigroups:
+            assert all_isomorphisms(isomorphisms, G, H) == all_isomorphisms(
+                reference_isomorphisms, G, H)
+
+
+@settings(max_examples=100, deadline=None)
+@given(transformation_tables(max_order=10), st.integers(min_value=0, max_value=99))
+def test_isomorphism_search_matches_the_reference_on_relabelled_transformation_tables(
+        table, seed):
+    S = validate_semigroup(table)
+    assert_search_matches_the_reference(S, relabelled(S, seed))
+
+
+def test_left_and_right_zero_bands_are_not_isomorphic():
+    # every element is a generator, so only the check steps tell them apart
+    assert _generators(cat.left_zero(4).table)[0] == [0, 1, 2, 3]
+    assert iso_equivalent(cat.left_zero(4), cat.right_zero(4)) is None
+
+
+def test_the_null_semigroup_of_order_4_has_3_factorial_automorphisms():
+    N = cat.null_semigroup(4)
+    assert all_isomorphisms(isomorphisms, N, N) == [
+        (0, *perm) for perm in itertools.permutations((1, 2, 3))]
 
 
 # ---------------------------------------------------------------------------
@@ -730,9 +765,23 @@ def right_closure(rows, gens):
 
 
 def assert_generators_span_the_carrier(rows):
-    gens = _generators(rows)
+    """The generators span the carrier, and their closure steps look up
+    every product r*a with a generator a once, each after r is reached."""
+    gens, steps = _generators(rows)
     assert gens == sorted(set(gens))
     assert right_closure(rows, gens) == set(range(len(rows)))
+    assert len(steps) == len(gens)
+    reached, pairs = [], set()
+    for k, (g, step) in enumerate(zip(gens, steps)):
+        assert g not in reached
+        reached.append(g)
+        for p, r, a in zip(*step):
+            assert p == rows[r][a] and r in reached and a in gens[:k + 1]
+            if p not in reached:
+                reached.append(p)
+            pairs.add((r, a))
+    assert sorted(reached) == list(range(len(rows)))
+    assert len(pairs) == sum(len(ps) for ps, _, _ in steps) == len(rows) * len(gens)
 
 
 @st.composite
@@ -778,7 +827,7 @@ def test_generators_span_generated_assembled_tables(spec):
 def test_generators_of_left_zero_and_null_tables_are_every_element():
     left_zero = tuple((x,) * 8 for x in range(8))
     null = tuple((0,) * 8 for _ in range(8))
-    assert _generators(left_zero) == _generators(null) == list(range(8))
+    assert _generators(left_zero)[0] == _generators(null)[0] == list(range(8))
 
 
 @st.composite

@@ -385,6 +385,19 @@ def test_cli_wrong_label_count_names_its_field(capsys, tmp_path, name, command,
     assert err == f"error: {field}: expected 2 labels, got 1\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["validate"], ["metric-eval", "bowman", "--p", "1,a", "--q", "1,a"]])
+def test_cli_refuses_a_repeated_label(capsys, tmp_path, command):
+    # a repeated label would leave the point "1,a" ambiguous
+    raw = json.loads(read_shipped("twochain.metric.json"))
+    raw["body"]["spec"]["groups"]["1"]["labels"] = ["a", "a"]
+    path = tmp_path / "twochain.metric.json"
+    path.write_text(json.dumps(raw))
+    err = cli_error(capsys, command[0], *command[1:2], str(path), *command[2:])
+    assert err == ("error: body.spec.groups.1.labels: "
+                   "label 'a' repeats at indices 0 and 1\n")
+
+
 ONE_POINT = {"n": True, "table": [[0]]}
 
 

@@ -12,7 +12,10 @@ check the cache against itself.  The finite-difference checks of a chart
 model, `suite.oracle_chart_parts`, `suite.oracle_one_sided_gap`, and
 `reference_bilinear_parts` and `reference_differentiability_probe` of
 tests/test_charts.py, must not reach its polynomial pieces or the exact
-helpers of `cliffordlab.charts` that read them.
+helpers of `cliffordlab.charts` that read them.  `reference_isomorphisms`
+of tests/test_core.py, the index-order search, must not reach the
+isomorphism search or a private name of `cliffordlab.core`, such as the
+generating set and closure steps that the search branches on.
 """
 
 import ast
@@ -214,3 +217,37 @@ def test_chart_oracles_reach_no_exact_part():
         assert chart_kernel_names_reached(suite[oracle], suite, charts_source) == []
     for reference in ("reference_bilinear_parts", "reference_differentiability_probe"):
         assert chart_kernel_names_reached(tests[reference], tests, charts_source) == []
+
+
+# the isomorphism search of core.py; its private names, the generators and
+# their closure steps among them, are kernel too
+SEARCH_KERNEL = {"isomorphisms", "iso_equivalent"}
+
+
+def search_kernel_names_reached(root, helpers: dict, core_source: str) -> list[str]:
+    """Search names used by `root` or by any function of `helpers` it
+    reaches."""
+    top = {node.name for node in ast.parse(core_source).body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    kernel = SEARCH_KERNEL | {n for n in top if n.startswith("_")}
+    return sorted(names_reached(root, helpers) & kernel)
+
+
+def test_search_kernel_names_are_found_through_helpers():
+    helpers = functions("def reference_isomorphisms(G, H, budget):\n"
+                        "    return helper(G)\n"
+                        "def helper(G):\n    return _generators(G.table)\n")
+    core_source = "def _generators(rows):\n    pass\n"
+    assert search_kernel_names_reached(
+        helpers["reference_isomorphisms"], helpers, core_source) == ["_generators"]
+
+
+def test_the_isomorphism_reference_reaches_no_search_name():
+    core_source = (PACKAGE / "core.py").read_text(encoding="utf-8")
+    tests = functions((pathlib.Path(__file__).parent / "test_core.py").read_text(
+        encoding="utf-8"))
+    top = {node.name for node in ast.parse(core_source).body
+           if isinstance(node, ast.FunctionDef)}
+    assert {"isomorphisms", "_generators"} <= top  # a renamed name must be renamed here
+    assert search_kernel_names_reached(
+        tests["reference_isomorphisms"], tests, core_source) == []
