@@ -223,31 +223,23 @@ def _float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def _floats(A) -> np.ndarray:
-    return np.array([[_float(x) for x in row] for row in A])
-
-
-def _defect(A, B) -> float:
-    """The Frobenius norm of A - B as a float, inf beyond the float range."""
-    return math.hypot(*(_float(a - b) for ra, rb in zip(A, B)
-                        for a, b in zip(ra, rb)))
-
-
 @dataclass
 class RigidityReport:
+    """The dichotomy check of one chart.  On a C1 chart L, R and the
+    displacement derivative DH0 = L + R - I are exact matrices of Fractions
+    (lists of rows) and DH0_invertible is decided exactly; off C1 all four
+    are None.  The floats are worst_mismatch, the smallest singular value of
+    DH0 rounded to floats, and the points of the fixed-point scan."""
+
     model_name: str
     differentiable_at_origin: bool
     worst_mismatch: float
     prediction: str
     fixed_points_found: list = field(default_factory=list)
     divergent_seeds: int = 0
-    L: Optional[np.ndarray] = None
-    R: Optional[np.ndarray] = None
-    L_projection_defect: Optional[float] = None
-    R_projection_defect: Optional[float] = None
-    centrality_defect: Optional[float] = None
-    DH0: Optional[np.ndarray] = None
-    involution_defect: Optional[float] = None
+    L: Optional[list] = None
+    R: Optional[list] = None
+    DH0: Optional[list] = None
     DH0_invertible: Optional[bool] = None
     smallest_singular_value: Optional[float] = None
 
@@ -264,63 +256,41 @@ def rigidity_report(model: ChartModel, scan_radius: Optional[float] = None,
     if scan_radius is None:
         scan_radius = min(0.25, model.radius / 2)
     verdict = differentiability_probe(model)
-    if not verdict.differentiable:
-        points, diverged = fixed_point_scan(model, scan_radius, grid_step,
-                                            newton_iters)
-        return RigidityReport(
-            model_name=model.name,
-            differentiable_at_origin=False,
-            worst_mismatch=verdict.worst_mismatch,
-            prediction="not C1 at the idempotent; no prediction",
-            fixed_points_found=points,
-            divergent_seeds=diverged,
-        )
-    L, R = _symbolic_parts(model)
-    n = model.dim
-    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    DH0 = [[l + r - e for l, r, e in zip(*rows)] for rows in zip(L, R, eye)]
-    LL, RR, DH0_squared = _matmul(L, L), _matmul(R, R), _matmul(DH0, DH0)
-    if LL == L and L == R and DH0_squared != eye:
-        raise InternalInconsistency(
-            f"projection passed but involution defect is "
-            f"{_defect(DH0_squared, eye):.3g}"
-        )
-    invertible = _nonsingular(DH0)
-    if L != R:
-        prediction = "left and right parts differ; out of theorem scope"
-    elif invertible:
-        prediction = "isolated idempotent"
-    else:
-        prediction = "displacement derivative singular; no isolation claim"
-    DH0_floats = _floats(DH0)
-    if not np.isfinite(DH0_floats).all():
-        raise WorkbenchError(
-            f"model {model.name}: the displacement derivative has an entry "
-            "beyond the float range, so its smallest singular value cannot "
-            "be reported")
-    smin = float(np.linalg.svd(DH0_floats, compute_uv=False)[-1])
-    points, diverged = fixed_point_scan(model, scan_radius, grid_step,
-                                        newton_iters)
-    return RigidityReport(
-        model_name=model.name,
-        differentiable_at_origin=True,
-        worst_mismatch=verdict.worst_mismatch,
-        L=_floats(L), R=_floats(R),
-        L_projection_defect=_defect(LL, L),
-        R_projection_defect=_defect(RR, R),
-        centrality_defect=_defect(L, R),
-        DH0=DH0_floats,
-        involution_defect=_defect(DH0_squared, eye),
-        DH0_invertible=invertible,
-        smallest_singular_value=smin,
-        prediction=prediction,
-        fixed_points_found=points,
-        divergent_seeds=diverged,
-    )
+    rep = RigidityReport(model.name, verdict.differentiable,
+                         verdict.worst_mismatch,
+                         "not C1 at the idempotent; no prediction")
+    if verdict.differentiable:
+        L, R = _symbolic_parts(model)
+        n = model.dim
+        eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        DH0 = [[l + r - e for l, r, e in zip(*rows)] for rows in zip(L, R, eye)]
+        if _matmul(L, L) == L and L == R and _matmul(DH0, DH0) != eye:
+            raise InternalInconsistency(
+                "L = R is a projection but (L + R - I)^2 != I")
+        rep.L, rep.R, rep.DH0 = L, R, DH0
+        rep.DH0_invertible = _nonsingular(DH0)
+        if L != R:
+            rep.prediction = "left and right parts differ; out of theorem scope"
+        elif rep.DH0_invertible:
+            rep.prediction = "isolated idempotent"
+        else:
+            rep.prediction = "displacement derivative singular; no isolation claim"
+        DH0_floats = np.array([[_float(x) for x in row] for row in DH0])
+        if not np.isfinite(DH0_floats).all():
+            raise WorkbenchError(
+                f"model {model.name}: the displacement derivative has an entry "
+                "beyond the float range, so its smallest singular value cannot "
+                "be reported")
+        rep.smallest_singular_value = float(
+            np.linalg.svd(DH0_floats, compute_uv=False)[-1])
+    rep.fixed_points_found, rep.divergent_seeds = fixed_point_scan(
+        model, scan_radius, grid_step, newton_iters)
+    return rep
 
 
 MAX_GRID_POINTS = 10 ** 6  # seed grid of fixed_point_scan, before the ball filter
 _BATCH = 8192              # seeds per Newton batch, to bound memory
+_RESIDUAL_TOL = 1e-9       # a seed has converged once |H(u)| is below it
 
 
 def _norms(x) -> np.ndarray:
@@ -331,7 +301,7 @@ def _norms(x) -> np.ndarray:
 
 
 def _damped_newton(model: ChartModel, seeds: np.ndarray, radius: float,
-                   newton_iters: int, residual_tol: float):
+                   newton_iters: int):
     """Damped Newton on H(u) = mu(u,u) - u from every row of seeds at once.
 
     Each row takes exactly the steps a one-seed loop takes: Jacobian by
@@ -354,7 +324,7 @@ def _damped_newton(model: ChartModel, seeds: np.ndarray, radius: float,
     diverged = np.zeros(m, dtype=bool)
     steps = np.eye(n) * h  # row j is the stencil step along axis j
     for _ in range(newton_iters):
-        active &= ~(r < residual_tol)
+        active &= ~(r < _RESIDUAL_TOL)
         rows = np.flatnonzero(active)
         x = u[rows][:, None, :]
         plus, minus = x + steps, x - steps  # (k, n, n): point j of the stencil
@@ -397,13 +367,12 @@ def _damped_newton(model: ChartModel, seeds: np.ndarray, radius: float,
         far = stepped[_norms(u[stepped]) > 4 * radius]
         diverged[far] = True
         active[far] = False
-    ok = ~diverged & (r < residual_tol) & (_norms(u) <= radius + 1e-9)
+    ok = ~diverged & (r < _RESIDUAL_TOL) & (_norms(u) <= radius + 1e-9)
     return u[ok], int(diverged.sum())
 
 
 def fixed_point_scan(model: ChartModel, radius: float, grid_step: float,
-                     newton_iters: int = 30, residual_tol: float = 1e-9,
-                     dedup_tol: float = 1e-6):
+                     newton_iters: int = 30, dedup_tol: float = 1e-6):
     """Damped Newton on H(u) = mu(u,u) - u from the seeds in the ball whose
     coordinates are integer multiples of grid_step, the origin among them.
 
@@ -440,7 +409,7 @@ def fixed_point_scan(model: ChartModel, radius: float, grid_step: float,
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(seeds), _BATCH):
             found, lost = _damped_newton(model, seeds[start:start + _BATCH],
-                                         radius, newton_iters, residual_tol)
+                                         radius, newton_iters)
             points.append(found)
             diverged += lost
     points = np.concatenate(points)

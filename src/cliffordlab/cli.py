@@ -299,12 +299,9 @@ def _cmd_metric_eval(args):
 def _cmd_metric_suite(args):
     data = docs.build_bowman_data(_load(args.file))
     points = data.points()
-    cache = {}
-    for p in points:
-        for q in points:
-            cache[(p, q)] = bowman_distance(data, p, q,
-                                            truncation=args.truncation).value
-    rep = metric_axiom_suite(lambda p, q: cache[(p, q)], points)
+    rep = metric_axiom_suite(
+        lambda p, q: bowman_distance(data, p, q, truncation=args.truncation).value,
+        points)
     axioms = {
         "non-negativity": rep.negativity,
         "symmetry": rep.symmetry,

@@ -157,8 +157,8 @@ def _associative(rows) -> bool:
 def validate_semigroup(table, labels=None) -> FiniteSemigroup:
     """Check shape, index range, and associativity; return the semigroup.
 
-    Raises IndexOutOfRange for malformed tables and NotAssociative (with the
-    full witness list) when some triple fails.
+    Raises IndexOutOfRange for malformed tables or labels and NotAssociative
+    (with the full witness list) when some triple fails.
     """
     rows = tuple(tuple(row) for row in table)
     n = len(rows)
@@ -179,6 +179,12 @@ def validate_semigroup(table, labels=None) -> FiniteSemigroup:
         labels = tuple(labels)
         if len(labels) != n:
             raise IndexOutOfRange(f"expected {n} labels, got {len(labels)}")
+        first = {}
+        for j, label in enumerate(labels):
+            i = first.setdefault(label, j)
+            if i != j:
+                raise IndexOutOfRange(
+                    f"label {label!r} repeats at indices {i} and {j}")
     return FiniteSemigroup(rows, labels)
 
 

@@ -289,10 +289,10 @@ def eta_injectivity(spec: StrongSemilatticeSpec, e: int, D):
     return True, None
 
 
-def iso_equivalent(S1: FiniteSemigroup, S2: FiniteSemigroup,
-                   budget: int = 500_000) -> Optional[tuple[int, ...]]:
+def iso_equivalent(S1: FiniteSemigroup, S2: FiniteSemigroup
+                   ) -> Optional[tuple[int, ...]]:
     """A multiplication-preserving bijection S1 -> S2, found by
     core.isomorphisms (which one is unspecified), or None if none exists.
 
-    Exceeding the node budget raises SearchBudgetExceeded."""
-    return next(isomorphisms(S1, S2, _Budget(budget)), None)
+    Exceeding the node budget of 500 000 raises SearchBudgetExceeded."""
+    return next(isomorphisms(S1, S2, _Budget(500_000)), None)

@@ -199,11 +199,11 @@ def criterion_openness() -> CriterionResult:
                    t0)
 
 
-def two_chain_reference_data(base_points=None):
+def two_chain_reference_data():
     """The order-3 reference model: E = {0 < 1}, G_1 = Z2, G_0 trivial,
     rho(0,1) = 1, 0/1-valued group metrics."""
     spec = cat.spec_catalog()["chain2-z2-trivial"]
-    return bowman_data_from_spec(spec, [[0, 1], [1, 0]], base_points=base_points)
+    return bowman_data_from_spec(spec, [[0, 1], [1, 0]])
 
 
 def oracle_bowman(data, p, q) -> Fraction:
@@ -329,8 +329,8 @@ def criterion_separation() -> CriterionResult:
                    t0)
 
 
-def convergence_instance(N: int = 2000):
-    return flat_bowman_data(flat_model(N), cat.cyclic_group(2), "identity")
+def convergence_instance():
+    return flat_bowman_data(flat_model(2000), cat.cyclic_group(2), "identity")
 
 
 def criterion_convergence() -> CriterionResult:
@@ -359,9 +359,10 @@ def criterion_convergence() -> CriterionResult:
                    t0)
 
 
-def oracle_chart_parts(model, h=1e-4):
+def oracle_chart_parts(model):
     """L and R by plain central differences of evaluate at the origin: the
     independent check of the exact parts that the rigidity verdict reads."""
+    h = 1e-4
     z = np.zeros(model.dim)
     steps = np.eye(model.dim) * h
     return (np.column_stack([(model.evaluate(w, z) - model.evaluate(-w, z)) / (2 * h)
@@ -370,10 +371,11 @@ def oracle_chart_parts(model, h=1e-4):
                              for w in steps]))
 
 
-def oracle_one_sided_gap(model, t=1e-6):
+def oracle_one_sided_gap(model):
     """The largest gap over the 2n axes w of (u, v) between the one-sided
     difference quotients of evaluate at the origin, |mu(t w) + mu(-t w)| / t:
     the independent check of the exact mismatch that the C1 verdict reads."""
+    t = 1e-6
     n = model.dim
     return max(float(np.linalg.norm(model.evaluate(t * w[:n], t * w[n:])
                                     + model.evaluate(-t * w[:n], -t * w[n:]))) / t

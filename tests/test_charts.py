@@ -22,6 +22,7 @@ from cliffordlab.charts import (
     min_plus_model,
     polynomial_model,
     rigidity_report,
+    _matmul,
     _nonsingular,
     _symbolic_parts,
 )
@@ -175,6 +176,10 @@ def test_pieces_that_share_a_linear_part_make_a_c1_chart():
     assert reference_differentiability_probe(model)[0]
 
 
+# the fields of a RigidityReport that only a C1 chart fills
+EXACT_FIELDS = ("L", "R", "DH0", "DH0_invertible", "smallest_singular_value")
+
+
 @pytest.mark.parametrize("pieces, worst", [
     # min(u + v + u^2, 2u - v^2): gap 1 along u and along v
     ([[(1.0, (1, 0)), (1.0, (0, 1)), (1.0, (2, 0))],
@@ -191,7 +196,7 @@ def test_pieces_that_differ_make_a_chart_that_is_not_c1(pieces, worst):
     assert abs(verdict.worst_mismatch - reference_worst) <= 1e-5
     rep = rigidity_report(model, scan_radius=0.25, grid_step=0.05)
     assert rep.prediction == "not C1 at the idempotent; no prediction"
-    assert rep.L is None and rep.DH0_invertible is None
+    assert all(getattr(rep, name) is None for name in EXACT_FIELDS)
 
 
 def reference_determinant(A):
@@ -246,12 +251,21 @@ def test_a_negative_or_fractional_exponent_is_refused():
     assert model.pieces == [[[(1.0, (1, 0)), (1.0, (0, 1))]]]
 
 
+def assert_exact_parts(rep, P, DH0):
+    """L = R = P and the displacement derivative is DH0, every entry of the
+    three a Fraction, and DH0^2 = I exactly (P is a projection here)."""
+    assert rep.L == rep.R == P and rep.DH0 == DH0
+    assert all(type(x) is Fraction for A in (rep.L, rep.R, rep.DH0)
+               for row in A for x in row)
+    eye = [[Fraction(int(i == j)) for j in range(len(DH0))] for i in range(len(DH0))]
+    assert _matmul(rep.DH0, rep.DH0) == eye
+
+
 def test_projection_model_prediction_isolated():
     # a degenerate-looking P whose displacement derivative diag(1, -1) is
     # still invertible
     rep = rigidity_report(projection_model(), scan_radius=0.25, grid_step=0.05)
-    assert np.allclose(rep.L, np.diag([1.0, 0.0]), atol=1e-6)
-    assert np.allclose(rep.DH0, np.diag([1.0, -1.0]), atol=1e-6)
+    assert_exact_parts(rep, [[1, 0], [0, 0]], [[1, 0], [0, -1]])
     assert rep.DH0_invertible
     assert rep.prediction == "isolated idempotent"
     assert len(rep.fixed_points_found) == 1
@@ -259,15 +273,15 @@ def test_projection_model_prediction_isolated():
 
 def test_additive_report_has_identity_displacement():
     rep = rigidity_report(additive_model(2), scan_radius=0.25, grid_step=0.05)
-    assert np.allclose(rep.DH0, np.eye(2), atol=1e-6)
+    assert_exact_parts(rep, [[1, 0], [0, 1]], [[1, 0], [0, 1]])
     assert rep.smallest_singular_value >= 0.9
-    assert rep.involution_defect == 0 and rep.worst_mismatch == 0
+    assert rep.worst_mismatch == 0
 
 
 def test_min_plus_report_flags_non_differentiability():
     rep = rigidity_report(min_plus_model(), scan_radius=0.25, grid_step=0.05)
     assert not rep.differentiable_at_origin
-    assert rep.DH0 is None
+    assert all(getattr(rep, name) is None for name in EXACT_FIELDS)
     assert rep.worst_mismatch >= 0.5
 
 
@@ -294,7 +308,7 @@ def test_min_plus_scan_samples_the_continuum():
 def test_discrete_product_model_displacement():
     rep = rigidity_report(discrete_product_model(2), scan_radius=0.25,
                           grid_step=0.05)
-    assert np.allclose(rep.DH0, np.diag([-1.0, 1.0]), atol=1e-6)
+    assert_exact_parts(rep, [[0, 0], [0, 1]], [[-1, 0], [0, 1]])
     assert rep.DH0_invertible
 
 

@@ -66,6 +66,12 @@ def test_out_of_range_entry_rejected():
         validate_semigroup([[0, 2], [1, 0]])
 
 
+def test_repeated_label_rejected():
+    with pytest.raises(IndexOutOfRange, match="^label 'a' repeats at indices 0 and 1$"):
+        validate_semigroup([[0, 1], [1, 0]], labels=["a", "a"])
+    assert validate_semigroup([[0, 1], [1, 0]], labels=["a", "b"]).labels == ("a", "b")
+
+
 def test_min_semilattice_is_valid():
     S = validate_semigroup([[min(i, j) for j in range(3)] for i in range(3)])
     assert classify(S).is_clifford

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and only
-the chart path loads numpy: the other modules import neither numpy nor
+"""Every name a library module imports is used in that module, every
+private helper of the package is used somewhere in it, and only the chart
+path loads numpy: the other modules import neither numpy nor
 `charts` or `suite` when they load, and the package re-exports `charts`
 lazily.
 
@@ -42,6 +43,41 @@ def test_no_module_imports_an_unused_name():
             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
             for hit in unused_imports(path.read_text(encoding="utf-8"))]
     assert hits == []
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """The module-level private functions and classes of the given modules
+    (name to source) that no top-level statement of any of them, other than
+    the definition itself, names: as a name, an attribute or an import."""
+    statements = [(module, node) for module, source in sorted(sources.items())
+                  for node in ast.parse(source).body]
+
+    def names(node):
+        return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+                | {a.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom)
+                   for a in n.names})
+
+    named = [names(node) for _, node in statements]
+    return [f"{module} {node.name}" for k, (module, node) in enumerate(statements)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and not any(node.name in other for i, other in enumerate(named) if i != k)]
+
+
+def test_dead_helpers_are_found():
+    sources = {"a": "def _dead():\n    return _dead()\n"
+                    "def _local():\n    pass\n"
+                    "class _Imported:\n    pass\n"
+                    "def _attribute():\n    pass\n"
+                    "def public():\n    return _local()\n",
+               "b": "from .a import _Imported\nimport a\nx = a._attribute\n"}
+    assert dead_helpers(sources) == ["a _dead"]
+
+
+def test_no_private_helper_is_dead():
+    assert dead_helpers({path.name: path.read_text(encoding="utf-8")
+                         for path in PACKAGE.glob("*.py")}) == []
 
 
 LEAN_MODULES = ("core.py", "semilattice.py", "documents.py", "order.py",
