@@ -105,7 +105,7 @@ def _check_by_element(obj, path, n, check_value):
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
     for key, value in obj.items():
-        if not (key.isdecimal() and int(key) < n):
+        if not (key.isdecimal() and key == str(int(key)) and int(key) < n):
             raise SchemaError(f"{path}.{key}",
                               f"keys are element indices 0..{n - 1}")
         check_value(value, f"{path}.{key}")
@@ -139,14 +139,15 @@ def _check_spec_body(body, path="body"):
     if not isinstance(body["groups"], dict):
         raise SchemaError(f"{path}.groups", "expected an object")
     for key, g in body["groups"].items():
-        if not key.isdecimal():
+        if not (key.isdecimal() and key == str(int(key))):
             raise SchemaError(f"{path}.groups.{key}", "keys are element indices")
         _check_cayley_body(g, f"{path}.groups.{key}")
     if not isinstance(body["bonding"], dict):
         raise SchemaError(f"{path}.bonding", "expected an object")
     for key, phi in body["bonding"].items():
         parts = key.split("->")
-        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+        if len(parts) != 2 or not all(p.isdecimal() and p == str(int(p))
+                                      for p in parts):
             raise SchemaError(f"{path}.bonding.{key}", 'keys look like "f->e"')
         _check_int_list(phi, f"{path}.bonding.{key}")
 

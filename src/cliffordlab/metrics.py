@@ -78,11 +78,6 @@ class PosetEModel:
         return [b for b in self.elements()
                 if b == m or self.a_weight_raw(b, e) != 0]
 
-    def common_denominator(self) -> int:
-        """A denominator of every rho value and every weight (weights are
-        rho values or 1)."""
-        return math.lcm(*(v.denominator for row in self.rho_matrix for v in row))
-
 
 def _check_metric_matrix(m, name: str, n: int,
                          bound: Optional[Fraction] = None):
@@ -142,9 +137,8 @@ class BowmanMetricData:
     blocks: dict
     bonding: dict
     pseudo: bool = False
-    # integer kernel of bowman_distance, built on first use (see _kernel_scale)
-    _scale: Optional[tuple] = field(default=None, init=False, repr=False,
-                                    compare=False)
+    # integer kernel of bowman_distance: basis index j of b, and the profiles
+    _position: dict = field(init=False, repr=False, compare=False)
     _profiles: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -154,6 +148,7 @@ class BowmanMetricData:
             raise WorkbenchError("basis enumeration must start at the minimum")
         if len(set(self.basis)) != len(self.basis):
             raise WorkbenchError("basis enumeration repeats an element")
+        self._position = {b: j for j, b in enumerate(self.basis, start=1)}
         outside = [b for b in self.basis if b not in self.emodel.elements()]
         if outside:
             raise WorkbenchError(f"basis element {outside[0]} is not in E")
@@ -208,45 +203,30 @@ def extended_bonding(data: BowmanMetricData, e: int, b: int, g: int) -> int:
     return data.blocks[b].base_point
 
 
-def _kernel_scale(data: BowmanMetricData) -> tuple:
-    """(D, position) of the integer kernel, built once per data.
-
-    D = D_E * D_G * 2^(|basis| + longest enumeration), where D_E is a common
-    denominator of rho and the weights and D_G one of the group metrics of
-    the basis blocks; so D rho, D 2^-j a_b(e) and D 2^-(j+k) a_b(e) d_b are
-    integers.  position maps a basis element to its 1-based index j."""
-    if data._scale is None:
-        blocks = [data.blocks[b] for b in data.basis]
-        d_g = math.lcm(*(v.denominator for blk in blocks for row in blk.d
-                         for v in row))
-        shift = len(data.basis) + max(len(blk.enumeration) for blk in blocks)
-        D = data.emodel.common_denominator() * d_g << shift
-        data._scale = (D, {b: j for j, b in enumerate(data.basis, start=1)})
-    return data._scale
-
-
-def _profile(data: BowmanMetricData, p: Point) -> dict:
-    """The integer profile Phi(p), by basis index j over the weight support
-    of p.e: D 2^-j a_b(e), then D 2^-(j+k) a_b(e) d_b(phi(g), t_k) for
-    k = 1, 2, ...  Cached on data."""
+def _profile(data: BowmanMetricData, p: Point) -> tuple:
+    """(D_p, Phi(p)), cached on data.  Phi(p) maps each basis index j over
+    the weight support of p.e to D_p 2^-j a_b(e), then D_p 2^-(j+k) a_b(e)
+    d_b(phi(g), t_k) for k = 1, 2, ...  D_p is the lcm of the weights'
+    denominators times that of the metric entries read (a product: a weight
+    multiplies a metric value), shifted by the largest j + len(enumeration)."""
     prof = data._profiles.get(p)
     if prof is None:
-        D, position = _kernel_scale(data)
-        prof = {}
+        support = []
         for b in data.emodel.weight_support(p.e):
-            j = position.get(b)
-            if j is None:  # a pseudo basis may leave b out
-                continue
-            a = a_weight(data, b, p.e)
+            if b in data._position:  # a pseudo basis may leave b out
+                blk = data.blocks[b]
+                row = blk.d[extended_bonding(data, p.e, b, p.g)]
+                support.append((data._position[b], a_weight(data, b, p.e),
+                                [row[t] for t in blk.enumeration]))
+        D = (math.lcm(*(a.denominator for _, a, _ in support))
+             * math.lcm(*(v.denominator for *_, vs in support for v in vs))
+             << max(j + len(vs) for j, _, vs in support))
+        terms = {}
+        for j, a, vs in support:
             a_D = a.numerator * (D // a.denominator)
-            blk = data.blocks[b]
-            row = blk.d[extended_bonding(data, p.e, b, p.g)]
-            terms = [a_D >> j]
-            for k, t in enumerate(blk.enumeration, start=1):
-                v = row[t]
-                terms.append(a_D * v.numerator // v.denominator >> (j + k))
-            prof[j] = terms
-        data._profiles[p] = prof
+            terms[j] = [a_D >> j] + [a_D * v.numerator // v.denominator >> (j + k)
+                                     for k, v in enumerate(vs, start=1)]
+        prof = data._profiles[p] = (D, terms)
     return prof
 
 
@@ -255,24 +235,26 @@ def bowman_distance(data: BowmanMetricData, p: Point, q: Point,
     """rho(e,f) plus the 2^-j series of comparison terms over the basis.
 
     Every term is a positive weight times |x - y|, so the series is the L1
-    distance of the integer profiles of p and q over one denominator D,
-    summed over the basis indices j <= J in either weight support.
+    distance of the profiles of p and q rescaled to D = lcm(D_p, D_q, rho's
+    denominator), over the basis indices j <= J in either weight support.
     With truncation J the tail bound is 2^(1-J) (each term is at most 2);
     with the full finite basis the bound is 0 and the value is exact."""
     J = len(data.basis) if truncation is None else truncation
     if J < 1:
         raise WorkbenchError("truncation must be >= 1")
-    D, _ = _kernel_scale(data)
-    P, Q = _profile(data, p), _profile(data, q)
+    (D_p, P), (D_q, Q) = _profile(data, p), _profile(data, q)
     r = data.emodel.rho(p.e, q.e)
+    D = math.lcm(D_p, D_q, r.denominator)
+    sp, sq = D // D_p, D // D_q
     total = r.numerator * (D // r.denominator)
     for j, x in P.items():
         if j <= J:
             y = Q.get(j)
-            total += sum(x) if y is None else sum(abs(u - v) for u, v in zip(x, y))
+            total += (sp * sum(x) if y is None
+                      else sum(abs(sp * u - sq * v) for u, v in zip(x, y)))
     for j, y in Q.items():
         if j <= J and j not in P:
-            total += sum(y)
+            total += sq * sum(y)
     tail = Fraction(0) if J >= len(data.basis) else Fraction(2) ** (1 - J)
     return BoundedValue(value=Fraction(total, D), tail_bound=tail)
 

@@ -13,7 +13,6 @@ downstream never sees rounded inputs.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -204,11 +203,6 @@ class LazySemilatticeModel:
     def weight_support(self, e: int) -> tuple[int, ...]:
         """The elements b with a_b(e) != 0: the minimum, and e itself."""
         return (0,) if e == 0 else (0, e)
-
-    def common_denominator(self) -> int:
-        """A denominator of every rho value and every weight (both are
-        differences of points)."""
-        return math.lcm(*(p.denominator for p in self.points))
 
 
 def flat_model(N: int) -> LazySemilatticeModel:

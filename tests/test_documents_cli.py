@@ -429,6 +429,35 @@ def test_cli_rejects_a_boolean_or_out_of_range_integer_field(
     assert err.startswith(f"error: {field}: ")
 
 
+TRIVIAL = {"n": 1, "table": [[0]]}
+
+
+@pytest.mark.parametrize("name, command, changes, err", [
+    ("twochain.spec.json", ["assemble"],
+     [(["groups", "01"], TRIVIAL), (["bonding", "1->0"], [0])],
+     "error: body.groups.01: keys are element indices\n"),
+    ("twochain.spec.json", ["validate"], [(["bonding", "01->0"], [0, 0])],
+     'error: body.bonding.01->0: keys look like "f->e"\n'),
+    ("twochain.metric.json", ["metric-eval", "bowman", "--p", "1,0", "--q", "1,1"],
+     [(["d"], {"1": [["0", "1"], ["1", "0"]], "01": [["0", "1/2"], ["1/2", "0"]]})],
+     "error: body.d.01: keys are element indices 0..1\n"),
+], ids=["group-key", "bonding-key", "d-key"])
+def test_cli_rejects_an_element_key_that_is_not_canonical(capsys, tmp_path, name,
+                                                         command, changes, err):
+    # "01" names the same element as "1": if accepted, the later key wins
+    # (the group case assembles without Z2, the d case gives 3/32 for 3/16)
+    raw = json.loads(read_shipped(name))
+    for (*outer, last), value in changes:
+        parent = raw["body"]
+        for key in outer:
+            parent = parent[key]
+        parent[last] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    assert cli_error(capsys, command[0], *command[1:2], str(path),
+                     *command[2:]) == err
+
+
 def write_metric_doc(directory, name, change=None, drop=None):
     """A shipped metric-data document with body fields replaced or dropped,
     written as JSON text; returns its path."""

@@ -11,6 +11,7 @@ from cliffordlab.errors import IsometryHypothesisViolated, WorkbenchError
 from cliffordlab.metrics import (
     Point,
     YeagerMetricData,
+    _profile,
     a_weight,
     bowman_data_from_spec,
     bowman_distance,
@@ -247,6 +248,14 @@ def test_symmetry_and_nonnegativity_on_flat_model(e1, e2, g1, g2):
 def test_basis_element_outside_e_is_rejected():
     with pytest.raises(WorkbenchError, match="basis element 5"):
         two_chain_data(basis=(0, 5), pseudo=True)
+
+
+def test_a_profile_reads_only_the_denominators_it_touches():
+    # (1/5, 1) touches the weights 1 and 1/30 and 0/1 metric rows: its profile
+    # is the same whatever the number of other points of the flat model
+    fiber = cat.cyclic_group(2)
+    small, large = (flat_bowman_data(flat_model(N), fiber) for N in (50, 2000))
+    assert _profile(small, Point(5, 1)) == _profile(large, Point(5, 1))
 
 
 @st.composite

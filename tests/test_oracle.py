@@ -2,10 +2,10 @@
 
 `suite.oracle_bowman` re-expands the series term by term.  It must not reach
 `metrics.bowman_distance` or its integer kernel (profiles, weight supports,
-common denominators, cached state), directly or through a metrics function
-it calls; otherwise a fast kernel would check itself.  Likewise the
-`reference_*` functions of tests/test_topology.py, the scan-based topology
-checks, must not reach the least-open bitmasks of `cliffordlab.topology`.
+cached state), directly or through a metrics function it calls; otherwise a
+fast kernel would check itself.  Likewise the `reference_*` functions of
+tests/test_topology.py, the scan-based topology checks, must not reach the
+least-open bitmasks of `cliffordlab.topology`.
 No `reference_*` function of the tests and not `suite.oracle_bowman` may read
 the structure cached on a semigroup or a model: a reference that did would
 check the cache against itself.  The finite-difference checks of a chart
@@ -24,7 +24,7 @@ import pathlib
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "cliffordlab"
 
 # public entry points of the kernel; private names of metrics are kernel too
-KERNEL = {"bowman_distance", "weight_support", "common_denominator"}
+KERNEL = {"bowman_distance", "weight_support"}
 
 
 def functions(source: str) -> dict:

@@ -1,7 +1,7 @@
 """Way-below relation, domain bases, and the flat semilattice model."""
 
+import inspect
 import itertools
-import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +11,7 @@ from cliffordlab import suite
 from cliffordlab.errors import TooLarge, WorkbenchError
 from cliffordlab.metrics import PosetEModel
 from cliffordlab.order import (
+    LazySemilatticeModel,
     flat_model,
     is_basis,
     lawson_basic,
@@ -154,9 +155,6 @@ def test_flat_weights_match_the_gap_loop():
             assert M.a_weight_raw(b, (b + 1) % M.n) == 0
         for e in M.elements():
             assert tuple(M.weight_support(e)) == ((0,) if e == 0 else (0, e))
-        assert M.common_denominator() == math.lcm(
-            *(p.denominator for p in M.points))
-        assert all(M.common_denominator() % g.denominator == 0 for g in gaps)
 
 
 def test_flat_model_is_the_poset_e_model_of_its_order_and_rho():
@@ -173,7 +171,18 @@ def test_flat_model_is_the_poset_e_model_of_its_order_and_rho():
             assert list(M.weight_support(e)) == ref.weight_support(e)
             for b in M.elements()[1:]:
                 assert M.a_weight_raw(b, e) == ref.a_weight_raw(b, e)
-        assert ref.common_denominator() == M.common_denominator()
+
+
+# what the series metric reads of an E-model; both models offer exactly this
+E_MODEL_METHODS = {"elements", "le", "rho", "minimum", "a_weight_raw",
+                   "weight_support"}
+
+
+@pytest.mark.parametrize("model", [PosetEModel, LazySemilatticeModel])
+def test_each_e_model_offers_exactly_the_e_model_methods(model):
+    public = {name for name, value in vars(model).items()
+              if inspect.isfunction(value) and not name.startswith("_")}
+    assert public == E_MODEL_METHODS
 
 
 def test_random_posets_oracle_equivalence():
