@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FiniteSemigroup, validate_semigroup
-from .errors import SchemaError
+from .errors import SchemaError, WorkbenchError
 from .metrics import (
     BowmanMetricData,
     YeagerMetricData,
@@ -52,7 +52,11 @@ def parse_rational(value, path: str) -> Fraction:
 
 def format_rational(f: Fraction) -> str:
     f = Fraction(f)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    try:
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    except ValueError:  # past Python's limit on int-to-str digits
+        raise WorkbenchError("the exact value is too long to print; "
+                             "--truncation cuts the series") from None
 
 
 def _require(obj, path, required, optional=()):

@@ -15,7 +15,7 @@ Plus the exhaustive metric-axiom suite that exercises them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -149,18 +149,20 @@ class BowmanMetricData:
         if len(set(self.basis)) != len(self.basis):
             raise WorkbenchError("basis enumeration repeats an element")
         self._position = {b: j for j, b in enumerate(self.basis, start=1)}
-        outside = [b for b in self.basis if b not in self.emodel.elements()]
+        elements = self.emodel.elements()
+        outside = [b for b in self.basis if b not in elements]
         if outside:
             raise WorkbenchError(f"basis element {outside[0]} is not in E")
         if not self.pseudo:
             ok, witness = is_basis(self.emodel, self.basis)
             if not ok:
                 raise WorkbenchError(f"not a domain basis (fails at {witness})")
-        checked = set()  # blocks often share one matrix object: check it once
+        checked = set()  # elements often share one block object: check it once
         for e, blk in self.blocks.items():
-            if (id(blk.d), blk.group.n) not in checked:
-                _check_metric_matrix(blk.d, f"d_{e}", blk.group.n, bound=Fraction(1))
-                checked.add((id(blk.d), blk.group.n))
+            if id(blk) in checked:
+                continue
+            checked.add(id(blk))
+            _check_metric_matrix(blk.d, f"d_{e}", blk.group.n, bound=Fraction(1))
             if blk.base_point not in blk.group.elements():
                 raise WorkbenchError(f"base point {blk.base_point!r} at {e} "
                                      f"is not in G_{e}")
@@ -335,17 +337,12 @@ def flat_bowman_data(model: LazySemilatticeModel, fiber: FiniteSemigroup,
         down = tuple(ident for _ in fiber.elements())
     else:
         raise WorkbenchError(f"unknown bonding kind {bonding_kind!r}")
-    d, enumeration = discrete_metric(fiber.n), default_enumeration(fiber)
-    blocks = {
-        e: GroupBlock(
-            group=fiber,
-            d=d,
-            base_point=(base_points[e] if base_points and e in base_points
-                        else ident),
-            enumeration=enumeration,
-        )
-        for e in model.elements()
-    }
+    block = GroupBlock(group=fiber, d=discrete_metric(fiber.n), base_point=ident,
+                       enumeration=default_enumeration(fiber))
+    blocks = dict.fromkeys(model.elements(), block)
+    for e, g in (base_points or {}).items():
+        if e in blocks:  # a key outside the model adds no block
+            blocks[e] = replace(block, base_point=g)
     bonding = {(e, 0): down for e in model.elements() if e != 0}
     if basis is None:
         basis = tuple(model.elements())

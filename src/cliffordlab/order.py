@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -154,6 +153,11 @@ def poset_of_semilattice(S: FiniteSemigroup) -> FinitePoset:
     return validate_poset(rel)
 
 
+def _flat_point(i: int) -> Fraction:
+    """Element i of the flat model: 0 at index 0, else 1/i."""
+    return Fraction(1, i) if i else Fraction(0)
+
+
 @dataclass(frozen=True)
 class LazySemilatticeModel:
     """The flat semilattice {0} u {1/n : 1 <= n <= N} with exact rationals,
@@ -163,22 +167,21 @@ class LazySemilatticeModel:
     (0 <= x and x <= x, nothing else), so truncations are consistent with
     the intended infinite model.  The complement of the way-up set of
     b != 0 is everything but b, so the weight a_b(e) is 0 off b and the gap
-    to the nearest other point at b.  Element i is points[i]; index 0 is
-    the minimum 0, then 1, 1/2, ..., 1/N.
+    to the nearest other point at b.  Element i is 1/i and index 0 is the
+    minimum 0, so points and gaps are read off N in closed form.
     """
 
     N: int
-    points: tuple[Fraction, ...]
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return self.N + 1
 
     def elements(self) -> range:
         return range(self.n)
 
     def rho(self, i: int, j: int) -> Fraction:
-        return abs(self.points[i] - self.points[j])
+        return abs(_flat_point(i) - _flat_point(j))
 
     def le(self, i: int, j: int) -> bool:
         return i == 0 or i == j
@@ -186,19 +189,15 @@ class LazySemilatticeModel:
     def minimum(self) -> int:
         return 0
 
-    @cached_property
-    def _gaps(self) -> tuple[Fraction, ...]:
-        """Distance from each point to its nearest neighbour (0 when alone)."""
-        order = sorted(self.elements(), key=self.points.__getitem__)
-        pts = [self.points[i] for i in order]
-        steps = [b - a for a, b in zip(pts, pts[1:])]
-        gaps = [Fraction(0)] * self.n
-        for k, i in enumerate(order):  # between steps[k - 1] and steps[k]
-            gaps[i] = min(steps[max(k - 1, 0):k + 1], default=Fraction(0))
-        return tuple(gaps)
-
     def a_weight_raw(self, b: int, e: int) -> Fraction:
-        return self._gaps[b] if e == b else Fraction(0)
+        """At e = b the gap to b's nearest neighbour: 1/(b+1) below 1/b (0 at
+        b = N), 1/(b-1) above it (none at b <= 1), 1/N next to 0.  Else 0."""
+        if e != b:
+            return Fraction(0)
+        if b == 0:
+            return Fraction(1, self.N)
+        gap = Fraction(1, b * (b + 1)) if b < self.N else Fraction(1, self.N)
+        return min(gap, Fraction(1, b * (b - 1))) if b > 1 else gap
 
     def weight_support(self, e: int) -> tuple[int, ...]:
         """The elements b with a_b(e) != 0: the minimum, and e itself."""
@@ -209,5 +208,4 @@ def flat_model(N: int) -> LazySemilatticeModel:
     """The truncation {0, 1, 1/2, ..., 1/N} of the flat semilattice."""
     if N < 1:
         raise WorkbenchError("N must be >= 1")
-    points = (Fraction(0),) + tuple(Fraction(1, k) for k in range(1, N + 1))
-    return LazySemilatticeModel(N=N, points=points)
+    return LazySemilatticeModel(N)

@@ -565,6 +565,19 @@ def assert_result_or_error_line(command, path, case, *options):
             (case, command, err.getvalue())
 
 
+def test_an_exact_value_too_long_to_print_ends_in_an_error_line(capsys, tmp_path):
+    # the full series at truncation 20000 has a denominator past Python's
+    # 4300-digit limit on int-to-str conversion
+    path = write_metric_doc(tmp_path, "flat3", {"truncation": 20000})
+    for command, options in [("converge", ["--ks", "20000"]),
+                             ("metric-eval bowman", ["--p", "20000,1", "--q", "0,0"])]:
+        assert_result_or_error_line(command, path, options, *options)
+    err = cli_error(capsys, "converge", str(path), "--ks", "20000")
+    assert err == "error: the exact value is too long to print; --truncation cuts the series\n"
+    assert run_cli(capsys, "converge", str(path), "--ks", "20000",
+                   "--truncation", "64")[0] == 0
+
+
 @pytest.mark.parametrize("where, old, new", [
     ("groups", "1", "²"),
     ("bonding", "1->0", "¹->0"),

@@ -258,6 +258,18 @@ def test_a_profile_reads_only_the_denominators_it_touches():
     assert _profile(small, Point(5, 1)) == _profile(large, Point(5, 1))
 
 
+def test_flat_data_shares_one_block_but_for_base_point_overrides():
+    fiber = cat.cyclic_group(2)
+    data = flat_bowman_data(flat_model(50), fiber)
+    shared = data.blocks[0]
+    assert all(blk is shared for blk in data.blocks.values())
+    data = flat_bowman_data(flat_model(50), fiber, base_points={2: 1, 99: 0})
+    assert data.blocks[2] is not shared and data.blocks[2].base_point == 1
+    shared = data.blocks[0]
+    assert all(blk is shared for e, blk in data.blocks.items() if e != 2)
+    assert shared.base_point == 0 and sorted(data.blocks) == list(range(51))
+
+
 @st.composite
 def rational_metric(draw, size):
     """A random metric bounded by 1 with mixed denominators: off-diagonal

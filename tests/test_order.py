@@ -1,5 +1,6 @@
 """Way-below relation, domain bases, and the flat semilattice model."""
 
+import dataclasses
 import inspect
 import itertools
 from fractions import Fraction
@@ -121,7 +122,10 @@ def test_minimum_of_semilattices():
 
 def test_flat_model_points_and_order():
     M = flat_model(3)
-    assert M.points == (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3))
+    points = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3)]
+    assert M.n == len(points)
+    for i, j in itertools.product(M.elements(), repeat=2):
+        assert M.rho(i, j) == abs(points[i] - points[j])
     assert M.minimum() == 0
     # way-below is <=: the way-up set of 1/2 is {1/2}, and the bottom is
     # way below everything
@@ -149,12 +153,34 @@ def reference_flat_gaps(points):
 def test_flat_weights_match_the_gap_loop():
     for N in range(1, 61):
         M = flat_model(N)
-        gaps = reference_flat_gaps(M.points)
+        gaps = reference_flat_gaps([Fraction(0)] + [Fraction(1, k) for k in range(1, N + 1)])
         for b in M.elements():
             assert M.a_weight_raw(b, b) == gaps[b]
             assert M.a_weight_raw(b, (b + 1) % M.n) == 0
         for e in M.elements():
             assert tuple(M.weight_support(e)) == ((0,) if e == 0 else (0, e))
+
+
+def test_flat_model_holds_n_alone_and_reads_gaps_in_closed_form():
+    assert [f.name for f in dataclasses.fields(LazySemilatticeModel)] == ["N"]
+    N = 10 ** 6
+    M = flat_model(N)
+    assert M.n == N + 1
+
+    def point(i):
+        return Fraction(1, i) if i else Fraction(0)
+
+    for b in (0, 1, 2, N - 1, N):
+        # the neighbours of 1/b are 1/(b+1) (0 at b = N) and 1/(b-1) (none
+        # at b = 1); the only neighbour of 0 is 1/N
+        if b == 0:
+            neighbours = [point(N)]
+        else:
+            neighbours = [point(b + 1) if b < N else point(0)]
+            neighbours += [point(b - 1)] if b > 1 else []
+        gap = min(abs(point(b) - x) for x in neighbours)
+        assert M.a_weight_raw(b, b) == gap
+        assert type(M.rho(b, b)) is Fraction and M.rho(b, b) == 0
 
 
 def test_flat_model_is_the_poset_e_model_of_its_order_and_rho():
