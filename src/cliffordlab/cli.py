@@ -53,6 +53,11 @@ def _load(path: str) -> docs.WorkbenchDocument:
                 return docs.parse_document(fh.read())
         except FileNotFoundError:
             continue
+        except OSError as exc:  # a directory, or a file that cannot be read
+            raise WorkbenchError(f"cannot read {cand}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise WorkbenchError(
+                f"cannot read {cand}: not UTF-8 text at byte {exc.start}") from None
     raise WorkbenchError(f"no such document: {path}")
 
 

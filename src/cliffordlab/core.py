@@ -145,10 +145,24 @@ def _associative(rows) -> bool:
     carrier: testing y over a generating set decides associativity, with
     the same answer as testing every y.  For one y, row xy must equal row y
     read through row x; the rows are built and compared one at a time
-    inside map, so the inner loops run in C."""
-    for y in _generators(rows)[0]:
-        through = _reader(rows[y])
-        products = _reader([row[y] for row in rows])
+    inside map, so the inner loops run in C.
+
+    A table of order n <= 256 holds each row as one bytes object, and row x
+    padded to 256 bytes is a translation table: row y read through row x is
+    b[y].translate(lut[x]), one C call.  A larger table reads its rows
+    through itemgetters as tuples."""
+    gens, n = _generators(rows)[0], len(rows)
+    if n <= 256:
+        b = list(map(bytes, rows))
+        lut = [row + bytes(256 - n) for row in b]
+        for y in gens:
+            products = map(b.__getitem__, map(itemgetter(y), rows))
+            if not all(map(eq, products, map(b[y].translate, lut))):
+                return False
+        return True
+    for y in gens:
+        through = itemgetter(*rows[y])
+        products = itemgetter(*[row[y] for row in rows])
         if not all(map(eq, products(rows), map(through, rows))):
             return False
     return True

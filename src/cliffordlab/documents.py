@@ -276,6 +276,11 @@ def parse_document(text: str) -> WorkbenchDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"line {exc.lineno}, column {exc.colno}", exc.msg)
+    except RecursionError:
+        raise SchemaError("$", "arrays or objects nested too deeply") from None
+    except ValueError:  # an integer literal past Python's int-digit limit
+        raise SchemaError("$", "an integer literal has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
     _require(raw, "$", ["kind", "meta", "body"])
     kind = raw["kind"]
     if not isinstance(kind, str) or kind not in KINDS:  # a list is unhashable

@@ -741,7 +741,8 @@ def test_trivial_check_guard_certifies_the_family_on_the_table(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Light's associativity test on a generating set against the loop over all y
+# Light's associativity test on a generating set against the loop over all y,
+# and its byte rows against the itemgetter rows that every order used before
 
 
 def reference_associative(rows):
@@ -756,6 +757,23 @@ def reference_associative(rows):
         if not all(map(eq, products(rows), map(through, rows))):
             return False
     return True
+
+
+def reference_light_test_on_tuple_rows(rows):
+    """Light's test over core._generators with each row read as a tuple:
+    row xy against row y read through row x by an itemgetter, which returns
+    a bare item, not a 1-tuple, for a single index."""
+    for y in _generators(rows)[0]:
+        through = core._reader(rows[y])
+        products = core._reader([row[y] for row in rows])
+        if not all(map(eq, products(rows), map(through, rows))):
+            return False
+    return True
+
+
+def assert_light_test_matches_the_references(rows):
+    assert (_associative(rows) == reference_associative(rows)
+            == reference_light_test_on_tuple_rows(rows))
 
 
 def right_closure(rows, gens):
@@ -807,14 +825,14 @@ def mutated_large_assembled_tables(draw):
 @given(tables_and_mutations())
 def test_light_test_matches_the_loop_over_all_y_on_catalog_and_transformation_tables(table):
     rows = tuple(map(tuple, table))
-    assert _associative(rows) == reference_associative(rows)
+    assert_light_test_matches_the_references(rows)
     assert_generators_span_the_carrier(rows)
 
 
 @settings(max_examples=40, deadline=None)
 @given(mutated_large_assembled_tables())
 def test_light_test_matches_the_loop_over_all_y_on_mutated_assembled_tables(rows):
-    assert _associative(rows) == reference_associative(rows)
+    assert_light_test_matches_the_references(rows)
     assert_generators_span_the_carrier(rows)
     assert_validation_matches_the_witness_loop(rows)
 
@@ -849,8 +867,31 @@ def random_tables(draw):
 @settings(max_examples=200, deadline=None)
 @given(random_tables())
 def test_light_test_and_generators_on_random_tables(rows):
-    assert _associative(rows) == reference_associative(rows)
+    assert_light_test_matches_the_references(rows)
     assert_generators_span_the_carrier(rows)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_light_test_on_both_sides_of_the_byte_row_limit(n):
+    # n <= 256 reads byte rows, n = 257 itemgetter rows; element n - 1 is
+    # byte 255 at n = 256, the last entry of a translation table
+    cyclic = tuple(tuple((x + y) % n for y in range(n)) for x in range(n))
+    shift = tuple(((x + 1) % n,) * n for x in range(n))  # (xy)z = x + 2, x(yz) = x + 1
+    last_cell = cyclic[:-1] + (cyclic[-1][:-1] + (0,),)
+    assert _associative(cyclic) and reference_light_test_on_tuple_rows(cyclic)
+    for rows in (shift, last_cell):
+        assert not _associative(rows)
+        assert not reference_light_test_on_tuple_rows(rows)
+
+
+def test_a_product_past_the_byte_row_limit_assembles_from_byte_row_groups():
+    # the groups of order 200 take the byte rows, the table of order 400
+    # the itemgetter rows
+    S = direct_product(cat.chain_semilattice(2), cat.cyclic_group(200)).semigroup
+    assert S.n == 400
+    assert classify(S).is_clifford
+    assert is_trivial_clifford(S) is not None
+    assert decompose(S).groups[1].table == cat.cyclic_group(200).table
 
 
 # ---------------------------------------------------------------------------

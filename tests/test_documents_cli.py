@@ -141,6 +141,41 @@ def test_cli_missing_file_is_an_error(capsys):
     assert code == 1 and "no such document" in err
 
 
+def test_a_too_deeply_nested_document_is_a_schema_error_at_the_root(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    with pytest.raises(SchemaError) as exc:
+        docs.parse_document("[" * 100000)
+    assert exc.value.path == "$"
+    err = cli_error(capsys, "classify", str(path))
+    assert err == "error: $: arrays or objects nested too deeply\n"
+
+
+def test_an_integer_past_the_digit_limit_is_a_schema_error_at_the_root(capsys, tmp_path):
+    raw = json.loads(read_shipped("twochain.spec.json"))
+    text = json.dumps(raw).replace('"body": {', '"body": {"n": ' + "1" * 5000 + ", ", 1)
+    path = tmp_path / "digits.spec.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as exc:
+        docs.parse_document(text)
+    assert exc.value.path == "$"
+    err = cli_error(capsys, "classify", str(path))
+    assert err == (f"error: $: an integer literal has more than "
+                   f"{sys.get_int_max_str_digits()} digits\n")
+
+
+def test_a_file_that_is_not_utf8_is_an_error_naming_the_path(capsys, tmp_path):
+    path = tmp_path / "bytes.cayley.json"
+    path.write_bytes(b"\xff\xfe{")
+    err = cli_error(capsys, "classify", str(path))
+    assert err == f"error: cannot read {path}: not UTF-8 text at byte 0\n"
+
+
+def test_a_directory_is_an_error_naming_the_path(capsys, tmp_path):
+    err = cli_error(capsys, "classify", str(tmp_path))
+    assert err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
 def test_cli_structured_output_is_json(capsys):
     code, out = run_cli(capsys, "classify", "z2.cayley",
                         "--format", "structured")

@@ -123,6 +123,14 @@ def test_functor_law_violation_reports_chain():
     assert exc.value.chain == (0, 1, 2)  # witnessing chain e <= f <= g
 
 
+def test_a_diagonal_bonding_map_that_is_no_identity_breaks_the_functor_law():
+    # the trivial map of Z2 is an idempotent homomorphism, so the chain
+    # e <= e <= e does not catch it: only the phi_{e,e} = id check does
+    with pytest.raises(FunctorLawViolated) as exc:
+        validate_spec([[0]], {0: cat.cyclic_group(2)}, {(0, 0): (0, 0)})
+    assert exc.value.chain == (0, 0)
+
+
 def test_assemble_two_chain_by_hand():
     # carrier layout: 0 -> (0,z), 1 -> (1,a), 2 -> (1,b)
     S = assemble(two_chain_spec()).semigroup
@@ -361,7 +369,9 @@ def spec_inputs_with_one_change(draw):
     entry, a group cell or an E cell set to a new value (which may lie one
     past the end of its range), one bonding map collapsed onto the identity
     (a homomorphism that may break the composition law on several chains),
-    or one group renamed while the bonding maps keep the old names."""
+    one group renamed while the bonding maps keep the old names, or an
+    explicit phi_{e,e} that is not the identity (the collapse, a
+    homomorphism, or any map) on a group of order at least 2."""
     spec = draw(st.one_of(st.sampled_from(CATALOG_SPECS), strong_semilattice_specs()))
     points = list(spec.E.elements())
     perm = draw(st.one_of(st.just(points), st.permutations(points)))
@@ -369,8 +379,18 @@ def spec_inputs_with_one_change(draw):
     groups = {perm[e]: [list(row) for row in G.table] for e, G in spec.groups.items()}
     bonding = {(perm[f], perm[e]): list(phi)
                for (f, e), phi in spec.bonding.items() if f != e}
-    where = draw(st.sampled_from(["bonding", "collapse", "rename", "group", "E"] if bonding
-                                 else ["group", "E"]))
+    nontrivial = sorted(e for e, table in groups.items() if len(table) > 1)
+    where = draw(st.sampled_from(["bonding", "collapse", "rename"] * bool(bonding)
+                                 + ["diagonal"] * bool(nontrivial) + ["group", "E"]))
+    if where == "diagonal":
+        e = draw(st.sampled_from(nontrivial))
+        n = len(groups[e])
+        ident = next(i for i, row in enumerate(groups[e]) if row == sorted(row))
+        bonding[(e, e)] = draw(st.one_of(
+            st.just([ident] * n),
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n).filter(
+                lambda phi: phi != list(range(n)))))
+        return E, groups, {key: tuple(phi) for key, phi in bonding.items()}
     if where in ("collapse", "rename"):
         f, e = draw(st.sampled_from(sorted(bonding)))
         if where == "collapse":
