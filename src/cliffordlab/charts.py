@@ -400,8 +400,11 @@ def fixed_point_scan(model: ChartModel, radius: float, grid_step: float,
 
     k = math.floor(per_side)
     axes = grid_step * np.arange(-k, k + 1)  # the integer multiples, 0 among them
-    grid = np.stack(np.meshgrid(*[axes] * n, indexing="ij"), axis=-1)
-    grid = grid.reshape(-1, n)  # C order, as np.ndindex walks it
+    # axes ** n in C order, as np.ndindex walks it; column by column, since
+    # meshgrid takes at most 32 arrays
+    m = len(axes)
+    grid = np.column_stack([np.tile(np.repeat(axes, m ** (n - 1 - i)), m ** i)
+                            for i in range(n)])
     seeds = grid[_norms(grid) <= radius]
 
     points, diverged = [np.empty((0, n))], 0

@@ -146,17 +146,12 @@ class BowmanMetricData:
         self.basis = tuple(self.basis)
         if not self.basis or self.basis[0] != self.emodel.minimum():
             raise WorkbenchError("basis enumeration must start at the minimum")
-        if len(set(self.basis)) != len(self.basis):
-            raise WorkbenchError("basis enumeration repeats an element")
         self._position = {b: j for j, b in enumerate(self.basis, start=1)}
-        elements = self.emodel.elements()
-        outside = [b for b in self.basis if b not in elements]
-        if outside:
-            raise WorkbenchError(f"basis element {outside[0]} is not in E")
-        if not self.pseudo:
-            ok, witness = is_basis(self.emodel, self.basis)
-            if not ok:
-                raise WorkbenchError(f"not a domain basis (fails at {witness})")
+        if len(self._position) != len(self.basis):
+            raise WorkbenchError("basis enumeration repeats an element")
+        ok, witness = is_basis(self.emodel, self.basis)  # names an element outside E
+        if not (ok or self.pseudo):
+            raise WorkbenchError(f"not a domain basis (fails at {witness})")
         checked = set()  # elements often share one block object: check it once
         for e, blk in self.blocks.items():
             if id(blk) in checked:

@@ -1,6 +1,10 @@
 """The built-in verification suite: one entry per acceptance-style check,
 run over the shipped catalog, with a deterministic machine-readable report.
 
+A criterion takes no argument and returns (title, detail, failures): its
+title, its detail on a pass and its list of failure messages.  `run_all`
+numbers, times and judges each one.
+
 Each criterion recomputes its expected values through an independent route
 (full-summation oracles, definition-based enumerations, exhaustive checks)
 rather than trusting the code path it exercises.
@@ -23,7 +27,7 @@ from .charts import (
     rigidity_report,
     _symbolic_parts,
 )
-from .core import classify, green_j_classes, pi_and_subgroups
+from .core import classify, green_j_classes, is_semilattice, pi_and_subgroups
 from .metrics import (
     CONVERGENCE_SCHEDULE,
     Point,
@@ -59,16 +63,10 @@ class CriterionResult:
     elapsed: float
 
 
-def _result(number, title, passed, detail, t0):
-    return CriterionResult(number, title, passed, detail,
-                           time.perf_counter() - t0)
-
-
-def criterion_algebra() -> CriterionResult:
+def criterion_algebra():
     """Classification soundness over the whole catalog."""
-    t0 = time.perf_counter()
-    failures = []
     instances = cat.semigroup_catalog()
+    failures = [] if len(instances) >= 15 else ["fewer than 15 instances"]
     for name, S in instances.items():
         c = classify(S)  # raises if the two Clifford criteria disagree
         if c.is_inverse:
@@ -88,15 +86,10 @@ def criterion_algebra() -> CriterionResult:
                 failures.append(f"{name}: group criteria disagree")
             if (c.is_left_cancellative or c.is_right_cancellative) and not c.is_group:
                 failures.append(f"{name}: cancellative inverse semigroup not a group")
-    ok = not failures and len(instances) >= 15
-    detail = f"{len(instances)} instances" + (
-        "" if not failures else "; " + "; ".join(failures[:3])
-    )
-    return _result(1, "algebra soundness", ok, detail, t0)
+    return "algebra soundness", f"{len(instances)} instances", failures
 
 
-def criterion_round_trip() -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_round_trip():
     failures = []
     specs = cat.spec_catalog()
     for name, spec in specs.items():
@@ -109,9 +102,7 @@ def criterion_round_trip() -> CriterionResult:
             tuple(g) for g in groups.values()
         ):
             failures.append(f"{name}: J-classes differ from group fibers")
-    return _result(2, "spec round trip", not failures,
-                   f"{len(specs)} specs" + ("; " + "; ".join(failures) if failures else ""),
-                   t0)
+    return "spec round trip", f"{len(specs)} specs", failures
 
 
 def _poset_family():
@@ -146,8 +137,7 @@ def _poset_family():
     return fam
 
 
-def criterion_way_below() -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_way_below():
     failures = []
     fam = _poset_family()
     for idx, P in enumerate(fam):
@@ -155,16 +145,11 @@ def criterion_way_below() -> CriterionResult:
             for y in P.elements():
                 if P.le(x, y) != way_below_by_definition(P, x, y):
                     failures.append(f"poset {idx}: disagreement at ({x},{y})")
-    return _result(3, "way-below oracle equivalence", not failures,
-                   f"{len(fam)} posets" + ("; " + "; ".join(failures[:3]) if failures else ""),
-                   t0)
+    return "way-below oracle equivalence", f"{len(fam)} posets", failures
 
 
-def criterion_openness() -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_openness():
     failures = []
-    from .core import is_semilattice
-
     cliffords = {
         name: S
         for name, S in cat.semigroup_catalog().items()
@@ -193,10 +178,8 @@ def criterion_openness() -> CriterionResult:
                     closed, hd = order_graph_closed(model)
                     if closed != hd:
                         failures.append(f"{name}: order-graph/Hausdorff disagree")
-    return _result(4, "openness equivalence sweep", not failures,
-                   f"{pairs} pairs, {continuous} continuous" +
-                   ("; " + "; ".join(failures[:3]) if failures else ""),
-                   t0)
+    return ("openness equivalence sweep", f"{pairs} pairs, {continuous} continuous",
+            failures)
 
 
 def two_chain_reference_data():
@@ -236,8 +219,7 @@ def _metric_instances():
     return out
 
 
-def criterion_metric_axioms() -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_metric_axioms():
     failures = []
     instances = _metric_instances()
     data = instances["two-chain"]
@@ -266,10 +248,7 @@ def criterion_metric_axioms() -> CriterionResult:
                     if abs(a_weight(inst, b, e) - a_weight(inst, b, f)) > \
                             inst.emodel.rho(e, f):
                         failures.append(f"{name}: weight not 1-Lipschitz")
-    return _result(5, "series metric axioms", not failures,
-                   f"{len(instances)} instances" +
-                   ("; " + "; ".join(failures[:3]) if failures else ""),
-                   t0)
+    return "series metric axioms", f"{len(instances)} instances", failures
 
 
 def eta_injective_on_data(data, e):
@@ -292,8 +271,7 @@ def truncated_pseudo_instance():
     return bowman_data_from_spec(spec, [[0, 1], [1, 0]], basis=(0,), pseudo=True)
 
 
-def criterion_separation() -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_separation():
     failures = []
     checked = 0
     for name, inst in _metric_instances().items():
@@ -323,18 +301,15 @@ def criterion_separation() -> CriterionResult:
         failures.append("pseudo instance: truncated metric still separates")
     if separation_witness(pseudo, 1, 0, 1) is not None:
         failures.append("pseudo instance: witness should not exist")
-    return _result(6, "separation/definiteness linkage", not failures,
-                   f"{checked} pairs + pseudo-metric failure" +
-                   ("; " + "; ".join(failures[:3]) if failures else ""),
-                   t0)
+    return ("separation/definiteness linkage",
+            f"{checked} pairs + pseudo-metric failure", failures)
 
 
 def convergence_instance():
     return flat_bowman_data(flat_model(2000), cat.cyclic_group(2), "identity")
 
 
-def criterion_convergence() -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_convergence():
     failures = []
     data = convergence_instance()
     limit = Point(0, 0)
@@ -352,11 +327,9 @@ def criterion_convergence() -> CriterionResult:
     final = bowman_distance(data, Point(2000, 0), limit).value
     if final >= Fraction(1, 1000):
         failures.append(f"k=2000: distance {final} not below 1e-3")
-    return _result(7, "convergence dichotomy", not failures,
-                   f"schedule of {len(CONVERGENCE_SCHEDULE)} points, "
-                   f"d(k=2000) = {float(final):.6e}" +
-                   ("; " + "; ".join(failures[:3]) if failures else ""),
-                   t0)
+    return ("convergence dichotomy",
+            f"schedule of {len(CONVERGENCE_SCHEDULE)} points, "
+            f"d(k=2000) = {float(final):.6e}", failures)
 
 
 def oracle_chart_parts(model):
@@ -382,8 +355,7 @@ def oracle_one_sided_gap(model):
                for w in np.eye(2 * n))
 
 
-def criterion_rigidity() -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_rigidity():
     failures = []
     reports = [(model, rigidity_report(model, scan_radius=0.25, grid_step=0.01,
                                        newton_iters=30))
@@ -416,16 +388,13 @@ def criterion_rigidity() -> CriterionResult:
         gap = max(float(np.linalg.norm(L - Ls)), float(np.linalg.norm(R - Rs)))
         if gap > 1e-6:
             failures.append(f"{model.name}: Jacobian off symbolic by {gap:.3g}")
-    return _result(8, "rigidity dichotomy", not failures,
-                   "additive/affine isolated, min-plus continuum" +
-                   ("; " + "; ".join(failures[:3]) if failures else ""),
-                   t0)
+    return ("rigidity dichotomy", "additive/affine isolated, min-plus continuum",
+            failures)
 
 
-def criterion_determinism() -> CriterionResult:
+def criterion_determinism():
     """Two fresh passes over representative exact computations must agree
     byte for byte (the CLI-level check reruns the whole suite)."""
-    t0 = time.perf_counter()
 
     def snapshot():
         data = two_chain_reference_data()
@@ -439,10 +408,8 @@ def criterion_determinism() -> CriterionResult:
             lines.append(f"{name}\t{c.is_inverse}\t{c.is_clifford}\t{c.is_group}")
         return "\n".join(lines)
 
-    same = snapshot() == snapshot()
-    return _result(9, "determinism probe", same,
-                   "two fresh passes byte-identical" if same else "outputs differ",
-                   t0)
+    return ("determinism probe", "two fresh passes byte-identical",
+            [] if snapshot() == snapshot() else ["outputs differ"])
 
 
 CRITERIA = (
@@ -459,7 +426,15 @@ CRITERIA = (
 
 
 def run_all() -> list:
-    return [fn() for fn in CRITERIA]
+    results = []
+    for number, fn in enumerate(CRITERIA, start=1):
+        t0 = time.perf_counter()
+        title, detail, failures = fn()
+        elapsed = time.perf_counter() - t0
+        if failures:
+            detail += "; " + "; ".join(failures[:3])
+        results.append(CriterionResult(number, title, not failures, detail, elapsed))
+    return results
 
 
 def machine_report(results) -> str:

@@ -291,6 +291,12 @@ def test_additive_scan_finds_only_the_origin():
     assert np.linalg.norm(points[0]) <= 1e-8
 
 
+def test_a_scan_in_more_than_32_dimensions_seeds_from_the_origin():
+    # a grid step above the radius leaves the origin as the one seed; numpy's
+    # meshgrid, which takes at most 32 arrays, cannot build even that grid
+    assert fixed_point_scan(additive_model(33), 0.25, 1.0) == ([(0.0,) * 33], 0)
+
+
 def test_affine_scan_finds_only_the_origin():
     # u + v + u*v in one dimension: f(u) = 2u + u^2 has roots 0 and -1, and
     # -1 is outside the scan ball

@@ -129,6 +129,15 @@ def test_cli_c1_probe_min_plus(capsys):
     assert "continuum" in out
 
 
+def test_cli_c1_probe_on_a_chart_of_dimension_33(capsys, tmp_path):
+    path = tmp_path / "big.chart.json"
+    path.write_text(json.dumps({"kind": "chart-model", "meta": {"name": "big"},
+                                "body": {"builtin": "additive", "dim": 33}}))
+    code, out = run_cli(capsys, "c1-probe", str(path), "--grid", "1")
+    assert code == 0
+    assert "isolated idempotent" in out
+
+
 def test_cli_validate_every_shipped_file(capsys):
     for name in shipped_files():
         code, out = run_cli(capsys, "validate", name)

@@ -250,6 +250,16 @@ def test_basis_element_outside_e_is_rejected():
         two_chain_data(basis=(0, 5), pseudo=True)
 
 
+def test_basis_element_outside_e_is_rejected_without_pseudo():
+    with pytest.raises(WorkbenchError, match="basis element 5 is not in the poset"):
+        two_chain_data(basis=(0, 1, 5))
+
+
+def test_a_basis_that_repeats_an_element_is_rejected():
+    with pytest.raises(WorkbenchError, match="repeats an element"):
+        two_chain_data(basis=(0, 1, 1))
+
+
 def test_a_profile_reads_only_the_denominators_it_touches():
     # (1/5, 1) touches the weights 1 and 1/30 and 0/1 metric rows: its profile
     # is the same whatever the number of other points of the flat model
