@@ -61,16 +61,17 @@ def _load(path: str) -> docs.WorkbenchDocument:
     raise WorkbenchError(f"no such document: {path}")
 
 
-def _parse_point(groups: dict, text: str) -> Point:
-    """Parse "e,g": e is an element index, g a local group index or label."""
+def _parse_point(group_at, text: str) -> Point:
+    """Parse "e,g": e is an element index, g a local group index or label of
+    the group group_at(e), which is None where there is no block."""
     try:
         e_part, g_part = text.split(",", 1)
         e = int(e_part)
     except ValueError:
         raise WorkbenchError(f'points look like "e,g", got {text!r}')
-    if e not in groups:
+    group = group_at(e)
+    if group is None:
         raise WorkbenchError(f"no group block at element {e}")
-    group = groups[e]
     if g_part.removeprefix("-").isdecimal():
         g = int(g_part)
         if not 0 <= g < group.n:
@@ -275,6 +276,11 @@ def _cmd_basic_set(args):
     return 0, Report(lines, rows, {"members": members})
 
 
+def _block_group(data):
+    """The group at e of series-metric data, or None off its blocks."""
+    return lambda e: data.blocks[e].group if e in data.blocks else None
+
+
 def _distance_report(v):
     text = docs.format_rational(v)
     return 0, Report([text], [("distance",), (text,)], {"distance": text})
@@ -284,14 +290,14 @@ def _cmd_metric_eval(args):
     doc = _load(args.file)
     if args.metric == "yeager":
         data = docs.build_yeager_data(doc)
-        groups = dict(data.spec.groups)
-        p, q = _parse_point(groups, args.p), _parse_point(groups, args.q)
+        group_at = data.spec.groups.get
+        p, q = _parse_point(group_at, args.p), _parse_point(group_at, args.q)
         return _distance_report(yeager_distance(data, p, q))
     data = docs.build_bowman_data(doc)
-    groups = {e: blk.group for e, blk in data.blocks.items()}
-    p, q = _parse_point(groups, args.p), _parse_point(groups, args.q)
+    group_at = _block_group(data)
+    p, q = _parse_point(group_at, args.p), _parse_point(group_at, args.q)
     if args.metric == "disjoint":
-        du = {e: blk.d for e, blk in data.blocks.items()}
+        du = {p.e: data.blocks[p.e].d}  # read only when q.e == p.e
         return _distance_report(disjoint_union_distance(du, p, q))
     bv = bowman_distance(data, p, q, truncation=args.truncation)
     value = docs.format_rational(bv.value)
@@ -334,18 +340,18 @@ def _cmd_converge(args):
                 f"k must be >= 1: 1/{min(ks)} is no point of the sequence")
     else:  # the default schedule, cut to the blocks of this document
         ks = [k for k in CONVERGENCE_SCHEDULE if k in data.blocks]
-    groups = {e: blk.group for e, blk in data.blocks.items()}
-    limit = _parse_point(groups, f"0,{args.g}")
-    du = {e: blk.d for e, blk in data.blocks.items()}
+    group_at = _block_group(data)
+    limit = _parse_point(group_at, f"0,{args.g}")
     rows = [("k", "distance", "distance_float", "tail_bound", "disjoint_union")]
     payload = {"rows": []}
     lines = [f"sequence (1/k, g={args.g}) against ({0}, g={args.g})"]
     for k in ks:
-        p = _parse_point(groups, f"{k},{args.g}")
+        p = _parse_point(group_at, f"{k},{args.g}")
         bv = bowman_distance(data, p, limit, truncation=args.truncation)
         value = docs.format_rational(bv.value)
         tail = docs.format_rational(bv.tail_bound)
-        dd = docs.format_rational(disjoint_union_distance(du, p, limit))
+        dd = docs.format_rational(
+            disjoint_union_distance({k: data.blocks[k].d}, p, limit))
         rows.append((k, value, f"{float(bv.value):.6e}", tail, dd))
         payload["rows"].append({"k": k, "distance": value, "tail_bound": tail,
                                 "disjoint_union": dd})

@@ -394,7 +394,8 @@ def element_signature(S: FiniteSemigroup, x: int) -> tuple[int, int, bool]:
 
 
 def local_group_table(S: FiniteSemigroup, elements) -> FiniteSemigroup:
-    """Reindex a subgroup (given by global indices) to a standalone table."""
+    """Reindex a subset closed under products, given by global indices (a
+    subgroup, or E(S) of a Clifford semigroup), to a standalone table."""
     elements = tuple(elements)
     pos = {g: i for i, g in enumerate(elements)}
     table = tuple(

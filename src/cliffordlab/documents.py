@@ -211,6 +211,10 @@ def _check_metric_data(body):
         raise SchemaError("body.pseudo", "expected a boolean")
 
 
+# the rigidity report's exact matrix products and elimination cost dim^3
+MAX_CHART_DIM = 64
+
+
 def _check_chart_model(body):
     if not isinstance(body, dict):
         raise SchemaError("body", "expected object")
@@ -229,6 +233,8 @@ def _check_chart_model(body):
         _require(body, "body", ["dim", "polynomials"], ["radius"])
     if "dim" in body and (not _is_int(body["dim"]) or body["dim"] < 1):
         raise SchemaError("body.dim", "expected a positive integer")
+    if body.get("dim", 1) > MAX_CHART_DIM:
+        raise SchemaError("body.dim", f"at most {MAX_CHART_DIM} dimensions")
     if body.get("builtin") == "min-plus" and body.get("dim", 2) != 2:
         raise SchemaError("body.dim", "min-plus is 2-dimensional")
     if "radius" in body and not (_is_finite_number(body["radius"])

@@ -21,12 +21,7 @@ from typing import Callable, Optional
 
 from .core import FiniteSemigroup
 from .errors import IsometryHypothesisViolated, WorkbenchError
-from .order import (
-    FinitePoset,
-    LazySemilatticeModel,
-    is_basis,
-    poset_of_semilattice,
-)
+from .order import LazySemilatticeModel, is_basis, minimum
 from .semilattice import StrongSemilatticeSpec, group_identity
 
 
@@ -38,32 +33,28 @@ class Point:
     g: int
 
 
-class PosetEModel:
-    """Idempotent-semilattice side of the metric data, given by a finite
-    poset and an exact metric matrix rho bounded by 1.  Way-below is <= on
-    a finite poset, so the weights read le."""
+class SemilatticeEModel:
+    """Idempotent-semilattice side of the metric data: the Cayley table of
+    E, ordered by e <= f iff ef = e, and an exact metric matrix rho bounded
+    by 1.  Way-below is <= on a finite poset, so the weights read le."""
 
-    def __init__(self, poset: FinitePoset, rho):
-        self.poset = poset
-        self.rho_matrix = tuple(
-            tuple(Fraction(v) for v in row) for row in rho
-        )
-        _check_metric_matrix(self.rho_matrix, "rho", poset.n, bound=Fraction(1))
+    def __init__(self, E: FiniteSemigroup, rho):
+        self.E = E
+        self.rho_matrix = tuple(tuple(Fraction(v) for v in row) for row in rho)
+        _check_metric_matrix(self.rho_matrix, "rho", E.n)
+        self._minimum = minimum(E)
 
     def elements(self):
-        return self.poset.elements()
+        return self.E.elements()
 
     def le(self, e, f):
-        return self.poset.le(e, f)
+        return self.E.table[e][f] == e
 
     def rho(self, e, f):
         return self.rho_matrix[e][f]
 
     def minimum(self):
-        m = self.poset.minimum()
-        if m is None:
-            raise WorkbenchError("E-model has no minimum element")
-        return m
+        return self._minimum
 
     def a_weight_raw(self, b, e):
         complement = [x for x in self.elements() if not self.le(b, x)]
@@ -79,10 +70,9 @@ class PosetEModel:
                 if b == m or self.a_weight_raw(b, e) != 0]
 
 
-def _check_metric_matrix(m, name: str, n: int,
-                         bound: Optional[Fraction] = None):
-    """Is m an n x n metric matrix (bounded by bound)?  Errors start with
-    name: "rho", or "d_e" for the group metric at e."""
+def _check_metric_matrix(m, name: str, n: int):
+    """Is m an n x n metric matrix bounded by 1?  Errors start with name:
+    "rho", or "d_e" for the group metric at e."""
     if len(m) != n or any(len(row) != n for row in m):
         raise WorkbenchError(f"{name} is not a {n}x{n} matrix")
     for i in range(n):
@@ -91,8 +81,8 @@ def _check_metric_matrix(m, name: str, n: int,
         for j in range(n):
             if m[i][j] < 0:
                 raise WorkbenchError(f"{name}({i},{j}) < 0")
-            if bound is not None and m[i][j] > bound:
-                raise WorkbenchError(f"{name}({i},{j}) > {bound}")
+            if m[i][j] > 1:
+                raise WorkbenchError(f"{name}({i},{j}) > 1")
             if m[i][j] != m[j][i]:
                 raise WorkbenchError(f"{name} not symmetric at ({i},{j})")
             if i != j and m[i][j] == 0:
@@ -157,7 +147,7 @@ class BowmanMetricData:
             if id(blk) in checked:
                 continue
             checked.add(id(blk))
-            _check_metric_matrix(blk.d, f"d_{e}", blk.group.n, bound=Fraction(1))
+            _check_metric_matrix(blk.d, f"d_{e}", blk.group.n)
             if blk.base_point not in blk.group.elements():
                 raise WorkbenchError(f"base point {blk.base_point!r} at {e} "
                                      f"is not in G_{e}")
@@ -296,7 +286,7 @@ def bowman_data_from_spec(spec: StrongSemilatticeSpec, rho,
     """Metric data over a strong-semilattice spec: rho on E, per-group
     metrics (default discrete), base points (default identities), and
     enumerations (default identity-first)."""
-    emodel = PosetEModel(poset_of_semilattice(spec.E), rho)
+    emodel = SemilatticeEModel(spec.E, rho)
     blocks = {}
     for e in spec.E.elements():
         g = spec.groups[e]
@@ -360,14 +350,13 @@ class YeagerMetricData:
 
     def __post_init__(self):
         self.rho = tuple(tuple(Fraction(v) for v in row) for row in self.rho)
-        _check_metric_matrix(self.rho, "rho", self.spec.E.n, bound=Fraction(1))
+        _check_metric_matrix(self.rho, "rho", self.spec.E.n)
         self.d = {
             e: tuple(tuple(Fraction(v) for v in row) for row in m)
             for e, m in self.d.items()
         }
         for e, m in self.d.items():
-            _check_metric_matrix(m, f"d_{e}", self.spec.groups[e].n,
-                                 bound=Fraction(1))
+            _check_metric_matrix(m, f"d_{e}", self.spec.groups[e].n)
 
 
 def isometry_check(data: YeagerMetricData):

@@ -143,16 +143,6 @@ def minimum(S: FiniteSemigroup) -> int:
     return m
 
 
-def poset_of_semilattice(S: FiniteSemigroup) -> FinitePoset:
-    """Natural order x <= y iff xy = x, as a poset on the same indices."""
-    if not is_semilattice(S):
-        raise NotSemilattice("expected a semilattice")
-    rel = tuple(
-        tuple(S.mul(x, y) == x for y in S.elements()) for x in S.elements()
-    )
-    return validate_poset(rel)
-
-
 def _flat_point(i: int) -> Fraction:
     """Element i of the flat model: 0 at index 0, else 1/i."""
     return Fraction(1, i) if i else Fraction(0)

@@ -20,7 +20,6 @@ from .core import (
     _Budget,
     _reader,
     classify,
-    idempotents,
     is_semilattice,
     isomorphisms,
     local_group_table,
@@ -162,10 +161,6 @@ class Assembled:
     def point(self, e: int, g: int) -> int:
         return self.offsets[e] + g
 
-    def block(self, e: int) -> range:
-        size = self.spec.groups[e].n
-        return range(self.offsets[e], self.offsets[e] + size)
-
 
 def assemble(spec: StrongSemilatticeSpec) -> Assembled:
     """Build the Cayley table one block pair at a time: for s in G_e and t
@@ -197,25 +192,6 @@ def assemble(spec: StrongSemilatticeSpec) -> Assembled:
     return Assembled(semigroup=S, spec=spec, offsets=offsets)
 
 
-def semilattice_of_idempotents(S: FiniteSemigroup) -> FiniteSemigroup:
-    """E(S) as a standalone table over the sorted idempotent list.
-
-    Requires idempotents to be closed under multiplication (true in any
-    Clifford semigroup)."""
-    E = sorted(idempotents(S))
-    pos = {e: i for i, e in enumerate(E)}
-    table = []
-    for e in E:
-        row = []
-        for f in E:
-            m = S.mul(e, f)
-            if m not in pos:
-                raise NotSemilattice(f"{e}*{f} = {m} is not idempotent")
-            row.append(pos[m])
-        table.append(tuple(row))
-    return FiniteSemigroup(tuple(table), tuple(S.label(e) for e in E))
-
-
 def decompose(S: FiniteSemigroup) -> StrongSemilatticeSpec:
     """Extract the strong-semilattice data of a Clifford semigroup: E(S),
     the pi-fibers as groups, and multiplication-by-lower-idempotent as
@@ -232,12 +208,13 @@ def _decompose(S: FiniteSemigroup):
     (e, G_e) for the idempotent e of E-index i, with G_e as sorted global
     indices, so local index j of group i is fibers[i][1][j].
 
-    The bonding map phi_{f,e}(x) = ex is read off row e of the table.  It
-    lands in G_e because pi_and_subgroups checked that pi is a
-    homomorphism, and ex = xe because classify found the idempotents
+    E(S) is the subtable on the idempotents, the sorted fiber keys, and
+    the bonding map phi_{f,e}(x) = ex is read off row e of the table.  Both
+    stay inside (E(S) and G_e) because pi_and_subgroups checked that pi is
+    a homomorphism, and ex = xe because classify found the idempotents
     central; validate_spec checks the strong-semilattice laws."""
     _, groups = pi_and_subgroups(S)
-    E = semilattice_of_idempotents(S)
+    E = local_group_table(S, groups)
     fibers = tuple(groups.items())
     pos = [{x: j for j, x in enumerate(members)} for _, members in fibers]
     bonding = {}

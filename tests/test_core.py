@@ -36,6 +36,7 @@ from cliffordlab.errors import (
     InternalInconsistency,
     NotAssociative,
     NotClifford,
+    NotSemilattice,
     SearchBudgetExceeded,
     WorkbenchError,
 )
@@ -44,7 +45,6 @@ from cliffordlab.semilattice import (
     decompose,
     direct_product,
     iso_equivalent,
-    semilattice_of_idempotents,
     validate_spec,
 )
 
@@ -565,6 +565,26 @@ def reference_bonding_maps(S):
     return groups, E, le, bonding
 
 
+def reference_semilattice_of_idempotents(S):
+    """E(S) as a standalone table over the sorted idempotent list, as
+    decompose built it before reading E as a subtable.
+
+    Requires idempotents to be closed under multiplication (true in any
+    Clifford semigroup)."""
+    E = sorted(idempotents(S))
+    pos = {e: i for i, e in enumerate(E)}
+    table = []
+    for e in E:
+        row = []
+        for f in E:
+            m = S.mul(e, f)
+            if m not in pos:
+                raise NotSemilattice(f"{e}*{f} = {m} is not idempotent")
+            row.append(pos[m])
+        table.append(tuple(row))
+    return FiniteSemigroup(tuple(table), tuple(S.label(e) for e in E))
+
+
 def reference_decompose(S):
     groups, E, _, bonding = reference_bonding_maps(S)
     pos_e = {e: i for i, e in enumerate(E)}
@@ -574,7 +594,8 @@ def reference_decompose(S):
         (pos_e[f], pos_e[e]): tuple(elem_pos[e][phi[x]] for x in groups[f])
         for (f, e), phi in bonding.items() if f != e
     }
-    return validate_spec(semilattice_of_idempotents(S), local, local_bonding)
+    E = reference_semilattice_of_idempotents(S)
+    return validate_spec(E, local, local_bonding)
 
 
 def reference_is_trivial_clifford(S):
@@ -627,7 +648,7 @@ def reference_is_trivial_clifford(S):
     family = search(0)
     if family is None:
         return None
-    prod = direct_product(semilattice_of_idempotents(S), locals_[ref])
+    prod = direct_product(reference_semilattice_of_idempotents(S), locals_[ref])
     if iso_equivalent(prod.semigroup, S) is None:
         raise InternalInconsistency("product not isomorphic to S")
     return family

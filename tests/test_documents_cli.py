@@ -310,10 +310,13 @@ def test_cli_c1_probe_rejects_a_grid_that_cannot_be_built(capsys, grid):
     ({"builtin": "additive", "radius": -1.0}, "body.radius"),
     ({"builtin": []}, "body.builtin"),
     ({"builtin": {"additive": 1}}, "body.builtin"),
+    ({"builtin": "additive", "dim": 65}, "body.dim"),
+    ({"dim": 65, "polynomials": []}, "body.dim"),
 ], ids=["coordinate-not-a-list", "string-exponent", "float-exponent",
         "bool-coefficient", "infinite-coefficient", "bool-exponent",
         "negative-exponent", "min-plus-dim-3", "zero-radius",
-        "negative-radius", "builtin-list", "builtin-object"])
+        "negative-radius", "builtin-list", "builtin-object", "additive-dim-65",
+        "polynomial-dim-65"])
 def test_cli_validate_rejects_a_bad_chart_model(capsys, tmp_path, body, field):
     path = tmp_path / "bad.chart.json"
     path.write_text(json.dumps({"kind": "chart-model", "meta": {"name": "bad"},
@@ -442,6 +445,20 @@ def test_cli_refuses_a_repeated_label(capsys, tmp_path, command):
                    "label 'a' repeats at indices 0 and 1\n")
 
 
+def write_changed(directory, name, where, value):
+    """A shipped document with the body entry at path `where` (the whole
+    body when empty) set to value; returns its path."""
+    raw = json.loads(read_shipped(name))
+    *outer, last = ["body", *where]
+    parent = raw
+    for key in outer:
+        parent = parent[key]
+    parent[last] = value
+    path = directory / name
+    path.write_text(json.dumps(raw))
+    return path
+
+
 ONE_POINT = {"n": True, "table": [[0]]}
 
 
@@ -458,19 +475,55 @@ ONE_POINT = {"n": True, "table": [[0]]}
         "poset-n-true", "leq-entry-7", "rho-entry-true"])
 def test_cli_rejects_a_boolean_or_out_of_range_integer_field(
         capsys, tmp_path, name, command, where, value, field):
-    raw = json.loads(read_shipped(name))
-    if where:
-        *outer, last = ["body", *where]
-        parent = raw
-        for key in outer:
-            parent = parent[key]
-        parent[last] = value
-    else:
-        raw["body"] = value
-    path = tmp_path / name
-    path.write_text(json.dumps(raw))
+    path = write_changed(tmp_path, name, where, value)
     err = cli_error(capsys, command, str(path))
     assert err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize("name, where, value, err", [
+    ("chain3.poset.json", ["leq", 0, 0], False, "not reflexive at 0"),
+    ("chain3.poset.json", ["leq", 1, 0], True, "not antisymmetric at (0,1)"),
+    ("chain3.poset.json", ["leq", 0, 2], False, "not transitive at (0,1,2)"),
+    ("twochain.metric.json", ["rho"], [["1", "1"], ["1", "0"]], "rho(0,0) != 0"),
+    ("twochain.metric.json", ["rho"], [["0", "-1"], ["-1", "0"]], "rho(0,1) < 0"),
+    ("twochain.metric.json", ["rho"], [["0", "2"], ["2", "0"]], "rho(0,1) > 1"),
+    ("twochain.metric.json", ["rho"], [["0", "1"], ["1/2", "0"]],
+     "rho not symmetric at (0,1)"),
+    ("twochain.metric.json", ["rho"], [["0", "0"], ["0", "0"]],
+     "rho(0,1) = 0 for distinct points"),
+    ("sierpinski.topology.json", ["opens"], [[], [0, 5], [0, 1]],
+     "open set [0, 5] outside carrier"),
+], ids=["leq-not-reflexive", "leq-not-antisymmetric", "leq-not-transitive",
+        "rho-diagonal", "rho-negative", "rho-above-1", "rho-not-symmetric",
+        "rho-zero-off-diagonal", "open-set-outside-carrier"])
+def test_cli_validate_names_the_broken_law(capsys, tmp_path, name, where, value,
+                                           err):
+    path = write_changed(tmp_path, name, where, value)
+    assert cli_error(capsys, "validate", str(path)) == f"error: {err}\n"
+
+
+def test_cli_topo_check_of_a_discontinuous_model_names_a_witness(capsys, tmp_path):
+    # Z2 under the Sierpinski opens: translation by 1 swaps 0 and 1, so the
+    # preimage of the open set {1} is {0}, which is not open
+    path = write_changed(tmp_path, "sierpinski.topology.json", ["semigroup"],
+                         {"n": 2, "table": [[0, 1], [1, 0]]})
+    code, out = run_cli(capsys, "topo-check", str(path))
+    assert code == 1 and out == "continuous: false\n  witness open set: {1}\n"
+
+
+def test_cli_trivial_check_of_the_assembled_two_chain_is_false(capsys, tmp_path):
+    # Z2 over the trivial group: fibres of different orders
+    code, out = run_cli(capsys, "assemble", "twochain.spec", "--format", "structured")
+    assert code == 0
+    path = tmp_path / "twochain-assembled.json"
+    path.write_text(out)
+    code, out = run_cli(capsys, "trivial-check", str(path), "--format", "tsv")
+    assert code == 0 and out == "trivial\nfalse\n"
+
+
+def test_cli_classify_refuses_a_spec_document(capsys):
+    err = cli_error(capsys, "classify", "twochain.spec")
+    assert err == "error: $.kind: expected 'cayley', got 'spec'\n"
 
 
 TRIVIAL = {"n": 1, "table": [[0]]}

@@ -4,27 +4,36 @@ import dataclasses
 import inspect
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffordlab import catalog as cat
 from cliffordlab import suite
 from cliffordlab.errors import TooLarge, WorkbenchError
-from cliffordlab.metrics import PosetEModel
+from cliffordlab.metrics import SemilatticeEModel, bowman_data_from_spec
 from cliffordlab.order import (
     LazySemilatticeModel,
     flat_model,
     is_basis,
     lawson_basic,
     minimum,
-    poset_of_semilattice,
     validate_poset,
     way_below_by_definition,
 )
+from test_core import strong_semilattice_specs
+from test_metrics import rational_metric
 
 
 def chain_poset(n):
     return validate_poset([[i <= j for j in range(n)] for i in range(n)])
+
+
+def semilattice_poset(S):
+    """The natural order x <= y iff xy = x of a semilattice table."""
+    return validate_poset([[S.mul(x, y) == x for y in S.elements()]
+                           for x in S.elements()])
 
 
 def test_two_chain_bottom_way_below_top():
@@ -33,13 +42,13 @@ def test_two_chain_bottom_way_below_top():
 
 
 def test_atoms_way_below_themselves_in_flat_poset():
-    P = poset_of_semilattice(cat.flat_semilattice(2))
+    P = semilattice_poset(cat.flat_semilattice(2))
     for a in (1, 2):
         assert way_below_by_definition(P, a, a)
 
 
 def test_way_below_implies_leq():
-    P = poset_of_semilattice(cat.diamond_semilattice())
+    P = semilattice_poset(cat.diamond_semilattice())
     for x in P.elements():
         for y in P.elements():
             if way_below_by_definition(P, x, y):
@@ -59,13 +68,13 @@ def test_definition_oracle_refuses_large_posets():
 
 
 def test_whole_poset_is_a_basis():
-    P = poset_of_semilattice(cat.diamond_semilattice())
+    P = semilattice_poset(cat.diamond_semilattice())
     ok, witness = is_basis(P, list(P.elements()))
     assert ok and witness is None
 
 
 def test_bottom_alone_is_not_a_basis_of_flat_poset():
-    P = poset_of_semilattice(cat.flat_semilattice(3))
+    P = semilattice_poset(cat.flat_semilattice(3))
     ok, witness = is_basis(P, [0])
     assert not ok
     assert witness in (1, 2, 3)
@@ -101,7 +110,7 @@ def test_is_basis_reads_only_the_elements_of_the_flat_model():
 
 
 def test_lawson_basic_on_flat_poset():
-    P = poset_of_semilattice(cat.flat_semilattice(3))
+    P = semilattice_poset(cat.flat_semilattice(3))
     # way-up of the bottom is everything; removing the upper set of one atom
     # removes exactly that atom
     assert lawson_basic(P, 0, {1}) == frozenset({0, 2, 3})
@@ -183,20 +192,70 @@ def test_flat_model_holds_n_alone_and_reads_gaps_in_closed_form():
         assert type(M.rho(b, b)) is Fraction and M.rho(b, b) == 0
 
 
+def reference_poset_e_model(P, rho):
+    """The poset-based E-model that SemilatticeEModel replaced: order and
+    minimum read off a FinitePoset, and the weights off the definition, the
+    distance from e to the complement of the up-set of b."""
+    rho = [[Fraction(v) for v in row] for row in rho]
+    m = P.minimum()
+
+    def a_weight_raw(b, e):
+        return min(rho[e][x] for x in P.elements() if not P.le(b, x))
+
+    def weight_support(e):
+        return [b for b in P.elements() if b == m or a_weight_raw(b, e) != 0]
+
+    return SimpleNamespace(elements=P.elements, le=P.le,
+                           rho=lambda e, f: rho[e][f], minimum=lambda: m,
+                           a_weight_raw=a_weight_raw, weight_support=weight_support)
+
+
+def assert_e_models_agree(model, ref):
+    """Same order, rho, minimum and weight supports, and the same raw
+    weights but at the minimum (never read: a_weight is 1 there)."""
+    elements = list(ref.elements())
+    assert list(model.elements()) == elements
+    assert model.minimum() == ref.minimum()
+    for e, f in itertools.product(elements, repeat=2):
+        assert model.le(e, f) == ref.le(e, f)
+        assert model.rho(e, f) == ref.rho(e, f)
+    for e in elements:
+        assert list(model.weight_support(e)) == ref.weight_support(e)
+        for b in elements:
+            if b != ref.minimum():
+                assert model.a_weight_raw(b, e) == ref.a_weight_raw(b, e)
+
+
+def assert_spec_e_model_matches_the_poset_reference(spec, rho):
+    model = bowman_data_from_spec(spec, rho).emodel
+    assert type(model) is SemilatticeEModel and model.E is spec.E
+    assert_e_models_agree(model, reference_poset_e_model(semilattice_poset(spec.E), rho))
+
+
+@pytest.mark.parametrize("name", sorted(cat.spec_catalog()))
+def test_semilattice_e_model_matches_the_poset_reference_on_the_catalog(name):
+    spec = cat.spec_catalog()[name]
+    # entries in (1/2, 1] always satisfy the triangle inequality
+    rho = [[0 if i == j else Fraction(1, 2) + Fraction(1, 2 + i + j)
+            for j in spec.E.elements()] for i in spec.E.elements()]
+    assert_spec_e_model_matches_the_poset_reference(spec, rho)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=strong_semilattice_specs(), data=st.data())
+def test_semilattice_e_model_matches_the_poset_reference_on_generated_specs(spec, data):
+    rho = data.draw(rational_metric(spec.E.n))
+    assert_spec_e_model_matches_the_poset_reference(spec, rho)
+
+
 def test_flat_model_is_the_poset_e_model_of_its_order_and_rho():
-    # PosetEModel reads the weights off the definition: the distance from e
-    # to the complement of the up-set of b (the raw weight of the minimum is
-    # never read: a_weight is 1 there)
     for N in range(1, 9):
         M = flat_model(N)
         P = validate_poset([[M.le(i, j) for j in M.elements()]
                             for i in M.elements()])
-        ref = PosetEModel(P, [[M.rho(i, j) for j in M.elements()]
-                              for i in M.elements()])
-        for e in M.elements():
-            assert list(M.weight_support(e)) == ref.weight_support(e)
-            for b in M.elements()[1:]:
-                assert M.a_weight_raw(b, e) == ref.a_weight_raw(b, e)
+        ref = reference_poset_e_model(P, [[M.rho(i, j) for j in M.elements()]
+                                          for i in M.elements()])
+        assert_e_models_agree(M, ref)
 
 
 # what the series metric reads of an E-model; both models offer exactly this
@@ -204,7 +263,7 @@ E_MODEL_METHODS = {"elements", "le", "rho", "minimum", "a_weight_raw",
                    "weight_support"}
 
 
-@pytest.mark.parametrize("model", [PosetEModel, LazySemilatticeModel])
+@pytest.mark.parametrize("model", [SemilatticeEModel, LazySemilatticeModel])
 def test_each_e_model_offers_exactly_the_e_model_methods(model):
     public = {name for name, value in vars(model).items()
               if inspect.isfunction(value) and not name.startswith("_")}

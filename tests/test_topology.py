@@ -128,7 +128,7 @@ def test_order_graph_closed_iff_hausdorff():
 
 def test_basic_set_at_single_idempotent_is_the_fiber():
     A = assemble(cat.spec_catalog()["chain2-z4-z2-mod"])
-    fiber = frozenset(A.block(1))
+    fiber = frozenset(A.point(1, g) for g in range(4))
     assert basic_set(A, {1}, 1, set(range(4))) == fiber
 
 
