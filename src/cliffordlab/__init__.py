@@ -22,7 +22,6 @@ from .errors import SchemaError, WorkbenchError
 from .metrics import (
     BowmanMetricData,
     Point,
-    YeagerMetricData,
     bowman_data_from_spec,
     bowman_distance,
     disjoint_union_distance,
@@ -94,7 +93,6 @@ __all__ = [
     "StrongSemilatticeSpec",
     "TopologicalSemigroupModel",
     "WorkbenchError",
-    "YeagerMetricData",
     "additive_model",
     "affine_model",
     "all_topologies",

@@ -16,7 +16,7 @@ from importlib import resources
 
 from . import documents as docs
 from .core import classify, green_j_classes, is_semilattice, is_trivial_clifford
-from .errors import WorkbenchError
+from .errors import SchemaError, WorkbenchError
 from .metrics import (
     CONVERGENCE_SCHEDULE,
     Point,
@@ -61,17 +61,17 @@ def _load(path: str) -> docs.WorkbenchDocument:
     raise WorkbenchError(f"no such document: {path}")
 
 
-def _parse_point(group_at, text: str) -> Point:
-    """Parse "e,g": e is an element index, g a local group index or label of
-    the group group_at(e), which is None where there is no block."""
+def _parse_point(data, text: str) -> Point:
+    """Parse "e,g": e is an element index with a block in the metric data,
+    g a local group index or label of that block's group."""
     try:
         e_part, g_part = text.split(",", 1)
         e = int(e_part)
     except ValueError:
         raise WorkbenchError(f'points look like "e,g", got {text!r}')
-    group = group_at(e)
-    if group is None:
+    if e not in data.blocks:
         raise WorkbenchError(f"no group block at element {e}")
+    group = data.blocks[e].group
     if g_part.removeprefix("-").isdecimal():
         g = int(g_part)
         if not 0 <= g < group.n:
@@ -152,8 +152,7 @@ def _cmd_decompose(args):
     rows = [("e", "fiber_order")] + [
         (e, spec.groups[e].n) for e in spec.E.elements()
     ]
-    return 0, Report(lines, rows,
-                     json.loads(docs.serialize_document(out)))
+    return 0, Report(lines, rows, docs.document_envelope(out))
 
 
 def _table_report(title: str, S, name: str):
@@ -163,7 +162,7 @@ def _table_report(title: str, S, name: str):
     lines = [f"{title} of order {S.n}",
              "elements: " + ", ".join(S.label(x) for x in S.elements())]
     rows = [tuple(row) for row in S.table]
-    return 0, Report(lines, rows, json.loads(docs.serialize_document(out)))
+    return 0, Report(lines, rows, docs.document_envelope(out))
 
 
 def _cmd_assemble(args):
@@ -276,11 +275,6 @@ def _cmd_basic_set(args):
     return 0, Report(lines, rows, {"members": members})
 
 
-def _block_group(data):
-    """The group at e of series-metric data, or None off its blocks."""
-    return lambda e: data.blocks[e].group if e in data.blocks else None
-
-
 def _distance_report(v):
     text = docs.format_rational(v)
     return 0, Report([text], [("distance",), (text,)], {"distance": text})
@@ -288,17 +282,15 @@ def _distance_report(v):
 
 def _cmd_metric_eval(args):
     doc = _load(args.file)
-    if args.metric == "yeager":
-        data = docs.build_yeager_data(doc)
-        group_at = data.spec.groups.get
-        p, q = _parse_point(group_at, args.p), _parse_point(group_at, args.q)
-        return _distance_report(yeager_distance(data, p, q))
     data = docs.build_bowman_data(doc)
-    group_at = _block_group(data)
-    p, q = _parse_point(group_at, args.p), _parse_point(group_at, args.q)
+    if args.metric == "yeager" and doc.body["type"] != "spec":
+        raise SchemaError("body.type",
+                          "the isometric metric needs a spec-type document")
+    p, q = _parse_point(data, args.p), _parse_point(data, args.q)
+    if args.metric == "yeager":
+        return _distance_report(yeager_distance(data, p, q))
     if args.metric == "disjoint":
-        du = {p.e: data.blocks[p.e].d}  # read only when q.e == p.e
-        return _distance_report(disjoint_union_distance(du, p, q))
+        return _distance_report(disjoint_union_distance(data, p, q))
     bv = bowman_distance(data, p, q, truncation=args.truncation)
     value = docs.format_rational(bv.value)
     tail = docs.format_rational(bv.tail_bound)
@@ -340,18 +332,16 @@ def _cmd_converge(args):
                 f"k must be >= 1: 1/{min(ks)} is no point of the sequence")
     else:  # the default schedule, cut to the blocks of this document
         ks = [k for k in CONVERGENCE_SCHEDULE if k in data.blocks]
-    group_at = _block_group(data)
-    limit = _parse_point(group_at, f"0,{args.g}")
+    limit = _parse_point(data, f"0,{args.g}")
     rows = [("k", "distance", "distance_float", "tail_bound", "disjoint_union")]
     payload = {"rows": []}
     lines = [f"sequence (1/k, g={args.g}) against ({0}, g={args.g})"]
     for k in ks:
-        p = _parse_point(group_at, f"{k},{args.g}")
+        p = _parse_point(data, f"{k},{args.g}")
         bv = bowman_distance(data, p, limit, truncation=args.truncation)
         value = docs.format_rational(bv.value)
         tail = docs.format_rational(bv.tail_bound)
-        dd = docs.format_rational(
-            disjoint_union_distance({k: data.blocks[k].d}, p, limit))
+        dd = docs.format_rational(disjoint_union_distance(data, p, limit))
         rows.append((k, value, f"{float(bv.value):.6e}", tail, dd))
         payload["rows"].append({"k": k, "distance": value, "tail_bound": tail,
                                 "disjoint_union": dd})

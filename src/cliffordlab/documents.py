@@ -19,13 +19,7 @@ from fractions import Fraction
 
 from .core import FiniteSemigroup, validate_semigroup
 from .errors import SchemaError, WorkbenchError
-from .metrics import (
-    BowmanMetricData,
-    YeagerMetricData,
-    bowman_data_from_spec,
-    discrete_metric,
-    flat_bowman_data,
-)
+from .metrics import BowmanMetricData, bowman_data_from_spec, flat_bowman_data
 from .order import FinitePoset, flat_model, validate_poset
 from .semilattice import StrongSemilatticeSpec, validate_spec
 from .topology import TopologicalSemigroupModel, validate_topology
@@ -104,12 +98,19 @@ def _check_int_list(v, path):
         raise SchemaError(path, "expected a list of ints")
 
 
+def _is_index(key: str) -> bool:
+    """Does key spell an index in canonical decimal: ASCII digits, no
+    leading zero, and no more digits than int() takes?"""
+    return (key.isascii() and key.isdecimal() and (key == "0" or key[0] != "0")
+            and not 0 < sys.get_int_max_str_digits() < len(key))
+
+
 def _check_by_element(obj, path, n, check_value):
     """An object keyed by the element indices 0..n-1 of E."""
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
     for key, value in obj.items():
-        if not (key.isdecimal() and key == str(int(key)) and int(key) < n):
+        if not (_is_index(key) and int(key) < n):
             raise SchemaError(f"{path}.{key}",
                               f"keys are element indices 0..{n - 1}")
         check_value(value, f"{path}.{key}")
@@ -143,15 +144,14 @@ def _check_spec_body(body, path="body"):
     if not isinstance(body["groups"], dict):
         raise SchemaError(f"{path}.groups", "expected an object")
     for key, g in body["groups"].items():
-        if not (key.isdecimal() and key == str(int(key))):
+        if not _is_index(key):
             raise SchemaError(f"{path}.groups.{key}", "keys are element indices")
         _check_cayley_body(g, f"{path}.groups.{key}")
     if not isinstance(body["bonding"], dict):
         raise SchemaError(f"{path}.bonding", "expected an object")
     for key, phi in body["bonding"].items():
         parts = key.split("->")
-        if len(parts) != 2 or not all(p.isdecimal() and p == str(int(p))
-                                      for p in parts):
+        if len(parts) != 2 or not all(_is_index(p) for p in parts):
             raise SchemaError(f"{path}.bonding.{key}", 'keys look like "f->e"')
         _check_int_list(phi, f"{path}.bonding.{key}")
 
@@ -304,12 +304,17 @@ def parse_document(text: str) -> WorkbenchDocument:
     )
 
 
-def serialize_document(doc: WorkbenchDocument) -> str:
+def document_envelope(doc: WorkbenchDocument) -> dict:
+    """The JSON object of doc: kind, meta (the name, and the description if
+    there is one) and body."""
     meta = {"name": doc.name}
     if doc.description:
         meta["description"] = doc.description
-    payload = {"kind": doc.kind, "meta": meta, "body": doc.body}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return {"kind": doc.kind, "meta": meta, "body": doc.body}
+
+
+def serialize_document(doc: WorkbenchDocument) -> str:
+    return json.dumps(document_envelope(doc), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +357,6 @@ def build_topology_model(doc: WorkbenchDocument) -> TopologicalSemigroupModel:
     return TopologicalSemigroupModel(S, T)
 
 
-def _metric_spec_from_body(body):
-    """The spec, rho and group metrics d of a spec-type metric-data body."""
-    spec = _spec_from_body(body["spec"])
-    rho = _rational_matrix(body["rho"], "body.rho")
-    d = {int(e): _rational_matrix(m, f"body.d.{e}")
-         for e, m in body.get("d", {}).items()}
-    return spec, rho, d
-
-
 def build_bowman_data(doc: WorkbenchDocument) -> BowmanMetricData:
     _expect_kind(doc, "metric-data")
     body = doc.body
@@ -375,31 +371,18 @@ def build_bowman_data(doc: WorkbenchDocument) -> BowmanMetricData:
             or None,
             pseudo=body.get("pseudo", False),
         )
-    spec, rho, d = _metric_spec_from_body(body)
     return bowman_data_from_spec(
-        spec,
-        rho,
+        _spec_from_body(body["spec"]),
+        _rational_matrix(body["rho"], "body.rho"),
         basis=tuple(body["basis"]) if "basis" in body else None,
-        d=d or None,
+        d={int(e): _rational_matrix(m, f"body.d.{e}")
+           for e, m in body.get("d", {}).items()} or None,
         base_points={int(k): v for k, v in body.get("base_points", {}).items()}
         or None,
         enumerations={int(k): tuple(v)
                       for k, v in body.get("enumerations", {}).items()} or None,
         pseudo=body.get("pseudo", False),
     )
-
-
-def build_yeager_data(doc: WorkbenchDocument) -> YeagerMetricData:
-    _expect_kind(doc, "metric-data")
-    body = doc.body
-    if body["type"] != "spec":
-        raise SchemaError("body.type",
-                          "the isometric metric needs a spec-type document")
-    spec, rho, d = _metric_spec_from_body(body)
-    for e in spec.E.elements():
-        if e not in d:
-            d[e] = discrete_metric(spec.groups[e].n)
-    return YeagerMetricData(spec=spec, rho=rho, d=d)
 
 
 def build_chart_model(doc: WorkbenchDocument) -> ChartModel:
@@ -435,8 +418,10 @@ KINDS = {
 
 
 def build(doc: WorkbenchDocument):
-    """The validated domain object of any document; metric data builds as
-    Bowman data."""
+    """The validated domain object of any document.  A metric-data document
+    builds as the one `BowmanMetricData` that the series, isometric and
+    disjoint-union distances all read, so `validate` and every distance
+    agree on which metric-data documents are valid."""
     _, builder = KINDS[doc.kind]
     return builder(doc)
 

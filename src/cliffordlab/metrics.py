@@ -1,12 +1,15 @@
 """Explicit metrics on strong semilattices of groups.
 
-Three distance functions live here, all over exact rationals:
+Three distance functions live here, all over exact rationals and all
+reading one `BowmanMetricData`, so a metric-data document is valid for one
+of them exactly when it is valid for the others:
 
 * the weighted-series metric combining a semilattice metric rho with group
   metrics sampled against dense enumerations (with rigorous truncation
   bounds when the basis series is cut off),
 * the isometric-bonding metric rho(e,f) + d_{ef}(phi(s), phi(t)), which
-  refuses to run unless every bonding map is an isometry,
+  needs E's Cayley table for the meet ef and refuses to run unless every
+  bonding map is an isometry,
 * the disjoint-union metric (d_e inside a block, 1 across blocks).
 
 Plus the exhaustive metric-axiom suite that exercises them.
@@ -335,63 +338,35 @@ def flat_bowman_data(model: LazySemilatticeModel, fiber: FiniteSemigroup,
                             bonding=bonding, pseudo=pseudo)
 
 
-@dataclass
-class YeagerMetricData:
-    """Data for the isometric-bonding metric: a spec, rho on E, and one
-    metric per group; every bonding map must be an isometry."""
-
-    spec: StrongSemilatticeSpec
-    rho: tuple
-    d: dict
-    # set by isometry_check once every bonding map passes: a cached verdict,
-    # which no caller may preset and which leaves equality alone
-    _isometry_checked: bool = field(default=False, init=False, repr=False,
-                                    compare=False)
-
-    def __post_init__(self):
-        self.rho = tuple(tuple(Fraction(v) for v in row) for row in self.rho)
-        _check_metric_matrix(self.rho, "rho", self.spec.E.n)
-        self.d = {
-            e: tuple(tuple(Fraction(v) for v in row) for row in m)
-            for e, m in self.d.items()
-        }
-        for e, m in self.d.items():
-            _check_metric_matrix(m, f"d_{e}", self.spec.groups[e].n)
-
-
-def isometry_check(data: YeagerMetricData):
+def isometry_check(data: BowmanMetricData):
     """Does every bonding map preserve distances?  Returns (True, None) or
     (False, ((f, e), (s, t))) with the collapsing pair."""
-    spec = data.spec
-    for (f, e), phi in spec.bonding.items():
-        if f == e:
-            continue
-        for s in spec.groups[f].elements():
-            for t in spec.groups[f].elements():
-                if data.d[e][phi[s]][phi[t]] != data.d[f][s][t]:
+    for (f, e), phi in data.bonding.items():
+        d_e, d_f = data.blocks[e].d, data.blocks[f].d
+        for s in data.blocks[f].group.elements():
+            for t in data.blocks[f].group.elements():
+                if d_e[phi[s]][phi[t]] != d_f[s][t]:
                     return False, ((f, e), (s, t))
-    data._isometry_checked = True
     return True, None
 
 
-def yeager_distance(data: YeagerMetricData, p: Point, q: Point) -> Fraction:
-    """rho(e,f) + d_{ef}(phi_{e,ef}(s), phi_{f,ef}(t)); refuses to compute
-    when some bonding map fails the isometry hypothesis."""
-    if not data._isometry_checked:
-        ok, witness = isometry_check(data)
-        if not ok:
-            raise IsometryHypothesisViolated(*witness)
-    spec = data.spec
-    ef = spec.E.mul(p.e, q.e)
-    s = spec.phi(p.e, ef, p.g)
-    t = spec.phi(q.e, ef, q.g)
-    return data.rho[p.e][q.e] + data.d[ef][s][t]
+def yeager_distance(data: BowmanMetricData, p: Point, q: Point) -> Fraction:
+    """rho(e,f) + d_{ef}(phi_{e,ef}(s), phi_{f,ef}(t)) over the Cayley table
+    of E; refuses to compute when some bonding map fails the isometry
+    hypothesis."""
+    ok, witness = isometry_check(data)
+    if not ok:
+        raise IsometryHypothesisViolated(*witness)
+    ef = data.emodel.E.mul(p.e, q.e)
+    s, t = data.phi(p.e, ef, p.g), data.phi(q.e, ef, q.g)
+    return data.emodel.rho(p.e, q.e) + data.blocks[ef].d[s][t]
 
 
-def disjoint_union_distance(d: dict, p: Point, q: Point) -> Fraction:
+def disjoint_union_distance(data: BowmanMetricData, p: Point,
+                            q: Point) -> Fraction:
     """d_e(s, t) inside one block, 1 across distinct blocks."""
     if p.e == q.e:
-        return Fraction(d[p.e][p.g][q.g])
+        return data.blocks[p.e].d[p.g][q.g]
     return Fraction(1)
 
 

@@ -35,7 +35,6 @@ from .metrics import (
     bowman_data_from_spec,
     bowman_distance,
     disjoint_union_distance,
-    discrete_metric,
     extended_bonding,
     flat_bowman_data,
     metric_axiom_suite,
@@ -313,8 +312,6 @@ def criterion_convergence():
     failures = []
     data = convergence_instance()
     limit = Point(0, 0)
-    d2 = discrete_metric(2)
-    du = {e: d2 for e in data.emodel.elements()}
     for k in CONVERGENCE_SCHEDULE:
         p = Point(k, 0)  # the point 1/k sits at index k
         bv = bowman_distance(data, p, limit)
@@ -322,7 +319,7 @@ def criterion_convergence():
         bound = Fraction(1, k) + Fraction(2) ** (1 - j_k + 1)
         if bv.value > bound:
             failures.append(f"k={k}: distance {bv.value} exceeds bound {bound}")
-        if disjoint_union_distance(du, p, limit) != 1:
+        if disjoint_union_distance(data, p, limit) != 1:
             failures.append(f"k={k}: disjoint-union distance not 1")
     final = bowman_distance(data, Point(2000, 0), limit).value
     if final >= Fraction(1, 1000):

@@ -527,6 +527,8 @@ def test_cli_classify_refuses_a_spec_document(capsys):
 
 
 TRIVIAL = {"n": 1, "table": [[0]]}
+# a canonical decimal key past Python's 4300-digit limit on str-to-int conversion
+LONG_KEY = "1" * 5000
 
 
 @pytest.mark.parametrize("name, command, changes, err", [
@@ -583,11 +585,16 @@ def write_metric_doc(directory, name, change=None, drop=None):
     ("twochain", {"enumerations": {"1": [0, "a"]}}, "body.enumerations.1"),
     ("flat3", {"base_points": 5}, "body.base_points"),
     ("flat3", {"base_points": {"4": 0}}, "body.base_points.4"),
+    ("twochain", {"d": {LONG_KEY: [["0"]]}}, f"body.d.{LONG_KEY}"),
+    ("twochain", {"base_points": {LONG_KEY: 0}}, f"body.base_points.{LONG_KEY}"),
+    ("twochain", {"enumerations": {LONG_KEY: [0]}},
+     f"body.enumerations.{LONG_KEY}"),
 ], ids=["rho-int", "rho-row-int", "d-int", "d-value-int", "d-key-x",
         "d-key-outside-e", "basis-int", "base-points-int", "base-points-key-x",
         "base-point-string", "enumerations-int", "enumeration-int",
         "enumeration-string", "flat-base-points-int",
-        "flat-base-points-key-outside-e"])
+        "flat-base-points-key-outside-e", "d-key-5000-digits",
+        "base-points-key-5000-digits", "enumerations-key-5000-digits"])
 def test_cli_validate_names_the_bad_metric_data_field(capsys, tmp_path, name,
                                                        change, field):
     err = cli_error(capsys, "validate", str(write_metric_doc(tmp_path, name, change)))
@@ -619,6 +626,32 @@ def test_cli_metric_shape_errors_name_the_block(capsys, tmp_path, name, change,
     assert err.startswith(f"error: {block} ")
 
 
+@pytest.mark.parametrize("change", [
+    {"basis": [1]},
+    {"base_points": {"1": 7}},
+    {"enumerations": {"1": [0]}},
+], ids=["basis-not-at-minimum", "base-point-outside-group",
+        "enumeration-not-the-group"])
+def test_validate_and_the_isometric_metric_refuse_the_same_metric_data(
+        capsys, tmp_path, change):
+    golden = Path(__file__).parent / "golden" / "chain2-identity.metric.json"
+    raw = json.loads(golden.read_text())
+    raw["body"].update(change)
+    path = tmp_path / golden.name
+    path.write_text(json.dumps(raw))
+    err = cli_error(capsys, "validate", str(path))
+    assert err.startswith("error: ")
+    assert cli_error(capsys, "metric-eval", "yeager", str(path),
+                     "--p", "1,0", "--q", "0,0") == err
+
+
+def test_cli_isometric_metric_refuses_a_flat_document(capsys):
+    err = cli_error(capsys, "metric-eval", "yeager", "flat3.metric",
+                    "--p", "1,0", "--q", "0,0")
+    assert err == ("error: body.type: the isometric metric needs a spec-type "
+                   "document\n")
+
+
 BODY_FIELDS = {
     "twochain": ["type", "spec", "rho", "basis", "d", "base_points",
                  "enumerations", "pseudo"],
@@ -628,7 +661,7 @@ BODY_FIELDS = {
 DROP = object()
 WRONG_VALUES = [5, 0.5, "<1e999>", True, False, "a", None, [], [0, 1], {},
                 {"1": 0}, {"1": [0, 1]}, [[0, 1], [1]], [["0", "1"], ["1"]],
-                [["0", "1"], ["1", "0"]], [["0"]]]
+                [["0", "1"], ["1", "0"]], [["0"]], {LONG_KEY: 0}]
 
 
 @settings(max_examples=120, deadline=None)
@@ -678,7 +711,12 @@ def test_an_exact_value_too_long_to_print_ends_in_an_error_line(capsys, tmp_path
 @pytest.mark.parametrize("where, old, new", [
     ("groups", "1", "²"),
     ("bonding", "1->0", "¹->0"),
-], ids=["group-key-superscript", "bonding-key-superscript"])
+    ("groups", "1", "١"),
+    ("bonding", "1->0", "١->0"),
+    ("groups", "1", LONG_KEY),
+    ("bonding", "1->0", f"{LONG_KEY}->0"),
+], ids=["group-key-superscript", "bonding-key-superscript", "group-key-arabic",
+        "bonding-key-arabic", "group-key-5000-digits", "bonding-key-5000-digits"])
 def test_cli_validate_rejects_a_spec_key_that_is_no_decimal_index(
         capsys, tmp_path, where, old, new):
     raw = json.loads(read_shipped("twochain.spec.json"))

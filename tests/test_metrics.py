@@ -10,7 +10,6 @@ from cliffordlab import suite
 from cliffordlab.errors import IsometryHypothesisViolated, WorkbenchError
 from cliffordlab.metrics import (
     Point,
-    YeagerMetricData,
     _profile,
     a_weight,
     bowman_data_from_spec,
@@ -107,13 +106,8 @@ def test_axiom_suite_passes_on_two_chain_and_yeager_product():
         lambda p, q: bowman_distance(data, p, q).value, points
     )
     assert rep.passed
-    yd = YeagerMetricData(
-        spec=cat.spec_catalog()["chain2-z2-z2-identity"],
-        rho=RHO01,
-        d={0: discrete_metric(2), 1: discrete_metric(2)},
-    )
-    ypoints = [Point(e, g) for e in (0, 1) for g in (0, 1)]
-    rep = metric_axiom_suite(lambda p, q: yeager_distance(yd, p, q), ypoints)
+    yd = yeager_data("identity")
+    rep = metric_axiom_suite(lambda p, q: yeager_distance(yd, p, q), yd.points())
     assert rep.passed
 
 
@@ -135,56 +129,40 @@ def test_corrupted_metric_reports_symmetry_violation():
     assert rep.symmetry and not rep.passed
 
 
+def yeager_data(bonding):
+    """Metric data over a chain of two Z2 fibres, discrete metrics d."""
+    return bowman_data_from_spec(cat.spec_catalog()[f"chain2-z2-z2-{bonding}"],
+                                 RHO01, d={0: discrete_metric(2),
+                                           1: discrete_metric(2)})
+
+
 def test_yeager_on_equal_idempotents_is_the_group_metric():
-    yd = YeagerMetricData(
-        spec=cat.spec_catalog()["chain2-z2-z2-identity"],
-        rho=RHO01,
-        d={0: discrete_metric(2), 1: discrete_metric(2)},
-    )
+    yd = yeager_data("identity")
     assert yeager_distance(yd, Point(1, 0), Point(1, 1)) == 1
     assert yeager_distance(yd, Point(0, 1), Point(1, 1)) == 1  # rho only
+    assert yeager_distance(yd, Point(1, 0), Point(0, 1)) == 2
 
 
 def test_yeager_refuses_non_isometric_bonding():
-    yd = YeagerMetricData(
-        spec=cat.spec_catalog()["chain2-z4-z2-mod"],
-        rho=RHO01,
+    yd = bowman_data_from_spec(
+        cat.spec_catalog()["chain2-z4-z2-mod"],
+        RHO01,
         d={0: discrete_metric(2), 1: discrete_metric(4)},
     )
-    with pytest.raises(IsometryHypothesisViolated):
+    with pytest.raises(IsometryHypothesisViolated) as exc:
         yeager_distance(yd, Point(1, 1), Point(0, 0))
-
-
-def yeager_data(bonding, **kwargs):
-    return YeagerMetricData(
-        spec=cat.spec_catalog()[f"chain2-z2-z2-{bonding}"],
-        rho=RHO01,
-        d={0: discrete_metric(2), 1: discrete_metric(2)},
-        **kwargs,
-    )
-
-
-def test_yeager_data_takes_no_isometry_verdict_from_its_caller():
-    with pytest.raises(TypeError, match="_isometry_checked"):
-        yeager_data("collapse", _isometry_checked=True)
+    assert (exc.value.pair, exc.value.witness) == ((1, 0), (0, 2))  # 0 and 2 collapse
     with pytest.raises(IsometryHypothesisViolated):
         yeager_distance(yeager_data("collapse"), Point(1, 0), Point(1, 1))
 
 
-def test_yeager_data_equality_ignores_the_cached_isometry_verdict():
-    served, fresh = yeager_data("identity"), yeager_data("identity")
-    assert yeager_distance(served, Point(1, 0), Point(0, 1)) == 2
-    assert served == fresh
-    assert served != yeager_data("collapse")
-
-
 def test_disjoint_union_distance():
-    d = {0: discrete_metric(2), 1: discrete_metric(2)}
-    assert disjoint_union_distance(d, Point(0, 0), Point(0, 1)) == 1
+    d = two_chain_data(d={1: [[0, "1/2"], ["1/2", 0]]})
+    assert disjoint_union_distance(d, Point(1, 0), Point(1, 1)) == Fraction(1, 2)
     assert disjoint_union_distance(d, Point(0, 0), Point(0, 0)) == 0
     assert disjoint_union_distance(d, Point(0, 0), Point(1, 0)) == 1
     # triangle inequality, exhaustively
-    pts = [Point(e, g) for e in (0, 1) for g in (0, 1)]
+    pts = d.points()
     for p in pts:
         for q in pts:
             for r in pts:
@@ -227,9 +205,8 @@ def test_convergence_toward_the_bottom():
         bowman_distance(data, Point(k, 0), limit).value for k in (1, 5, 30)
     ]
     assert values[0] > values[1] > values[2]
-    du = {e: discrete_metric(2) for e in data.emodel.elements()}
     assert all(
-        disjoint_union_distance(du, Point(k, 0), limit) == 1 for k in (1, 5, 30)
+        disjoint_union_distance(data, Point(k, 0), limit) == 1 for k in (1, 5, 30)
     )
 
 
