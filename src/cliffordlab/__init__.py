@@ -33,7 +33,6 @@ from .order import (
     FinitePoset,
     flat_model,
     is_basis,
-    lawson_basic,
     validate_poset,
     way_below_by_definition,
 )
@@ -42,7 +41,6 @@ from .semilattice import (
     assemble,
     decompose,
     direct_product,
-    eta_injectivity,
     iso_equivalent,
     validate_spec,
 )
@@ -105,7 +103,6 @@ __all__ = [
     "differentiability_probe",
     "direct_product",
     "disjoint_union_distance",
-    "eta_injectivity",
     "fixed_point_scan",
     "flat_bowman_data",
     "flat_model",
@@ -113,7 +110,6 @@ __all__ = [
     "is_basis",
     "is_trivial_clifford",
     "iso_equivalent",
-    "lawson_basic",
     "metric_axiom_suite",
     "min_plus_model",
     "polynomial_model",

@@ -16,7 +16,7 @@ from importlib import resources
 
 from . import documents as docs
 from .core import classify, green_j_classes, is_semilattice, is_trivial_clifford
-from .errors import SchemaError, WorkbenchError
+from .errors import WorkbenchError
 from .metrics import (
     CONVERGENCE_SCHEDULE,
     Point,
@@ -281,11 +281,7 @@ def _distance_report(v):
 
 
 def _cmd_metric_eval(args):
-    doc = _load(args.file)
-    data = docs.build_bowman_data(doc)
-    if args.metric == "yeager" and doc.body["type"] != "spec":
-        raise SchemaError("body.type",
-                          "the isometric metric needs a spec-type document")
+    data = docs.build_bowman_data(_load(args.file))
     p, q = _parse_point(data, args.p), _parse_point(data, args.q)
     if args.metric == "yeager":
         return _distance_report(yeager_distance(data, p, q))

@@ -64,10 +64,6 @@ class SearchBudgetExceeded(WorkbenchError):
     """An exhaustive search ran out of its node budget (never silent)."""
 
 
-class EmptyDirectedSet(WorkbenchError):
-    """A directed-set argument was empty."""
-
-
 class TooLarge(WorkbenchError):
     """Input exceeds the size bound of an enumeration-based operation."""
 

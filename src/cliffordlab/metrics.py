@@ -8,7 +8,7 @@ of them exactly when it is valid for the others:
   metrics sampled against dense enumerations (with rigorous truncation
   bounds when the basis series is cut off),
 * the isometric-bonding metric rho(e,f) + d_{ef}(phi(s), phi(t)), which
-  needs E's Cayley table for the meet ef and refuses to run unless every
+  reads the meet ef off the E-model and refuses to run unless every
   bonding map is an isometry,
 * the disjoint-union metric (d_e inside a block, 1 across blocks).
 
@@ -52,6 +52,9 @@ class SemilatticeEModel:
 
     def le(self, e, f):
         return self.E.table[e][f] == e
+
+    def meet(self, e, f):
+        return self.E.table[e][f]
 
     def rho(self, e, f):
         return self.rho_matrix[e][f]
@@ -341,8 +344,13 @@ def flat_bowman_data(model: LazySemilatticeModel, fiber: FiniteSemigroup,
 def isometry_check(data: BowmanMetricData):
     """Does every bonding map preserve distances?  Returns (True, None) or
     (False, ((f, e), (s, t))) with the collapsing pair."""
+    checked = set()  # entries often share one map and metrics: check them once
     for (f, e), phi in data.bonding.items():
         d_e, d_f = data.blocks[e].d, data.blocks[f].d
+        key = (id(phi), id(d_e), id(d_f))
+        if key in checked:
+            continue
+        checked.add(key)
         for s in data.blocks[f].group.elements():
             for t in data.blocks[f].group.elements():
                 if d_e[phi[s]][phi[t]] != d_f[s][t]:
@@ -351,13 +359,13 @@ def isometry_check(data: BowmanMetricData):
 
 
 def yeager_distance(data: BowmanMetricData, p: Point, q: Point) -> Fraction:
-    """rho(e,f) + d_{ef}(phi_{e,ef}(s), phi_{f,ef}(t)) over the Cayley table
-    of E; refuses to compute when some bonding map fails the isometry
-    hypothesis."""
+    """rho(e,f) + d_{ef}(phi_{e,ef}(s), phi_{f,ef}(t)) with the meet ef of
+    the E-model; refuses to compute when some bonding map fails the
+    isometry hypothesis."""
     ok, witness = isometry_check(data)
     if not ok:
         raise IsometryHypothesisViolated(*witness)
-    ef = data.emodel.E.mul(p.e, q.e)
+    ef = data.emodel.meet(p.e, q.e)
     s, t = data.phi(p.e, ef, p.g), data.phi(q.e, ef, q.g)
     return data.emodel.rho(p.e, q.e) + data.blocks[ef].d[s][t]
 

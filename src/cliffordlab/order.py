@@ -1,5 +1,5 @@
-"""Posets, the way-below relation, domain bases, Lawson-style basic sets,
-and the truncated flat-semilattice model over exact rationals.
+"""Posets, the way-below relation, domain bases, and the truncated
+flat-semilattice model over exact rationals.
 
 In a finite poset every directed set attains its supremum at its maximum
 element, so way-below coincides with <=: the code uses P.le, and
@@ -36,9 +36,6 @@ class FinitePoset:
 
     def elements(self) -> range:
         return range(self.n)
-
-    def up(self, x: int) -> frozenset:
-        return frozenset(y for y in self.elements() if self.le(x, y))
 
     def minimum(self) -> Optional[int]:
         for x in self.elements():
@@ -120,14 +117,6 @@ def is_basis(P, B):
     return missing is None, missing
 
 
-def lawson_basic(P: FinitePoset, x: int, F) -> frozenset:
-    """The set (way-up of x) minus the upper set of F."""
-    out = set(P.up(x))
-    for f in F:
-        out -= P.up(f)
-    return frozenset(out)
-
-
 def minimum(S: FiniteSemigroup) -> int:
     """The minimum of a finite semilattice: the product of all elements.
 
@@ -175,6 +164,9 @@ class LazySemilatticeModel:
 
     def le(self, i: int, j: int) -> bool:
         return i == 0 or i == j
+
+    def meet(self, i: int, j: int) -> int:
+        return i if i == j else 0
 
     def minimum(self) -> int:
         return 0

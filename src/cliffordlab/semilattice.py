@@ -27,7 +27,6 @@ from .core import (
     validate_semigroup,
 )
 from .errors import (
-    EmptyDirectedSet,
     FunctorLawViolated,
     IndexOutOfRange,
     InternalInconsistency,
@@ -243,27 +242,6 @@ def direct_product(E: FiniteSemigroup, G: FiniteSemigroup) -> Assembled:
                 bonding[(f, e)] = ident
     spec = validate_spec(E, groups, bonding)
     return assemble(spec)
-
-
-def eta_injectivity(spec: StrongSemilatticeSpec, e: int, D):
-    """Is g -> (phi_{e,d}(g))_{d in D} injective on G_e?
-
-    D must be a nonempty set of elements below e.  Returns (True, None) or
-    (False, (g, h)) with a colliding pair: exactly the pairs no basis
-    element of D can separate."""
-    D = sorted(set(D))
-    if not D:
-        raise EmptyDirectedSet("D must be nonempty")
-    for d in D:
-        if not spec.le(d, e):
-            raise IndexOutOfRange(f"{d} is not below {e}")
-    seen = {}
-    for g in spec.groups[e].elements():
-        key = tuple(spec.phi(e, d, g) for d in D)
-        if key in seen:
-            return False, (seen[key], g)
-        seen[key] = g
-    return True, None
 
 
 def iso_equivalent(S1: FiniteSemigroup, S2: FiniteSemigroup

@@ -645,11 +645,10 @@ def test_validate_and_the_isometric_metric_refuse_the_same_metric_data(
                      "--p", "1,0", "--q", "0,0") == err
 
 
-def test_cli_isometric_metric_refuses_a_flat_document(capsys):
-    err = cli_error(capsys, "metric-eval", "yeager", "flat3.metric",
-                    "--p", "1,0", "--q", "0,0")
-    assert err == ("error: body.type: the isometric metric needs a spec-type "
-                   "document\n")
+def test_cli_isometric_metric_runs_on_a_flat_document(capsys):
+    code, out = run_cli(capsys, "metric-eval", "yeager", "flat3.metric",
+                        "--p", "1,1", "--q", "0,0")
+    assert code == 0 and out == "2\n"
 
 
 BODY_FIELDS = {

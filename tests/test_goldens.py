@@ -59,6 +59,8 @@ CASES = {
     "metric-eval-yeager-identity": (["metric-eval", "yeager",
                                      beside("chain2-identity.metric"),
                                      "--p", "1,g1", "--q", "0,g0"], 0),
+    "metric-eval-yeager-flat3": (["metric-eval", "yeager", "flat3.metric",
+                                  "--p", "1,1", "--q", "0,0"], 0),
     "metric-suite-flat3": (["metric-suite", "flat3.metric"], 0),
     "metric-suite-twochain": (["metric-suite", "twochain.metric"], 0),
     "converge-flat3": (["converge", "flat3.metric", "--ks", "1,2,3"], 0),

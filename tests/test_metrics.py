@@ -1,5 +1,6 @@
 """Series and isometric metrics: weights, reference values, axioms, limits."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from cliffordlab import catalog as cat
 from cliffordlab import suite
 from cliffordlab.errors import IsometryHypothesisViolated, WorkbenchError
 from cliffordlab.metrics import (
+    BowmanMetricData,
     Point,
     _profile,
     a_weight,
@@ -20,6 +22,7 @@ from cliffordlab.metrics import (
     disjoint_union_distance,
     extended_bonding,
     flat_bowman_data,
+    isometry_check,
     metric_axiom_suite,
     separation_witness,
     yeager_distance,
@@ -154,6 +157,101 @@ def test_yeager_refuses_non_isometric_bonding():
     assert (exc.value.pair, exc.value.witness) == ((1, 0), (0, 2))  # 0 and 2 collapse
     with pytest.raises(IsometryHypothesisViolated):
         yeager_distance(yeager_data("collapse"), Point(1, 0), Point(1, 1))
+
+
+def flat_point(i):
+    return Fraction(1, i) if i else Fraction(0)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_yeager_on_flat_data_is_the_closed_form(order):
+    G = cat.cyclic_group(order)
+    for N in range(1, 9):
+        data = flat_bowman_data(flat_model(N), G, "identity")
+        points = data.points()
+        for p in points:
+            for q in points:
+                # the meet of distinct points is 0, and identity bonding
+                # carries (g, h) there unchanged
+                d = Fraction(int(p.g != q.g))
+                expected = d if p.e == q.e else d + abs(flat_point(p.e)
+                                                        - flat_point(q.e))
+                assert yeager_distance(data, p, q) == expected, (N, p, q)
+        rep = metric_axiom_suite(lambda p, q: yeager_distance(data, p, q), points)
+        assert rep.passed, N
+        collapse = flat_bowman_data(flat_model(N), G, "collapse")
+        with pytest.raises(IsometryHypothesisViolated) as exc:
+            yeager_distance(collapse, Point(1, 0), Point(0, 0))
+        assert (exc.value.pair, exc.value.witness) == ((1, 0), (0, 1))
+
+
+def reference_isometry_check(data):
+    """The walk over every bonding entry that isometry_check shortens."""
+    for (f, e), phi in data.bonding.items():
+        d_e, d_f = data.blocks[e].d, data.blocks[f].d
+        for s in data.blocks[f].group.elements():
+            for t in data.blocks[f].group.elements():
+                if d_e[phi[s]][phi[t]] != d_f[s][t]:
+                    return False, ((f, e), (s, t))
+    return True, None
+
+
+def near_discrete_metric(n):
+    """Entries in (1/2, 1] off the diagonal: a metric, and not discrete."""
+    return [[0 if i == j else Fraction(1, 2) + Fraction(1, 2 + i + j)
+             for j in range(n)] for i in range(n)]
+
+
+def isometry_cases():
+    for name, spec in sorted(cat.spec_catalog().items()):
+        rho = near_discrete_metric(spec.E.n)
+        yield name, bowman_data_from_spec(spec, rho)
+        yield f"{name}-near-discrete", bowman_data_from_spec(
+            spec, rho, d={e: near_discrete_metric(G.n)
+                          for e, G in spec.groups.items()})
+    for bonding in ("identity", "collapse"):
+        for base_points in (None, {2: 1}, {0: 1, 3: 1}):
+            yield (f"flat-{bonding}-{base_points}",
+                   flat_bowman_data(flat_model(5), cat.cyclic_group(2), bonding,
+                                    base_points=base_points))
+    # (2, 0) shares the map of (1, 0) and (3, 0) but not the metric of 2
+    data = flat_bowman_data(flat_model(3), cat.cyclic_group(2))
+    blocks = {**data.blocks, 2: replace(data.blocks[2],
+                                        d=near_discrete_metric(2))}
+    yield "flat-shared-map-other-metric", BowmanMetricData(
+        emodel=data.emodel, basis=data.basis, blocks=blocks,
+        bonding=data.bonding)
+
+
+def test_isometry_check_matches_the_walk_over_every_entry():
+    verdicts = {}
+    for name, data in isometry_cases():
+        verdicts[name] = isometry_check(data)
+        assert verdicts[name] == reference_isometry_check(data), name
+    assert verdicts["chain2-z2-z2-identity-near-discrete"] == (True, None)
+    assert verdicts["flat-collapse-None"] == (False, ((1, 0), (0, 1)))
+    assert verdicts["flat-shared-map-other-metric"] == (False, ((2, 0), (0, 1)))
+
+
+class CountingMap(tuple):
+    """A bonding map that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        CountingMap.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_isometry_check_reads_a_shared_map_once_per_pair():
+    G = cat.cyclic_group(3)
+    data = flat_bowman_data(flat_model(10 ** 4), G)
+    shared = CountingMap(range(G.n))
+    data.bonding = dict.fromkeys(data.bonding, shared)
+    CountingMap.reads = 0
+    assert isometry_check(data) == (True, None)
+    # phi(s) and phi(t) for each pair (s, t), for one entry rather than N
+    assert CountingMap.reads == 2 * G.n ** 2
 
 
 def test_disjoint_union_distance():

@@ -17,7 +17,6 @@ from cliffordlab.order import (
     LazySemilatticeModel,
     flat_model,
     is_basis,
-    lawson_basic,
     minimum,
     validate_poset,
     way_below_by_definition,
@@ -109,20 +108,6 @@ def test_is_basis_reads_only_the_elements_of_the_flat_model():
         is_basis(M, [0, 4])
 
 
-def test_lawson_basic_on_flat_poset():
-    P = semilattice_poset(cat.flat_semilattice(3))
-    # way-up of the bottom is everything; removing the upper set of one atom
-    # removes exactly that atom
-    assert lawson_basic(P, 0, {1}) == frozenset({0, 2, 3})
-    # the way-up set of an atom is the atom alone
-    assert lawson_basic(P, 2, set()) == frozenset({2})
-
-
-def test_lawson_basic_at_chain_bottom_with_itself_removed():
-    P = chain_poset(3)
-    assert lawson_basic(P, 0, {0}) == frozenset()
-
-
 def test_minimum_of_semilattices():
     assert minimum(cat.chain_semilattice(3)) == 0
     assert minimum(cat.flat_semilattice(4)) == 0
@@ -211,14 +196,18 @@ def reference_poset_e_model(P, rho):
 
 
 def assert_e_models_agree(model, ref):
-    """Same order, rho, minimum and weight supports, and the same raw
-    weights but at the minimum (never read: a_weight is 1 there)."""
+    """Same order, rho, minimum and weight supports, the meet is the greatest
+    lower bound under the reference order, and the same raw weights but at
+    the minimum (never read: a_weight is 1 there)."""
     elements = list(ref.elements())
     assert list(model.elements()) == elements
     assert model.minimum() == ref.minimum()
     for e, f in itertools.product(elements, repeat=2):
         assert model.le(e, f) == ref.le(e, f)
         assert model.rho(e, f) == ref.rho(e, f)
+        lower = [x for x in elements if ref.le(x, e) and ref.le(x, f)]
+        glb = [x for x in lower if all(ref.le(y, x) for y in lower)]
+        assert [model.meet(e, f)] == glb, (e, f)
     for e in elements:
         assert list(model.weight_support(e)) == ref.weight_support(e)
         for b in elements:
@@ -258,8 +247,8 @@ def test_flat_model_is_the_poset_e_model_of_its_order_and_rho():
         assert_e_models_agree(M, ref)
 
 
-# what the series metric reads of an E-model; both models offer exactly this
-E_MODEL_METHODS = {"elements", "le", "rho", "minimum", "a_weight_raw",
+# what the metrics read of an E-model; both models offer exactly this
+E_MODEL_METHODS = {"elements", "le", "meet", "rho", "minimum", "a_weight_raw",
                    "weight_support"}
 
 

@@ -22,7 +22,6 @@ from cliffordlab.documents import (
     spec_to_body,
 )
 from cliffordlab.errors import (
-    EmptyDirectedSet,
     FunctorLawViolated,
     IndexOutOfRange,
     InternalInconsistency,
@@ -35,7 +34,6 @@ from cliffordlab.semilattice import (
     assemble,
     decompose,
     direct_product,
-    eta_injectivity,
     iso_equivalent,
     validate_spec,
 )
@@ -168,30 +166,6 @@ def test_round_trip_over_catalog():
         A = assemble(spec)
         B = assemble(decompose(A.semigroup))
         assert iso_equivalent(A.semigroup, B.semigroup) is not None, name
-
-
-def test_eta_injectivity_identity_bonding():
-    spec = cat.spec_catalog()["chain2-z2-z2-identity"]
-    ok, witness = eta_injectivity(spec, 1, {0})
-    assert ok and witness is None
-
-
-def test_eta_injectivity_collapse_bonding_fails():
-    spec = two_chain_spec()
-    ok, witness = eta_injectivity(spec, 1, {0})
-    assert not ok
-    assert sorted(witness) == [0, 1]
-
-
-def test_eta_injectivity_at_e_itself():
-    spec = two_chain_spec()
-    ok, _ = eta_injectivity(spec, 1, {1})
-    assert ok
-
-
-def test_eta_injectivity_needs_nonempty_d():
-    with pytest.raises(EmptyDirectedSet):
-        eta_injectivity(two_chain_spec(), 1, set())
 
 
 def test_iso_finds_identity_on_self():
