@@ -62,16 +62,16 @@ def _load(path: str) -> docs.WorkbenchDocument:
 
 
 def _parse_point(data, text: str) -> Point:
-    """Parse "e,g": e is an element index with a block in the metric data,
-    g a local group index or label of that block's group."""
+    """Parse "e,g": e is an element of the metric data's E-model, g a local
+    group index or label of the group of its block."""
     try:
         e_part, g_part = text.split(",", 1)
         e = int(e_part)
     except ValueError:
         raise WorkbenchError(f'points look like "e,g", got {text!r}')
-    if e not in data.blocks:
+    if e not in data.emodel.elements():
         raise WorkbenchError(f"no group block at element {e}")
-    group = data.blocks[e].group
+    group = data.block(e).group
     if g_part.removeprefix("-").isdecimal():
         g = int(g_part)
         if not 0 <= g < group.n:
@@ -281,6 +281,9 @@ def _distance_report(v):
 
 
 def _cmd_metric_eval(args):
+    if args.metric != "bowman" and args.truncation is not None:
+        raise WorkbenchError(f"--truncation belongs to the series metric; "
+                             f"the {args.metric} metric is exact")
     data = docs.build_bowman_data(_load(args.file))
     p, q = _parse_point(data, args.p), _parse_point(data, args.q)
     if args.metric == "yeager":
@@ -326,8 +329,8 @@ def _cmd_converge(args):
         if min(ks, default=1) < 1:
             raise WorkbenchError(
                 f"k must be >= 1: 1/{min(ks)} is no point of the sequence")
-    else:  # the default schedule, cut to the blocks of this document
-        ks = [k for k in CONVERGENCE_SCHEDULE if k in data.blocks]
+    else:  # the default schedule, cut to the elements of this document
+        ks = [k for k in CONVERGENCE_SCHEDULE if k in data.emodel.elements()]
     limit = _parse_point(data, f"0,{args.g}")
     rows = [("k", "distance", "distance_float", "tail_bound", "disjoint_union")]
     payload = {"rows": []}
@@ -454,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", required=True, help='point "e,g"')
     p.add_argument("--q", required=True, help='point "e,g"')
     p.add_argument("--truncation", type=int, default=None,
-                   help="cut the basis series after J terms")
+                   help="cut the series metric after J terms (bowman only)")
     p = add("metric-suite", _cmd_metric_suite,
             "exhaustive metric-axiom check over all points", "file")
     p.add_argument("--truncation", type=int, default=None)

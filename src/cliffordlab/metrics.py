@@ -126,6 +126,11 @@ class BowmanMetricData:
     originating spec-style table phi[(e, b)] for b <= e.  With pseudo=True a
     deliberately truncated basis is allowed, producing a pseudo-metric whose
     definiteness failures are themselves of interest.
+
+    Every block is read through block(e) and every map through phi(e, b, g).
+    blocks and bonding hold each block and each map once, under the first
+    element or pair that reads it; spec data has one entry per element and
+    per comparable pair.
     """
 
     emodel: object
@@ -133,26 +138,21 @@ class BowmanMetricData:
     blocks: dict
     bonding: dict
     pseudo: bool = False
-    # integer kernel of bowman_distance: basis index j of b, and the profiles
-    _position: dict = field(init=False, repr=False, compare=False)
+    # integer kernel of bowman_distance: the profiles of the points read
     _profiles: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
     def __post_init__(self):
-        self.basis = tuple(self.basis)
+        if not isinstance(self.basis, range):  # flat data keeps its model's range
+            self.basis = tuple(self.basis)
         if not self.basis or self.basis[0] != self.emodel.minimum():
             raise WorkbenchError("basis enumeration must start at the minimum")
-        self._position = {b: j for j, b in enumerate(self.basis, start=1)}
-        if len(self._position) != len(self.basis):
+        if len(set(self.basis)) != len(self.basis):
             raise WorkbenchError("basis enumeration repeats an element")
         ok, witness = is_basis(self.emodel, self.basis)  # names an element outside E
         if not (ok or self.pseudo):
             raise WorkbenchError(f"not a domain basis (fails at {witness})")
-        checked = set()  # elements often share one block object: check it once
         for e, blk in self.blocks.items():
-            if id(blk) in checked:
-                continue
-            checked.add(id(blk))
             _check_metric_matrix(blk.d, f"d_{e}", blk.group.n)
             if blk.base_point not in blk.group.elements():
                 raise WorkbenchError(f"base point {blk.base_point!r} at {e} "
@@ -160,17 +160,35 @@ class BowmanMetricData:
             if sorted(blk.enumeration) != list(blk.group.elements()):
                 raise WorkbenchError(f"enumeration at {e} is not the whole group")
 
+    def block(self, e: int) -> GroupBlock:
+        return self.blocks[e]
+
     def phi(self, e: int, b: int, g: int) -> int:
         if e == b:
             return g
         return self.bonding[(e, b)][g]
 
     def points(self):
-        return [
-            Point(e, g)
-            for e in sorted(self.blocks)
-            for g in self.blocks[e].group.elements()
-        ]
+        return [Point(e, g) for e in self.emodel.elements()
+                for g in self.block(e).group.elements()]
+
+
+class FlatMetricData(BowmanMetricData):
+    """Flat data is its N: blocks holds the shared fibre block first, under
+    the first element that reads it, then the base-point overrides; bonding
+    holds the one map into the bottom under (1, 0).  An override changes
+    only the base point, so every pair (e, 0) reads the same map, d_e and
+    d_0."""
+
+    def block(self, e: int) -> GroupBlock:
+        if e in self.blocks:
+            return self.blocks[e]
+        return next(iter(self.blocks.values()))
+
+    def phi(self, e: int, b: int, g: int) -> int:
+        if e == b:
+            return g
+        return self.bonding[(1, 0)][g]
 
 
 @dataclass(frozen=True)
@@ -193,7 +211,7 @@ def extended_bonding(data: BowmanMetricData, e: int, b: int, g: int) -> int:
     """phi_{e,b}(g) when b <= e; otherwise the constant base point of b."""
     if data.emodel.le(b, e):
         return data.phi(e, b, g)
-    return data.blocks[b].base_point
+    return data.block(b).base_point
 
 
 def _profile(data: BowmanMetricData, p: Point) -> tuple:
@@ -206,10 +224,10 @@ def _profile(data: BowmanMetricData, p: Point) -> tuple:
     if prof is None:
         support = []
         for b in data.emodel.weight_support(p.e):
-            if b in data._position:  # a pseudo basis may leave b out
-                blk = data.blocks[b]
+            if b in data.basis:  # a pseudo basis may leave b out
+                blk = data.block(b)
                 row = blk.d[extended_bonding(data, p.e, b, p.g)]
-                support.append((data._position[b], a_weight(data, b, p.e),
+                support.append((data.basis.index(b) + 1, a_weight(data, b, p.e),
                                 [row[t] for t in blk.enumeration]))
         D = (math.lcm(*(a.denominator for _, a, _ in support))
              * math.lcm(*(v.denominator for *_, vs in support for v in vs))
@@ -328,31 +346,26 @@ def flat_bowman_data(model: LazySemilatticeModel, fiber: FiniteSemigroup,
         down = tuple(ident for _ in fiber.elements())
     else:
         raise WorkbenchError(f"unknown bonding kind {bonding_kind!r}")
-    block = GroupBlock(group=fiber, d=discrete_metric(fiber.n), base_point=ident,
-                       enumeration=default_enumeration(fiber))
-    blocks = dict.fromkeys(model.elements(), block)
-    for e, g in (base_points or {}).items():
-        if e in blocks:  # a key outside the model adds no block
-            blocks[e] = replace(block, base_point=g)
-    bonding = {(e, 0): down for e in model.elements() if e != 0}
-    if basis is None:
-        basis = tuple(model.elements())
-    return BowmanMetricData(emodel=model, basis=tuple(basis), blocks=blocks,
-                            bonding=bonding, pseudo=pseudo)
+    shared = GroupBlock(group=fiber, d=discrete_metric(fiber.n), base_point=ident,
+                        enumeration=default_enumeration(fiber))
+    blocks = {e: replace(shared, base_point=g)
+              for e, g in sorted((base_points or {}).items())
+              if e in model.elements()}  # a key outside the model adds no block
+    first = next((e for e in model.elements() if e not in blocks), None)
+    if first is not None:
+        blocks = {first: shared, **blocks}
+    return FlatMetricData(
+        emodel=model, basis=model.elements() if basis is None else basis,
+        blocks=blocks, bonding={(1, 0): down}, pseudo=pseudo)
 
 
 def isometry_check(data: BowmanMetricData):
     """Does every bonding map preserve distances?  Returns (True, None) or
     (False, ((f, e), (s, t))) with the collapsing pair."""
-    checked = set()  # entries often share one map and metrics: check them once
     for (f, e), phi in data.bonding.items():
-        d_e, d_f = data.blocks[e].d, data.blocks[f].d
-        key = (id(phi), id(d_e), id(d_f))
-        if key in checked:
-            continue
-        checked.add(key)
-        for s in data.blocks[f].group.elements():
-            for t in data.blocks[f].group.elements():
+        d_e, d_f = data.block(e).d, data.block(f).d
+        for s in data.block(f).group.elements():
+            for t in data.block(f).group.elements():
                 if d_e[phi[s]][phi[t]] != d_f[s][t]:
                     return False, ((f, e), (s, t))
     return True, None
@@ -367,14 +380,14 @@ def yeager_distance(data: BowmanMetricData, p: Point, q: Point) -> Fraction:
         raise IsometryHypothesisViolated(*witness)
     ef = data.emodel.meet(p.e, q.e)
     s, t = data.phi(p.e, ef, p.g), data.phi(q.e, ef, q.g)
-    return data.emodel.rho(p.e, q.e) + data.blocks[ef].d[s][t]
+    return data.emodel.rho(p.e, q.e) + data.block(ef).d[s][t]
 
 
 def disjoint_union_distance(data: BowmanMetricData, p: Point,
                             q: Point) -> Fraction:
     """d_e(s, t) inside one block, 1 across distinct blocks."""
     if p.e == q.e:
-        return data.blocks[p.e].d[p.g][q.g]
+        return data.block(p.e).d[p.g][q.g]
     return Fraction(1)
 
 

@@ -37,12 +37,6 @@ class FinitePoset:
     def elements(self) -> range:
         return range(self.n)
 
-    def minimum(self) -> Optional[int]:
-        for x in self.elements():
-            if all(self.le(x, y) for y in self.elements()):
-                return x
-        return None
-
     def upper_bounds(self, subset) -> list[int]:
         return [u for u in self.elements() if all(self.le(x, u) for x in subset)]
 

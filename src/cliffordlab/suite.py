@@ -195,7 +195,7 @@ def oracle_bowman(data, p, q) -> Fraction:
     for j, b in enumerate(data.basis, start=1):
         ae = a_weight(data, b, p.e)
         af = a_weight(data, b, q.e)
-        blk = data.blocks[b]
+        blk = data.block(b)
         gb = extended_bonding(data, p.e, b, p.g)
         hb = extended_bonding(data, q.e, b, q.g)
         term = abs(ae - af)
@@ -255,7 +255,7 @@ def eta_injective_on_data(data, e):
     e, straight from the definition."""
     D = [b for b in data.basis if data.emodel.le(b, e)]
     seen = {}
-    for g in data.blocks[e].group.elements():
+    for g in data.block(e).group.elements():
         key = tuple(data.phi(e, b, g) for b in D)
         if key in seen:
             return False, (seen[key], g)
@@ -276,7 +276,7 @@ def criterion_separation():
     for name, inst in _metric_instances().items():
         for e in inst.emodel.elements():
             injective, _ = eta_injective_on_data(inst, e)
-            group = inst.blocks[e].group
+            group = inst.block(e).group
             for g in group.elements():
                 for h in group.elements():
                     if g >= h:

@@ -102,10 +102,6 @@ class FiniteTopology:
         """The family of all open sets, each a frozenset of indices."""
         return frozenset(O for O, _ in self.witness_opens)
 
-    def min_open(self, x: int) -> frozenset:
-        """Smallest open set containing x."""
-        return frozenset(_members(self.up[x]))
-
     def is_hausdorff(self) -> bool:
         """Points x != y have disjoint neighborhoods iff U_x and U_y are
         disjoint; on a finite space that makes the topology discrete."""
@@ -136,14 +132,6 @@ def validate_topology(n: int, opens) -> FiniteTopology:
                     )
         raise InternalInconsistency("family closed pairwise but not a topology")
     return FiniteTopology(n, up)
-
-
-def discrete_topology(n: int) -> FiniteTopology:
-    return FiniteTopology(n, tuple(1 << x for x in range(n)))
-
-
-def indiscrete_topology(n: int) -> FiniteTopology:
-    return FiniteTopology(n, ((1 << n) - 1,) * n)
 
 
 def all_topologies(n: int) -> Iterator[FiniteTopology]:

@@ -651,6 +651,17 @@ def test_cli_isometric_metric_runs_on_a_flat_document(capsys):
     assert code == 0 and out == "2\n"
 
 
+@pytest.mark.parametrize("metric", ["yeager", "disjoint"])
+@pytest.mark.parametrize("truncation", ["0", "1", "64"])
+def test_cli_exact_metrics_refuse_a_truncation(capsys, metric, truncation):
+    err = cli_error(capsys, "metric-eval", metric, "flat3.metric",
+                    "--p", "1,1", "--q", "0,0", "--truncation", truncation)
+    assert err == (f"error: --truncation belongs to the series metric; "
+                   f"the {metric} metric is exact\n")
+    assert run_cli(capsys, "metric-eval", "bowman", "flat3.metric", "--p", "1,1",
+                   "--q", "0,0", "--truncation", "1")[0] == 0
+
+
 BODY_FIELDS = {
     "twochain": ["type", "spec", "rho", "basis", "d", "base_points",
                  "enumerations", "pseudo"],

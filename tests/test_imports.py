@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
-private helper of the package is used somewhere in it, and only the chart
-path loads numpy: the other modules import neither numpy nor
+private helper of the package is used somewhere in it, only `metrics`
+reads the per-element format of metric data, and only the chart path loads
+numpy: the other modules import neither numpy nor
 `charts` or `suite` when they load, and the package re-exports `charts`
 lazily.
 
@@ -78,6 +79,33 @@ def test_dead_helpers_are_found():
 def test_no_private_helper_is_dead():
     assert dead_helpers({path.name: path.read_text(encoding="utf-8")
                          for path in PACKAGE.glob("*.py")}) == []
+
+
+# the per-element format of metric data: its block and map dicts (each entry
+# stands for the elements that read it) and the profile cache
+PER_ELEMENT_FORMAT = {"blocks", "_profiles"}
+
+
+def attribute_reads(source: str, names) -> list[str]:
+    """The reads of the named attributes in the source, by line."""
+    return [f"line {line}: .{attr}" for line, attr in sorted(
+        (node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in names)]
+
+
+def test_attribute_reads_are_found():
+    source = ("y = d._profiles\nx = data.blocks[0]\n"
+              "z = data.block(0)\nblocks = {}\nw = blocks\n")
+    assert attribute_reads(source, PER_ELEMENT_FORMAT) == [
+        "line 1: ._profiles", "line 2: .blocks"]
+
+
+def test_only_metrics_reads_the_per_element_format():
+    hits = [f"{path.name} {hit}" for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "metrics.py"
+            for hit in attribute_reads(path.read_text(encoding="utf-8"),
+                                       PER_ELEMENT_FORMAT)]
+    assert hits == []
 
 
 LEAN_MODULES = ("core.py", "semilattice.py", "documents.py", "order.py",

@@ -10,7 +10,9 @@ from cliffordlab import catalog as cat
 from cliffordlab import suite
 from cliffordlab.errors import IsometryHypothesisViolated, WorkbenchError
 from cliffordlab.metrics import (
+    CONVERGENCE_SCHEDULE,
     BowmanMetricData,
+    GroupBlock,
     Point,
     _profile,
     a_weight,
@@ -186,13 +188,18 @@ def test_yeager_on_flat_data_is_the_closed_form(order):
 
 
 def reference_isometry_check(data):
-    """The walk over every bonding entry that isometry_check shortens."""
-    for (f, e), phi in data.bonding.items():
-        d_e, d_f = data.blocks[e].d, data.blocks[f].d
-        for s in data.blocks[f].group.elements():
-            for t in data.blocks[f].group.elements():
-                if d_e[phi[s]][phi[t]] != d_f[s][t]:
-                    return False, ((f, e), (s, t))
+    """The walk over every pair e < f of the E-model, f then e ascending,
+    reading each map through data.phi and each block through data.block."""
+    elements = data.emodel.elements()
+    for f in elements:
+        for e in elements:
+            if e == f or not data.emodel.le(e, f):
+                continue
+            d_e, d_f = data.block(e).d, data.block(f).d
+            for s in data.block(f).group.elements():
+                for t in data.block(f).group.elements():
+                    if d_e[data.phi(f, e, s)][data.phi(f, e, t)] != d_f[s][t]:
+                        return False, ((f, e), (s, t))
     return True, None
 
 
@@ -214,13 +221,17 @@ def isometry_cases():
             yield (f"flat-{bonding}-{base_points}",
                    flat_bowman_data(flat_model(5), cat.cyclic_group(2), bonding,
                                     base_points=base_points))
+    # spec-style data on the flat order, one entry per element and per pair:
     # (2, 0) shares the map of (1, 0) and (3, 0) but not the metric of 2
-    data = flat_bowman_data(flat_model(3), cat.cyclic_group(2))
-    blocks = {**data.blocks, 2: replace(data.blocks[2],
-                                        d=near_discrete_metric(2))}
+    model, G = flat_model(3), cat.cyclic_group(2)
+    block = GroupBlock(group=G, d=discrete_metric(G.n), base_point=0,
+                       enumeration=(0, 1))
+    blocks = {e: block for e in model.elements()}
+    blocks[2] = replace(block, d=near_discrete_metric(G.n))
+    shared = (0, 1)
     yield "flat-shared-map-other-metric", BowmanMetricData(
-        emodel=data.emodel, basis=data.basis, blocks=blocks,
-        bonding=data.bonding)
+        emodel=model, basis=tuple(model.elements()), blocks=blocks,
+        bonding={(e, 0): shared for e in model.elements() if e != 0})
 
 
 def test_isometry_check_matches_the_walk_over_every_entry():
@@ -252,6 +263,30 @@ def test_isometry_check_reads_a_shared_map_once_per_pair():
     assert isometry_check(data) == (True, None)
     # phi(s) and phi(t) for each pair (s, t), for one entry rather than N
     assert CountingMap.reads == 2 * G.n ** 2
+
+
+def test_one_isometric_distance_on_flat_data_reads_the_map_a_fixed_number_of_times():
+    G = cat.cyclic_group(3)
+    N = 10 ** 5
+    data = flat_bowman_data(flat_model(N), G)
+    data.bonding = {pair: CountingMap(phi) for pair, phi in data.bonding.items()}
+    CountingMap.reads = 0
+    d = yeager_distance(data, Point(N, 1), Point(3, 2))
+    # 2|G|^2 reads to check the one map, and phi(s), phi(t) into the meet 0
+    assert CountingMap.reads <= 2 * G.n ** 2 + 2
+    assert d == Fraction(1, 3) - Fraction(1, N) + 1
+
+
+def test_every_flat_pair_reads_one_map_and_one_pair_of_metrics():
+    # isometry_check reads the pair (1, 0) alone, and that stands for all
+    G = cat.cyclic_group(2)
+    for bonding in ("identity", "collapse"):
+        for base_points in (None, {2: 1}, {0: 1, 3: 1}):
+            data = flat_bowman_data(flat_model(5), G, bonding,
+                                    base_points=base_points)
+            triples = {(tuple(data.phi(f, 0, g) for g in G.elements()),
+                        data.block(f).d, data.block(0).d) for f in range(1, 6)}
+            assert len(triples) == 1 and list(data.bonding) == [(1, 0)]
 
 
 def test_disjoint_union_distance():
@@ -345,14 +380,37 @@ def test_a_profile_reads_only_the_denominators_it_touches():
 
 def test_flat_data_shares_one_block_but_for_base_point_overrides():
     fiber = cat.cyclic_group(2)
-    data = flat_bowman_data(flat_model(50), fiber)
-    shared = data.blocks[0]
-    assert all(blk is shared for blk in data.blocks.values())
-    data = flat_bowman_data(flat_model(50), fiber, base_points={2: 1, 99: 0})
-    assert data.blocks[2] is not shared and data.blocks[2].base_point == 1
-    shared = data.blocks[0]
-    assert all(blk is shared for e, blk in data.blocks.items() if e != 2)
-    assert shared.base_point == 0 and sorted(data.blocks) == list(range(51))
+    shared = GroupBlock(group=fiber, d=discrete_metric(fiber.n), base_point=0,
+                        enumeration=(0, 1))
+    for N, base_points in ((50, None), (50, {2: 1, 99: 0}), (50, {0: 1, 1: 1}),
+                           (1, {0: 1, 1: 1})):
+        data = flat_bowman_data(flat_model(N), fiber, base_points=base_points)
+        overrides = {e: g for e, g in (base_points or {}).items() if e <= N}
+        for e in range(N + 1):
+            assert data.block(e) == replace(shared, base_point=overrides.get(e, 0))
+        # every element without an override reads one block object
+        assert len({id(data.block(e)) for e in range(N + 1)}) == \
+            len(overrides) + (len(overrides) <= N)
+        assert data.points() == [Point(e, g) for e in range(N + 1) for g in (0, 1)]
+    data = flat_bowman_data(flat_model(10 ** 5), fiber, base_points={2: 1, 99: 0})
+    assert len(data.blocks) <= 1 + 2 and len(data.bonding) <= 1
+    assert data.block(10 ** 5) == shared and data.block(99) == shared
+    assert data.block(2) == replace(shared, base_point=1)
+
+
+@pytest.mark.parametrize("fiber, bonding, base_points", [
+    (2, "identity", {5: 1}), (2, "collapse", {0: 1}),
+    (3, "identity", {0: 2}), (3, "collapse", {2000: 1}),
+], ids=["z2-identity", "z2-collapse", "z3-identity", "z3-collapse"])
+def test_series_distances_on_flat_2000_equal_the_oracle(fiber, bonding, base_points):
+    G = cat.cyclic_group(fiber)
+    data = flat_bowman_data(flat_model(2000), G, bonding, base_points=base_points)
+    schedule = [Point(k, k % G.n) for k in CONVERGENCE_SCHEDULE]
+    # the schedule against the Bowman limits (0, phi(g)), then against itself
+    pairs = [(p, Point(0, data.phi(p.e, 0, p.g))) for p in schedule]
+    pairs += [(schedule[0], schedule[-1]), (schedule[3], schedule[4])]
+    for p, q in pairs:
+        assert bowman_distance(data, p, q).value == suite.oracle_bowman(data, p, q)
 
 
 @st.composite

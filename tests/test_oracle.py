@@ -77,10 +77,10 @@ def test_oracle_reaches_no_kernel_name():
 # the bitmask view of a topology, the masks a semigroup keeps for the
 # topology checks and the checks the references mirror; the private names of
 # topology.py are kernel too
-TOPOLOGY_KERNEL = {"up", "relation", "arrows", "witness_opens", "min_open",
-                   "is_hausdorff", "j_masks", "jclass_of", "group_masks",
-                   "idempotent_mask", "all_topologies", "continuity_check",
-                   "mp_check", "prop34_equivalences", "order_graph_closed"}
+TOPOLOGY_KERNEL = {"up", "relation", "arrows", "witness_opens", "is_hausdorff",
+                   "j_masks", "jclass_of", "group_masks", "idempotent_mask",
+                   "all_topologies", "continuity_check", "mp_check",
+                   "prop34_equivalences", "order_graph_closed"}
 
 
 def topology_kernel_names_reached(tests_source: str, topology_source: str) -> dict:

@@ -182,7 +182,7 @@ def reference_poset_e_model(P, rho):
     minimum read off a FinitePoset, and the weights off the definition, the
     distance from e to the complement of the up-set of b."""
     rho = [[Fraction(v) for v in row] for row in rho]
-    m = P.minimum()
+    m = next(x for x in P.elements() if all(P.le(x, y) for y in P.elements()))
 
     def a_weight_raw(b, e):
         return min(rho[e][x] for x in P.elements() if not P.le(b, x))
