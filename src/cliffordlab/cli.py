@@ -10,7 +10,6 @@ against the shipped example catalog.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from importlib import resources
 
@@ -100,9 +99,7 @@ class Report:
 
     def emit(self, fmt: str):
         if fmt == "structured":
-            sys.stdout.write(
-                json.dumps(self.payload, sort_keys=True, indent=2) + "\n"
-            )
+            sys.stdout.write(docs._to_json(self.payload) + "\n")
         elif fmt == "tsv":
             for row in self.rows:
                 sys.stdout.write("\t".join(str(c) for c in row) + "\n")

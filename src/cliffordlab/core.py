@@ -189,17 +189,22 @@ def validate_semigroup(table, labels=None) -> FiniteSemigroup:
                 raise IndexOutOfRange(f"table[{i}][{j}] = {v!r} not an index < {n}")
     if not _associative(rows):
         raise NotAssociative(associativity_witnesses(rows))
+    return with_labels(FiniteSemigroup(rows), labels)
+
+
+def with_labels(S: FiniteSemigroup, labels) -> FiniteSemigroup:
+    """S's table under labels, checked as validate_semigroup checks them."""
     if labels is not None:
         labels = tuple(labels)
-        if len(labels) != n:
-            raise IndexOutOfRange(f"expected {n} labels, got {len(labels)}")
+        if len(labels) != S.n:
+            raise IndexOutOfRange(f"expected {S.n} labels, got {len(labels)}")
         first = {}
         for j, label in enumerate(labels):
             i = first.setdefault(label, j)
             if i != j:
                 raise IndexOutOfRange(
                     f"label {label!r} repeats at indices {i} and {j}")
-    return FiniteSemigroup(rows, labels)
+    return FiniteSemigroup(S.table, labels)
 
 
 def idempotents(S: FiniteSemigroup) -> list[int]:

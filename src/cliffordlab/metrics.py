@@ -147,7 +147,8 @@ class BowmanMetricData:
             self.basis = tuple(self.basis)
         if not self.basis or self.basis[0] != self.emodel.minimum():
             raise WorkbenchError("basis enumeration must start at the minimum")
-        if len(set(self.basis)) != len(self.basis):
+        if not isinstance(self.basis, range) \
+                and len(set(self.basis)) != len(self.basis):  # a range never repeats
             raise WorkbenchError("basis enumeration repeats an element")
         ok, witness = is_basis(self.emodel, self.basis)  # names an element outside E
         if not (ok or self.pseudo):

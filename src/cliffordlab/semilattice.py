@@ -81,7 +81,9 @@ def validate_spec(E, groups, bonding) -> StrongSemilatticeSpec:
     phi_{e,e} = id and phi_{g,e} = phi_{f,e} o phi_{g,f} on all chains.
     Homomorphisms are checked over pairs e <= f with f, then e, ascending,
     and chains e <= f <= g in ascending order, so the first violation in
-    that order is the one reported, with its least witness.
+    that order is the one reported, with its least witness.  A verdict
+    depends only on the tables and maps involved, so each distinct group
+    table, (G_f, G_e, phi) triple and chain of maps is checked once per call.
     """
     if not isinstance(E, FiniteSemigroup):
         E = validate_semigroup(E)
@@ -93,8 +95,12 @@ def validate_spec(E, groups, bonding) -> StrongSemilatticeSpec:
         raise IndexOutOfRange(
             f"groups keyed by {sorted(groups)}, expected 0..{E.n - 1}"
         )
+    tables, gid = {}, {}  # gid[e] numbers the distinct table of G_e
     for e, g in groups.items():
-        _check_group(g, e)
+        n = len(tables)
+        gid[e] = tables.setdefault(g.table, n)
+        if gid[e] == n:
+            _check_group(g, e)
     for (f, e) in bonding:
         if not (0 <= f < E.n and 0 <= e < E.n):
             raise IndexOutOfRange(f"bonding key {f}->{e} outside 0..{E.n - 1}")
@@ -102,7 +108,10 @@ def validate_spec(E, groups, bonding) -> StrongSemilatticeSpec:
     # e <= f iff ef = e: down[f] lists the e <= f, up[e] the f >= e
     down = [[e for e, fe in enumerate(row) if fe == e] for row in E.table]
     up = [[f for f, ef in enumerate(row) if ef == e] for e, row in enumerate(E.table)]
-    full = {}
+    # maps interns each phi once its images are range-checked, so a map is
+    # known by its id; homs and chains hold the (G_f, G_e, phi) and
+    # (phi_fe, phi_gf, phi_ge) that passed
+    full, maps, homs, chains = {}, {}, set(), set()
     for f, below in enumerate(down):
         Gf = groups[f]
         for e in below:
@@ -118,16 +127,22 @@ def validate_spec(E, groups, bonding) -> StrongSemilatticeSpec:
             phi = tuple(phi)
             if len(phi) != Gf.n:
                 raise NotHomomorphism((f, e), f"domain size {len(phi)}")
-            for y in phi:
-                if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < Ge.n:
-                    raise NotHomomorphism((f, e), f"image {y!r} outside G_{e}")
+            if not (set(map(type, phi)) <= {int} and 0 <= min(phi) and max(phi) < Ge.n):
+                for y in phi:
+                    if not isinstance(y, int) or isinstance(y, bool) \
+                            or not 0 <= y < Ge.n:
+                        raise NotHomomorphism((f, e), f"image {y!r} outside G_{e}")
+            phi = full[(f, e)] = maps.setdefault(phi, phi)
+            hom = (gid[f], gid[e], id(phi))
+            if hom in homs:
+                continue
             for x, row in enumerate(Gf.table):
                 image_row = Ge.table[phi[x]]
                 for y, xy in enumerate(row):
                     if phi[xy] != image_row[phi[y]]:
                         raise NotHomomorphism((f, e), "product not preserved",
                                               witness=(x, y))
-            full[(f, e)] = phi
+            homs.add(hom)
     for (f, e) in bonding:
         if E.mul(e, f) != e:
             raise NotHomomorphism((f, e), "bonding given for incomparable pair")
@@ -138,10 +153,14 @@ def validate_spec(E, groups, bonding) -> StrongSemilatticeSpec:
         for f in above:
             phi_fe = full[(f, e)]
             for g in up[f]:
-                phi_ge = full[(g, e)]
-                for x, y in enumerate(full[(g, f)]):
+                phi_gf, phi_ge = full[(g, f)], full[(g, e)]
+                chain = (id(phi_fe), id(phi_gf), id(phi_ge))
+                if chain in chains:
+                    continue
+                for x, y in enumerate(phi_gf):
                     if phi_ge[x] != phi_fe[y]:
                         raise FunctorLawViolated((e, f, g), f"composition fails at x={x}")
+                chains.add(chain)
     return StrongSemilatticeSpec(E=E, groups=groups, bonding=full)
 
 

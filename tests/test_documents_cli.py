@@ -868,3 +868,179 @@ def test_fuzzed_cli_arguments_end_in_a_result_or_an_error_line(data):
     options = [f"{name}={data.draw(OPTION_VALUES[name])}" for name in names]
     assert_result_or_error_line(command, data.draw(st.sampled_from(files)), options,
                                 *options)
+
+
+Z4 = {"n": 4, "table": [[(i + j) % 4 for j in range(4)] for i in range(4)]}
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "1"], ids=["true", "float", "string"])
+@pytest.mark.parametrize("where, field, message", [
+    (["e", "table", 1, 0], "body.e.table[1][0]", "expected an integer"),
+    (["groups", "1", "table", 2, 3], "body.groups.1.table[2][3]",
+     "expected an integer"),
+    (["bonding", "1->0", 1], "body.bonding.1->0", "expected a list of ints"),
+], ids=["e-table", "group-table", "bonding"])
+def test_a_non_integer_cell_names_its_field(bad, where, field, message):
+    """The row-level int checks name the first bad cell, as the per-cell
+    loop does; a group of order 4 puts the cell in row 2, column 3."""
+    raw = json.loads(read_shipped("twochain.spec.json"))
+    raw["body"]["groups"]["1"] = json.loads(json.dumps(Z4))
+    raw["body"]["bonding"]["1->0"] = [0, 0, 0, 0]
+    *outer, last = where
+    parent = raw["body"]
+    for key in outer:
+        parent = parent[key]
+    parent[last] = bad
+    with pytest.raises(SchemaError) as exc:
+        docs.parse_document(json.dumps(raw))
+    assert (exc.value.path, str(exc.value)) == (field, f"{field}: {message}")
+
+
+@pytest.mark.parametrize("row, field", [
+    ([0, "x", 2.5, 3], "body.table[1][1]"),
+    ([0, 1, 2, None], "body.table[1][3]"),
+    ([False, 1, 2, 3], "body.table[1][0]"),
+], ids=["first-of-two", "last", "false"])
+def test_the_first_bad_cell_of_a_row_is_named(row, field):
+    raw = {"kind": "cayley", "meta": {"name": "z4"}, "body": json.loads(json.dumps(Z4))}
+    raw["body"]["table"][1] = row
+    raw["body"]["table"][3][0] = "later"
+    with pytest.raises(SchemaError) as exc:
+        docs.parse_document(json.dumps(raw))
+    assert str(exc.value) == f"{field}: expected an integer"
+
+
+# ---------------------------------------------------------------------------
+# the encoder: the bytes of json.dumps(sort_keys=True, indent=2)
+
+
+def reference_serialize_document(doc):
+    """serialize_document as json.dumps writes it."""
+    return json.dumps(docs.document_envelope(doc), sort_keys=True, indent=2) + "\n"
+
+
+def encoded(encode, value):
+    """encode(value), or the class and message of what it raises."""
+    try:
+        return encode(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+KEYS = st.text(st.characters(), max_size=6) | st.sampled_from(
+    ["", "é", "☃", "\U0001f600", '"', "\\", "\n\t\x00", "a b"])
+
+
+def digits(k):
+    """For k > 0 an int of 4300 digits, the most that str() takes; for
+    k < 0 one of 5000, past that limit."""
+    return k * 10 ** (4299 if k > 0 else 4999) + k
+
+
+LEAVES = (st.none() | st.booleans() | st.integers()
+          | st.integers(-3, 3).filter(bool).map(digits) | st.floats() | KEYS)
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(st.integers(), max_size=5)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(KEYS, inner, max_size=5)
+                   | st.dictionaries(st.integers(-2, 2) | KEYS, inner, max_size=3)),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_the_encoder_writes_the_bytes_of_json_dumps(value):
+    assert encoded(docs._to_json, value) == encoded(
+        lambda v: json.dumps(v, sort_keys=True, indent=2), value)
+
+
+def test_the_encoder_writes_every_shipped_document_and_golden_as_json_dumps():
+    for name in shipped_files():
+        doc = docs.parse_document(read_shipped(name))
+        assert docs.serialize_document(doc) == reference_serialize_document(doc), name
+    goldens = sorted((Path(__file__).parent / "golden").glob("*.json"))
+    assert goldens
+    for path in goldens:
+        if not path.read_text():  # a command that fails writes nothing
+            continue
+        value = json.loads(path.read_text())
+        assert docs._to_json(value) == json.dumps(value, sort_keys=True,
+                                                  indent=2), path
+
+
+def structure_inputs(seed):
+    """The op list of the benchmark's structure workload, from its
+    generator (which imports only the standard library)."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.structure_inputs(seed)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_the_encoder_writes_the_spec_documents_of_a_structure_pass_as_json_dumps(seed):
+    from cliffordlab.semilattice import assemble, decompose
+
+    ops = structure_inputs(seed)
+    assert len(ops) == 29
+    for op in ops:
+        doc = docs.parse_document(op["spec_text"])
+        again = docs.WorkbenchDocument("spec", op["name"], "", docs.spec_to_body(
+            decompose(assemble(docs.build_spec(doc)).semigroup)))
+        for d in (doc, again):
+            assert docs.serialize_document(d) == reference_serialize_document(d)
+
+
+# ---------------------------------------------------------------------------
+# build_spec validates each distinct group table of a document once
+
+
+def reference_spec_from_body(body):
+    """The spec of body with every group table validated on its own."""
+    from cliffordlab.core import validate_semigroup
+    from cliffordlab.semilattice import validate_spec
+
+    E = validate_semigroup(body["e"]["table"], body["e"].get("labels"))
+    groups = {int(k): validate_semigroup(g["table"], g.get("labels"))
+              for k, g in body["groups"].items()}
+    bonding = {tuple(int(p) for p in key.split("->")): tuple(phi)
+               for key, phi in body["bonding"].items()}
+    return validate_spec(E, groups, bonding)
+
+
+def z2_chain3_body(groups):
+    """A spec body on the 3-chain with the given group bodies, bonded by
+    the identity of Z2."""
+    return {"e": {"n": 3, "table": [[0, 0, 0], [0, 1, 1], [0, 1, 2]]},
+            "groups": groups,
+            "bonding": {"1->0": [0, 1], "2->0": [0, 1], "2->1": [0, 1]}}
+
+
+def z2_body(table=((0, 1), (1, 0)), labels=None):
+    body = {"n": 2, "table": [list(row) for row in table]}
+    return body if labels is None else {**body, "labels": labels}
+
+
+@pytest.mark.parametrize("groups", [
+    {"0": z2_body(labels=["a", "b"]), "1": z2_body(labels=["c", "d"]), "2": z2_body()},
+    {"0": z2_body(), "1": z2_body(labels=["x", "x"]), "2": z2_body()},
+    {"0": z2_body(), "1": z2_body(), "2": z2_body(labels=["a"])},
+    {"0": z2_body(), "1": z2_body([[0, 1.0], [1, 0]]), "2": z2_body()},
+    {"0": z2_body(), "1": z2_body(), "2": z2_body([[0, True], [True, 0]])},
+    {"2": z2_body([[0, 5], [1, 0]]), "1": z2_body(), "0": z2_body([[0, 1], [1, 7]])},
+], ids=["labels-kept", "labels-repeat", "label-count", "float-cell", "bool-cell",
+        "first-bad-group-in-body-order"])
+def test_build_spec_equals_validating_each_group_table_apart(groups):
+    from test_core import error_or_result
+
+    body = z2_chain3_body(groups)
+    doc = docs.WorkbenchDocument("spec", "z2-chain3", "", body)
+    result = error_or_result(docs.build_spec, doc)
+    assert result == error_or_result(reference_spec_from_body, body)
+    if "labels" in groups["0"]:
+        assert [result.groups[e].labels for e in range(3)] == [
+            ("a", "b"), ("c", "d"), None]

@@ -370,6 +370,39 @@ def test_a_basis_that_repeats_an_element_is_rejected():
         two_chain_data(basis=(0, 1, 1))
 
 
+def test_flat_data_on_10_to_the_6_points_checks_its_range_basis_in_place():
+    """The model's own range never repeats and misses no element, so no
+    set or list of the 10**6 + 1 points is built."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        data = flat_bowman_data(flat_model(10 ** 6), cat.cyclic_group(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.basis == range(10 ** 6 + 1) and peak < 2 ** 20
+
+
+@pytest.mark.parametrize("basis, pseudo, message", [
+    (range(4), False, r"not a domain basis \(fails at 4\)"),
+    (range(7), False, "basis element 6 is not in the poset"),
+    ((0, 1, 1), True, "repeats an element"),
+    ((0, 2, 1, 3, 4, 5), False, None),
+    (range(4), True, None),
+], ids=["short-range", "long-range", "tuple-repeats", "tuple-whole", "short-pseudo"])
+def test_a_flat_basis_other_than_the_model_range_is_scanned(basis, pseudo, message):
+    def build():
+        return flat_bowman_data(flat_model(5), cat.cyclic_group(2), basis=basis,
+                                pseudo=pseudo)
+
+    if message is None:
+        assert build().basis == basis
+    else:
+        with pytest.raises(WorkbenchError, match=message):
+            build()
+
+
 def test_a_profile_reads_only_the_denominators_it_touches():
     # (1/5, 1) touches the weights 1 and 1/30 and 0/1 metric rows: its profile
     # is the same whatever the number of other points of the flat model

@@ -336,17 +336,31 @@ def relabelled_table(table, perm):
 
 
 @st.composite
+def repeated_fibre_specs(draw):
+    """E x Z2 over a generated semilattice E, under identity bonding or with
+    every map collapsing onto the identity: one table and one map repeat
+    at every pair."""
+    E = draw(strong_semilattice_specs()).E
+    z2 = cat.cyclic_group(2)
+    phi = draw(st.sampled_from([(0, 1), (0, 0)]))
+    bonding = {(f, e): phi for f in E.elements() for e in E.elements()
+               if e != f and E.mul(e, f) == e}
+    return validate_spec(E, {e: z2 for e in E.elements()}, bonding)
+
+
+@st.composite
 def spec_inputs_with_one_change(draw):
-    """The raw E table, group tables and bonding tables of a catalog or
-    generated spec, its points renamed half of the time (so that index
-    order need not extend the order of E), with one change: a bonding
-    entry, a group cell or an E cell set to a new value (which may lie one
-    past the end of its range), one bonding map collapsed onto the identity
-    (a homomorphism that may break the composition law on several chains),
-    one group renamed while the bonding maps keep the old names, or an
-    explicit phi_{e,e} that is not the identity (the collapse, a
-    homomorphism, or any map) on a group of order at least 2."""
-    spec = draw(st.one_of(st.sampled_from(CATALOG_SPECS), strong_semilattice_specs()))
+    """The raw E table, group tables and bonding tables of a catalog,
+    generated or repeated-fibre spec, its points renamed half of the time
+    (so that index order need not extend the order of E), with one change:
+    a bonding entry, a group cell or an E cell set to a new value (which
+    may lie one past the end of its range), one bonding map collapsed onto
+    the identity (a homomorphism that may break the composition law on
+    several chains), one group renamed while the bonding maps keep the old
+    names, or an explicit phi_{e,e} that is not the identity (the collapse,
+    a homomorphism, or any map) on a group of order at least 2."""
+    spec = draw(st.one_of(st.sampled_from(CATALOG_SPECS), strong_semilattice_specs(),
+                          repeated_fibre_specs()))
     points = list(spec.E.elements())
     perm = draw(st.one_of(st.just(points), st.permutations(points)))
     E = relabelled_table(spec.E.table, perm)
@@ -406,6 +420,62 @@ def test_validation_matches_the_le_call_loops_on_the_catalog():
     for spec in CATALOG_SPECS:
         inputs = spec.E, spec.groups, spec.bonding
         assert validate_spec(*inputs) == reference_validate_spec(*inputs) == spec
+
+
+# validate_spec checks each distinct (G_f, G_e, phi) triple and chain of maps
+# once per call; these inputs repeat a table or a map where the verdict
+# still changes
+
+Z2 = [[0, 1], [1, 0]]
+Z2_FROM_1 = [[1, 0], [0, 1]]  # Z2 with its identity at 1
+
+
+def test_a_map_shared_by_two_pairs_is_checked_against_each_codomain():
+    # (0,1) is the identity of G_2 and maps G_2 into G_0 (same table), but
+    # not into G_1, whose identity is 1
+    inputs = (cat.chain_semilattice(3).table, {0: Z2, 1: Z2_FROM_1, 2: Z2},
+              {(1, 0): (1, 0), (2, 0): (0, 1), (2, 1): (0, 1)})
+    result = error_or_result(validate_spec, *inputs)
+    assert result[0] is NotHomomorphism and result[2]["pair"] == (2, 1)
+    assert result == error_or_result(reference_validate_spec, *inputs)
+
+
+def test_groups_with_one_table_keep_their_labels():
+    z2 = cat.cyclic_group(2)
+    groups = {0: validate_semigroup(Z2, ["a", "b"]), 1: validate_semigroup(Z2, ["c", "d"]),
+              2: z2}
+    inputs = cat.chain_semilattice(3), groups, {(1, 0): (0, 1), (2, 0): (0, 1),
+                                                (2, 1): (0, 1)}
+    spec = validate_spec(*inputs)
+    assert spec == reference_validate_spec(*inputs)
+    assert [spec.groups[e].labels for e in range(3)] == [("a", "b"), ("c", "d"),
+                                                         z2.labels]
+
+
+def test_a_list_valued_image_is_no_homomorphism():
+    z2 = cat.cyclic_group(2)
+    for phi in ([0], 1), (0, [1]):
+        with pytest.raises(NotHomomorphism) as exc:
+            validate_spec(cat.chain_semilattice(2), {0: z2, 1: z2}, {(1, 0): phi})
+        bad = next(y for y in phi if isinstance(y, list))
+        assert str(exc.value) == f"bad bonding map (1, 0): image {bad!r} outside G_0"
+
+
+def test_a_chain_of_maps_that_passed_before_breaks_the_law_with_a_new_composite():
+    # the chains (0, 0, 1) and (0, 1, 1) compose id with id to id; the chain
+    # (0, 1, 2) composes the same two maps, but phi_{2,0} collapses
+    inputs = (cat.chain_semilattice(3), {e: cat.cyclic_group(2) for e in range(3)},
+              {(1, 0): (0, 1), (2, 1): (0, 1), (2, 0): (0, 0)})
+    result = error_or_result(validate_spec, *inputs)
+    assert result[0] is FunctorLawViolated and result[2]["chain"] == (0, 1, 2)
+    assert result == error_or_result(reference_validate_spec, *inputs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(repeated_fibre_specs())
+def test_validation_matches_the_le_call_loops_on_repeated_fibres(spec):
+    inputs = spec.E, spec.groups, spec.bonding
+    assert validate_spec(*inputs) == reference_validate_spec(*inputs) == spec
 
 
 # ---------------------------------------------------------------------------
