@@ -189,10 +189,10 @@ def validate_semigroup(table, labels=None) -> FiniteSemigroup:
                 raise IndexOutOfRange(f"table[{i}][{j}] = {v!r} not an index < {n}")
     if not _associative(rows):
         raise NotAssociative(associativity_witnesses(rows))
-    return with_labels(FiniteSemigroup(rows), labels)
+    return _with_labels(FiniteSemigroup(rows), labels)
 
 
-def with_labels(S: FiniteSemigroup, labels) -> FiniteSemigroup:
+def _with_labels(S: FiniteSemigroup, labels) -> FiniteSemigroup:
     """S's table under labels, checked as validate_semigroup checks them."""
     if labels is not None:
         labels = tuple(labels)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .core import FiniteSemigroup, validate_semigroup, with_labels
+from .core import FiniteSemigroup, _with_labels, validate_semigroup
 from .errors import SchemaError, WorkbenchError
 from .metrics import BowmanMetricData, bowman_data_from_spec, flat_bowman_data
 from .order import FinitePoset, flat_model, validate_poset
@@ -98,8 +98,7 @@ def _check_int(v, path):
 
 
 def _check_int_list(v, path):
-    if not isinstance(v, list) or not (set(map(type, v)) <= {int}
-                                       or all(_is_int(x) for x in v)):
+    if not isinstance(v, list) or not set(map(type, v)) <= {int}:
         raise SchemaError(path, "expected a list of ints")
 
 
@@ -359,7 +358,7 @@ def _spec_from_body(body) -> StrongSemilatticeSpec:
         e, key = int(k), repr(g["table"])
         if key not in valid:
             valid[key] = validate_semigroup(g["table"])
-        groups[e] = with_labels(valid[key], g.get("labels"))
+        groups[e] = _with_labels(valid[key], g.get("labels"))
     bonding = {tuple(map(int, key.split("->"))): tuple(phi)
                for key, phi in body["bonding"].items()}
     return validate_spec(E, groups, bonding)

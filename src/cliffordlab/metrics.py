@@ -147,12 +147,12 @@ class BowmanMetricData:
             self.basis = tuple(self.basis)
         if not self.basis or self.basis[0] != self.emodel.minimum():
             raise WorkbenchError("basis enumeration must start at the minimum")
-        if not isinstance(self.basis, range) \
-                and len(set(self.basis)) != len(self.basis):  # a range never repeats
-            raise WorkbenchError("basis enumeration repeats an element")
-        ok, witness = is_basis(self.emodel, self.basis)  # names an element outside E
-        if not (ok or self.pseudo):
-            raise WorkbenchError(f"not a domain basis (fails at {witness})")
+        if self.basis != self.emodel.elements():  # E's own elements: O(1) for a range
+            if len(set(self.basis)) != len(self.basis):
+                raise WorkbenchError("basis enumeration repeats an element")
+            ok, witness = is_basis(self.emodel, self.basis)  # names an element outside E
+            if not (ok or self.pseudo):
+                raise WorkbenchError(f"not a domain basis (fails at {witness})")
         for e, blk in self.blocks.items():
             _check_metric_matrix(blk.d, f"d_{e}", blk.group.n)
             if blk.base_point not in blk.group.elements():
