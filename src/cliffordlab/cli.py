@@ -30,6 +30,7 @@ from .topology import (
     basic_set,
     bowman_basic_set,
     continuity_check,
+    mp_check,
     order_graph_closed,
     prop34_equivalences,
 )
@@ -232,7 +233,10 @@ def _cmd_topo_check(args):
     model = docs.build_topology_model(_load(args.file))
     continuous, witness = continuity_check(model)
     checks = {"continuous": continuous}
-    if continuous:
+    if continuous and not classify(model.S).is_clifford:
+        # J-classes exist in any semigroup; the other conditions need G_e
+        checks["mp-check"] = mp_check(model)
+    elif continuous:
         rec = prop34_equivalences(model)
         checks.update({
             "mp": rec.mp,

@@ -20,12 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Optional
 
-from .core import FiniteSemigroup
-from .errors import IsometryHypothesisViolated, WorkbenchError
-from .order import LazySemilatticeModel, is_basis, minimum
-from .semilattice import StrongSemilatticeSpec, group_identity
+from .core import FiniteSemigroup, is_semilattice
+from .errors import IsometryHypothesisViolated, NotSemilattice, WorkbenchError
+from .order import LazySemilatticeModel, is_basis
+from .semilattice import StrongSemilatticeSpec, _check_group, group_identity
 
 
 @dataclass(frozen=True)
@@ -39,13 +40,17 @@ class Point:
 class SemilatticeEModel:
     """Idempotent-semilattice side of the metric data: the Cayley table of
     E, ordered by e <= f iff ef = e, and an exact metric matrix rho bounded
-    by 1.  Way-below is <= on a finite poset, so the weights read le."""
+    by 1.  Way-below is <= on a finite poset, so the weights read le.  The
+    minimum is the product of all elements: each is a factor of it, and E is
+    commutative and idempotent."""
 
     def __init__(self, E: FiniteSemigroup, rho):
         self.E = E
         self.rho_matrix = tuple(tuple(Fraction(v) for v in row) for row in rho)
         _check_metric_matrix(self.rho_matrix, "rho", E.n)
-        self._minimum = minimum(E)
+        if not is_semilattice(E):
+            raise NotSemilattice("minimum requires a semilattice")
+        self._minimum = reduce(E.mul, E.elements())
 
     def elements(self):
         return self.E.elements()
@@ -62,18 +67,16 @@ class SemilatticeEModel:
     def minimum(self):
         return self._minimum
 
-    def a_weight_raw(self, b, e):
-        complement = [x for x in self.elements() if not self.le(b, x)]
-        if not complement:
-            raise WorkbenchError(f"complement of the way-up set of {b} is empty")
-        return min(self.rho(e, x) for x in complement)
+    def a_weight(self, b, e):
+        """Weight of basis element b at e: 1 at the minimum, else the distance
+        from e to the complement of the way-up set of b, which holds it."""
+        if b == self._minimum:
+            return Fraction(1)
+        return min(self.rho(e, x) for x in self.elements() if not self.le(b, x))
 
     def weight_support(self, e):
-        """The elements b with a_b(e) != 0: the minimum and the b whose raw
-        weight at e is nonzero."""
-        m = self.minimum()
-        return [b for b in self.elements()
-                if b == m or self.a_weight_raw(b, e) != 0]
+        """The elements b with a_b(e) != 0."""
+        return [b for b in self.elements() if self.a_weight(b, e) != 0]
 
 
 def _check_metric_matrix(m, name: str, n: int):
@@ -200,14 +203,6 @@ class BoundedValue:
     tail_bound: Fraction
 
 
-def a_weight(data: BowmanMetricData, b: int, e: int) -> Fraction:
-    """Weight of basis element b at e: distance from e to the complement of
-    the way-up set of b; identically 1 at the minimum."""
-    if b == data.emodel.minimum():
-        return Fraction(1)
-    return data.emodel.a_weight_raw(b, e)
-
-
 def extended_bonding(data: BowmanMetricData, e: int, b: int, g: int) -> int:
     """phi_{e,b}(g) when b <= e; otherwise the constant base point of b."""
     if data.emodel.le(b, e):
@@ -228,7 +223,7 @@ def _profile(data: BowmanMetricData, p: Point) -> tuple:
             if b in data.basis:  # a pseudo basis may leave b out
                 blk = data.block(b)
                 row = blk.d[extended_bonding(data, p.e, b, p.g)]
-                support.append((data.basis.index(b) + 1, a_weight(data, b, p.e),
+                support.append((data.basis.index(b) + 1, data.emodel.a_weight(b, p.e),
                                 [row[t] for t in blk.enumeration]))
         D = (math.lcm(*(a.denominator for _, a, _ in support))
              * math.lcm(*(v.denominator for *_, vs in support for v in vs))
@@ -340,7 +335,7 @@ def flat_bowman_data(model: LazySemilatticeModel, fiber: FiniteSemigroup,
                      pseudo: bool = False) -> BowmanMetricData:
     """Metric data on the flat model with a copy of one group at every point
     and either identity or collapse-to-identity bonding into the bottom."""
-    ident = group_identity(fiber)
+    ident = _check_group(fiber, "fiber")
     if bonding_kind == "identity":
         down = tuple(range(fiber.n))
     elif bonding_kind == "collapse":

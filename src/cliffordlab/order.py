@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import FiniteSemigroup, is_semilattice
-from .errors import NotSemilattice, TooLarge, WorkbenchError
+from .errors import TooLarge, WorkbenchError
 
 
 @dataclass(frozen=True)
@@ -111,21 +110,6 @@ def is_basis(P, B):
     return missing is None, missing
 
 
-def minimum(S: FiniteSemigroup) -> int:
-    """The minimum of a finite semilattice: the product of all elements.
-
-    Verified to sit below every element in the natural order."""
-    if not is_semilattice(S):
-        raise NotSemilattice("minimum requires a semilattice")
-    m = 0
-    for x in S.elements():
-        m = S.mul(m, x)
-    for x in S.elements():
-        if S.mul(m, x) != m:
-            raise NotSemilattice(f"fold result {m} not below {x}")
-    return m
-
-
 def _flat_point(i: int) -> Fraction:
     """Element i of the flat model: 0 at index 0, else 1/i."""
     return Fraction(1, i) if i else Fraction(0)
@@ -140,8 +124,8 @@ class LazySemilatticeModel:
     (0 <= x and x <= x, nothing else), so truncations are consistent with
     the intended infinite model.  The complement of the way-up set of
     b != 0 is everything but b, so the weight a_b(e) is 0 off b and the gap
-    to the nearest other point at b.  Element i is 1/i and index 0 is the
-    minimum 0, so points and gaps are read off N in closed form.
+    to the nearest other point at b; at the minimum, index 0, it is 1.
+    Element i is 1/i, so points and gaps are read off N in closed form.
     """
 
     N: int
@@ -165,13 +149,13 @@ class LazySemilatticeModel:
     def minimum(self) -> int:
         return 0
 
-    def a_weight_raw(self, b: int, e: int) -> Fraction:
-        """At e = b the gap to b's nearest neighbour: 1/(b+1) below 1/b (0 at
-        b = N), 1/(b-1) above it (none at b <= 1), 1/N next to 0.  Else 0."""
+    def a_weight(self, b: int, e: int) -> Fraction:
+        """1 at b = 0, 0 at e != b, else the gap to b's nearest neighbour:
+        1/(b+1) below 1/b (0 at b = N), 1/(b-1) above it (none at b <= 1)."""
+        if b == 0:
+            return Fraction(1)
         if e != b:
             return Fraction(0)
-        if b == 0:
-            return Fraction(1, self.N)
         gap = Fraction(1, b * (b + 1)) if b < self.N else Fraction(1, self.N)
         return min(gap, Fraction(1, b * (b - 1))) if b > 1 else gap
 

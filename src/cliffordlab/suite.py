@@ -31,7 +31,6 @@ from .core import classify, green_j_classes, is_semilattice, pi_and_subgroups
 from .metrics import (
     CONVERGENCE_SCHEDULE,
     Point,
-    a_weight,
     bowman_data_from_spec,
     bowman_distance,
     disjoint_union_distance,
@@ -193,8 +192,8 @@ def oracle_bowman(data, p, q) -> Fraction:
     re-expanded term by term with no shortcuts or cached weights."""
     total = data.emodel.rho(p.e, q.e)
     for j, b in enumerate(data.basis, start=1):
-        ae = a_weight(data, b, p.e)
-        af = a_weight(data, b, q.e)
+        ae = data.emodel.a_weight(b, p.e)
+        af = data.emodel.a_weight(b, q.e)
         blk = data.block(b)
         gb = extended_bonding(data, p.e, b, p.g)
         hb = extended_bonding(data, q.e, b, q.g)
@@ -241,11 +240,11 @@ def criterion_metric_axioms():
         rep = metric_axiom_suite(lambda p, q: dist[(p, q)], points)
         if not rep.passed:
             failures.append(f"{name}: metric axioms fail")
+        M = inst.emodel
         for b in inst.basis:
-            for e in inst.emodel.elements():
-                for f in inst.emodel.elements():
-                    if abs(a_weight(inst, b, e) - a_weight(inst, b, f)) > \
-                            inst.emodel.rho(e, f):
+            for e in M.elements():
+                for f in M.elements():
+                    if abs(M.a_weight(b, e) - M.a_weight(b, f)) > M.rho(e, f):
                         failures.append(f"{name}: weight not 1-Lipschitz")
     return "series metric axioms", f"{len(instances)} instances", failures
 

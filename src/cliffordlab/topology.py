@@ -415,11 +415,7 @@ def bowman_basic_set(assembled: Assembled, U, V) -> frozenset:
     U = _idempotent_subset(assembled, U)
     if not U:
         raise WorkbenchError("U must be nonempty")
-    E = assembled.spec.E
-    inf_u = U[0]
-    for f in U[1:]:
-        inf_u = E.mul(inf_u, f)
-    return _w_set(assembled, U, inf_u, V)
+    return _w_set(assembled, U, reduce(assembled.spec.E.mul, U), V)
 
 
 def generate_topology(n: int, basis) -> FiniteTopology:

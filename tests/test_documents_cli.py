@@ -248,6 +248,19 @@ def test_cli_topo_check_non_semilattice_model(capsys, tmp_path):
     assert "order-graph-closed" not in payload and "hausdorff" not in payload
 
 
+@pytest.mark.parametrize("opens", [[[], [0], [1], [0, 1]], [[], [0, 1]]],
+                         ids=["discrete", "indiscrete"])
+def test_cli_topo_check_of_a_continuous_model_that_is_not_clifford(
+        capsys, tmp_path, opens):
+    # the left-zero semigroup xy = x: continuous under any topology, one
+    # J-class, and no maximal subgroups to test for openness
+    path = write_changed(tmp_path, "sierpinski.topology.json", [],
+                         {"semigroup": {"n": 2, "table": [[0, 0], [1, 1]]},
+                          "opens": opens})
+    code, out = run_cli(capsys, "topo-check", str(path))
+    assert code == 0 and out == "continuous: true\nmp-check: true\n"
+
+
 @pytest.mark.parametrize("name", ["flat3.metric", "twochain.metric"])
 def test_cli_converge_default_schedule_stops_at_the_last_block(capsys, name):
     code, out = run_cli(capsys, "converge", name, "--format", "tsv")
@@ -350,7 +363,9 @@ U, V, UV, UU = [1, 0], [0, 1], [1, 1], [2, 0]
     ([[[0.5, U], [0.5 + 1e-10, V]]], None,
      "left and right parts differ; out of theorem scope"),
     ([[[1.0, U], [1.0, V]]], 1e-300, "isolated idempotent"),
-], ids=["10uv", "1e300-square", "parts-1e-10-apart", "radius-1e-300"])
+    ([[[0.5, U], [0.5, V]]], None,
+     "displacement derivative singular; no isolation claim"),
+], ids=["10uv", "1e300-square", "parts-1e-10-apart", "radius-1e-300", "half-sum"])
 def test_cli_c1_probe_decides_a_polynomial_chart_exactly(capsys, tmp_path,
                                                          polynomials, radius,
                                                          prediction):
@@ -460,6 +475,16 @@ def write_changed(directory, name, where, value):
 
 
 ONE_POINT = {"n": True, "table": [[0]]}
+TRIVIAL = {"n": 1, "table": [[0]]}
+# the 3-chain 0 < 1 < 2, and the flat E with 0 below the incomparable 1 and 2
+CHAIN3 = {"n": 3, "table": [[0, 0, 0], [0, 1, 1], [0, 1, 2]]}
+FLAT3 = {"n": 3, "table": [[0, 0, 0], [0, 1, 0], [0, 0, 2]]}
+
+
+def spec_body(E, bonding_keys):
+    """A spec body over E with trivial groups and the given bonding keys."""
+    return {"e": E, "groups": {str(e): TRIVIAL for e in range(E["n"])},
+            "bonding": {key: [0] for key in bonding_keys}}
 
 
 @pytest.mark.parametrize("name, command, where, value, field", [
@@ -493,9 +518,32 @@ def test_cli_rejects_a_boolean_or_out_of_range_integer_field(
      "rho(0,1) = 0 for distinct points"),
     ("sierpinski.topology.json", ["opens"], [[], [0, 5], [0, 1]],
      "open set [0, 5] outside carrier"),
+    ("sierpinski.topology.json", ["opens"], [[1], [0, 1]],
+     "topology must contain the empty and full sets"),
+    ("sierpinski.topology.json", ["opens"], "[]",
+     "body.opens: expected a list of open sets"),
+    ("chain3.poset.json", ["leq", 1], [0, 1], "body.leq[1]: expected 3 entries"),
+    ("twochain.spec.json", [], spec_body(FLAT3, ["1->0", "2->0", "1->2"]),
+     "bad bonding map (1, 2): bonding given for incomparable pair"),
+    ("twochain.metric.json", [],
+     {"type": "spec", "spec": spec_body(CHAIN3, ["1->0", "2->0", "2->1"]),
+      "rho": [["0", "1/4", "1"], ["1/4", "0", "1/4"], ["1", "1/4", "0"]]},
+     "rho triangle fails at (0,1,2)"),
+    ("flat3.metric.json", ["fiber"], {"n": 2, "table": [[0, 0], [1, 1]]},
+     "not a group at 'fiber': no identity element"),
+    ("additive.chart.json", [], [], "body: expected object"),
+    ("additive.chart.json", ["builtin"], "no-such-model",
+     "body.builtin: unknown builtin; have "
+     "['additive', 'affine', 'discrete-product', 'min-plus']"),
+    ("additive.chart.json", [], {"dim": 2, "polynomials": [[]]},
+     "body.polynomials: expected a list of 2 coordinates"),
 ], ids=["leq-not-reflexive", "leq-not-antisymmetric", "leq-not-transitive",
         "rho-diagonal", "rho-negative", "rho-above-1", "rho-not-symmetric",
-        "rho-zero-off-diagonal", "open-set-outside-carrier"])
+        "rho-zero-off-diagonal", "open-set-outside-carrier",
+        "topology-without-empty-set", "opens-string", "leq-row-short",
+        "bonding-on-incomparable-pair", "rho-triangle-on-chain3",
+        "flat-fiber-not-a-group", "chart-body-list", "unknown-builtin",
+        "polynomials-shorter-than-dim"])
 def test_cli_validate_names_the_broken_law(capsys, tmp_path, name, where, value,
                                            err):
     path = write_changed(tmp_path, name, where, value)
@@ -526,7 +574,39 @@ def test_cli_classify_refuses_a_spec_document(capsys):
     assert err == "error: $.kind: expected 'cayley', got 'spec'\n"
 
 
-TRIVIAL = {"n": 1, "table": [[0]]}
+def test_cli_product_refuses_a_first_factor_that_is_no_semilattice(capsys):
+    err = cli_error(capsys, "product", "z2.cayley", "z2.cayley")
+    assert err == "error: first factor must be a semilattice\n"
+
+
+def test_a_meta_name_that_is_no_string_is_a_schema_error(capsys, tmp_path):
+    raw = json.loads(read_shipped("z2.cayley.json"))
+    raw["meta"]["name"] = 5
+    path = tmp_path / "z2.cayley.json"
+    path.write_text(json.dumps(raw))
+    assert cli_error(capsys, "validate", str(path)) == (
+        "error: $.meta.name: expected a string\n")
+
+
+def test_cli_metric_suite_reports_a_pseudo_metric(capsys, tmp_path):
+    # the basis cut down to the minimum cannot separate the top group
+    path = write_metric_doc(tmp_path, "twochain", {"basis": [0], "pseudo": True})
+    code, out = run_cli(capsys, "metric-suite", str(path))
+    assert code == 1 and out == ("3 points, 9 pairs\n  non-negativity: ok\n"
+                                 "  symmetry: ok\n  identity: 2 violations\n"
+                                 "  triangle: ok\nFAIL\n")
+
+
+def test_a_builtin_chart_takes_its_radius(capsys, tmp_path):
+    raw = {"kind": "chart-model", "meta": {"name": "additive"},
+           "body": {"builtin": "additive", "radius": 0.5}}
+    assert docs.build(docs.parse_document(json.dumps(raw))).radius == 0.5
+    path = tmp_path / "additive.chart.json"
+    path.write_text(json.dumps(raw))
+    code, out = run_cli(capsys, "c1-probe", str(path), "--format", "tsv")
+    assert code == 0 and out.splitlines()[1].split("\t")[-1] == "isolated idempotent"
+
+
 # a canonical decimal key past Python's 4300-digit limit on str-to-int conversion
 LONG_KEY = "1" * 5000
 

@@ -1,9 +1,9 @@
 """Every name a library module imports is used in that module, every
 private helper of the package is used somewhere in it, only `metrics`
-reads the per-element format of metric data, and only the chart path loads
-numpy: the other modules import neither numpy nor
-`charts` or `suite` when they load, and the package re-exports `charts`
-lazily.
+reads the per-element format of metric data, `order` imports no package
+module but `errors`, and only the chart path loads numpy: the other modules
+import neither numpy nor `charts` or `suite` when they load, and the
+package re-exports `charts` lazily.
 
 `__init__.py` is left out of the first check: its imports are the
 package's re-exports.
@@ -158,6 +158,13 @@ def test_lean_modules_do_not_import_charts_or_suite_at_module_level():
             for found in module_level_imports((PACKAGE / name).read_text(encoding="utf-8"))
             if found in (".charts", ".suite")]
     assert hits == []
+
+
+def test_order_imports_no_package_module_but_errors():
+    # the poset layer sits below the algebra: the semilattice minimum is
+    # read off E by the E-model in metrics
+    found = module_level_imports((PACKAGE / "order.py").read_text(encoding="utf-8"))
+    assert [name for name in found if name.startswith(".")] == [".errors"]
 
 
 NUMPY_PROBE = """

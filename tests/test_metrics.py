@@ -14,8 +14,8 @@ from cliffordlab.metrics import (
     BowmanMetricData,
     GroupBlock,
     Point,
+    SemilatticeEModel,
     _profile,
-    a_weight,
     bowman_data_from_spec,
     bowman_distance,
     default_basis_order,
@@ -29,7 +29,7 @@ from cliffordlab.metrics import (
     separation_witness,
     yeager_distance,
 )
-from cliffordlab.order import flat_model, minimum
+from cliffordlab.order import flat_model
 
 RHO01 = [[0, 1], [1, 0]]
 
@@ -43,18 +43,18 @@ def two_chain_data(**kwargs):
 def test_weight_at_minimum_is_one():
     data = two_chain_data()
     for e in (0, 1):
-        assert a_weight(data, 0, e) == 1
+        assert data.emodel.a_weight(0, e) == 1
 
 
 def test_weight_vanishes_when_not_below():
     data = flat_bowman_data(flat_model(3), cat.cyclic_group(2))
-    assert a_weight(data, 2, 3) == 0  # 1/2 is not below 1/3
+    assert data.emodel.a_weight(2, 3) == 0  # 1/2 is not below 1/3
 
 
 def test_flat_weight_is_the_gap_to_the_complement():
     data = flat_bowman_data(flat_model(3), cat.cyclic_group(2))
     # a at 1/2 evaluated at 1/2: min(1/2 - 1/3, 1 - 1/2)
-    assert a_weight(data, 2, 2) == Fraction(1, 6)
+    assert data.emodel.a_weight(2, 2) == Fraction(1, 6)
 
 
 def test_extended_bonding_cases():
@@ -466,7 +466,7 @@ def spec_metric_data(draw):
     may be cut down (pseudo) or reordered."""
     catalog = cat.spec_catalog()
     spec = catalog[draw(st.sampled_from(sorted(catalog)))]
-    m = minimum(spec.E)
+    m = SemilatticeEModel(spec.E, discrete_metric(spec.E.n)).minimum()
     rest = [e for e in spec.E.elements() if e != m]
     kept = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
     groups = spec.groups

@@ -11,13 +11,16 @@ from hypothesis import given, settings, strategies as st
 
 from cliffordlab import catalog as cat
 from cliffordlab import suite
-from cliffordlab.errors import TooLarge, WorkbenchError
-from cliffordlab.metrics import SemilatticeEModel, bowman_data_from_spec
+from cliffordlab.errors import NotSemilattice, TooLarge, WorkbenchError
+from cliffordlab.metrics import (
+    SemilatticeEModel,
+    bowman_data_from_spec,
+    discrete_metric,
+)
 from cliffordlab.order import (
     LazySemilatticeModel,
     flat_model,
     is_basis,
-    minimum,
     validate_poset,
     way_below_by_definition,
 )
@@ -109,9 +112,11 @@ def test_is_basis_reads_only_the_elements_of_the_flat_model():
 
 
 def test_minimum_of_semilattices():
-    assert minimum(cat.chain_semilattice(3)) == 0
-    assert minimum(cat.flat_semilattice(4)) == 0
-    assert minimum(cat.diamond_semilattice()) == 0
+    for E in (cat.chain_semilattice(3), cat.flat_semilattice(4),
+              cat.diamond_semilattice()):
+        assert SemilatticeEModel(E, discrete_metric(E.n)).minimum() == 0
+    with pytest.raises(NotSemilattice, match="minimum requires a semilattice"):
+        SemilatticeEModel(cat.cyclic_group(2), discrete_metric(2))
 
 
 def test_flat_model_points_and_order():
@@ -149,8 +154,11 @@ def test_flat_weights_match_the_gap_loop():
         M = flat_model(N)
         gaps = reference_flat_gaps([Fraction(0)] + [Fraction(1, k) for k in range(1, N + 1)])
         for b in M.elements():
-            assert M.a_weight_raw(b, b) == gaps[b]
-            assert M.a_weight_raw(b, (b + 1) % M.n) == 0
+            if b:
+                assert M.a_weight(b, b) == gaps[b]
+                assert M.a_weight(b, (b + 1) % M.n) == 0
+            else:
+                assert all(M.a_weight(0, e) == 1 for e in M.elements())
         for e in M.elements():
             assert tuple(M.weight_support(e)) == ((0,) if e == 0 else (0, e))
 
@@ -164,41 +172,43 @@ def test_flat_model_holds_n_alone_and_reads_gaps_in_closed_form():
     def point(i):
         return Fraction(1, i) if i else Fraction(0)
 
-    for b in (0, 1, 2, N - 1, N):
+    assert M.a_weight(0, 0) == M.a_weight(0, N) == 1
+    for b in (1, 2, N - 1, N):
         # the neighbours of 1/b are 1/(b+1) (0 at b = N) and 1/(b-1) (none
-        # at b = 1); the only neighbour of 0 is 1/N
-        if b == 0:
-            neighbours = [point(N)]
-        else:
-            neighbours = [point(b + 1) if b < N else point(0)]
-            neighbours += [point(b - 1)] if b > 1 else []
+        # at b = 1)
+        neighbours = [point(b + 1) if b < N else point(0)]
+        neighbours += [point(b - 1)] if b > 1 else []
         gap = min(abs(point(b) - x) for x in neighbours)
-        assert M.a_weight_raw(b, b) == gap
+        assert M.a_weight(b, b) == gap
+    for b in (0, 1, 2, N - 1, N):
         assert type(M.rho(b, b)) is Fraction and M.rho(b, b) == 0
 
 
 def reference_poset_e_model(P, rho):
     """The poset-based E-model that SemilatticeEModel replaced: order and
-    minimum read off a FinitePoset, and the weights off the definition, the
-    distance from e to the complement of the up-set of b."""
+    minimum read off a FinitePoset, and the weights off the definition: 1 at
+    the minimum, else the distance from e to the complement of the up-set of
+    b."""
     rho = [[Fraction(v) for v in row] for row in rho]
     m = next(x for x in P.elements() if all(P.le(x, y) for y in P.elements()))
 
-    def a_weight_raw(b, e):
+    def a_weight(b, e):
+        if b == m:
+            return Fraction(1)
         return min(rho[e][x] for x in P.elements() if not P.le(b, x))
 
     def weight_support(e):
-        return [b for b in P.elements() if b == m or a_weight_raw(b, e) != 0]
+        return [b for b in P.elements() if a_weight(b, e) != 0]
 
     return SimpleNamespace(elements=P.elements, le=P.le,
                            rho=lambda e, f: rho[e][f], minimum=lambda: m,
-                           a_weight_raw=a_weight_raw, weight_support=weight_support)
+                           a_weight=a_weight, weight_support=weight_support)
 
 
 def assert_e_models_agree(model, ref):
-    """Same order, rho, minimum and weight supports, the meet is the greatest
-    lower bound under the reference order, and the same raw weights but at
-    the minimum (never read: a_weight is 1 there)."""
+    """Same order, rho, minimum, weights and weight supports, the weight is
+    1 at the minimum, and the meet is the greatest lower bound under the
+    reference order."""
     elements = list(ref.elements())
     assert list(model.elements()) == elements
     assert model.minimum() == ref.minimum()
@@ -210,9 +220,9 @@ def assert_e_models_agree(model, ref):
         assert [model.meet(e, f)] == glb, (e, f)
     for e in elements:
         assert list(model.weight_support(e)) == ref.weight_support(e)
+        assert model.a_weight(ref.minimum(), e) == 1
         for b in elements:
-            if b != ref.minimum():
-                assert model.a_weight_raw(b, e) == ref.a_weight_raw(b, e)
+            assert model.a_weight(b, e) == ref.a_weight(b, e)
 
 
 def assert_spec_e_model_matches_the_poset_reference(spec, rho):
@@ -248,7 +258,7 @@ def test_flat_model_is_the_poset_e_model_of_its_order_and_rho():
 
 
 # what the metrics read of an E-model; both models offer exactly this
-E_MODEL_METHODS = {"elements", "le", "meet", "rho", "minimum", "a_weight_raw",
+E_MODEL_METHODS = {"elements", "le", "meet", "rho", "minimum", "a_weight",
                    "weight_support"}
 
 
