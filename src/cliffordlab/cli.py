@@ -85,7 +85,7 @@ def _parse_point(data, text: str) -> Point:
 
 def _parse_ints(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p != ""]
+        return [int(p) for p in text.split(",")] if text else []
     except ValueError:
         raise WorkbenchError(f"expected comma-separated integers, got {text!r}")
 

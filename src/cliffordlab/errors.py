@@ -10,6 +10,11 @@ from __future__ import annotations
 class WorkbenchError(Exception):
     """Base class for all workbench errors."""
 
+    def __reduce__(self):
+        # `args` holds the built message, not the constructor's arguments:
+        # rebuild through __new__, which sets `args`, and restore the witnesses
+        return type(self).__new__, (type(self), *self.args), self.__dict__
+
 
 class IndexOutOfRange(WorkbenchError):
     """A Cayley table entry is not a valid element index."""

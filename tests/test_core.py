@@ -4,13 +4,14 @@ import dataclasses
 import enum
 import itertools
 import math
+import pickle
 import random
 from operator import eq, itemgetter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cliffordlab import catalog as cat, core, semilattice
+from cliffordlab import catalog as cat, core, errors, semilattice
 from cliffordlab.core import (
     Classification,
     FiniteSemigroup,
@@ -1079,3 +1080,35 @@ def test_commutativity_on_rows_matches_the_pairwise_definition():
     for S in catalog_tables():
         assert is_commutative(S) == all(S.mul(x, y) == S.mul(y, x)
                                         for x in S.elements() for y in S.elements())
+
+
+# one instance of every workbench error, with its witnesses
+ERROR_SAMPLES = {
+    "WorkbenchError": ("plain message",),
+    "IndexOutOfRange": ("entry 5 at (0, 1)",),
+    "NotAssociative": ([(0, 1, 2)] * 7,),
+    "NotClifford": ("not Clifford",),
+    "NotSemilattice": ("not a semilattice",),
+    "NotGroup": ("k", "no identity"),
+    "NotHomomorphism": ((1, 0), "not a homomorphism", (2, 3)),
+    "FunctorLawViolated": ((2, 1, 0), "phi_20 != phi_10 phi_21"),
+    "SearchBudgetExceeded": ("budget 10 spent",),
+    "TooLarge": ("n = 9",),
+    "NotACover": ("misses 3",),
+    "EOutOfU": ("e = 1 not in U",),
+    "IsometryHypothesisViolated": ((1, 0), (0, 1)),
+    "EvaluationOutsideDomain": ("|x| > 1",),
+    "SchemaError": ("body.n", "expected an integer"),
+    "InternalInconsistency": ("routes disagree",),
+}
+
+
+def test_every_workbench_error_survives_pickle():
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.WorkbenchError)}
+    assert sorted(ERROR_SAMPLES) == sorted(classes)
+    for name, args in ERROR_SAMPLES.items():
+        exc = classes[name](*args)
+        again = pickle.loads(pickle.dumps(exc))
+        assert type(again) is type(exc), name
+        assert (str(again), again.args, vars(again)) == (str(exc), exc.args, vars(exc)), name

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from cliffordlab import catalog as cat
 from cliffordlab import documents as docs
-from cliffordlab.cli import main
+from cliffordlab.cli import _parse_ints, main
 from cliffordlab.errors import NotHomomorphism, SchemaError
 
 
@@ -279,6 +279,24 @@ def cli_error(capsys, *argv):
 def test_cli_converge_rejects_a_k_without_block(capsys):
     err = cli_error(capsys, "converge", "flat3.metric", "--ks", "9")
     assert err == "error: no group block at element 9\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("converge", "flat3.metric", "--ks=,"),
+    ("converge", "flat3.metric", "--ks=1,,2"),
+    ("converge", "flat3.metric", "--ks=1,"),
+    ("basis-check", "chain3.poset", "--basis=,0"),
+    ("basic-set", "twochain.spec", "--u=0,", "--v=0"),
+], ids=["lone-comma", "inner", "trailing", "leading", "basic-set"])
+def test_cli_rejects_an_empty_item_in_an_integer_list(capsys, argv):
+    value = argv[2].split("=", 1)[1]
+    err = cli_error(capsys, *argv)
+    assert err == f"error: expected comma-separated integers, got {value!r}\n"
+
+
+def test_an_empty_integer_list_is_the_empty_list():
+    assert _parse_ints("") == []
+    assert _parse_ints("-1,0, 2") == [-1, 0, 2]
 
 
 @pytest.mark.parametrize("k", ["0", "-3"])

@@ -1,9 +1,9 @@
 """Every name a library module imports is used in that module, every
 private helper of the package is used somewhere in it, only `metrics`
-reads the per-element format of metric data, `order` imports no package
-module but `errors`, and only the chart path loads numpy: the other modules
-import neither numpy nor `charts` or `suite` when they load, and the
-package re-exports `charts` lazily.
+reads the per-element format of metric data, only `suite` forks, `order`
+imports no package module but `errors`, and only the chart path loads
+numpy: the other modules import neither numpy nor `charts` or `suite` when
+they load, and the package re-exports `charts` lazily.
 
 `__init__.py` is left out of the first check: its imports are the
 package's re-exports.
@@ -106,6 +106,18 @@ def test_only_metrics_reads_the_per_element_format():
             for hit in attribute_reads(path.read_text(encoding="utf-8"),
                                        PER_ELEMENT_FORMAT)]
     assert hits == []
+
+
+def test_only_suite_forks():
+    """run_all's one child is the only process the package forks: one
+    `.fork` read, in suite.py, and no `from os import fork` anywhere."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, source in sources.items()
+            for _ in attribute_reads(source, {"fork"})] == ["suite.py"]
+    assert not any(alias.name == "fork" for source in sources.values()
+                   for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.ImportFrom) for alias in node.names)
 
 
 LEAN_MODULES = ("core.py", "semilattice.py", "documents.py", "order.py",
