@@ -291,6 +291,7 @@ def rigidity_report(model: ChartModel, scan_radius: Optional[float] = None,
 MAX_GRID_POINTS = 10 ** 6  # seed grid of fixed_point_scan, before the ball filter
 _BATCH = 8192              # seeds per Newton batch, to bound memory
 _RESIDUAL_TOL = 1e-9       # a seed has converged once |H(u)| is below it
+_DEDUP_TOL = 1e-6          # a point this close to a kept one is dropped
 
 
 def _norms(x) -> np.ndarray:
@@ -372,7 +373,7 @@ def _damped_newton(model: ChartModel, seeds: np.ndarray, radius: float,
 
 
 def fixed_point_scan(model: ChartModel, radius: float, grid_step: float,
-                     newton_iters: int = 30, dedup_tol: float = 1e-6):
+                     newton_iters: int = 30):
     """Damped Newton on H(u) = mu(u,u) - u from the seeds in the ball whose
     coordinates are integer multiples of grid_step, the origin among them.
 
@@ -418,7 +419,7 @@ def fixed_point_scan(model: ChartModel, radius: float, grid_step: float,
     points = np.concatenate(points)
     kept = 0
     for u in points:
-        if not (_norms(u - points[:kept]) < dedup_tol).any():
+        if not (_norms(u - points[:kept]) < _DEDUP_TOL).any():
             points[kept] = u
             kept += 1
     return sorted(map(tuple, points[:kept].tolist())), diverged

@@ -238,13 +238,7 @@ def _cmd_topo_check(args):
         checks["mp-check"] = mp_check(model)
     elif continuous:
         rec = prop34_equivalences(model)
-        checks.update({
-            "mp": rec.mp,
-            "j-classes-open": rec.j_classes_open,
-            "subgroups-open": rec.subgroups_open,
-            "idempotents-discrete": rec.idempotents_discrete,
-            "disjoint-union-topology": rec.disjoint_union_topology,
-        })
+        checks.update((k.replace("_", "-"), v) for k, v in vars(rec).items())
         # the order graph exists only on semilattice models
         if is_semilattice(model.S):
             checks.update(zip(("order-graph-closed", "hausdorff"),

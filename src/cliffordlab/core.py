@@ -32,10 +32,9 @@ class FiniteSemigroup:
 
     The table is immutable, so the structure read off it is computed once per
     instance and kept as a cached property: the classification, pi with its
-    fibers, the J-classes, the validated decomposition and the masks of the
-    topology checks.  A property that raises caches nothing and raises
-    again on the next read.  Cached values live in the instance __dict__,
-    not in fields, so ==, hash and repr see only the table and the labels.
+    fibers, the J-classes and the topology masks.  A property that raises
+    caches nothing.  Cached values live in the instance __dict__, not in
+    fields, so ==, hash and repr see only the table and the labels.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -52,13 +51,6 @@ class FiniteSemigroup:
     @cached_property
     def j_classes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(_green_j_classes(self))
-
-    @cached_property
-    def decomposition(self):
-        """The (spec, fibers) pair of semilattice._decompose."""
-        from .semilattice import _decompose
-
-        return _decompose(self)
 
     @cached_property
     def topology_masks(self):
@@ -490,32 +482,29 @@ def is_trivial_clifford(S: FiniteSemigroup):
     E(S) x G_ref, or None when S is no such product.
 
     Returns {e: theta_e} keyed by idempotent, theta_e mapping global indices
-    of G_e to global indices of G_ref, the group of E-index 0; theta_ref = id.
-    Proof: E(S) has a minimum m and phi_{f,m} = phi_{e,m} o phi_{f,e}, so any
-    family has theta_e = theta_m o phi_{e,m} and needs every phi_{e,m}
-    bijective; if they are, theta_e = phi_{ref,m}^-1 o phi_{e,m} is one, and
-    the only one with theta_ref = id.  It reads the validated spec of S.
-    """
-    spec, fibers = S.decomposition
-    E, G = spec.E, spec.groups[0]
-    m = reduce(E.mul, E.elements())
-    to_min = [spec.bonding[(e, m)] for e in E.elements()]
-    # phi_{m,m} = id, so the lengths also ask |G_m| = |G_0|
-    if any(len(set(phi)) != len(phi) or len(phi) != G.n for phi in to_min):
+    of G_e to global indices of G_ref, the group of the least idempotent;
+    theta_ref = id.  Proof: E(S) has a minimum m, the product of the
+    idempotents, and phi_{f,m} = phi_{e,m} o phi_{f,e}, so any family has
+    theta_e = theta_m o phi_{e,m} and needs every phi_{e,m}(x) = mx
+    bijective; if they are, theta_e(x) is the y in G_ref with my = mx, the
+    only family with theta_ref = id.  It reads only the maximal subgroups
+    and row m of the table."""
+    pi, groups = S.pi_fibers
+    rows = S.table
+    to_min = rows[reduce(lambda e, f: rows[e][f], groups)]
+    ref = next(iter(groups.values()))
+    # phi_{m,m} = id, so the sizes also ask |G_m| = |G_ref|
+    if any(len(members) != len(ref) or len({to_min[x] for x in members}) != len(ref)
+           for members in groups.values()):
         return None
-    from_min = {t: u for u, t in enumerate(to_min[0])}
-    theta = [[from_min[t] for t in phi] for phi in to_min]
-    # A positive answer must mean x = (e, i) -> (e, theta_e(i)) is an
-    # isomorphism of S onto E(S) x G_ref.
-    image = [None] * S.n
-    for e, (_, members) in enumerate(fibers):
-        for x, u in zip(members, theta[e]):
-            image[x] = (e, u)
-    for (e, u), row in zip(image, S.table):
-        if any(image[xy] != (E.table[e][f], G.table[u][v])
-               for xy, (f, v) in zip(row, image)):
+    from_min = {to_min[y]: y for y in ref}
+    theta = [from_min[t] for t in to_min]
+    # A positive answer must mean x -> (pi(x), theta(x)) is an isomorphism
+    # of S onto E(S) x G_ref; both factors are subsemigroups of S.
+    image = list(zip(pi, theta))
+    for (e, u), row in zip(image, rows):
+        row_e, row_u = rows[e], rows[u]
+        if any(image[xy] != (row_e[f], row_u[v]) for xy, (f, v) in zip(row, image)):
             raise InternalInconsistency(
                 "trivial-Clifford family does not preserve the products of S")
-    _, ref_members = fibers[0]
-    return {idem: {x: ref_members[u] for x, u in zip(members, theta[e])}
-            for e, (idem, members) in enumerate(fibers)}
+    return {e: {x: theta[x] for x in members} for e, members in groups.items()}

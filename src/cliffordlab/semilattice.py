@@ -214,17 +214,7 @@ def decompose(S: FiniteSemigroup) -> StrongSemilatticeSpec:
     """Extract the strong-semilattice data of a Clifford semigroup: E(S),
     the pi-fibers as groups, and multiplication-by-lower-idempotent as
     bonding.  assemble(decompose(S)) is isomorphic to S.  Raises NotClifford
-    on other semigroups.  The spec is computed once per instance of S; each
-    call returns it with fresh groups and bonding dicts."""
-    spec, _ = S.decomposition
-    return StrongSemilatticeSpec(spec.E, dict(spec.groups), dict(spec.bonding))
-
-
-def _decompose(S: FiniteSemigroup):
-    """The spec of decompose(S), computed, together with the fibers it was
-    read from (FiniteSemigroup.decomposition holds the pair): fibers[i] is
-    (e, G_e) for the idempotent e of E-index i, with G_e as sorted global
-    indices, so local index j of group i is fibers[i][1][j].
+    on other semigroups.  Each call builds and validates a new spec.
 
     E(S) is the subtable on the idempotents, the sorted fiber keys, and
     the bonding map phi_{f,e}(x) = ex is read off row e of the table.  Both
@@ -233,17 +223,16 @@ def _decompose(S: FiniteSemigroup):
     central; validate_spec checks the strong-semilattice laws."""
     _, groups = pi_and_subgroups(S)
     E = local_group_table(S, groups)
-    fibers = tuple(groups.items())
-    pos = [{x: j for j, x in enumerate(members)} for _, members in fibers]
+    fibers = tuple(groups.values())
+    pos = [{x: j for j, x in enumerate(members)} for members in fibers]
     bonding = {}
-    for f, (_, upper) in enumerate(fibers):
-        for e, (idem, _) in enumerate(fibers):
+    for f, upper in enumerate(fibers):
+        for e, idem in enumerate(groups):
             if e != f and E.mul(e, f) == e:
                 row = S.table[idem]
                 bonding[(f, e)] = tuple(pos[e][row[x]] for x in upper)
-    local = {e: local_group_table(S, members)
-             for e, (_, members) in enumerate(fibers)}
-    return validate_spec(E, local, bonding), fibers
+    local = {e: local_group_table(S, members) for e, members in enumerate(fibers)}
+    return validate_spec(E, local, bonding)
 
 
 def direct_product(E: FiniteSemigroup, G: FiniteSemigroup) -> Assembled:

@@ -16,6 +16,7 @@ import os
 import pickle
 import random
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -435,6 +436,24 @@ def _outcome(fn):
     return title, detail, failures, time.perf_counter() - t0
 
 
+class _ChildTraceback(Exception):
+    """The formatted traceback of an exception raised in run_all's child."""
+
+
+def _sendable(outcome):
+    """An outcome as the child pipes it: an exception as the pair (exception,
+    formatted traceback), replaced by an InternalInconsistency that names
+    its type and message if it does not survive pickle."""
+    if not isinstance(outcome, Exception):
+        return outcome
+    text = "".join(traceback.format_exception(outcome))
+    try:
+        pickle.loads(pickle.dumps(outcome))
+    except Exception:
+        outcome = InternalInconsistency(f"unpicklable {type(outcome).__name__}: {outcome}")
+    return outcome, text
+
+
 def run_all() -> list:
     """Run every criterion and number, judge and return each one.
 
@@ -449,7 +468,7 @@ def run_all() -> list:
         status = 1
         try:
             os.close(read_end)
-            outcomes = [_outcome(fn) for fn in CRITERIA if fn is not here]
+            outcomes = [_sendable(_outcome(fn)) for fn in CRITERIA if fn is not here]
             with open(write_end, "wb") as pipe:
                 pickle.dump(outcomes, pipe)
             status = 0
@@ -471,6 +490,8 @@ def run_all() -> list:
         outcome = ours if fn is here else next(theirs)
         if isinstance(outcome, Exception):
             raise outcome
+        if isinstance(outcome[0], Exception):  # the child's (exception, traceback)
+            raise outcome[0] from _ChildTraceback(outcome[1])
         title, detail, failures, elapsed = outcome
         if failures:
             detail += "; " + "; ".join(failures[:3])

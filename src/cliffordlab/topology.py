@@ -317,14 +317,7 @@ class OpennessRecord:
     disjoint_union_topology: bool
 
     def all_equal(self) -> bool:
-        vals = {
-            self.mp,
-            self.j_classes_open,
-            self.subgroups_open,
-            self.idempotents_discrete,
-            self.disjoint_union_topology,
-        }
-        return len(vals) == 1
+        return len(set(vars(self).values())) == 1
 
 
 def prop34_equivalences(model: TopologicalSemigroupModel) -> OpennessRecord:
@@ -345,13 +338,7 @@ def prop34_equivalences(model: TopologicalSemigroupModel) -> OpennessRecord:
     # so that topology has least opens U_x n G_e, and it equals T iff those
     # are the U_x
     du_equal = all(T.up[x] & m == T.up[x] for m in groups for x in _members(m))
-    rec = OpennessRecord(
-        mp=mp,
-        j_classes_open=j_open,
-        subgroups_open=g_open,
-        idempotents_discrete=e_discrete,
-        disjoint_union_topology=du_equal,
-    )
+    rec = OpennessRecord(mp, j_open, g_open, e_discrete, du_equal)
     cont, _ = model.continuity
     if cont and not rec.all_equal():
         raise InternalInconsistency(f"openness conditions disagree: {rec}")

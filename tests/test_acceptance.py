@@ -6,14 +6,16 @@ underlying checks recompute expected values through independent oracles
 """
 
 import ast
+import dataclasses
 import inspect
+import json
 import os
 import time
 from pathlib import Path
 
 import pytest
 
-from cliffordlab import suite
+from cliffordlab import cli, suite
 from cliffordlab.errors import InternalInconsistency, NotGroup, SchemaError
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -91,6 +93,34 @@ def test_criterion_9_determinism(results):
 
 def test_the_suite_tsv_is_pinned(results):
     assert suite.machine_report([results[n] for n in range(1, 10)]) == SUITE_TSV
+
+
+def run_demo(monkeypatch, capsys, results, fmt):
+    """(exit code, stdout) of `cliffordlab demo --format fmt` over results."""
+    monkeypatch.setattr(suite, "run_all", lambda: list(results))
+    code = cli.main(["demo", "--format", fmt])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, captured.out
+
+
+def test_demo_prints_the_suite_in_each_format(monkeypatch, capsys, results):
+    ordered = [results[n] for n in range(1, 10)]
+    assert run_demo(monkeypatch, capsys, ordered, "tsv") == (0, SUITE_TSV)
+    code, out = run_demo(monkeypatch, capsys, ordered, "text")
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "9/9 criteria passed"
+    assert [line.split("] ")[1].split(".")[0] for line in lines
+            if line.startswith("  [PASS] ")] == [str(n) for n in range(1, 10)]
+    code, out = run_demo(monkeypatch, capsys, ordered, "structured")
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
+def test_demo_exits_1_when_a_criterion_fails(monkeypatch, capsys, results):
+    ordered = [dataclasses.replace(results[n], passed=n != 4) for n in range(1, 10)]
+    code, out = run_demo(monkeypatch, capsys, ordered, "text")
+    assert code == 1 and out.splitlines()[-1] == "8/9 criteria passed"
+    assert "  [FAIL] 4. openness equivalence sweep (" in out
 
 
 def test_run_all_numbers_times_and_judges_each_criterion(monkeypatch):
@@ -177,6 +207,30 @@ def test_run_all_raises_the_first_exception_in_criterion_order(monkeypatch, rais
         suite.run_all()
     assert_no_child_left()
     assert (str(exc.value), vars(exc.value)) == (str(raisers[first]), vars(raisers[first]))
+
+
+def test_an_exception_from_the_child_is_caused_by_its_traceback_there(monkeypatch):
+    install(monkeypatch, [raising(NotGroup("k", "no identity")) if n == 2
+                          else passing("t", "d") for n in range(1, 10)])
+    with pytest.raises(NotGroup) as exc:
+        suite.run_all()
+    assert_no_child_left()
+    cause = exc.value.__cause__
+    assert isinstance(cause, suite._ChildTraceback)
+    assert ", in criterion\n    raise exc\n" in str(cause)
+    assert str(cause).endswith("NotGroup: not a group at 'k': no identity\n")
+
+
+def test_an_exception_that_cannot_be_pickled_keeps_its_type_and_message(monkeypatch):
+    unpicklable = ValueError("bad value")
+    unpicklable.callback = lambda: None
+    install(monkeypatch, [raising(unpicklable) if n == 3 else passing("t", "d")
+                          for n in range(1, 10)])
+    with pytest.raises(InternalInconsistency) as exc:
+        suite.run_all()
+    assert_no_child_left()
+    assert str(exc.value) == "unpicklable ValueError: bad value"
+    assert str(exc.value.__cause__).endswith("ValueError: bad value\n")
 
 
 def test_a_child_that_sends_no_result_is_an_internal_inconsistency(monkeypatch):

@@ -458,10 +458,13 @@ def test_batched_scan_equals_the_per_seed_loop(model, data):
         st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
     fractions = [0.25, 1 / 3, 0.5] if model.dim == 3 else [0.1, 0.125, 0.2, 0.25]
     grid_step = model.radius * data.draw(st.sampled_from(fractions))
-    kwargs = dict(newton_iters=data.draw(st.sampled_from([0, 1, 3, 30])),
-                  dedup_tol=data.draw(st.sampled_from([1e-6, 1e-2])))
-    assert fixed_point_scan(model, radius, grid_step, **kwargs) == \
-        reference_fixed_point_scan(model, radius, grid_step, **kwargs)
+    newton_iters = data.draw(st.sampled_from([0, 1, 3, 30]))
+    dedup_tol = data.draw(st.sampled_from([1e-6, 1e-2]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charts, "_DEDUP_TOL", dedup_tol)
+        assert fixed_point_scan(model, radius, grid_step, newton_iters) == \
+            reference_fixed_point_scan(model, radius, grid_step, newton_iters,
+                                       dedup_tol=dedup_tol)
 
 
 @pytest.mark.parametrize("model, radius, grid_step", [

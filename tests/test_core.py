@@ -2,6 +2,7 @@
 
 import dataclasses
 import enum
+import functools
 import itertools
 import math
 import pickle
@@ -11,7 +12,7 @@ from operator import eq, itemgetter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cliffordlab import catalog as cat, core, errors, semilattice
+from cliffordlab import catalog as cat, core, errors
 from cliffordlab.core import (
     Classification,
     FiniteSemigroup,
@@ -531,7 +532,8 @@ def test_the_null_semigroup_of_order_4_has_3_factorial_automorphisms():
 
 # ---------------------------------------------------------------------------
 # decompose and is_trivial_clifford against the bonding-map tabulation in
-# global indices that they replaced
+# global indices that they replaced, and the trivial check against the
+# family it read off the decomposed spec before it read the table
 
 
 def reference_bonding_maps(S):
@@ -655,9 +657,37 @@ def reference_is_trivial_clifford(S):
     return family
 
 
+def reference_trivial_clifford_from_spec(S):
+    """The theta family or None read off the validated spec of S, as the
+    trivial check read it from decompose: every phi_{e,m} into the minimum
+    m of E must be bijective, and then theta_e = phi_{0,m}^-1 o phi_{e,m}
+    in local indices, with its products checked in the local tables."""
+    spec = decompose(S)
+    fibers = tuple(pi_and_subgroups(S)[1].items())
+    E, G = spec.E, spec.groups[0]
+    m = functools.reduce(E.mul, E.elements())
+    to_min = [spec.bonding[(e, m)] for e in E.elements()]
+    if any(len(set(phi)) != len(phi) or len(phi) != G.n for phi in to_min):
+        return None
+    from_min = {t: u for u, t in enumerate(to_min[0])}
+    theta = [[from_min[t] for t in phi] for phi in to_min]
+    image = [None] * S.n
+    for e, (_, members) in enumerate(fibers):
+        for x, u in zip(members, theta[e]):
+            image[x] = (e, u)
+    for (e, u), row in zip(image, S.table):
+        assert all(image[xy] == (E.table[e][f], G.table[u][v])
+                   for xy, (f, v) in zip(row, image))
+    _, ref_members = fibers[0]
+    return {idem: {x: ref_members[u] for x, u in zip(members, theta[e])}
+            for e, (idem, members) in enumerate(fibers)}
+
+
 def assert_structure_matches_the_references(S):
     assert decompose(S) == reference_decompose(S)
-    assert is_trivial_clifford(S) == reference_is_trivial_clifford(S)
+    theta = is_trivial_clifford(S)
+    assert theta == reference_is_trivial_clifford(S)
+    assert theta == reference_trivial_clifford_from_spec(S)
 
 
 @st.composite
@@ -751,15 +781,21 @@ def test_trivial_check_rejects_s3_with_a_sign_bonding():
     assert reference_is_trivial_clifford(S) is None
 
 
-def test_trivial_check_guard_certifies_the_family_on_the_table(monkeypatch):
-    # the identity family of E x S3 read against a table bonded by conjugation
+def test_trivial_check_guard_certifies_the_family_on_the_table():
+    # a cached pi_fibers in which a in G_0 and b in G_1, with the same image
+    # under the minimum idempotent 12, trade fibres: every theta_e is still
+    # a bijection onto the new G_ref, but the family breaks the products
     twisted = s3_over_two_maximal(conjugation(2), conjugation(1))
-    product = s3_over_two_maximal(tuple(range(6)), tuple(range(6)))
-    monkeypatch.setattr(semilattice, "_decompose",
-                        lambda S, real=semilattice._decompose: real(product))
-    assert is_trivial_clifford(product) is not None
+    assert is_trivial_clifford(twisted) is not None
+    pi, groups = twisted.pi_fibers
+    a = 1
+    b = next(y for y in groups[6] if twisted.mul(12, y) == twisted.mul(12, a))
+    swap = {a: b, b: a}
+    seeded = FiniteSemigroup(twisted.table, twisted.labels)
+    vars(seeded)["pi_fibers"] = (pi, {e: tuple(sorted(swap.get(x, x) for x in members))
+                                      for e, members in groups.items()})
     with pytest.raises(InternalInconsistency):
-        is_trivial_clifford(twisted)
+        is_trivial_clifford(seeded)
 
 
 # ---------------------------------------------------------------------------
@@ -1025,7 +1061,7 @@ def structure_computed(S):
     """What the cached properties hold, from their uncached bodies."""
     return (core._classify(S), error_or_result(core._pi_and_subgroups, S),
             core._green_j_classes(S),
-            error_or_result(lambda S: semilattice._decompose(S)[0], S),
+            error_or_result(decompose, S),
             error_or_result(is_trivial_clifford, S))
 
 

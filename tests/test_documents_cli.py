@@ -316,6 +316,29 @@ def test_cli_basic_set_rejects_u_outside_e(capsys):
     assert err.startswith("error:") and "9" in err
 
 
+@pytest.mark.parametrize("anchor", [[], ["--e", "0"]], ids=["inf-u", "e-0"])
+def test_cli_basic_set_rejects_v_outside_the_anchor_group(capsys, anchor):
+    err = cli_error(capsys, "basic-set", "twochain.spec", "--u", "0,1", "--v", "9",
+                    *anchor)
+    assert err == "error: V element 9 outside G_0\n"
+
+
+def test_cli_reads_integer_rho_entries_as_rationals(capsys, tmp_path):
+    path = write_changed(tmp_path, "twochain.metric.json", ["rho"], [[0, 1], [1, 0]])
+    assert run_cli(capsys, "validate", str(path))[0] == 0
+    code, out = run_cli(capsys, "metric-eval", "bowman", str(path),
+                        "--p", "1,a", "--q", "1,b")
+    assert code == 0 and out == "3/16 (tail 0)\n"
+
+
+@pytest.mark.parametrize("one", [True, 1.0], ids=["bool", "float"])
+def test_cli_refuses_a_boolean_or_float_rho_entry(capsys, tmp_path, one):
+    path = write_changed(tmp_path, "twochain.metric.json", ["rho"], [[0, one], [one, 0]])
+    err = cli_error(capsys, "validate", str(path))
+    assert err == ("error: body.rho[0][1]: expected rational string, "
+                   f"got {type(one).__name__}\n")
+
+
 def test_cli_c1_probe_rejects_a_zero_grid_step(capsys):
     err = cli_error(capsys, "c1-probe", "additive.chart", "--grid", "0")
     assert err.startswith("error:") and "0" in err

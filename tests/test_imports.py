@@ -1,9 +1,10 @@
 """Every name a library module imports is used in that module, every
 private helper of the package is used somewhere in it, only `metrics`
 reads the per-element format of metric data, only `suite` forks, `order`
-imports no package module but `errors`, and only the chart path loads
-numpy: the other modules import neither numpy nor `charts` or `suite` when
-they load, and the package re-exports `charts` lazily.
+imports no package module but `errors`, `core` imports no `semilattice`,
+and only the chart path loads numpy: the other modules import neither
+numpy nor `charts` or `suite` when they load, and the package re-exports
+`charts` lazily.
 
 `__init__.py` is left out of the first check: its imports are the
 package's re-exports.
@@ -177,6 +178,18 @@ def test_order_imports_no_package_module_but_errors():
     # read off E by the E-model in metrics
     found = module_level_imports((PACKAGE / "order.py").read_text(encoding="utf-8"))
     assert [name for name in found if name.startswith(".")] == [".errors"]
+
+
+def test_core_imports_no_semilattice():
+    # core sits below semilattice: the trivial check reads the table itself,
+    # so no function of core imports semilattice either
+    tree = ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (
+                    "semilattice" in (node.module or "")
+                    or any(alias.name == "semilattice" for alias in node.names))
+                or isinstance(node, ast.Import)
+                and any("semilattice" in alias.name for alias in node.names)]
 
 
 NUMPY_PROBE = """

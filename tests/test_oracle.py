@@ -119,8 +119,8 @@ def test_topology_references_reach_no_kernel_name():
 
 # the cached properties of FiniteSemigroup (core.py) and of
 # TopologicalSemigroupModel (topology.py)
-CACHED = {"classification", "pi_fibers", "j_classes", "decomposition",
-          "topology_masks", "continuity"}
+CACHED = {"classification", "pi_fibers", "j_classes", "topology_masks",
+          "continuity"}
 
 
 def cached_properties(source: str, cls: str) -> set:
@@ -152,10 +152,10 @@ def cached_names_reached(source: str) -> dict:
 def test_cached_names_are_found_through_helpers():
     source = ("def reference_a(S):\n    return helper(S)\n"
               "def helper(S):\n    j_classes = 0\n"
-              "    return S.decomposition, S.table, j_classes\n"
+              "    return S.pi_fibers, S.table, j_classes\n"
               "class Model:\n    @functools.cached_property\n"
               "    def continuity(self):\n        pass\n")
-    assert cached_names_reached(source) == {"reference_a": ["decomposition"]}
+    assert cached_names_reached(source) == {"reference_a": ["pi_fibers"]}
     assert cached_properties(source, "Model") == {"continuity"}
 
 

@@ -488,8 +488,9 @@ def test_one_structure_op_calls_classify_and_iso_equivalent_a_fixed_number_of_ti
     """spec text -> assemble -> classify -> decompose -> text -> assemble ->
     iso_equivalent, green_j_classes, is_trivial_clifford.  Structure is
     computed once per table, so the op classifies twice (the assembly
-    post-checks of S and of S2) and decomposes S once: classify and the
-    trivial check read what the post-check and decompose computed."""
+    post-checks of S and of S2), decomposes S once and reads its fibers
+    once: classify, and the trivial check, which reads the fibers of S and
+    no spec, read what the post-check and decompose computed."""
     calls = Counter()
 
     def counting(name, fn):
@@ -503,8 +504,10 @@ def test_one_structure_op_calls_classify_and_iso_equivalent_a_fixed_number_of_ti
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_classify", counting("classify", core._classify))
-        mp.setattr(semilattice, "_decompose",
-                   counting("decompose", semilattice._decompose))
+        mp.setattr(core, "_pi_and_subgroups",
+                   counting("fibers", core._pi_and_subgroups))
+        mp.setattr(semilattice, "decompose",
+                   counting("decompose", semilattice.decompose))
         mp.setattr(semilattice, "iso_equivalent",
                    counting("iso_equivalent", semilattice.iso_equivalent))
         S = semilattice.assemble(build_spec(parse_document(text(spec)))).semigroup
@@ -517,4 +520,4 @@ def test_one_structure_op_calls_classify_and_iso_equivalent_a_fixed_number_of_ti
     bijective = all(sorted(phi) == list(range(spec.groups[e].n))
                     for (f, e), phi in spec.bonding.items())
     assert (trivial is not None) == bijective
-    assert calls == {"classify": 2, "decompose": 1, "iso_equivalent": 1}
+    assert calls == {"classify": 2, "decompose": 1, "fibers": 1, "iso_equivalent": 1}
