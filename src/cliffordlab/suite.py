@@ -12,6 +12,7 @@ rather than trusting the code path it exercises.
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import random
@@ -34,6 +35,7 @@ from .core import classify, green_j_classes, is_semilattice, pi_and_subgroups
 from .errors import InternalInconsistency
 from .metrics import (
     CONVERGENCE_SCHEDULE,
+    FlatMetricData,
     Point,
     bowman_data_from_spec,
     bowman_distance,
@@ -221,7 +223,99 @@ def _metric_instances():
     return out
 
 
-def criterion_metric_axioms():
+def weight_by_definition(M, b, e) -> Fraction:
+    """The weight a_b(e) read off the E-model's le, rho and elements alone:
+    1 when b is the minimum, else min over x with not b <= x of rho(e, x)."""
+    if all(M.le(b, x) for x in M.elements()):
+        return Fraction(1)
+    return min(M.rho(e, x) for x in M.elements() if not M.le(b, x))
+
+
+def metric_instance_failures(name, inst) -> list:
+    """Criterion 5 on one instance: the kernel against the full-summation
+    oracle at every pair, the [0,3] range, the metric axioms, 1-Lipschitz
+    weights equal to their definition and, on flat data, the bonding maps
+    of the kind its name ends in."""
+    failures = []
+    points = inst.points()
+    dist = {}
+    for p in points:
+        for q in points:
+            v = bowman_distance(inst, p, q).value
+            dist[(p, q)] = v
+            if oracle_bowman(inst, p, q) != v:
+                failures.append(f"{name}: oracle mismatch at ({p},{q})")
+            if not (0 <= v <= 3):
+                failures.append(f"{name}: d out of [0,3] at ({p},{q})")
+    rep = metric_axiom_suite(lambda p, q: dist[(p, q)], points)
+    if not rep.passed:
+        failures.append(f"{name}: metric axioms fail")
+    M = inst.emodel
+    for b in inst.basis:
+        for e in M.elements():
+            if M.a_weight(b, e) != weight_by_definition(M, b, e):
+                failures.append(f"{name}: weight of {b} at {e} is not its definition")
+            for f in M.elements():
+                if abs(M.a_weight(b, e) - M.a_weight(b, f)) > M.rho(e, f):
+                    failures.append(f"{name}: weight not 1-Lipschitz")
+    if isinstance(inst, FlatMetricData):
+        collapse = name.endswith("-collapse")
+        for e in M.elements():
+            G = inst.block(e).group
+            unit = next(u for u in G.elements()
+                        if all(G.mul(u, x) == x for x in G.elements()))
+            for b in M.elements():
+                if M.le(b, e):
+                    for g in G.elements():
+                        if inst.phi(e, b, g) != (unit if collapse and b != e else g):
+                            failures.append(f"{name}: phi_{{{e},{b}}}({g}) "
+                                            f"is not the bonding kind")
+    return failures
+
+
+def _metric_shares(instances):
+    """The criterion-5 instance names that run_all's parent checks and
+    those its child checks, each in instance order.  The static cost key is
+    points^2 x basis length x fibre order, the oracle's work, with ties to
+    the longer basis; largest first, the parent takes instances until it
+    holds 5/8 of the total, as the child also runs the other eight
+    criteria."""
+    cost = {}
+    for name, inst in instances.items():
+        fibre = max(inst.block(e).group.n for e in inst.emodel.elements())
+        cost[name] = (len(inst.points()) ** 2 * len(inst.basis) * fibre,
+                      len(inst.basis))
+    total = sum(key for key, _ in cost.values())
+    parent, held = set(), 0
+    for name in sorted(cost, key=cost.get, reverse=True):
+        if 8 * held >= 5 * total:
+            break
+        parent.add(name)
+        held += cost[name][0]
+    return ([name for name in instances if name in parent],
+            [name for name in instances if name not in parent])
+
+
+def _metric_outcomes(instances, names) -> dict:
+    """{name: failures} over the named instances in order, up to the first
+    that raises, whose exception takes the place of its failures."""
+    out = {}
+    for name in names:
+        try:
+            out[name] = metric_instance_failures(name, instances[name])
+        except Exception as exc:
+            out[name] = exc
+            break
+    return out
+
+
+def criterion_metric_axioms(elsewhere=None):
+    """Every instance through `metric_instance_failures`, after the two
+    reference values on the two-chain instance.  run_all passes elsewhere:
+    this process then checks the first of `_metric_shares` only, and
+    elsewhere() returns the outcomes of the second, checked in its child,
+    by name.  Failures merge in instance order, and the first exception in
+    that order is raised, whichever process raised it."""
     failures = []
     instances = _metric_instances()
     data = instances["two-chain"]
@@ -230,26 +324,13 @@ def criterion_metric_axioms():
         failures.append("reference d((1,a),(1,b)) != 3/16")
     if bowman_distance(data, pa, pz).value != Fraction(21, 16):
         failures.append("reference d((1,a),(0,z)) != 21/16")
-    for name, inst in instances.items():
-        points = inst.points()
-        dist = {}
-        for p in points:
-            for q in points:
-                v = bowman_distance(inst, p, q).value
-                dist[(p, q)] = v
-                if oracle_bowman(inst, p, q) != v:
-                    failures.append(f"{name}: oracle mismatch at ({p},{q})")
-                if not (0 <= v <= 3):
-                    failures.append(f"{name}: d out of [0,3] at ({p},{q})")
-        rep = metric_axiom_suite(lambda p, q: dist[(p, q)], points)
-        if not rep.passed:
-            failures.append(f"{name}: metric axioms fail")
-        M = inst.emodel
-        for b in inst.basis:
-            for e in M.elements():
-                for f in M.elements():
-                    if abs(M.a_weight(b, e) - M.a_weight(b, f)) > M.rho(e, f):
-                        failures.append(f"{name}: weight not 1-Lipschitz")
+    if elsewhere is None:
+        outcomes = _metric_outcomes(instances, instances)
+    else:
+        outcomes = _metric_outcomes(instances, _metric_shares(instances)[0])
+        outcomes.update(elsewhere())
+    for name in instances:
+        failures += _received(outcomes[name])
     return "series metric axioms", f"{len(instances)} instances", failures
 
 
@@ -425,12 +506,12 @@ CRITERIA = (
 )
 
 
-def _outcome(fn):
+def _outcome(fn, *args):
     """(title, detail, failures, elapsed) of one criterion, or the exception
     it raised."""
     t0 = time.perf_counter()
     try:
-        title, detail, failures = fn()
+        title, detail, failures = fn(*args)
     except Exception as exc:
         return exc
     return title, detail, failures, time.perf_counter() - t0
@@ -454,14 +535,28 @@ def _sendable(outcome):
     return outcome, text
 
 
+def _received(outcome):
+    """An outcome of either process, raised if it is an exception: the
+    child's as the pair of `_sendable`, caused by its traceback there."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    if isinstance(outcome, tuple) and isinstance(outcome[0], Exception):
+        raise outcome[0] from _ChildTraceback(outcome[1])
+    return outcome
+
+
 def run_all() -> list:
     """Run every criterion and number, judge and return each one.
 
-    Criterion 5, the longest, runs in this process while one forked child
-    runs the others in order and pipes back their outcomes, so each
-    criterion is timed in the process that ran it.  The first exception in
+    One forked child runs every criterion but 5 in order, then the second
+    of criterion 5's `_metric_shares`, and pipes back their outcomes.  This
+    process runs criterion 5 on the first share and merges the child's in
+    instance order, so criterion 5's seconds include its wait for the
+    child.  Each criterion is timed in the process that ran it, so the
+    seconds do not add up to the wall time.  The first exception in
     criterion order is raised, whichever process raised it."""
     here = criterion_metric_axioms  # looked up now: a tracer may wrap it
+    split = here in CRITERIA
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -469,30 +564,31 @@ def run_all() -> list:
         try:
             os.close(read_end)
             outcomes = [_sendable(_outcome(fn)) for fn in CRITERIA if fn is not here]
+            share = {}
+            if split:
+                instances = _metric_instances()
+                share = {name: _sendable(outcome) for name, outcome in
+                         _metric_outcomes(instances, _metric_shares(instances)[1]).items()}
             with open(write_end, "wb") as pipe:
-                pickle.dump(outcomes, pipe)
+                pickle.dump((outcomes, share), pipe)
             status = 0
         finally:
             os._exit(status)
     os.close(write_end)
     try:
         with open(read_end, "rb") as pipe:
-            ours = _outcome(here) if here in CRITERIA else None
-            payload = pipe.read()
+            payload = functools.cache(pipe.read)  # the child's (outcomes, share)
+            ours = _outcome(here, lambda: pickle.loads(payload())[1]) if split else None
+            payload()
     finally:
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code != 0:
         raise InternalInconsistency(
             f"the criteria child ended with exit status {code} and sent no result")
-    theirs = iter(pickle.loads(payload))
+    theirs = iter(pickle.loads(payload())[0])
     results = []
     for number, fn in enumerate(CRITERIA, start=1):
-        outcome = ours if fn is here else next(theirs)
-        if isinstance(outcome, Exception):
-            raise outcome
-        if isinstance(outcome[0], Exception):  # the child's (exception, traceback)
-            raise outcome[0] from _ChildTraceback(outcome[1])
-        title, detail, failures, elapsed = outcome
+        title, detail, failures, elapsed = _received(ours if fn is here else next(theirs))
         if failures:
             detail += "; " + "; ".join(failures[:3])
         results.append(CriterionResult(number, title, not failures, detail, elapsed))

@@ -11,12 +11,15 @@ import inspect
 import json
 import os
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cliffordlab import cli, suite
+from cliffordlab import catalog as cat, cli, suite
 from cliffordlab.errors import InternalInconsistency, NotGroup, SchemaError
+from cliffordlab.metrics import flat_bowman_data
+from cliffordlab.order import LazySemilatticeModel, flat_model
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -159,8 +162,12 @@ def raising(exc):
 
 
 def install(monkeypatch, fns):
-    """Stand-ins for the nine criteria; the fifth takes the place of
-    criterion 5, which run_all keeps in this process."""
+    """Stand-ins for the nine criteria and no criterion-5 instance for the
+    child; the fifth takes the place of criterion 5, which run_all runs in
+    this process and passes the child's share, which the stand-in ignores."""
+    fifth = fns[4]
+    fns = [*fns[:4], lambda elsewhere=None: fifth(), *fns[5:]]
+    monkeypatch.setattr(suite, "_metric_instances", dict)
     monkeypatch.setattr(suite, "criterion_metric_axioms", fns[4])
     monkeypatch.setattr(suite, "CRITERIA", tuple(fns))
 
@@ -237,6 +244,122 @@ def test_a_child_that_sends_no_result_is_an_internal_inconsistency(monkeypatch):
     install(monkeypatch, [(lambda: os._exit(3)) if n == 3 else passing("t", "d")
                           for n in range(1, 10)])
     with pytest.raises(InternalInconsistency, match="exit status 3"):
+        suite.run_all()
+    assert_no_child_left()
+
+
+PARENT_SHARE = ["flat8-z2-identity", "flat8-z3-identity", "flat8-z3-collapse"]
+
+
+def test_the_metric_shares_partition_the_instances_the_same_way_each_call():
+    instances = suite._metric_instances()
+    parent, child = suite._metric_shares(instances)
+    assert parent == PARENT_SHARE
+    assert sorted(parent + child) == sorted(instances) and len(instances) == 13
+    assert child == [name for name in instances if name not in parent]
+    assert suite._metric_shares(suite._metric_instances()) == (parent, child)
+
+
+def test_the_split_criterion_5_equals_the_serial_one(monkeypatch):
+    """Oracle mismatches in one instance of each share: flat3-z2-collapse,
+    the child's, and flat8-z3-identity, the parent's.  The child's come
+    first in the detail, as in the serial loop."""
+    oracle = suite.oracle_bowman
+
+    def skewed(data, p, q):
+        key = (len(data.emodel.elements()), data.block(0).group.n, data.phi(1, 0, 1))
+        skew = key in {(4, 2, 0), (9, 3, 1)} and p == q and p.e == 1
+        return oracle(data, p, q) + (1 if skew else 0)
+
+    monkeypatch.setattr(suite, "oracle_bowman", skewed)
+    got = suite.run_all()
+    assert_no_child_left()
+    want = reference_run_all()
+    assert [(r.number, r.title, r.passed, r.detail) for r in got] == \
+        [(r.number, r.title, r.passed, r.detail) for r in want]
+    assert suite.machine_report(got) == suite.machine_report(want)
+    assert got[4].detail == (
+        "13 instances; flat3-z2-collapse: oracle mismatch at "
+        "(Point(e=1, g=0),Point(e=1, g=0)); flat3-z2-collapse: oracle mismatch "
+        "at (Point(e=1, g=1),Point(e=1, g=1)); flat8-z3-identity: oracle "
+        "mismatch at (Point(e=1, g=0),Point(e=1, g=0))")
+    assert [r.number for r in got if not r.passed] == [5]
+
+
+def test_a_wrong_flat_weight_fails_criterion_5(monkeypatch):
+    """The flat gap 1/(b(b+2)) instead of 1/(b(b+1)): the oracle shares the
+    weight with the kernel, so only the check by definition catches it."""
+    def mutant(self, b, e):
+        if b == 0:
+            return Fraction(1)
+        if e != b:
+            return Fraction(0)
+        gap = Fraction(1, b * (b + 2)) if b < self.N else Fraction(1, self.N)
+        return min(gap, Fraction(1, b * (b - 1))) if b > 1 else gap
+
+    monkeypatch.setattr(LazySemilatticeModel, "a_weight", mutant)
+    results = suite.run_all()
+    assert_no_child_left()
+    assert not results[4].passed
+    assert "flat3-z2-identity: weight of 1 at 1 is not its definition" in results[4].detail
+
+
+def test_a_flat_bonding_of_the_wrong_kind_is_a_failure():
+    data = flat_bowman_data(flat_model(3), cat.cyclic_group(2), "identity")
+    assert suite.metric_instance_failures("flat3-z2-identity", data) == []
+    assert suite.metric_instance_failures("flat3-z2-collapse", data) == [
+        f"flat3-z2-collapse: phi_{{{e},0}}(1) is not the bonding kind" for e in (1, 2, 3)]
+
+
+def with_instance_raisers(monkeypatch, raisers, criteria=None):
+    """The real criterion 5 over stand-in instance checks that raise
+    raisers[name] or pass, and stand-ins for the other criteria: criteria
+    maps a number to the exception that it raises."""
+    def check(name, inst):
+        if name in raisers:
+            raise raisers[name]
+        return []
+
+    criteria = criteria or {}
+    monkeypatch.setattr(suite, "metric_instance_failures", check)
+    monkeypatch.setattr(suite, "CRITERIA", tuple(
+        suite.criterion_metric_axioms if n == 5
+        else raising(criteria[n]) if n in criteria else passing("t", "d")
+        for n in range(1, 10)))
+
+
+@pytest.mark.parametrize("raisers, criteria, first, from_child", [
+    ({"flat3-z3-identity": NotGroup("k", "no identity")},
+     {4: SchemaError("body.n", "expected an integer")}, "criterion 4", True),
+    ({"flat3-z3-identity": NotGroup("k", "no identity")},
+     {6: SchemaError("body.n", "expected an integer")}, "flat3-z3-identity", True),
+    ({"flat8-z2-collapse": NotGroup("k", "no identity"),
+      "flat8-z3-identity": SchemaError("body.n", "expected an integer")},
+     {}, "flat8-z2-collapse", True),
+    ({"flat8-z2-identity": NotGroup("k", "no identity"),
+      "flat8-z2-collapse": SchemaError("body.n", "expected an integer")},
+     {7: NotGroup("k", "no identity")}, "flat8-z2-identity", False),
+], ids=["criterion-4-first", "child-share-before-6", "child-instance-first",
+        "parent-instance-first"])
+def test_an_exception_in_either_share_is_criterion_5s_in_instance_order(
+        monkeypatch, raisers, criteria, first, from_child):
+    with_instance_raisers(monkeypatch, raisers, criteria)
+    want = criteria[4] if first == "criterion 4" else raisers[first]
+    with pytest.raises(type(want)) as exc:
+        suite.run_all()
+    assert_no_child_left()
+    assert (str(exc.value), vars(exc.value)) == (str(want), vars(want))
+    cause = exc.value.__cause__
+    assert isinstance(cause, suite._ChildTraceback) == from_child
+    if from_child and first != "criterion 4":
+        assert ", in check\n    raise raisers[name]\n" in str(cause)
+
+
+def test_a_child_that_dies_in_its_share_is_an_internal_inconsistency(monkeypatch):
+    with_instance_raisers(monkeypatch, {})
+    monkeypatch.setattr(suite, "metric_instance_failures",
+                        lambda name, inst: os._exit(4) if name == "two-chain" else [])
+    with pytest.raises(InternalInconsistency, match="exit status 4"):
         suite.run_all()
     assert_no_child_left()
 

@@ -16,6 +16,8 @@ helpers of `cliffordlab.charts` that read them.  `reference_isomorphisms`
 of tests/test_core.py, the index-order search, must not reach the
 isomorphism search or a private name of `cliffordlab.core`, such as the
 generating set and closure steps that the search branches on.
+`suite.weight_by_definition`, the check of the weight that the oracle and
+the kernel share, must not reach an E-model's `a_weight` or the kernel.
 """
 
 import ast
@@ -73,6 +75,21 @@ def test_oracle_reaches_no_kernel_name():
     assert KERNEL <= defined  # a renamed kernel name must be renamed here
     assert kernel_names_reached(suite["oracle_bowman"], metrics) == []
 
+
+
+def test_the_weight_definition_reaches_no_weight_or_kernel_name():
+    """suite.weight_by_definition is the independent route to the weight that
+    oracle_bowman shares with the kernel: it reads le, rho and elements
+    only, never an E-model's own a_weight."""
+    metrics = functions((PACKAGE / "metrics.py").read_text(encoding="utf-8"))
+    suite = functions((PACKAGE / "suite.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(ast.parse((PACKAGE / "order.py").read_text(
+        encoding="utf-8"))) if isinstance(node, ast.FunctionDef)}
+    assert "a_weight" in defined  # a renamed weight must be renamed here
+    reached = names_reached(suite["weight_by_definition"], {**metrics, **suite})
+    assert sorted(n for n in reached
+                  if n in KERNEL | {"a_weight"} or n.startswith("_")) == []
+    assert {"le", "rho", "elements"} <= reached
 
 # the bitmask view of a topology, the masks a semigroup keeps for the
 # topology checks and the checks the references mirror; the private names of
