@@ -3,13 +3,15 @@ Clifford classification, maximal subgroups, Green's J-classes, and
 detection of semigroups isomorphic to a semilattice-group direct product.
 
 Elements are dense integer indices 0..n-1; labels are display metadata only.
-All operations are pure functions over immutable values.
+All operations are pure functions over immutable values.  The structure read
+off a table is kept with it in the package's cached_property, which `topology`
+uses too: it stores the value in the instance __dict__ and takes no lock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain
 from operator import eq, itemgetter
 from typing import Optional
@@ -21,6 +23,32 @@ from .errors import (
     NotClifford,
     SearchBudgetExceeded,
 )
+
+
+class cached_property:
+    """A property computed once per instance and kept in its __dict__.
+
+    A non-data descriptor: the first read stores func(obj) under the same
+    name in obj.__dict__, which every later read finds before the
+    descriptor, and a read that raises stores nothing.  So it behaves as
+    functools.cached_property does from Python 3.12 on; before 3.12 that one
+    takes a lock shared by every instance of the class on each first read,
+    which per-model verdicts would pay once per model.  The values cached
+    here are pure functions of immutable fields, so a race only computes
+    one twice."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)

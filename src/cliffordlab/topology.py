@@ -6,24 +6,28 @@ Every finite topology is Alexandrov: it is the family of up-sets of its
 specialization preorder, and U_x, the least open set around x, is the up-set
 of x.  A topology is held as its least opens, each an int bitmask (bit y set
 iff y in U_x), and derives its relation mask R (bit b*n + c set iff c in
-U_b) and its open sets, the unions of the U_x, when first read.  A semigroup
-keeps the masks these checks read of it (FiniteSemigroup.topology_masks):
-the image of each pair (b, c) under all translations, as an n^2-bit mask
-filled when first read, and the masks of its J-classes, maximal subgroups
-and idempotents.  So continuity of a model is an OR of pair images and one
-test against R, and a model derives its verdict once.  The open sets
-themselves are read only to name a witness.
+U_b) and its open sets, the unions of the U_x, when first read.  The data of
+one open set (its members, its frozenset and the mask of the pairs leaving
+it) depends only on n and its mask, so it is built once per (n, mask) and
+shared by every topology that has that open.  A semigroup keeps the masks
+these checks read of it (FiniteSemigroup.topology_masks): the image of each
+pair (b, c) under all translations, as an n^2-bit mask filled when first
+read, the order-graph rows, and the masks of its J-classes, maximal
+subgroups and idempotents.  So continuity of a model is an OR of pair
+images and one test against R, and a model derives its verdict once, in
+the package's lock-free cached_property.  The open sets themselves are read
+only to name a witness.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
 from typing import Iterator, Optional
 
-from .core import FiniteSemigroup, idempotents, is_semilattice
+from .core import FiniteSemigroup, cached_property, idempotents, is_semilattice
 from .errors import EOutOfU, InternalInconsistency, NotACover, WorkbenchError
 from .semilattice import Assembled
 
@@ -52,6 +56,28 @@ def _least_opens(n: int, family) -> tuple[int, ...]:
         for x in O:
             up[x] &= m
     return tuple(up)
+
+
+class _OpenData(dict):
+    """Mask m of an open on 0..n-1 -> (its members ascending, (its
+    frozenset, the n^2-bit mask of the pairs (z, c) with z in it and c not
+    in it)), each built when first read.  It is data of (n, m) alone, so
+    every topology on n points shares it; nothing of a topology or a table
+    is kept here."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, m: int):
+        n = self.n
+        O = _members(m)
+        leaving = (((1 << n) - 1) ^ m) * _mask(z * n for z in O)
+        self[m] = entry = (O, (frozenset(O), leaving))
+        return entry
+
+
+_OPEN_DATA: dict[int, _OpenData] = {}
 
 
 def _unions(up, most: int):
@@ -92,10 +118,12 @@ class FiniteTopology:
         """(O, the n^2-bit mask of the pairs (z, c) with z in O and c not in
         O) for the opens in sorted(opens, key=sorted) order, the order in
         which a failing open is named."""
-        n, full = self.n, (1 << self.n) - 1
-        members = sorted((_members(m), m) for m in _unions(self.up, 1 << n))
-        return tuple((frozenset(O), (full ^ m) * sum(1 << z * n for z in O))
-                     for O, m in members)
+        n = self.n
+        data = _OPEN_DATA.get(n)
+        if data is None:
+            data = _OPEN_DATA[n] = _OpenData(n)
+        return tuple(pair for _, pair in sorted(map(data.__getitem__,
+                                                    _unions(self.up, 1 << n))))
 
     @cached_property
     def opens(self) -> frozenset:
@@ -266,8 +294,8 @@ class _PairImages(dict):
 class _SemigroupMasks:
     """The bitmask data of a semigroup that the checks of this module read,
     kept with it as FiniteSemigroup.topology_masks and built on first use:
-    the pair images of the continuity test, and the masks of the J-classes,
-    the maximal subgroups and the idempotents."""
+    the pair images of the continuity test, the order-graph rows, and the
+    masks of the J-classes, the maximal subgroups and the idempotents."""
 
     def __init__(self, S: FiniteSemigroup):
         self.S = S
@@ -297,6 +325,12 @@ class _SemigroupMasks:
     def idempotent_mask(self) -> int:
         """The mask of E."""
         return _mask(idempotents(self.S))
+
+    @cached_property
+    def graph(self) -> tuple[int, ...]:
+        """The mask of {y : xy = x} for each x: row x of the order graph."""
+        return tuple(_mask(y for y, xy in enumerate(row) if xy == x)
+                     for x, row in enumerate(self.S.table))
 
 
 def mp_check(model: TopologicalSemigroupModel) -> bool:
@@ -355,8 +389,7 @@ def order_graph_closed(model: TopologicalSemigroupModel) -> tuple[bool, bool]:
     S, T = model.S, model.T
     if not is_semilattice(S):
         raise WorkbenchError("order graph is defined for semilattice models")
-    graph = [_mask(y for y, xy in enumerate(row) if xy == x)
-             for x, row in enumerate(S.table)]
+    graph = S.topology_masks.graph
     closed = not any(T.up[y] & graph[a]
                      for x, u in enumerate(T.up) for a in _members(u)
                      for y in S.elements() if not graph[x] >> y & 1)

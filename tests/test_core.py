@@ -1112,6 +1112,60 @@ def test_a_warmed_instance_equals_a_cold_one():
         assert repr(warm) == repr(fresh)
 
 
+class Counted:
+    """A cached property that raises on its first `failures` reads."""
+
+    def __init__(self, failures=0):
+        self.calls, self.failures = 0, failures
+
+    @core.cached_property
+    def value(self):
+        """The number of reads that computed it."""
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise ValueError(self.calls)
+        return self.calls
+
+
+def test_a_cached_property_computes_once_per_instance():
+    first, second = Counted(), Counted()
+    assert (first.value, first.value, first.calls) == (1, 1, 1)
+    assert first.__dict__["value"] == 1
+    assert (second.value, second.calls) == (1, 1)
+    assert isinstance(Counted.value, core.cached_property)
+    assert Counted.value.__doc__ == "The number of reads that computed it."
+
+
+def test_a_cached_property_that_raises_computes_again_on_the_next_read():
+    model = Counted(failures=2)
+    for calls in (1, 2):
+        with pytest.raises(ValueError):
+            model.value
+        assert model.calls == calls and "value" not in model.__dict__
+    assert (model.value, model.value, model.calls) == (3, 3, 3)
+
+
+def test_a_semigroup_caches_pi_fibers_once_and_nothing_after_a_raise(monkeypatch):
+    calls = []
+
+    def counted(S):
+        calls.append(S)
+        return real(S)
+
+    real = core._pi_and_subgroups
+    monkeypatch.setattr(core, "_pi_and_subgroups", counted)
+    S = cold(cat.semigroup_catalog()["chain2-x-z2"])
+    assert S.pi_fibers is S.pi_fibers and len(calls) == 1
+    # NotClifford caches nothing, as the FiniteSemigroup docstring says
+    S = cold(cat.brandt_b2())
+    for k in (1, 2):
+        with pytest.raises(NotClifford):
+            S.pi_fibers
+        assert len(calls) == 1 + k and "pi_fibers" not in S.__dict__
+    for name in ("classification", "pi_fibers", "j_classes", "topology_masks"):
+        assert isinstance(getattr(FiniteSemigroup, name), core.cached_property)
+
+
 def test_commutativity_on_rows_matches_the_pairwise_definition():
     for S in catalog_tables():
         assert is_commutative(S) == all(S.mul(x, y) == S.mul(y, x)

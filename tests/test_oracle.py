@@ -95,7 +95,7 @@ def test_the_weight_definition_reaches_no_weight_or_kernel_name():
 # topology checks and the checks the references mirror; the private names of
 # topology.py are kernel too
 TOPOLOGY_KERNEL = {"up", "relation", "arrows", "witness_opens", "is_hausdorff",
-                   "j_masks", "jclass_of", "group_masks", "idempotent_mask",
+                   "j_masks", "jclass_of", "group_masks", "idempotent_mask", "graph",
                    "all_topologies", "continuity_check", "mp_check",
                    "prop34_equivalences", "order_graph_closed"}
 
@@ -147,6 +147,39 @@ def cached_properties(source: str, cls: str) -> set:
                 if isinstance(node, ast.ClassDef) and node.name == cls)
     return {node.name for node in body if isinstance(node, ast.FunctionDef)
             and "cached_property" in set().union(*map(names_in, node.decorator_list))}
+
+
+def functools_cached_property_lines(source: str) -> list[int]:
+    """The lines of the source that import or read functools.cached_property,
+    whose first read takes a class-wide lock before Python 3.12; the package
+    has its own in core."""
+    tree = ast.parse(source)
+    modules = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names
+               if a.name == "functools"}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        and any(a.name == "cached_property" for a in node.names)
+        or isinstance(node, ast.Attribute) and node.attr == "cached_property"
+        and isinstance(node.value, ast.Name) and node.value.id in modules)
+
+
+def test_functools_cached_property_is_found():
+    source = ("import functools\nimport functools as ft\n"
+              "from functools import reduce, cached_property\n"
+              "from .core import cached_property\n"
+              "class A:\n    @functools.cached_property\n    def a(self):\n"
+              "        pass\n    @ft.cached_property\n    def b(self):\n"
+              "        pass\n    @cached_property\n    def c(self):\n        pass\n")
+    assert functools_cached_property_lines(source) == [3, 6, 9]
+
+
+def test_no_module_uses_functools_cached_property():
+    hits = {path.name: functools_cached_property_lines(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.parent.rglob("*.py"))}
+    assert len(hits) >= 12
+    assert hits == {name: [] for name in hits}
 
 
 def cached_reads(root, helpers: dict) -> list[str]:

@@ -10,7 +10,9 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from cliffordlab import catalog as cat
 from cliffordlab.core import (
+    FiniteSemigroup,
     _associative,
+    cached_property,
     classify,
     green_j_classes,
     idempotents,
@@ -20,11 +22,12 @@ from cliffordlab.core import (
     validate_semigroup,
 )
 from cliffordlab.errors import EOutOfU, NotACover, WorkbenchError
-from cliffordlab.semilattice import assemble, direct_product
+from cliffordlab.semilattice import assemble, direct_product, validate_spec
 from cliffordlab.topology import (
     FiniteTopology,
     OpennessRecord,
     TopologicalSemigroupModel,
+    _SemigroupMasks,
     all_topologies,
     basic_set,
     bowman_basic_set,
@@ -423,6 +426,49 @@ def test_kernels_match_the_references_on_every_semigroup_of_order_3():
     assert len(semigroups) == 113
     for S in semigroups:
         assert_kernels_match_the_references(S)
+
+
+def test_witnesses_match_the_reference_on_five_points():
+    # a chain of groups 1 < Z2 < Z2 (identity bonding, then collapse), and B2
+    z2, one = cat.cyclic_group(2), cat.TRIVIAL_GROUP
+    spec = validate_spec(cat.chain_semilattice(3), {0: one, 1: z2, 2: z2},
+                         {(2, 1): (0, 1), (1, 0): (0, 0), (2, 0): (0, 0)})
+    clifford = assemble(spec).semigroup
+    assert clifford.n == 5 and classify(clifford).is_clifford
+    topologies = enumerated_topologies(5)[::7]
+    assert len(topologies) == 992
+    # B2 is continuous under 4 of the 6942 topologies, none of them here
+    for S, continuous in ((clifford, 12), (cat.brandt_b2(), 0)):
+        verdicts = [continuity_check(TopologicalSemigroupModel(S, T)) for T in topologies]
+        assert verdicts == [reference_continuity_check(TopologicalSemigroupModel(S, T))
+                            for T in topologies]
+        assert sum(ok for ok, _ in verdicts) == continuous
+        assert len({witness for _, witness in verdicts}) > 20
+
+
+def test_open_sets_are_shared_between_topologies():
+    found = list(all_topologies(4))
+    opens = [O for T in found for O in T.opens]
+    assert len(opens) > 2000
+    assert len(set(opens)) == len(set(map(id, opens))) == 2 ** 4
+    pairs = [pair for T in found for pair in T.witness_opens]
+    assert len(set(map(id, pairs))) == 2 ** 4
+
+
+def test_cached_values_stay_out_of_equality_hash_and_repr():
+    S, T = cat.semigroup_catalog()["chain2-x-z2"], sierpinski_on(4)
+    warm = TopologicalSemigroupModel(FiniteSemigroup(S.table), FiniteTopology(4, T.up))
+    fresh = TopologicalSemigroupModel(FiniteSemigroup(S.table), FiniteTopology(4, T.up))
+    continuity_check(warm)
+    warm.T.opens
+    assert {"continuity"} <= set(vars(warm)) and {"arrows", "opens"} <= set(vars(warm.T))
+    for a, b in ((warm, fresh), (warm.T, fresh.T), (warm.S, fresh.S)):
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    for cls, name in ((FiniteTopology, "relation"), (FiniteTopology, "arrows"),
+                      (FiniteTopology, "witness_opens"), (FiniteTopology, "opens"),
+                      (TopologicalSemigroupModel, "continuity"),
+                      (_SemigroupMasks, "graph"), (_SemigroupMasks, "j_masks")):
+        assert isinstance(getattr(cls, name), cached_property)
 
 
 @st.composite
