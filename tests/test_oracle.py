@@ -94,8 +94,9 @@ def test_the_weight_definition_reaches_no_weight_or_kernel_name():
 # the bitmask view of a topology, the masks a semigroup keeps for the
 # topology checks and the checks the references mirror; the private names of
 # topology.py are kernel too
-TOPOLOGY_KERNEL = {"up", "relation", "arrows", "witness_opens", "is_hausdorff",
-                   "j_masks", "jclass_of", "group_masks", "idempotent_mask", "graph",
+TOPOLOGY_KERNEL = {"up", "relation", "arrows", "open_masks", "witness_opens",
+                   "is_hausdorff", "j_masks", "jclass_of", "group_masks",
+                   "idempotent_mask", "graph", "semilattice",
                    "all_topologies", "continuity_check", "mp_check",
                    "prop34_equivalences", "order_graph_closed"}
 
@@ -137,7 +138,7 @@ def test_topology_references_reach_no_kernel_name():
 # the cached properties of FiniteSemigroup (core.py) and of
 # TopologicalSemigroupModel (topology.py)
 CACHED = {"classification", "pi_fibers", "j_classes", "topology_masks",
-          "continuity"}
+          "continuity", "mp"}
 
 
 def cached_properties(source: str, cls: str) -> set:

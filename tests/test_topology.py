@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import pickle
 import re
 
 import pytest
@@ -28,6 +29,7 @@ from cliffordlab.topology import (
     OpennessRecord,
     TopologicalSemigroupModel,
     _SemigroupMasks,
+    _unions,
     all_topologies,
     basic_set,
     bowman_basic_set,
@@ -362,6 +364,31 @@ def reference_order_graph_closed(model):
     return reference_product_open(T, complement), reference_is_hausdorff(T)
 
 
+def reference_least_masks(T):
+    """U_x as a bitmask for each x, read off the open sets."""
+    return [sum(1 << y for y in reference_min_open(T, x)) for x in range(T.n)]
+
+
+def reference_arrows(T):
+    """The pair indices b*n + c with c in U_b and c != b, as the set bits of
+    the relation mask less its diagonal."""
+    n = T.n
+    rel = sum(u << b * n for b, u in enumerate(reference_least_masks(T)))
+    rest = rel & ~sum(1 << b * (n + 1) for b in range(n))
+    return tuple(p for p in range(n * n) if rest >> p & 1)
+
+
+def reference_order_graph_mask_loop(model):
+    """Closedness of the order graph by the O(n^3) loop over x, a in U_x and
+    y off row x of the graph, each U_y tested against row a."""
+    S, T = model.S, model.T
+    least = reference_least_masks(T)
+    rows = [sum(1 << y for y in S.elements() if S.mul(x, y) == x) for x in S.elements()]
+    return not any(least[y] & rows[a]
+                   for x, u in enumerate(least) for a in S.elements() if u >> a & 1
+                   for y in S.elements() if not rows[x] >> y & 1)
+
+
 @functools.cache
 def reference_topologies(n):
     """Every topology on n points, built from the reference enumeration, so
@@ -390,6 +417,7 @@ def assert_kernels_match_the_references(S):
             assert prop34_equivalences(model) == reference_prop34_equivalences(model)
         if semilattice:
             assert order_graph_closed(model) == reference_order_graph_closed(model)
+            assert order_graph_closed(model)[0] == reference_order_graph_mask_loop(model)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -446,6 +474,23 @@ def test_witnesses_match_the_reference_on_five_points():
         assert len({witness for _, witness in verdicts}) > 20
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_arrows_match_the_relation_less_its_diagonal(n):
+    for T in (*reference_topologies(n), *enumerated_topologies(n)):
+        assert T.arrows == reference_arrows(T)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_the_enumeration_hands_over_the_open_sets_of_each_topology(n):
+    for T in enumerated_topologies(n):
+        handed = T.open_masks
+        assert type(handed) is tuple and len(set(handed)) == len(handed)
+        assert set(handed) == _unions(T.up, 1 << n)
+        bare = FiniteTopology(n, T.up)
+        assert "open_masks" not in vars(bare)
+        assert bare.witness_opens == T.witness_opens
+
+
 def test_open_sets_are_shared_between_topologies():
     found = list(all_topologies(4))
     opens = [O for T in found for O in T.opens]
@@ -460,15 +505,44 @@ def test_cached_values_stay_out_of_equality_hash_and_repr():
     warm = TopologicalSemigroupModel(FiniteSemigroup(S.table), FiniteTopology(4, T.up))
     fresh = TopologicalSemigroupModel(FiniteSemigroup(S.table), FiniteTopology(4, T.up))
     continuity_check(warm)
+    prop34_equivalences(warm)
     warm.T.opens
-    assert {"continuity"} <= set(vars(warm)) and {"arrows", "opens"} <= set(vars(warm.T))
+    assert {"continuity", "mp"} <= set(vars(warm))
+    assert {"arrows", "open_masks", "opens"} <= set(vars(warm.T))
+    assert vars(warm)["mp"] is mp_check(warm) is prop34_equivalences(warm).mp
     for a, b in ((warm, fresh), (warm.T, fresh.T), (warm.S, fresh.S)):
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     for cls, name in ((FiniteTopology, "relation"), (FiniteTopology, "arrows"),
-                      (FiniteTopology, "witness_opens"), (FiniteTopology, "opens"),
-                      (TopologicalSemigroupModel, "continuity"),
-                      (_SemigroupMasks, "graph"), (_SemigroupMasks, "j_masks")):
+                      (FiniteTopology, "open_masks"), (FiniteTopology, "witness_opens"),
+                      (FiniteTopology, "opens"), (TopologicalSemigroupModel, "continuity"),
+                      (TopologicalSemigroupModel, "mp"), (_SemigroupMasks, "graph"),
+                      (_SemigroupMasks, "j_masks"), (_SemigroupMasks, "semilattice")):
         assert isinstance(getattr(cls, name), cached_property)
+
+
+def test_the_model_keeps_frozen_dataclass_behaviour():
+    S, T = cat.semigroup_catalog()["chain2-x-z2"], sierpinski_on(4)
+    model = TopologicalSemigroupModel(S, T)
+    continuity_check(model)
+    same = TopologicalSemigroupModel(FiniteSemigroup(S.table, S.labels),
+                                     FiniteTopology(4, T.up))
+    other = TopologicalSemigroupModel(S, discrete_topology(4))
+    assert [f.name for f in dataclasses.fields(model)] == ["S", "T"]
+    assert model == same and hash(model) == hash(same) == hash((S, T))
+    assert model != other and model != (S, T)
+    assert repr(model) == f"TopologicalSemigroupModel(S={S!r}, T={T!r})"
+    for change in (lambda: setattr(model, "S", S), lambda: delattr(model, "T"),
+                   lambda: setattr(model, "extra", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            change()
+    assert dataclasses.replace(model, T=discrete_topology(4)) == other
+    again = pickle.loads(pickle.dumps(model))
+    assert again == model and again.continuity == model.continuity
+    message = "^semigroup and topology carrier sizes differ$"
+    with pytest.raises(WorkbenchError, match=message):
+        TopologicalSemigroupModel(S, discrete_topology(3))
+    with pytest.raises(WorkbenchError, match=message):
+        dataclasses.replace(model, T=discrete_topology(5))
 
 
 @st.composite
