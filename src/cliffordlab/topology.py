@@ -6,18 +6,16 @@ Every finite topology is Alexandrov: it is the family of up-sets of its
 specialization preorder, and U_x, the least open set around x, is the up-set
 of x.  A topology is held as its least opens, each an int bitmask (bit y set
 iff y in U_x), and derives its relation mask R (bit b*n + c set iff c in
-U_b) and its open sets, the unions of the U_x, when first read; the
-enumeration hands over the open masks it holds.  The data of one open set
-(its members, its frozenset and the mask of the pairs leaving it) depends
-only on n and its mask, so it is built once per (n, mask) and shared by
-every topology that has that open.  A semigroup keeps the data these checks
-read of it (FiniteSemigroup.topology_masks): the image of each pair (b, c)
-under all translations, as an n^2-bit mask filled when first read, the
-order-graph rows, the semilattice verdict, and the masks and members of its
-J-classes, maximal subgroups and idempotents.  So continuity of a model is
-an OR of pair images and one test against R, and a model derives its
-continuity and MP verdicts once each, in the package's lock-free
-cached_property.  The open sets are read only to name a witness.
+U_b) and its open sets, the unions of the U_x, when first read; one
+frozenset object stands for each mask, so the open sets are shared between
+topologies.  A semigroup keeps the data these checks read of it
+(FiniteSemigroup.topology_masks): the image of each pair (b, c) under all
+translations, as an n^2-bit mask filled when first read, the order-graph
+rows, the semilattice verdict, and the masks of its J-classes, maximal
+subgroups and idempotents.  So continuity of a model is an OR of pair
+images and one test against R, whose failing bits name the witness U_z,
+and a model derives its continuity and MP verdicts once each, in the
+package's lock-free cached_property.
 """
 
 from __future__ import annotations
@@ -59,26 +57,15 @@ def _least_opens(n: int, family) -> tuple[int, ...]:
     return tuple(up)
 
 
-class _OpenData(dict):
-    """Mask m of an open on 0..n-1 -> (its members ascending, (its
-    frozenset, the n^2-bit mask of the pairs (z, c) with z in it and c not
-    in it)), each built when first read.  It is data of (n, m) alone, so
-    every topology on n points shares it; nothing of a topology or a table
-    is kept here."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-
-    def __missing__(self, m: int):
-        n = self.n
-        O = _members(m)
-        leaving = (((1 << n) - 1) ^ m) * _mask(z * n for z in O)
-        self[m] = entry = (O, (frozenset(O), leaving))
-        return entry
+_SETS: dict[int, frozenset] = {}
 
 
-_OPEN_DATA: dict[int, _OpenData] = {}
+def _set(m: int) -> frozenset:
+    """The frozenset of the indices set in m, one object per mask."""
+    O = _SETS.get(m)
+    if O is None:
+        O = _SETS[m] = frozenset(_members(m))
+    return O
 
 
 def _unions(up, most: int):
@@ -121,27 +108,9 @@ class FiniteTopology:
         return tuple(out)
 
     @cached_property
-    def open_masks(self) -> tuple[int, ...]:
-        """The masks of the open sets, in no set order; all_topologies hands
-        over those of its enumeration."""
-        return tuple(_unions(self.up, 1 << self.n))
-
-    @cached_property
-    def witness_opens(self) -> tuple[tuple[frozenset, int], ...]:
-        """(O, the n^2-bit mask of the pairs (z, c) with z in O and c not in
-        O) for the opens in sorted(opens, key=sorted) order, the order in
-        which a failing open is named."""
-        n = self.n
-        data = _OPEN_DATA.get(n)
-        if data is None:
-            data = _OPEN_DATA[n] = _OpenData(n)
-        return tuple(pair for _, pair in sorted(map(data.__getitem__,
-                                                    self.open_masks)))
-
-    @cached_property
     def opens(self) -> frozenset:
         """The family of all open sets, each a frozenset of indices."""
-        return frozenset(O for O, _ in self.witness_opens)
+        return frozenset(map(_set, _unions(self.up, 1 << self.n)))
 
     def is_hausdorff(self) -> bool:
         """Points x != y have disjoint neighborhoods iff U_x and U_y are
@@ -177,17 +146,14 @@ def validate_topology(n: int, opens) -> FiniteTopology:
 
 def all_topologies(n: int) -> Iterator[FiniteTopology]:
     """Every topology on n points, one per preorder: its opens are the
-    up-sets of the specialization preorder, and each yielded topology holds
-    the up-set masks of its preorder and, as open_masks, its up-sets."""
-    for up, opens in _preorders(n, 0, (), [0]):
-        T = FiniteTopology(n, up)
-        T.__dict__["open_masks"] = tuple(opens)
-        yield T
+    up-sets of the specialization preorder, held as the up-set masks."""
+    for up in _preorders(n, 0, (), [0]):
+        yield FiniteTopology(n, up)
 
 
 def _preorders(n: int, k: int, up: tuple, opens: list):
-    """(Up-set masks, up-sets) of every preorder on 0..n-1 extending the
-    preorder on 0..k-1 that has up-set masks up[x] and up-sets opens.
+    """The up-set masks of every preorder on 0..n-1 extending the preorder
+    on 0..k-1 that has up-set masks up[x] and up-sets opens, as bitmasks.
 
     Point k joins with a down-set D below it and an up-set U above it.  D is
     the complement of an up-set, and d <= k <= u forces d <= u, so U must lie
@@ -197,7 +163,7 @@ def _preorders(n: int, k: int, up: tuple, opens: list):
     The new up-sets are the old ones that miss D, and k joined to the old
     ones that contain U."""
     if k == n:
-        yield up, opens
+        yield up
         return
     bit = 1 << k
     for A in opens:
@@ -241,9 +207,11 @@ class TopologicalSemigroupModel:
 def continuity_check(model: TopologicalSemigroupModel):
     """Is multiplication (and inversion, when S is inverse) continuous?
 
-    Returns (True, None) or (False, witness_open), the witness being the
-    first failing open in sorted(opens, key=sorted) order.  The verdict is
-    computed once per model."""
+    Returns (True, None) or (False, witness_open).  The witness is U_z for
+    the least z such that some translation maps some b to z and some c in
+    U_b outside U_z, or, when the products are continuous, the inversion
+    does: an open whose preimage is not open.  The verdict is computed once
+    per model."""
     return model.continuity
 
 
@@ -255,37 +223,29 @@ def _continuity(model: TopologicalSemigroupModel):
     time, that fails iff some translation t (left or right by an element)
     and some c in U_b have t(b) in O and t(c) outside it.  Every open around
     t(b) contains U_t(b), so some O fails iff some pair (t(b), t(c)) lies
-    outside the relation R.  The pairs (t(b), t(c)) over all t are the pair
-    image of (b, c), kept with S; OR-ing the images of T's arrows costs
-    O(sum |U_x|) big-int ORs, and the products are continuous iff the OR
-    misses no bit outside R.  Inversion is the same with t = inv, its bits
-    set straight from the arrows.  Only a failing model scans the opens."""
+    outside the relation R, and then U_t(b) fails.  The pairs (t(b), t(c))
+    over all t are the pair image of (b, c), kept with S; OR-ing the images
+    of T's arrows costs O(sum |U_x|) big-int ORs, and the products are
+    continuous iff the OR misses no bit outside R.  Inversion is the same
+    with t = inv, its bits set straight from the arrows.  The lowest bit of
+    the OR outside R is a pair (z, c) with z the least failing t(b), so
+    U_z is the witness."""
     S, T = model.S, model.T
+    n = T.n
     acc = reduce(or_, map(S.topology_masks.images.__getitem__, T.arrows), 0)
-    if not acc & ~T.relation:
+    bad = acc & ~T.relation
+    if not bad:
         inv = S.classification.inverse
         if inv is None:
             return True, None
-        n, inv = S.n, inv.inv
-        acc = 0
+        inv, acc = inv.inv, 0
         for p in T.arrows:
             b, c = divmod(p, n)
             acc |= 1 << inv[b] * n + inv[c]
-        if not acc & ~T.relation:
+        bad = acc & ~T.relation
+        if not bad:
             return True, None
-    return False, _failing_open(T, acc)
-
-
-def _failing_open(T: FiniteTopology, acc: int):
-    """The first open O in sorted(opens, key=sorted) order with some z in O
-    and need[z] outside O, where need[z] = (acc >> z*n) & full is row z of
-    the pair mask acc: the first O whose mask of pairs leaving O meets acc.
-    Every open around z contains U_z, so only the points z with need[z]
-    outside U_z make an open fail, and some z does since acc leaves R."""
-    for O, f in T.witness_opens:
-        if acc & f:
-            return O
-    raise InternalInconsistency("U_z fails but no open set does")
+    return False, _set(T.up[((bad & -bad).bit_length() - 1) // n])
 
 
 class _PairImages(dict):
@@ -313,23 +273,19 @@ class _SemigroupMasks:
     """The bitmask data of a semigroup that the checks of this module read,
     kept with it as FiniteSemigroup.topology_masks and built on first use:
     the pair images of the continuity test, the order-graph rows, the
-    semilattice verdict, and the masks and members of the J-classes, the
-    maximal subgroups and the idempotents."""
+    semilattice verdict, the mask of each point's J-class, and the masks and
+    members of the maximal subgroups and the idempotents."""
 
     def __init__(self, S: FiniteSemigroup):
         self.S = S
         self.images = _PairImages(S.table)
 
     @cached_property
-    def j_masks(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(The mask, the members) of each J-class."""
-        return tuple((_mask(c), c) for c in self.S.j_classes)
-
-    @cached_property
     def jclass_of(self) -> tuple[int, ...]:
         """The mask of the J-class of each point."""
         of = [0] * self.S.n
-        for m, c in self.j_masks:
+        for c in self.S.j_classes:
+            m = _mask(c)
             for x in c:
                 of[x] = m
         return tuple(of)
@@ -379,24 +335,26 @@ class OpennessRecord:
 
 
 def prop34_equivalences(model: TopologicalSemigroupModel) -> OpennessRecord:
-    """Independently compute the five openness conditions on a continuous
-    Clifford model.  Disagreement would falsify the implementation (they are
-    provably equivalent) and raises InternalInconsistency.  Raises
-    NotClifford on other semigroups."""
+    """The five openness conditions on a Clifford model, from three
+    computations.  A set is open iff it contains U_x for each of its points
+    x, so j_classes_open is U_x <= J_x for every x, which is mp by
+    definition.  A is open in the disjoint union of the subspaces G_e iff
+    U_x n G_e <= A for every x in A n G_e, so that topology has least opens
+    U_x n G_e and equals T iff U_x <= G_e for every x in G_e, which is
+    subgroups_open by definition.  So three things are computed, once each:
+    mp from the J-class masks, subgroups_open from the pi fibres, and
+    idempotents_discrete (some open meets E in {e} iff U_e does).  The
+    J-classes of a Clifford semigroup are its maximal subgroups, so the
+    first two agree on every model, read off two sources; all three are
+    provably equivalent on a continuous model, and a disagreement among
+    them there raises InternalInconsistency.  Raises NotClifford on other
+    semigroups."""
     masks, up = model.S.topology_masks, model.T.up
-    groups = masks.group_masks
-    # a set is open iff it contains U_x for each of its points x
-    j_open = all(not up[x] & ~m for m, c in masks.j_masks for x in c)
-    g_open = all(not up[x] & ~m for m, g in groups for x in g)
+    g_open = all(not up[x] & ~m for m, g in masks.group_masks for x in g)
     E, members = masks.idempotent_mask
-    # some open meets E in {e} iff U_e, the least open around e, does
     e_discrete = all(up[e] & E == 1 << e for e in members)
-    # A is open in the disjoint union of the subspaces G_e iff each A n G_e
-    # is a trace of an open set, iff U_x n G_e <= A for every x in A n G_e;
-    # so that topology has least opens U_x n G_e, and it equals T iff those
-    # are the U_x
-    du_equal = all(up[x] & m == up[x] for m, g in groups for x in g)
-    rec = OpennessRecord(model.mp, j_open, g_open, e_discrete, du_equal)
+    mp = model.mp
+    rec = OpennessRecord(mp, mp, g_open, e_discrete, g_open)
     cont, _ = model.continuity
     if cont and not rec.all_equal():
         raise InternalInconsistency(f"openness conditions disagree: {rec}")

@@ -600,6 +600,20 @@ def test_cli_topo_check_of_a_discontinuous_model_names_a_witness(capsys, tmp_pat
     assert code == 1 and out == "continuous: false\n  witness open set: {1}\n"
 
 
+def test_cli_topo_check_names_the_least_open_at_the_least_failing_point(
+        capsys, tmp_path):
+    # Z3 with U_0 = {0, 1}, U_1 = {1}, U_2 = {2}: translation by 1 maps
+    # 0 to 1 and 1 in U_0 to 2 outside U_1, and translation by 2 maps 0 to
+    # 2 and 1 to 0 outside U_2, so the least failing point is 1; the open
+    # {0, 1}, first in sorted order, fails too
+    path = write_changed(tmp_path, "sierpinski.topology.json", [],
+                         {"semigroup": {"n": 3, "table": [[0, 1, 2], [1, 2, 0],
+                                                          [2, 0, 1]]},
+                          "opens": [[], [1], [2], [0, 1], [1, 2], [0, 1, 2]]})
+    code, out = run_cli(capsys, "topo-check", str(path))
+    assert code == 1 and out == "continuous: false\n  witness open set: {1}\n"
+
+
 def test_cli_trivial_check_of_the_assembled_two_chain_is_false(capsys, tmp_path):
     # Z2 over the trivial group: fibres of different orders
     code, out = run_cli(capsys, "assemble", "twochain.spec", "--format", "structured")

@@ -94,9 +94,8 @@ def test_the_weight_definition_reaches_no_weight_or_kernel_name():
 # the bitmask view of a topology, the masks a semigroup keeps for the
 # topology checks and the checks the references mirror; the private names of
 # topology.py are kernel too
-TOPOLOGY_KERNEL = {"up", "relation", "arrows", "open_masks", "witness_opens",
-                   "is_hausdorff", "j_masks", "jclass_of", "group_masks",
-                   "idempotent_mask", "graph", "semilattice",
+TOPOLOGY_KERNEL = {"up", "relation", "arrows", "is_hausdorff", "jclass_of",
+                   "group_masks", "idempotent_mask", "graph", "semilattice",
                    "all_topologies", "continuity_check", "mp_check",
                    "prop34_equivalences", "order_graph_closed"}
 
