@@ -521,6 +521,21 @@ def test_arrows_match_the_relation_less_its_diagonal(n):
         assert T.arrows == reference_arrows(T)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_the_enumeration_yields_the_open_sets_of_its_least_opens(n):
+    # the opens of each yielded topology are the subsets that contain U_x
+    # for each of their points x, and a topology rebuilt from its least
+    # opens is the same value with the same (shared) open sets
+    subsets = [frozenset(x for x in range(n) if s >> x & 1) for s in range(1 << n)]
+    for T in enumerated_topologies(n):
+        least = [least_open(T, x) for x in range(n)]
+        assert [reference_min_open(T, x) for x in range(n)] == least
+        assert T.opens == {O for O in subsets if all(least[x] <= O for x in O)}
+        bare = FiniteTopology(n, T.up)
+        assert bare == T and hash(bare) == hash(T)
+        assert {id(O) for O in bare.opens} == {id(O) for O in T.opens}
+
+
 def test_open_sets_are_shared_between_topologies():
     found = list(all_topologies(4))
     opens = [O for T in found for O in T.opens]
