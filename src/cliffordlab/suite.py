@@ -13,6 +13,7 @@ rather than trusting the code path it exercises.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import pickle
 import random
@@ -273,65 +274,27 @@ def metric_instance_failures(name, inst) -> list:
     return failures
 
 
-def _metric_shares(instances):
-    """The criterion-5 instance names that run_all's parent checks and
-    those its child checks, each in instance order.  The static cost key is
-    points^2 x basis length x fibre order, the oracle's work, with ties to
-    the longer basis; largest first, the parent takes instances until it
-    holds 5/8 of the total, as the child also runs the other eight
-    criteria."""
-    cost = {}
-    for name, inst in instances.items():
-        fibre = max(inst.block(e).group.n for e in inst.emodel.elements())
-        cost[name] = (len(inst.points()) ** 2 * len(inst.basis) * fibre,
-                      len(inst.basis))
-    total = sum(key for key, _ in cost.values())
-    parent, held = set(), 0
-    for name in sorted(cost, key=cost.get, reverse=True):
-        if 8 * held >= 5 * total:
-            break
-        parent.add(name)
-        held += cost[name][0]
-    return ([name for name in instances if name in parent],
-            [name for name in instances if name not in parent])
-
-
-def _metric_outcomes(instances, names) -> dict:
-    """{name: failures} over the named instances in order, up to the first
-    that raises, whose exception takes the place of its failures."""
-    out = {}
-    for name in names:
-        try:
-            out[name] = metric_instance_failures(name, instances[name])
-        except Exception as exc:
-            out[name] = exc
-            break
-    return out
-
-
-def criterion_metric_axioms(elsewhere=None):
-    """Every instance through `metric_instance_failures`, after the two
-    reference values on the two-chain instance.  run_all passes elsewhere:
-    this process then checks the first of `_metric_shares` only, and
-    elsewhere() returns the outcomes of the second, checked in its child,
-    by name.  Failures merge in instance order, and the first exception in
-    that order is raised, whichever process raised it."""
+def _metric_head(instances):
+    """Criterion 5's title and detail, and the failures of its two reference
+    values on the two-chain instance."""
     failures = []
-    instances = _metric_instances()
     data = instances["two-chain"]
     pa, pb, pz = Point(1, 0), Point(1, 1), Point(0, 0)
     if bowman_distance(data, pa, pb).value != Fraction(3, 16):
         failures.append("reference d((1,a),(1,b)) != 3/16")
     if bowman_distance(data, pa, pz).value != Fraction(21, 16):
         failures.append("reference d((1,a),(0,z)) != 21/16")
-    if elsewhere is None:
-        outcomes = _metric_outcomes(instances, instances)
-    else:
-        outcomes = _metric_outcomes(instances, _metric_shares(instances)[0])
-        outcomes.update(elsewhere())
-    for name in instances:
-        failures += _received(outcomes[name])
     return "series metric axioms", f"{len(instances)} instances", failures
+
+
+def criterion_metric_axioms():
+    """The two reference values, then every instance through
+    `metric_instance_failures`; run_all checks each part as a unit."""
+    instances = _metric_instances()
+    title, detail, failures = _metric_head(instances)
+    for name, inst in instances.items():
+        failures += metric_instance_failures(name, inst)
+    return title, detail, failures
 
 
 def eta_injective_on_data(data, e):
@@ -506,15 +469,53 @@ CRITERIA = (
 )
 
 
-def _outcome(fn, *args):
-    """(title, detail, failures, elapsed) of one criterion, or the exception
-    it raised."""
+# Static costs in the currency of criterion 5's instances (about 11 us each on
+# a 2-core VM); the other whole criteria take a few ms and count as 0.
+CRITERION_COSTS = {3: 10000, 4: 1300, 8: 6000}
+
+
+def _units() -> list:
+    """run_all's units in (criterion, unit) order as (number, name, cost,
+    call).  A criterion is one unit, except criterion 5: its head, then each
+    instance, costing points^2 x basis length x fibre order, the oracle's
+    work."""
+    units = []
+    for number, fn in enumerate(CRITERIA, start=1):
+        if fn is not criterion_metric_axioms:  # looked up now: a tracer may wrap it
+            units.append((number, fn.__name__, CRITERION_COSTS.get(number, 0), fn))
+            continue
+        instances = _metric_instances()
+        units.append((number, "reference values", 0,
+                      functools.partial(_metric_head, instances)))
+        for name, inst in instances.items():
+            fibre = max(inst.block(e).group.n for e in inst.emodel.elements())
+            cost = len(inst.points()) ** 2 * len(inst.basis) * fibre
+            units.append((number, name, cost,
+                          functools.partial(metric_instance_failures, name, inst)))
+    return units
+
+
+def _deal(costs):
+    """Graham's list scheduling, largest first, onto two processes: by
+    decreasing cost, ties in list order, each unit goes to the side holding
+    less cost so far, the first on a tie.  Returns each side's indices,
+    ascending; the heavier holds at most (total + largest) / 2."""
+    sides, held = ([], []), [0, 0]
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        side = int(held[1] < held[0])
+        sides[side].append(i)
+        held[side] += costs[i]
+    return sorted(sides[0]), sorted(sides[1])
+
+
+def _outcome(call):
+    """(value, seconds) of one unit, or the exception it raised."""
     t0 = time.perf_counter()
     try:
-        title, detail, failures = fn(*args)
+        value = call()
     except Exception as exc:
         return exc
-    return title, detail, failures, time.perf_counter() - t0
+    return value, time.perf_counter() - t0
 
 
 class _ChildTraceback(Exception):
@@ -548,47 +549,42 @@ def _received(outcome):
 def run_all() -> list:
     """Run every criterion and number, judge and return each one.
 
-    One forked child runs every criterion but 5 in order, then the second
-    of criterion 5's `_metric_shares`, and pipes back their outcomes.  This
-    process runs criterion 5 on the first share and merges the child's in
-    instance order, so criterion 5's seconds include its wait for the
-    child.  Each criterion is timed in the process that ran it, so the
-    seconds do not add up to the wall time.  The first exception in
-    criterion order is raised, whichever process raised it."""
-    here = criterion_metric_axioms  # looked up now: a tracer may wrap it
-    split = here in CRITERIA
+    `_deal` splits the `_units` by static cost between this process and one
+    forked child, which pipes back {unit: outcome}.  Outcomes merge in
+    (criterion, unit) order: a criterion's seconds are the sum of its units'
+    in whichever process ran them, and the first exception in that order is
+    raised, whichever process raised it."""
+    units = _units()
+    here, there = _deal([cost for _, _, cost, _ in units])
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             os.close(read_end)
-            outcomes = [_sendable(_outcome(fn)) for fn in CRITERIA if fn is not here]
-            share = {}
-            if split:
-                instances = _metric_instances()
-                share = {name: _sendable(outcome) for name, outcome in
-                         _metric_outcomes(instances, _metric_shares(instances)[1]).items()}
+            theirs = {i: _sendable(_outcome(units[i][3])) for i in there}
             with open(write_end, "wb") as pipe:
-                pickle.dump((outcomes, share), pipe)
+                pickle.dump(theirs, pipe)
             status = 0
         finally:
             os._exit(status)
     os.close(write_end)
     try:
         with open(read_end, "rb") as pipe:
-            payload = functools.cache(pipe.read)  # the child's (outcomes, share)
-            ours = _outcome(here, lambda: pickle.loads(payload())[1]) if split else None
-            payload()
+            outcomes = {i: _outcome(units[i][3]) for i in here}
+            payload = pipe.read()
     finally:
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code != 0:
         raise InternalInconsistency(
             f"the criteria child ended with exit status {code} and sent no result")
-    theirs = iter(pickle.loads(payload())[0])
+    outcomes.update(pickle.loads(payload))
     results = []
-    for number, fn in enumerate(CRITERIA, start=1):
-        title, detail, failures, elapsed = _received(ours if fn is here else next(theirs))
+    for number, group in itertools.groupby(range(len(units)), key=lambda i: units[i][0]):
+        (title, detail, failures), elapsed = _received(outcomes[next(group)])
+        for i in group:
+            more, seconds = _received(outcomes[i])
+            failures, elapsed = failures + more, elapsed + seconds
         if failures:
             detail += "; " + "; ".join(failures[:3])
         results.append(CriterionResult(number, title, not failures, detail, elapsed))

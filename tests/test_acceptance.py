@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffordlab import catalog as cat, cli, suite
 from cliffordlab.errors import InternalInconsistency, NotGroup, SchemaError
@@ -162,14 +163,11 @@ def raising(exc):
 
 
 def install(monkeypatch, fns):
-    """Stand-ins for the nine criteria and no criterion-5 instance for the
-    child; the fifth takes the place of criterion 5, which run_all runs in
-    this process and passes the child's share, which the stand-in ignores."""
-    fifth = fns[4]
-    fns = [*fns[:4], lambda elsewhere=None: fifth(), *fns[5:]]
-    monkeypatch.setattr(suite, "_metric_instances", dict)
-    monkeypatch.setattr(suite, "criterion_metric_axioms", fns[4])
+    """Stand-ins for the nine criteria, one unit each.  Only the fifth has a
+    cost, so the rule deals it to this process and the others to the
+    child."""
     monkeypatch.setattr(suite, "CRITERIA", tuple(fns))
+    monkeypatch.setattr(suite, "CRITERION_COSTS", {5: 1})
 
 
 def assert_no_child_left():
@@ -192,14 +190,6 @@ def test_run_all_equals_the_serial_loop(monkeypatch, failing):
     assert suite.machine_report(got) == suite.machine_report(want)
     assert (suite.machine_report(got) == SUITE_TSV) == (not failing)
     assert all(r.elapsed >= 0 for r in got)
-
-
-def test_criterion_5_runs_here_and_the_others_in_one_child(monkeypatch):
-    install(monkeypatch, [lambda: ("pid", str(os.getpid()), []) for _ in range(9)])
-    pids = [int(r.detail) for r in suite.run_all()]
-    assert_no_child_left()
-    assert pids[4] == os.getpid()
-    assert len(set(pids[:4] + pids[5:])) == 1 and pids[0] != os.getpid()
 
 
 @pytest.mark.parametrize("raisers, first", [
@@ -248,27 +238,70 @@ def test_a_child_that_sends_no_result_is_an_internal_inconsistency(monkeypatch):
     assert_no_child_left()
 
 
-PARENT_SHARE = ["flat8-z2-identity", "flat8-z3-identity", "flat8-z3-collapse"]
+# The units that the rule deals to run_all's own process; their costs add
+# up to 44099, the child's to 43867.
+PARENT_UNITS = ["criterion_way_below", "flat3-z2-identity", "flat3-z2-collapse",
+                "flat5-z2-collapse", "flat5-z3-collapse", "flat8-z2-collapse",
+                "flat8-z3-identity"]
 
 
-def test_the_metric_shares_partition_the_instances_the_same_way_each_call():
-    instances = suite._metric_instances()
-    parent, child = suite._metric_shares(instances)
-    assert parent == PARENT_SHARE
-    assert sorted(parent + child) == sorted(instances) and len(instances) == 13
-    assert child == [name for name in instances if name not in parent]
-    assert suite._metric_shares(suite._metric_instances()) == (parent, child)
+def cost_bound_holds(costs, here, there):
+    """Graham's bound for two processes: the heavier side holds at most
+    (total + largest unit) / 2."""
+    heavier = max(sum(costs[i] for i in side) for side in (here, there))
+    return 2 * heavier <= sum(costs) + max(costs, default=0)
+
+
+def test_the_rule_deals_every_unit_of_the_suite_once_the_same_way_each_call():
+    units = suite._units()
+    costs = [cost for _, _, cost, _ in units]
+    here, there = suite._deal(costs)
+    assert len(units) == 22 and sorted(here + there) == list(range(22))
+    assert [units[i][1] for i in here] == PARENT_UNITS
+    assert [sum(costs[i] for i in side) for side in (here, there)] == [44099, 43867]
+    assert "criterion_rigidity" in [units[i][1] for i in there]  # numpy stays out
+    assert cost_bound_holds(costs, here, there)
+    assert suite._deal([cost for _, _, cost, _ in suite._units()]) == (here, there)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 20000), max_size=30))
+def test_the_rule_deals_any_costs_once_within_the_list_scheduling_bound(costs):
+    here, there = suite._deal(costs)
+    assert sorted(here + there) == list(range(len(costs)))
+    assert here == sorted(here) and there == sorted(there)
+    assert cost_bound_holds(costs, here, there)
+    assert suite._deal(list(costs)) == (here, there)
+
+
+def test_each_instance_runs_in_the_process_that_the_rule_deals_it_to(
+        monkeypatch, tmp_path):
+    log = tmp_path / "pids"
+
+    def check(name, inst):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{name} {os.getpid()}\n")
+        return []
+
+    with_instance_raisers(monkeypatch, {})
+    monkeypatch.setattr(suite, "metric_instance_failures", check)
+    assert all(r.passed for r in suite.run_all())
+    assert_no_child_left()
+    pids = dict(line.split() for line in log.read_text().splitlines())
+    assert len(pids) == 13 and len(set(pids.values())) == 2
+    assert sorted(name for name, pid in pids.items() if int(pid) == os.getpid()) \
+        == sorted(PARENT_UNITS[1:])
 
 
 def test_the_split_criterion_5_equals_the_serial_one(monkeypatch):
-    """Oracle mismatches in one instance of each share: flat3-z2-collapse,
-    the child's, and flat8-z3-identity, the parent's.  The child's come
-    first in the detail, as in the serial loop."""
+    """Oracle mismatches in flat3-z2-collapse and flat8-z3-identity, both
+    the parent's, and in flat8-z3-collapse, the child's.  They merge in
+    instance order, as in the serial loop."""
     oracle = suite.oracle_bowman
 
     def skewed(data, p, q):
         key = (len(data.emodel.elements()), data.block(0).group.n, data.phi(1, 0, 1))
-        skew = key in {(4, 2, 0), (9, 3, 1)} and p == q and p.e == 1
+        skew = key in {(4, 2, 0), (9, 3, 1), (9, 3, 0)} and p == q and p.e == 1
         return oracle(data, p, q) + (1 if skew else 0)
 
     monkeypatch.setattr(suite, "oracle_bowman", skewed)
@@ -314,7 +347,9 @@ def test_a_flat_bonding_of_the_wrong_kind_is_a_failure():
 def with_instance_raisers(monkeypatch, raisers, criteria=None):
     """The real criterion 5 over stand-in instance checks that raise
     raisers[name] or pass, and stand-ins for the other criteria: criteria
-    maps a number to the exception that it raises."""
+    maps a number to the exception that it raises.  The stand-ins keep the
+    costs of the criteria they stand for, so the rule deals the units as in
+    the real suite (PARENT_UNITS)."""
     def check(name, inst):
         if name in raisers:
             raise raisers[name]
@@ -335,12 +370,12 @@ def with_instance_raisers(monkeypatch, raisers, criteria=None):
      {6: SchemaError("body.n", "expected an integer")}, "flat3-z3-identity", True),
     ({"flat8-z2-collapse": NotGroup("k", "no identity"),
       "flat8-z3-identity": SchemaError("body.n", "expected an integer")},
-     {}, "flat8-z2-collapse", True),
+     {}, "flat8-z2-collapse", False),
     ({"flat8-z2-identity": NotGroup("k", "no identity"),
       "flat8-z2-collapse": SchemaError("body.n", "expected an integer")},
-     {7: NotGroup("k", "no identity")}, "flat8-z2-identity", False),
-], ids=["criterion-4-first", "child-share-before-6", "child-instance-first",
-        "parent-instance-first"])
+     {7: NotGroup("k", "no identity")}, "flat8-z2-identity", True),
+], ids=["criterion-4-first", "child-share-before-6", "parent-instance-first",
+        "child-instance-first"])
 def test_an_exception_in_either_share_is_criterion_5s_in_instance_order(
         monkeypatch, raisers, criteria, first, from_child):
     with_instance_raisers(monkeypatch, raisers, criteria)

@@ -186,7 +186,9 @@ EXACT_FIELDS = ("L", "R", "DH0", "DH0_invertible", "smallest_singular_value")
       [(2.0, (1, 0)), (-1.0, (0, 2))]], 1.0),
     # min(u, 3u, 0.5 v): gap 3 along u, 0.5 along v
     ([[(1.0, (1, 0))], [(3.0, (1, 0))], [(0.5, (0, 1))]], 3.0),
-], ids=["quadratic-pieces", "three-pieces"])
+    # min(u + v, u + 2v): no gap along u, gap 1 along v
+    ([[(1.0, (1, 0)), (1.0, (0, 1))], [(1.0, (1, 0)), (2.0, (0, 1))]], 1.0),
+], ids=["quadratic-pieces", "three-pieces", "v-axis-only"])
 def test_pieces_that_differ_make_a_chart_that_is_not_c1(pieces, worst):
     model = ChartModel(dim=1, pieces=[pieces], name="kinked")
     verdict = differentiability_probe(model)
@@ -197,6 +199,27 @@ def test_pieces_that_differ_make_a_chart_that_is_not_c1(pieces, worst):
     rep = rigidity_report(model, scan_radius=0.25, grid_step=0.05)
     assert rep.prediction == "not C1 at the idempotent; no prediction"
     assert all(getattr(rep, name) is None for name in EXACT_FIELDS)
+
+
+def test_the_default_scan_radius_is_a_quarter_or_half_the_model_radius(monkeypatch):
+    radii = []
+    scan = charts.fixed_point_scan
+
+    def spy(model, radius, *args):
+        radii.append(radius)
+        return scan(model, radius, *args)
+
+    monkeypatch.setattr(charts, "fixed_point_scan", spy)
+    for radius in (0.2, 0.5, 1.0):
+        rigidity_report(additive_model(2, radius=radius))
+    assert radii == [0.1, 0.25, 0.25]
+
+
+def test_a_displacement_derivative_beyond_the_float_range_is_refused():
+    # L = R = 1e308, so DH0 = 2e308 - 1 is beyond the float range
+    model = polynomial_model(1, [[(1e308, (1, 0)), (1e308, (0, 1))]])
+    with pytest.raises(WorkbenchError, match="beyond the float range"):
+        rigidity_report(model)
 
 
 def reference_determinant(A):

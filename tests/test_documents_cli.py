@@ -428,6 +428,14 @@ def test_cli_c1_probe_on_a_1e308_coefficient_ends_in_a_result_or_an_error_line(
     assert_result_or_error_line("c1-probe", path, polynomials)
 
 
+def test_cli_c1_probe_refuses_a_displacement_derivative_beyond_the_float_range(
+        capsys, tmp_path):
+    path = write_chart(tmp_path, 1, [[[1e308, U], [1e308, V]]])
+    assert main(["c1-probe", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "the displacement derivative has an entry beyond the float range" in err
+
+
 def test_cli_c1_probe_scan_through_an_overflowing_jacobian_ends_cleanly(tmp_path):
     # the Jacobian is inf near 0, so each seed diverges; LAPACK, handed inf,
     # would print its DLASCL complaint to the process's own stdout

@@ -67,6 +67,7 @@ def test_three_chain_way_below_is_lower_triangular():
 def test_definition_oracle_refuses_large_posets():
     with pytest.raises(TooLarge):
         way_below_by_definition(chain_poset(13), 0, 1)
+    assert not way_below_by_definition(chain_poset(12), 11, 10)
 
 
 def test_whole_poset_is_a_basis():
@@ -109,6 +110,8 @@ def test_is_basis_reads_only_the_elements_of_the_flat_model():
     assert is_basis(M, [3, 1, 0]) == (False, 2)
     with pytest.raises(WorkbenchError, match="basis element 4"):
         is_basis(M, [0, 4])
+    with pytest.raises(WorkbenchError, match="basis element 5 is not"):
+        is_basis(M, [0, 5, 4])
 
 
 def test_minimum_of_semilattices():

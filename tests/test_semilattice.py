@@ -75,6 +75,26 @@ def test_bonding_key_outside_e_rejected():
     assert "5->0" in str(exc.value)
 
 
+@pytest.mark.parametrize("keys", [(0,), (0, 2), (1, 2), (0, 1, 2), (-1, 0, 1)])
+def test_groups_keyed_other_than_the_elements_of_e_are_rejected(keys):
+    with pytest.raises(IndexOutOfRange, match="groups keyed by"):
+        validate_spec(cat.chain_semilattice(2), dict.fromkeys(keys, cat.TRIVIAL_GROUP),
+                      {(1, 0): (0,)})
+
+
+@pytest.mark.parametrize("key", [(-1, 0), (1, -1), (2, 0), (1, 2), (2, 2)])
+def test_bonding_keys_one_past_either_end_of_e_are_rejected(key):
+    with pytest.raises(IndexOutOfRange, match="outside 0..1"):
+        validate_spec(cat.chain_semilattice(2), {0: cat.TRIVIAL_GROUP, 1: cat.TRIVIAL_GROUP},
+                      {(1, 0): (0,), key: (0,)})
+
+
+def test_bonding_keys_at_element_0_are_accepted():
+    groups = {0: cat.TRIVIAL_GROUP, 1: cat.TRIVIAL_GROUP}
+    spec = validate_spec(cat.chain_semilattice(2), groups, {(1, 0): (0,), (0, 0): (0,)})
+    assert spec == validate_spec(cat.chain_semilattice(2), groups, {(1, 0): (0,)})
+
+
 def test_not_homomorphism_keeps_reason_and_witness_apart():
     z2 = cat.cyclic_group(2)
     with pytest.raises(NotHomomorphism) as exc:
