@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
-from operator import eq, itemgetter
+from operator import eq, itemgetter, or_
 from typing import Optional
 
 from .errors import (
@@ -59,14 +59,21 @@ class FiniteSemigroup:
     re-check associativity.
 
     The table is immutable, so the structure read off it is computed once per
-    instance and kept as a cached property: the classification, pi with its
-    fibers, the J-classes and the topology masks.  A property that raises
-    caches nothing.  Cached values live in the instance __dict__, not in
+    instance and kept as a cached property: the generators, the classification,
+    pi with its fibers, the J-classes and the topology masks.  A property that
+    raises caches nothing.  Cached values live in the instance __dict__, not in
     fields, so ==, hash and repr see only the table and the labels.
     """
 
     table: tuple[tuple[int, ...], ...]
     labels: Optional[tuple[str, ...]] = None
+
+    @cached_property
+    def generators(self) -> tuple[tuple[int, ...], tuple]:
+        """_generators(table) as tuples, which the garbage collector stops
+        tracking, a level per collection; lists would stay tracked."""
+        gens, steps = _generators(self.table)
+        return tuple(gens), tuple([(tuple(p), tuple(r), tuple(a)) for p, r, a in steps])
 
     @cached_property
     def classification(self) -> Classification:
@@ -155,23 +162,23 @@ def _generators(rows) -> tuple[list[int], list[tuple[list[int], ...]]]:
     return gens, steps
 
 
-def _associative(rows) -> bool:
+def _associative(rows, gens=None) -> bool:
     """Whether (xy)z = x(yz) for all x, y, z, on a square table of indices.
 
     Light's test: call y good when (xy)z = x(yz) for all x and z.  Good
     elements are closed under products: if a and b are good, then
     (x(ab))z = ((xa)b)z = (xa)(bz) = x(a(bz)) = x((ab)z).  So when every
     generator is good, so is the closure of the generators, the whole
-    carrier: testing y over a generating set decides associativity, with
-    the same answer as testing every y.  For one y, row xy must equal row y
-    read through row x; the rows are built and compared one at a time
-    inside map, so the inner loops run in C.
+    carrier: testing y over a generating set (gens, by default the table's)
+    decides associativity, with the same answer as testing every y.  For one
+    y, row xy must equal row y read through row x; the rows are built and
+    compared one at a time inside map, so the inner loops run in C.
 
     A table of order n <= 256 holds each row as one bytes object, and row x
     padded to 256 bytes is a translation table: row y read through row x is
     b[y].translate(lut[x]), one C call.  A larger table reads its rows
     through itemgetters as tuples."""
-    gens, n = _generators(rows)[0], len(rows)
+    n, gens = len(rows), gens or FiniteSemigroup(rows).generators[0]
     if n <= 256:
         b = list(map(bytes, rows))
         lut = [row + bytes(256 - n) for row in b]
@@ -207,24 +214,28 @@ def validate_semigroup(table, labels=None) -> FiniteSemigroup:
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
                 raise IndexOutOfRange(f"table[{i}][{j}] = {v!r} not an index < {n}")
-    if not _associative(rows):
+    S = FiniteSemigroup(rows)
+    if not _associative(rows, S.generators[0]):
         raise NotAssociative(associativity_witnesses(rows))
-    return _with_labels(FiniteSemigroup(rows), labels)
+    return _with_labels(S, labels)
 
 
 def _with_labels(S: FiniteSemigroup, labels) -> FiniteSemigroup:
-    """S's table under labels, checked as validate_semigroup checks them."""
-    if labels is not None:
-        labels = tuple(labels)
-        if len(labels) != S.n:
-            raise IndexOutOfRange(f"expected {S.n} labels, got {len(labels)}")
-        first = {}
-        for j, label in enumerate(labels):
-            i = first.setdefault(label, j)
-            if i != j:
-                raise IndexOutOfRange(
-                    f"label {label!r} repeats at indices {i} and {j}")
-    return FiniteSemigroup(S.table, labels)
+    """The unlabelled S under labels, checked as validate_semigroup checks
+    them, with its generators; S itself when labels is None."""
+    if labels is None:
+        return S
+    labels = tuple(labels)
+    if len(labels) != S.n:
+        raise IndexOutOfRange(f"expected {S.n} labels, got {len(labels)}")
+    first = {}
+    for j, label in enumerate(labels):
+        i = first.setdefault(label, j)
+        if i != j:
+            raise IndexOutOfRange(f"label {label!r} repeats at indices {i} and {j}")
+    labelled = FiniteSemigroup(S.table, labels)
+    object.__setattr__(labelled, "generators", S.generators)
+    return labelled
 
 
 def idempotents(S: FiniteSemigroup) -> list[int]:
@@ -349,20 +360,40 @@ def pi_and_subgroups(S: FiniteSemigroup):
     return pi, dict(groups)
 
 
+def _homomorphic(S: FiniteSemigroup, m) -> bool:
+    """Whether the map m: S -> S, a sequence, is a homomorphism, read off
+    m(xa) = m(x)m(a) for every x and every generator a: n |A| products, a
+    column at a time.  Each y is a generator or y'a, so by induction, with S
+    associative, m(xy) = m(xy')m(a) = m(x)m(y')m(a) = m(x)m(y)."""
+    rows, through_m, products = S.table, _reader(m), {}
+    for a in S.generators[0]:
+        if m[a] not in products:  # m(x)m(a) for every x
+            products[m[a]] = through_m(list(map(itemgetter(m[a]), rows)))
+        if _reader(list(map(itemgetter(a), rows)))(m) != products[m[a]]:
+            return False
+    return True
+
+
 def _pi_and_subgroups(S: FiniteSemigroup):
-    """pi_and_subgroups(S), computed."""
+    """pi_and_subgroups(S), computed.  pi is checked on the pairs (x, a), a a
+    generator: y = y'a gives pi(xy) = pi(xy')pi(a) by induction.  Only on
+    failure are all pairs read, so the message names the first (x, y)."""
     cls = classify(S)
     if not cls.is_clifford:
         raise NotClifford("not a Clifford semigroup")
     pi, inv, rows = cls.inverse.pi, cls.inverse.inv, S.table
-    for x, row in enumerate(rows):
-        image_row = rows[pi[x]]
-        for y, xy in enumerate(row):
-            if pi[xy] != image_row[pi[y]]:
-                raise InternalInconsistency(f"pi not a homomorphism at ({x},{y})")
+    if not _homomorphic(S, pi):
+        for x, row in enumerate(rows):
+            image_row = rows[pi[x]]
+            for y, xy in enumerate(row):
+                if pi[xy] != image_row[pi[y]]:
+                    raise InternalInconsistency(f"pi not a homomorphism at ({x},{y})")
+    members: dict[int, list[int]] = {e: [] for e in cls.idempotents}
+    for x, e in enumerate(pi):
+        members.get(e, []).append(x)  # any other x fails the partition check
     groups: dict[int, tuple[int, ...]] = {}
     for e in cls.idempotents:
-        fiber = tuple(sorted(x for x in S.elements() if pi[x] == e))
+        fiber = tuple(members[e])
         if e not in fiber:
             raise InternalInconsistency(f"{e} not in its own fiber")
         for x in fiber:
@@ -384,21 +415,17 @@ def green_j_classes(S: FiniteSemigroup) -> list[tuple[int, ...]]:
 
 
 def _green_j_classes(S: FiniteSemigroup) -> list[tuple[int, ...]]:
-    """Each ideal is an int bitmask, the union of {u} u uS over u in {x} u Sx:
-    O(n^2) big-int ORs in all.  Classes are returned sorted by their least
-    element."""
-    right = []
-    for u, row in enumerate(S.table):
-        mask = 1 << u
-        for v in set(row):
-            mask |= 1 << v
-        right.append(mask)
+    """Each ideal is an int bitmask, the union of {u} u uS over u in {x} u Sx.
+    The mask of uS is built once per distinct row set and the union over Sx
+    once per distinct column set.  Classes are returned sorted by their
+    least element."""
+    rows, cols = list(map(frozenset, S.table)), list(map(frozenset, zip(*S.table)))
+    row_masks = {s: sum(map((1).__lshift__, s)) for s in set(rows)}
+    right = [row_masks[s] | 1 << u for u, s in enumerate(rows)]
+    col_masks = {s: reduce(or_, map(right.__getitem__, s)) for s in set(cols)}
     classes: dict[int, list[int]] = {}
-    for x in S.elements():
-        ideal = right[x]
-        for u in {row[x] for row in S.table}:
-            ideal |= right[u]
-        classes.setdefault(ideal, []).append(x)
+    for x, s in enumerate(cols):
+        classes.setdefault(right[x] | col_masks[s], []).append(x)
     return [tuple(c) for c in classes.values()]
 
 
@@ -422,10 +449,8 @@ def local_group_table(S: FiniteSemigroup, elements) -> FiniteSemigroup:
     """Reindex a subset closed under products, given by global indices (a
     subgroup, or E(S) of a Clifford semigroup), to a standalone table."""
     elements = tuple(elements)
-    pos = {g: i for i, g in enumerate(elements)}
-    table = tuple(
-        tuple(pos[S.mul(a, b)] for b in elements) for a in elements
-    )
+    pos, read = {g: i for i, g in enumerate(elements)}, _reader(elements)
+    table = tuple(tuple(map(pos.__getitem__, read(S.table[a]))) for a in elements)
     labels = tuple(S.label(g) for g in elements)
     return FiniteSemigroup(table, labels)
 
@@ -446,7 +471,7 @@ def isomorphisms(G: FiniteSemigroup, H: FiniteSemigroup, budget: _Budget):
     any two semigroup tables.
 
     The search branches only on the images of the generators g_1, g_2, ...
-    that _generators picks in G: g_k goes to each unused element of H with
+    of G.generators: g_k goes to each unused element of H with
     its signature in index order, and every such node spends one unit of
     the budget; exceeding it raises SearchBudgetExceeded.  Placing g_k
     replays its closure step against H: a derive step p = r*a sets
@@ -467,7 +492,7 @@ def isomorphisms(G: FiniteSemigroup, H: FiniteSemigroup, budget: _Budget):
     sig_h = [element_signature(H, x) for x in H.elements()]
     if sorted(sig_g) != sorted(sig_h):
         return
-    gens, steps = _generators(G.table)
+    gens, steps = G.generators
     images = [[u for u in H.elements() if sig_h[u] == sig_g[g]] for g in gens]
     ht = H.table
     mapping = [-1] * G.n
@@ -516,8 +541,9 @@ def is_trivial_clifford(S: FiniteSemigroup):
     theta_e = theta_m o phi_{e,m} and needs every phi_{e,m}(x) = mx
     bijective; if they are, theta_e(x) is the y in G_ref with my = mx, the
     only family with theta_ref = id.  It reads only the maximal subgroups
-    and row m of the table."""
-    pi, groups = S.pi_fibers
+    and row m of the table, and checks theta on the pairs (x, a), a a
+    generator: y = y'a gives theta(xy) = theta(xy')theta(a)."""
+    groups = S.pi_fibers[1]
     rows = S.table
     to_min = rows[reduce(lambda e, f: rows[e][f], groups)]
     ref = next(iter(groups.values()))
@@ -528,11 +554,9 @@ def is_trivial_clifford(S: FiniteSemigroup):
     from_min = {to_min[y]: y for y in ref}
     theta = [from_min[t] for t in to_min]
     # A positive answer must mean x -> (pi(x), theta(x)) is an isomorphism
-    # of S onto E(S) x G_ref; both factors are subsemigroups of S.
-    image = list(zip(pi, theta))
-    for (e, u), row in zip(image, rows):
-        row_e, row_u = rows[e], rows[u]
-        if any(image[xy] != (row_e[f], row_u[v]) for xy, (f, v) in zip(row, image)):
-            raise InternalInconsistency(
-                "trivial-Clifford family does not preserve the products of S")
+    # of S onto E(S) x G_ref; both factors are subsemigroups of S, and
+    # pi_fibers checked that pi is a homomorphism, so theta is left.
+    if not _homomorphic(S, theta):
+        raise InternalInconsistency(
+            "trivial-Clifford family does not preserve the products of S")
     return {e: {x: theta[x] for x in members} for e, members in groups.items()}

@@ -3,6 +3,7 @@
 import dataclasses
 import enum
 import functools
+import gc
 import itertools
 import math
 import pickle
@@ -1164,6 +1165,119 @@ def test_a_semigroup_caches_pi_fibers_once_and_nothing_after_a_raise(monkeypatch
         assert len(calls) == 1 + k and "pi_fibers" not in S.__dict__
     for name in ("classification", "pi_fibers", "j_classes", "topology_masks"):
         assert isinstance(getattr(FiniteSemigroup, name), core.cached_property)
+
+
+# ---------------------------------------------------------------------------
+# one generating set per table, and the product laws read over it
+
+
+def test_the_cached_generators_are_the_closure_element_for_element():
+    tables = [S.table for S in catalog_tables()]
+    tables += [assemble(spec).semigroup.table for spec in cat.spec_catalog().values()]
+    for table in tables:
+        gens, steps = _generators(table)
+        cached_gens, cached_steps = FiniteSemigroup(table).generators
+        assert list(cached_gens) == gens
+        assert [[list(part) for part in step] for step in cached_steps] == [
+            list(step) for step in steps]
+        assert type(cached_gens) is type(cached_steps) is tuple
+        assert all(type(part) is tuple for step in cached_steps for part in step)
+
+
+def test_validation_hands_its_generators_to_the_semigroup_it_returns(monkeypatch):
+    closures = []
+
+    def counted(rows):
+        closures.append(rows)
+        return real(rows)
+
+    real = core._generators
+    monkeypatch.setattr(core, "_generators", counted)
+    for S in catalog_tables():
+        for labels in (None, [f"x{i}" for i in S.elements()]):
+            closures.clear()
+            V = validate_semigroup([list(row) for row in S.table], labels)
+            assert "generators" in vars(V) and len(closures) == 1
+            assert V.generators == cold(S).generators and len(closures) == 2
+
+
+def test_the_cached_generators_leave_the_collector_one_level_per_collection():
+    """A collection stops tracking a tuple whose items are all untracked
+    when it reaches it, and it reaches a tuple before the tuples it holds.
+    So each collection untracks one level of the value: the parts of each
+    step, the steps, the tuple of steps, then the pair.  Lists would be
+    traversed by every collection, for every semigroup alive."""
+    for spec in cat.spec_catalog().values():
+        S = assemble(spec).semigroup
+        gens, steps = S.generators
+        parts = list(itertools.chain.from_iterable(steps))
+        levels = [parts, list(steps), [steps, gens], [S.generators]]
+        for k in range(len(levels)):
+            gc.collect()
+            assert not any(map(gc.is_tracked, itertools.chain(*levels[:k + 1])))
+
+
+def assert_product_checks_match_the_references(S):
+    """pi's homomorphism check and the trivial check, which read the pairs
+    (x, a) with a a generator, against the loops over every pair; returns
+    the reference's pi and fibers, or its error."""
+    expected = error_or_result(reference_pi_and_subgroups, S)
+    assert error_or_result(pi_and_subgroups, cold(S)) == expected
+    assert (error_or_result(is_trivial_clifford, cold(S))
+            == error_or_result(reference_is_trivial_clifford, S))
+    return expected
+
+
+def test_product_checks_match_the_references_on_the_catalogs():
+    for S in catalog_tables():
+        assert_product_checks_match_the_references(S)
+
+
+@settings(max_examples=40, deadline=None)
+@given(strong_semilattice_specs())
+def test_product_checks_match_the_references_on_generated_specs(spec):
+    assert_product_checks_match_the_references(assemble(spec).semigroup)
+
+
+@settings(max_examples=100, deadline=None)
+@given(transformation_tables())
+def test_product_checks_match_the_references_on_transformation_semigroups(table):
+    S = validate_semigroup(table)
+    expected = assert_product_checks_match_the_references(S)
+    if not classify(S).is_clifford:
+        assert expected[:2] == (NotClifford, "not a Clifford semigroup")
+
+
+def planted_classifications(S):
+    """The classification of S with pi changed at one element x to another
+    idempotent, for every such x and idempotent: pi stays idempotent-valued."""
+    cls = classify(S)
+    pi = cls.inverse.pi
+    for x in S.elements():
+        for e in cls.idempotents:
+            if e != pi[x]:
+                planted = InverseStructure(cls.inverse.inv, pi[:x] + (e,) + pi[x + 1:])
+                yield dataclasses.replace(cls, inverse=planted)
+
+
+def test_a_planted_pi_that_is_no_homomorphism_is_named_at_the_first_pair():
+    """A semigroup whose classification is preset to one of those: the check
+    over the generators fails, and the message names the same first (x, y)
+    as the reference's loop over every pair, given the same classification."""
+    planted_count, named = 0, set()
+    for S in catalog_tables():
+        if not classify(S).is_clifford:
+            continue
+        for bad in planted_classifications(S):
+            expected = error_or_result(lambda S: reference_pi_and_subgroups(S, bad), S)
+            if expected[0] is not InternalInconsistency:
+                continue  # still a homomorphism, such as a retraction of a chain
+            planted = cold(S)
+            object.__setattr__(planted, "classification", bad)
+            assert error_or_result(pi_and_subgroups, planted) == expected
+            planted_count += 1
+            named.add(expected[1])
+    assert planted_count > 100 and len(named) > 20
 
 
 def test_commutativity_on_rows_matches_the_pairwise_definition():

@@ -18,6 +18,8 @@ isomorphism search or a private name of `cliffordlab.core`, such as the
 generating set and closure steps that the search branches on.
 `suite.weight_by_definition`, the check of the weight that the oracle and
 the kernel share, must not reach an E-model's `a_weight` or the kernel.
+In the package, only `FiniteSemigroup.generators` reads `core._generators`,
+so the right closure of a table runs once per instance.
 """
 
 import ast
@@ -136,7 +138,7 @@ def test_topology_references_reach_no_kernel_name():
 
 # the cached properties of FiniteSemigroup (core.py) and of
 # TopologicalSemigroupModel (topology.py)
-CACHED = {"classification", "pi_fibers", "j_classes", "topology_masks",
+CACHED = {"generators", "classification", "pi_fibers", "j_classes", "topology_masks",
           "continuity", "mp"}
 
 
@@ -224,6 +226,44 @@ def test_references_and_the_oracle_read_no_cached_structure():
     helpers = {**functions((PACKAGE / "metrics.py").read_text(encoding="utf-8")),
                **functions((PACKAGE / "suite.py").read_text(encoding="utf-8"))}
     assert cached_reads(helpers["oracle_bowman"], helpers) == []
+
+
+def uses_of(source: str, name: str) -> list[str]:
+    """Where the source reads `name`, by name or as an attribute: for each
+    read, the qualified name of the innermost function or class around it,
+    or "<module>"."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name):
+                found.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_name_uses_are_found_in_their_scopes():
+    source = ("def f(rows):\n    return _generators(rows)\n"
+              "class A:\n    def g(self):\n        return core._generators\n"
+              "    def h(self):\n        def inner():\n"
+              "            return _generators(1)\n        return inner\n"
+              "closure = _generators\n"
+              "def _generators(rows):\n    '_generators'\n")
+    assert uses_of(source, "_generators") == ["f", "A.g", "A.h.inner", "<module>"]
+
+
+def test_only_the_generators_property_computes_the_closure():
+    """The right closure of a table runs once per instance, in its cached
+    generators: everything else reads FiniteSemigroup.generators."""
+    uses = [f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+            for scope in uses_of(path.read_text(encoding="utf-8"), "_generators")]
+    assert uses == ["core.FiniteSemigroup.generators"]
 
 
 # the exact route of the rigidity verdict: the polynomial pieces of a chart

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cliffordlab import catalog as cat, core, semilattice
+from cliffordlab import catalog as cat, core, documents, semilattice
 from cliffordlab.core import (
     FiniteSemigroup,
     classify,
@@ -541,3 +541,45 @@ def test_one_structure_op_calls_classify_and_iso_equivalent_a_fixed_number_of_ti
                     for (f, e), phi in spec.bonding.items())
     assert (trivial is not None) == bijective
     assert calls == {"classify": 2, "decompose": 1, "fibers": 1, "iso_equivalent": 1}
+
+
+def spec_text(spec):
+    return serialize_document(WorkbenchDocument("spec", "op", "", spec_to_body(spec)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(strong_semilattice_specs())
+def test_one_structure_op_computes_the_closure_once_per_distinct_validated_table(spec):
+    """The op of the test above computes the right closure of a table only
+    while validating it: a document validates each distinct table of a spec
+    once, each group keeps the generators of its table under its own labels,
+    and isomorphisms, the pi check and the trivial check read the generators
+    that validation handed over."""
+    validated, closed = [], []
+
+    def validating(table, labels=None):
+        validated.append(tuple(map(tuple, table)))
+        return validate(table, labels)
+
+    def closing(rows):
+        closed.append(rows)
+        return generators(rows)
+
+    validate, generators = core.validate_semigroup, core._generators
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_generators", closing)
+        mp.setattr(documents, "validate_semigroup", validating)
+        mp.setattr(semilattice, "validate_semigroup", validating)
+        built = build_spec(parse_document(spec_text(spec)))
+        S = semilattice.assemble(built).semigroup
+        classify(S)
+        built2 = build_spec(parse_document(spec_text(semilattice.decompose(S))))
+        S2 = semilattice.assemble(built2).semigroup
+        assert semilattice.iso_equivalent(S, S2) is not None
+        green_j_classes(S)
+        is_trivial_clifford(S)
+    for G in (built.E, *built.groups.values(), built2.E, *built2.groups.values()):
+        assert "generators" in vars(G)
+    distinct = [1 + len({G.table for G in b.groups.values()}) + 1 for b in (built, built2)]
+    assert len(validated) == sum(distinct)
+    assert closed == validated
