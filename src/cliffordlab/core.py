@@ -162,6 +162,9 @@ def _generators(rows) -> tuple[list[int], list[tuple[list[int], ...]]]:
     return gens, steps
 
 
+BYTE_ROWS_MAX = 256  # the largest order whose table rows are read as bytes
+
+
 def _associative(rows, gens=None) -> bool:
     """Whether (xy)z = x(yz) for all x, y, z, on a square table of indices.
 
@@ -174,12 +177,12 @@ def _associative(rows, gens=None) -> bool:
     y, row xy must equal row y read through row x; the rows are built and
     compared one at a time inside map, so the inner loops run in C.
 
-    A table of order n <= 256 holds each row as one bytes object, and row x
-    padded to 256 bytes is a translation table: row y read through row x is
-    b[y].translate(lut[x]), one C call.  A larger table reads its rows
-    through itemgetters as tuples."""
+    A table of order n <= BYTE_ROWS_MAX holds each row as one bytes object,
+    and row x padded to 256 bytes is a translation table: row y read through
+    row x is b[y].translate(lut[x]), one C call.  A larger table reads its
+    rows, which must be tuples, through itemgetters."""
     n, gens = len(rows), gens or FiniteSemigroup(rows).generators[0]
-    if n <= 256:
+    if n <= BYTE_ROWS_MAX:
         b = list(map(bytes, rows))
         lut = [row + bytes(256 - n) for row in b]
         for y in gens:
@@ -200,22 +203,30 @@ def validate_semigroup(table, labels=None) -> FiniteSemigroup:
 
     Raises IndexOutOfRange for malformed tables or labels and NotAssociative
     (with the full witness list) when some triple fails.
+
+    A bytes row is range-checked by its maximum alone, its items being ints
+    in 0..255 by type, and reaches Light's test as given when n <=
+    BYTE_ROWS_MAX; any other row is read as tuple(row).  S.table is int tuples.
     """
-    rows = tuple(tuple(row) for row in table)
-    n = len(rows)
+    given = [row if type(row) is bytes else tuple(row) for row in table]
+    n = len(given)
     if n == 0:
         raise IndexOutOfRange("empty table")
-    for i, row in enumerate(rows):
+    for i, row in enumerate(given):
         if len(row) != n:
             raise IndexOutOfRange(f"row {i} has length {len(row)}, expected {n}")
         # any other row (int subclasses too) is read cell by cell below
-        if set(map(type, row)) == {int} and 0 <= min(row) and max(row) < n:
+        if type(row) is bytes:
+            if max(row) < n:
+                continue
+        elif set(map(type, row)) == {int} and 0 <= min(row) and max(row) < n:
             continue
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
                 raise IndexOutOfRange(f"table[{i}][{j}] = {v!r} not an index < {n}")
+    rows = tuple(map(tuple, given))
     S = FiniteSemigroup(rows)
-    if not _associative(rows, S.generators[0]):
+    if not _associative(given if n <= BYTE_ROWS_MAX else rows, S.generators[0]):
         raise NotAssociative(associativity_witnesses(rows))
     return _with_labels(S, labels)
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Optional
 
 from .core import (
+    BYTE_ROWS_MAX,
     FiniteSemigroup,
     _Budget,
     _reader,
@@ -180,30 +181,42 @@ class Assembled:
         return self.offsets[e] + g
 
 
+def _label_part(label) -> str:
+    """label with \\ and : escaped, so that parts joined by : stay apart."""
+    return str(label).replace("\\", "\\\\").replace(":", "\\:")
+
+
 def assemble(spec: StrongSemilatticeSpec) -> Assembled:
     """Build the Cayley table one block pair at a time: for s in G_e and t
     in G_f the product lives in G_{ef} and equals phi_{e,ef}(s) * phi_{f,ef}(t),
     so row s of block (e, f) is row phi_{e,ef}(s) of G_{ef}, shifted to
-    global indices, read through phi_{f,ef}."""
+    global indices, read through phi_{f,ef}.  For n <= BYTE_ROWS_MAX that
+    is one bytes.translate of bytes(phi_{f,ef}) by the shifted row padded to
+    256 bytes, and a row of S is the bytes join of its blocks; a larger table
+    reads the shifted rows through itemgetters.  Point (e, x) is labelled
+    "E-label:G_e-label", each part escaped by _label_part."""
     E, groups, bonding = spec.E, spec.groups, spec.bonding
     sizes = [groups[e].n for e in E.elements()]
     offsets = tuple(accumulate(sizes[:-1], initial=0))
     shifted = [[tuple(offsets[e] + v for v in row) for row in groups[e].table]
                for e in E.elements()]
+    if sum(sizes) <= BYTE_ROWS_MAX:
+        shifted = [[bytes(row).ljust(256, b"\0") for row in rows] for rows in shifted]
+        reader, join = (lambda phi: bytes(phi).translate), b"".join
+    else:
+        reader, join = _reader, chain.from_iterable
     table = []
     for e, row_e in enumerate(E.table):
-        blocks = [(shifted[ef], bonding[(e, ef)], _reader(bonding[(f, ef)]))
+        blocks = [(shifted[ef], bonding[(e, ef)], reader(bonding[(f, ef)]))
                   for f, ef in enumerate(row_e)]
         for s in range(sizes[e]):
-            row = []
-            for block, phi_e, through in blocks:
-                row.extend(through(block[phi_e[s]]))
-            table.append(row)
+            table.append(join([through(block[phi_e[s]])
+                               for block, phi_e, through in blocks]))
     labels = []
     for e in E.elements():
         g = spec.groups[e]
         for x in g.elements():
-            labels.append(f"{E.label(e)}:{g.label(x)}")
+            labels.append(f"{_label_part(E.label(e))}:{_label_part(g.label(x))}")
     S = validate_semigroup(table, labels)
     if not classify(S).is_clifford:
         raise InternalInconsistency("assembled semigroup is not Clifford")

@@ -298,7 +298,8 @@ def index_check_outcome(check, table):
 def tables_with_odd_cells(draw):
     """Tables of order 1-4 whose cells are mostly indices, some of them
     bools, floats, negatives, n or more, or IntEnum members; a row is
-    ragged now and then."""
+    ragged now and then, and a row of exact ints in 0..255 is given as
+    bytes or bytearray now and then."""
     n = draw(st.integers(min_value=1, max_value=4))
     odd = st.one_of(st.booleans(), st.sampled_from([0.0, 1.0, 0.5, float("nan")]),
                     st.integers(min_value=-3, max_value=-1),
@@ -308,7 +309,10 @@ def tables_with_odd_cells(draw):
     if draw(st.integers(min_value=0, max_value=5)) == 0:
         i = draw(st.integers(min_value=0, max_value=n - 1))
         table[i] = draw(st.lists(cell, max_size=n + 1))
-    return table
+    kinds = draw(st.lists(st.sampled_from([list, list, bytes, bytearray]),
+                          min_size=n, max_size=n))
+    return [kind(row) if all(type(v) is int and 0 <= v < 256 for v in row) else row
+            for kind, row in zip(kinds, table)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -324,10 +328,51 @@ def test_index_check_matches_the_cell_loop(table):
     [[0, 1], [1, True]], [[0, 1], [1, 0.0]], [[0, -1], [1, 0]], [[0, 1], [1, 2]],
     [[Cell.A, Cell.B], [Cell.B, Cell.A]], [[0, 1], [Cell.B, Cell.C]],
     [[0, 1], [1]], [[0, 1], [1, 0, 1]], [], [[0]], [[1]],
+    [b"\x00\x01", b"\x01\x00"], [b"\x00\x01", b"\x01\x02"], [b"\x00\xff", b"\x01\x00"],
+    [b"\x00\x01", b"\x01"], [b"\x00\x01", b"\x01\x00\x01"],
+    [bytearray(b"\x00\x01"), bytearray(b"\x01\x00")], [bytearray(b"\x00\x01"), b"\x01\x02"],
+    [b"\x00\x01", [1, 0]], [[0, 1], b"\x01\x02"], [b"\x00\x01", [1, True]],
+    [b"\x00\x01", (Cell.B, Cell.A)], [b"\x01\x00", b"\x00\x00"],
 ])
 def test_index_check_matches_the_cell_loop_on_each_kind_of_cell(table):
     assert (index_check_outcome(validate_semigroup, table)
             == index_check_outcome(reference_validate_index, table))
+
+
+def test_rows_of_every_kind_give_one_semigroup_of_int_tuples():
+    # rows of Z3 as bytes, bytearray, bytes and lists mixed, and generators
+    lists = [[(x + y) % 3 for y in range(3)] for x in range(3)]
+    given = [list(map(bytes, lists)), list(map(bytearray, lists)),
+             [bytes(lists[0]), *lists[1:]], [(v for v in row) for row in lists]]
+    want = validate_semigroup(lists, labels=["a", "b", "c"])
+    for table in given:
+        S = validate_semigroup(table, labels=["a", "b", "c"])
+        assert type(S.table) is tuple
+        assert all(type(row) is tuple and set(map(type, row)) == {int} for row in S.table)
+        assert S == want and hash(S) == hash(want)
+        assert S.generators == want.generators
+
+
+def test_light_test_reads_the_bytes_rows_as_given(monkeypatch):
+    seen = []
+
+    def spy(rows, gens=None):
+        seen.append(rows)
+        return _associative(rows, gens)
+
+    monkeypatch.setattr(core, "_associative", spy)
+    rows = [bytes((x + y) % 4 for y in range(4)) for x in range(4)]
+    validate_semigroup(rows)
+    assert all(a is b for a, b in zip(seen[-1], rows))
+    validate_semigroup([rows[0], list(rows[1]), *rows[2:]])  # mixed rows
+    assert seen[-1][0] is rows[0] and seen[-1][1] == tuple(rows[1])
+
+
+def test_bytes_rows_past_the_byte_row_limit_reach_light_test_as_tuples():
+    # the null semigroup of order 257 as bytes rows: Light's test must read
+    # S.table through itemgetters, which compare tuples of ints
+    S = validate_semigroup([bytes(257)] * 257)
+    assert S.table == ((0,) * 257,) * 257
 
 
 def j_classes_by_ideal_sets(S):

@@ -509,6 +509,24 @@ def test_cli_refuses_a_repeated_label(capsys, tmp_path, command):
                    "label 'a' repeats at indices 0 and 1\n")
 
 
+def test_cli_assembles_a_spec_whose_labels_joined_by_a_colon_would_repeat(capsys,
+                                                                          tmp_path):
+    # "a" with "b:c" and "a:b" with "c" both join to a:b:c unless escaped
+    raw = {"kind": "spec", "meta": {"name": "colons"}, "body": {
+        "e": {"n": 2, "table": [[0, 0], [0, 1]], "labels": ["a", "a:b"]},
+        "groups": {"0": {"n": 1, "table": [[0]], "labels": ["b:c"]},
+                   "1": {"n": 1, "table": [[0]], "labels": ["c"]}},
+        "bonding": {"1->0": [0]}}}
+    path = tmp_path / "colons.spec.json"
+    path.write_text(json.dumps(raw))
+    code, out = run_cli(capsys, "assemble", str(path))
+    assert code == 0
+    assert out.splitlines()[1] == r"elements: a:b\:c, a\:b:c"
+    code, out = run_cli(capsys, "assemble", str(path), "--format", "structured")
+    assert code == 0
+    assert docs.parse_document(out).body["labels"] == [r"a:b\:c", r"a\:b:c"]
+
+
 def write_changed(directory, name, where, value):
     """A shipped document with the body entry at path `where` (the whole
     body when empty) set to value; returns its path."""

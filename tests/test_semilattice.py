@@ -1,6 +1,7 @@
 """Strong-semilattice specs: validation, assembly, decomposition, round trips."""
 
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -332,6 +333,26 @@ def reference_assemble(spec):
     return Assembled(semigroup=S, spec=spec, offsets=offsets)
 
 
+def reference_assemble_rows(spec):
+    """The Cayley table as assemble built it for every order before byte
+    rows: each row a list extended by one itemgetter read per block pair."""
+    E, groups, bonding = spec.E, spec.groups, spec.bonding
+    sizes = [groups[e].n for e in E.elements()]
+    offsets = tuple(accumulate(sizes[:-1], initial=0))
+    shifted = [[tuple(offsets[e] + v for v in row) for row in groups[e].table]
+               for e in E.elements()]
+    table = []
+    for e, row_e in enumerate(E.table):
+        blocks = [(shifted[ef], bonding[(e, ef)], core._reader(bonding[(f, ef)]))
+                  for f, ef in enumerate(row_e)]
+        for s in range(sizes[e]):
+            row = []
+            for block, phi_e, through in blocks:
+                row.extend(through(block[phi_e[s]]))
+            table.append(row)
+    return tuple(map(tuple, table))
+
+
 CATALOG_SPECS = list(cat.spec_catalog().values())
 
 
@@ -340,10 +361,54 @@ def test_assembly_matches_the_cell_by_cell_fill_on_the_catalog():
         assert assemble(spec) == reference_assemble(spec)
 
 
+def test_assembly_matches_the_reference_rows_on_the_catalog():
+    for spec in CATALOG_SPECS:
+        assert assemble(spec).semigroup.table == reference_assemble_rows(spec)
+
+
 @settings(max_examples=60, deadline=None)
 @given(strong_semilattice_specs())
 def test_assembly_matches_the_cell_by_cell_fill_on_generated_towers(spec):
     assert assemble(spec) == reference_assemble(spec)
+    assert assemble(spec).semigroup.table == reference_assemble_rows(spec)
+
+
+@pytest.mark.parametrize("chain, order", [(2, 128), (1, 257)])
+def test_assembly_matches_the_reference_rows_on_both_sides_of_the_byte_row_limit(
+        chain, order):
+    # n = 256 writes byte rows, with point 255 the last byte of a
+    # translation table; n = 257 writes itemgetter rows
+    A = direct_product(cat.chain_semilattice(chain), cat.cyclic_group(order))
+    assert A.semigroup.n == chain * order
+    assert A.semigroup.table == reference_assemble_rows(A.spec)
+    assert all(type(row) is tuple for row in A.semigroup.table)
+
+
+def colon_spec():
+    """E labelled a and a:b, with trivial fibres labelled b:c and c: joined
+    with a bare :, both points would read a:b:c."""
+    E = validate_semigroup([[0, 0], [0, 1]], labels=["a", "a:b"])
+    groups = {0: validate_semigroup([[0]], labels=["b:c"]),
+              1: validate_semigroup([[0]], labels=["c"])}
+    return validate_spec(E, groups, {(1, 0): (0,)})
+
+
+def test_assembled_labels_escape_colons_and_backslashes():
+    assert assemble(colon_spec()).semigroup.labels == ("a:b\\:c", "a\\:b:c")
+    E = validate_semigroup([[0, 0], [0, 1]], labels=["a\\", "a"])
+    groups = {0: validate_semigroup([[0]], labels=["\\b"]),
+              1: validate_semigroup([[0]], labels=["\\\\b"])}
+    S = assemble(validate_spec(E, groups, {(1, 0): (0,)})).semigroup
+    assert S.labels == ("a\\\\:\\\\b", "a:\\\\\\\\b")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet="a:\\", max_size=4), min_size=4, max_size=4))
+def test_joined_label_parts_tell_every_pair_apart(parts):
+    e, x, f, y = parts
+    joined = [f"{semilattice._label_part(a)}:{semilattice._label_part(b)}"
+              for a, b in ((e, x), (f, y))]
+    assert (joined[0] == joined[1]) == ((e, x) == (f, y))
 
 
 def relabelled_table(table, perm):
