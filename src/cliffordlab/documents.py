@@ -9,6 +9,10 @@ algebra parses fine and fails in the relevant validator.
 Serialization is deterministic: one encoder, _to_json, writes the bytes of
 json.dumps(value, sort_keys=True, indent=2), for documents and for the
 structured CLI channel alike.
+
+The module loads only the structure layers (core and semilattice); the
+poset, topology-model and metric-data builders import their own layers
+when called.
 """
 
 from __future__ import annotations
@@ -21,10 +25,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .core import FiniteSemigroup, _with_labels, validate_semigroup
 from .errors import SchemaError, WorkbenchError
-from .metrics import BowmanMetricData, bowman_data_from_spec, flat_bowman_data
-from .order import FinitePoset, flat_model, validate_poset
 from .semilattice import StrongSemilatticeSpec, validate_spec
-from .topology import TopologicalSemigroupModel, validate_topology
 
 
 @dataclass(frozen=True)
@@ -377,11 +378,15 @@ def build_spec(doc: WorkbenchDocument) -> StrongSemilatticeSpec:
 
 
 def build_poset(doc: WorkbenchDocument) -> FinitePoset:
+    from .order import validate_poset
+
     _expect_kind(doc, "poset")
     return validate_poset(doc.body["leq"])
 
 
 def build_topology_model(doc: WorkbenchDocument) -> TopologicalSemigroupModel:
+    from .topology import TopologicalSemigroupModel, validate_topology
+
     _expect_kind(doc, "topology-model")
     S = _cayley_from_body(doc.body["semigroup"])
     T = validate_topology(S.n, [frozenset(O) for O in doc.body["opens"]])
@@ -389,6 +394,9 @@ def build_topology_model(doc: WorkbenchDocument) -> TopologicalSemigroupModel:
 
 
 def build_bowman_data(doc: WorkbenchDocument) -> BowmanMetricData:
+    from .metrics import bowman_data_from_spec, flat_bowman_data
+    from .order import flat_model
+
     _expect_kind(doc, "metric-data")
     body = doc.body
     if body["type"] == "flat":

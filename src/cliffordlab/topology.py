@@ -24,11 +24,13 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .core import FiniteSemigroup, cached_property, idempotents, is_semilattice
 from .errors import EOutOfU, InternalInconsistency, NotACover, WorkbenchError
-from .semilattice import Assembled
+
+if TYPE_CHECKING:
+    from .semilattice import Assembled
 
 
 def _mask(A) -> int:

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 from cliffordlab import catalog as cat
 from cliffordlab import documents as docs
 from cliffordlab.cli import _parse_ints, main
+from cliffordlab.core import validate_semigroup
 from cliffordlab.errors import NotHomomorphism, SchemaError
+from cliffordlab.semilattice import assemble, decompose, validate_spec
 
 
 def shipped_files():
@@ -1137,27 +1140,59 @@ def test_the_encoder_writes_every_shipped_document_and_golden_as_json_dumps():
                                                   indent=2), path
 
 
-def structure_inputs(seed):
-    """The op list of the benchmark's structure workload, from its
-    generator (which imports only the standard library)."""
-    import importlib.util
+def labelled(S, marks, rng):
+    """S with labels that need escaping in an assembled label, half of the
+    time: each element's index after a mark drawn from `marks`."""
+    if rng.random() < 0.5:
+        return S
+    return validate_semigroup(S.table, [rng.choice(marks) + str(x) for x in S.elements()])
 
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen.structure_inputs(seed)
+
+def seeded_specs(seed):
+    """Strong semilattices of groups over a chain, the diamond and a flat
+    semilattice, each under identity bonding (E x Z_m, order 64 to 128),
+    mod bonding (Z_m_f -> Z_m_e with m_e = c 2^(points below e)) and
+    collapse bonding (catalog groups onto their identity), with labels that
+    hold `\\` and `:`."""
+    rng = random.Random(f"spec-documents-{seed}")
+    menu = [cat.cyclic_group(m) for m in range(1, 7)] + [cat.klein_four(),
+                                                         cat.symmetric_group_3()]
+    out = {}
+    for shape, E in (("chain", cat.chain_semilattice(rng.randint(2, 4))),
+                     ("diamond", cat.diamond_semilattice()),
+                     ("flat", cat.flat_semilattice(rng.randint(2, 3)))):
+        pairs = [(f, e) for f in E.elements() for e in E.elements()
+                 if f != e and E.mul(e, f) == e]
+        height = {e: sum(E.mul(d, e) == d for d in E.elements()) - 1 for e in E.elements()}
+        m = rng.randint(-(-64 // E.n), 128 // E.n)
+        c = rng.randint(1, 3)
+        mod = {e: c << height[e] for e in E.elements()}
+        collapse = {e: rng.choice(menu) for e in E.elements()}
+        families = {
+            "identity": ({e: cat.cyclic_group(m) for e in E.elements()},
+                         lambda f, e: tuple(range(m))),
+            "mod": ({e: cat.cyclic_group(mod[e]) for e in E.elements()},
+                    lambda f, e: tuple(x % mod[e] for x in range(mod[f]))),
+            "collapse": (collapse, lambda f, e: (0,) * collapse[f].n),
+        }
+        E = labelled(E, ["e:", "e\\", "\\:"], rng)
+        for family, (groups, phi) in families.items():
+            groups = {e: labelled(g, [":", "\\", "g"], rng) for e, g in groups.items()}
+            out[f"{shape}-{family}"] = validate_spec(E, groups, {p: phi(*p) for p in pairs})
+    return out
 
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_the_encoder_writes_the_spec_documents_of_a_structure_pass_as_json_dumps(seed):
-    from cliffordlab.semilattice import assemble, decompose
-
-    ops = structure_inputs(seed)
-    assert len(ops) == 29
-    for op in ops:
-        doc = docs.parse_document(op["spec_text"])
-        again = docs.WorkbenchDocument("spec", op["name"], "", docs.spec_to_body(
+    # each spec runs the structure path: parse, build, assemble, decompose
+    specs = {**cat.spec_catalog(), **seeded_specs(seed)}
+    assert max(assemble(spec).semigroup.n for spec in specs.values()) >= 64
+    assert any(set(label) & {":", "\\"} for spec in specs.values()
+               for table in (spec.E, *spec.groups.values()) for label in table.labels or ())
+    for name, spec in specs.items():
+        doc = docs.parse_document(json.dumps(
+            {"kind": "spec", "meta": {"name": name}, "body": docs.spec_to_body(spec)}))
+        again = docs.WorkbenchDocument("spec", name, "", docs.spec_to_body(
             decompose(assemble(docs.build_spec(doc)).semigroup)))
         for d in (doc, again):
             assert docs.serialize_document(d) == reference_serialize_document(d)
@@ -1170,7 +1205,7 @@ def test_the_encoder_writes_the_spec_documents_of_a_structure_pass_as_json_dumps
 def reference_spec_from_body(body):
     """The spec of body with every group table validated on its own."""
     from cliffordlab.core import validate_semigroup
-    from cliffordlab.semilattice import validate_spec
+    from cliffordlab.semilattice import assemble, decompose, validate_spec
 
     E = validate_semigroup(body["e"]["table"], body["e"].get("labels"))
     groups = {int(k): validate_semigroup(g["table"], g.get("labels"))

@@ -2,12 +2,11 @@
 private helper of the package is used somewhere in it, only `metrics`
 reads the per-element format of metric data, only `suite` forks, `order`
 imports no package module but `errors`, `core` imports no `semilattice`,
-and only the chart path loads numpy: the other modules import neither
-numpy nor `charts` or `suite` when they load, and the package re-exports
-`charts` lazily.
-
-`__init__.py` is left out of the first check: its imports are the
-package's re-exports.
+and each layer loads on first use: `import cliffordlab` loads no layer
+module, the package reads every exported name from the module its one
+table names, the document reader loads only the structure layers, only
+the chart path loads numpy (no other module imports numpy, `charts` or
+`suite` when it loads), and README's library example runs as written.
 """
 
 import ast
@@ -15,6 +14,9 @@ import os
 import pathlib
 import subprocess
 import sys
+from importlib import import_module
+
+import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "cliffordlab"
 
@@ -42,7 +44,7 @@ def test_unused_imports_are_found():
 
 def test_no_module_imports_an_unused_name():
     hits = [f"{path.name} {hit}"
-            for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+            for path in sorted(PACKAGE.glob("*.py"))
             for hit in unused_imports(path.read_text(encoding="utf-8"))]
     assert hits == []
 
@@ -207,10 +209,7 @@ print(codes, before, "numpy" in sys.modules)
 
 
 def test_numpy_loads_only_on_the_chart_path():
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", NUMPY_PROBE], capture_output=True,
-                         text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
-    assert out.stdout == "[0, 0, 0] False True\n"
+    assert run_python(NUMPY_PROBE) == "[0, 0, 0] False True\n"
 
 
 def package_imports(source: str) -> set[str]:
@@ -227,23 +226,103 @@ def test_package_imports_are_found():
 
 
 def test_all_lists_exactly_the_names_the_package_imports():
+    # the package imports every name it exports through its one table,
+    # and no `from .module import` binds one when it loads
     import cliffordlab
 
     source = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
-    assert not package_imports(source) & set(cliffordlab._CHART_NAMES)
-    assert sorted(cliffordlab.__all__) == sorted(
-        package_imports(source) | set(cliffordlab._CHART_NAMES))
+    assert package_imports(source) == set()
+    assert cliffordlab.__all__ == sorted(cliffordlab._EXPORTS)
     assert len(cliffordlab.__all__) == len(set(cliffordlab.__all__))
 
 
 def test_lazy_names_are_the_charts_objects():
+    # every exported name is lazy, the charts names among them: each is
+    # the object of the module the table names, and unknown names and
+    # submodules behave as on any package
     import cliffordlab
-    from cliffordlab import charts
 
-    for name in cliffordlab._CHART_NAMES:
-        assert getattr(cliffordlab, name) is getattr(charts, name)
+    for name, module in cliffordlab._EXPORTS.items():
+        assert getattr(cliffordlab, name) is getattr(import_module(f"cliffordlab.{module}"),
+                                                     name)
         assert name in dir(cliffordlab)
     star = {}
     exec("from cliffordlab import *", star)
     assert all(star[name] is getattr(cliffordlab, name) for name in cliffordlab.__all__)
     assert not hasattr(cliffordlab, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cliffordlab.no_such_name
+    namespace = {}
+    exec("from cliffordlab import catalog", namespace)
+    assert namespace["catalog"] is import_module("cliffordlab.catalog")
+
+
+def run_python(code: str) -> str:
+    """The stdout of `code` in a fresh interpreter that imports the package
+    from this checkout."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+
+
+LOADED = 'print(sorted(m for m in sys.modules if m.partition(".")[0] == "cliffordlab"))'
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("cliffordlab", []),
+    ("cliffordlab.documents", ["core", "documents", "errors", "semilattice"]),
+    ("cliffordlab.topology", ["core", "errors", "topology"]),
+])
+def test_each_module_loads_only_the_layers_it_imports(module, loaded):
+    assert run_python(f"import sys, {module}\n{LOADED}") == "{}\n".format(
+        ["cliffordlab", *(f"cliffordlab.{name}" for name in loaded)])
+
+
+SHIPPED = """
+import sys
+from importlib import resources
+import cliffordlab.documents as docs
+
+def read(name):
+    return docs.parse_document((resources.files("cliffordlab") / "data" / name).read_text())
+"""
+
+
+@pytest.mark.parametrize("call, kind, layers", [
+    ("docs.build_poset(read('chain3.poset.json'))", "FinitePoset", ["order"]),
+    ("docs.build_topology_model(read('sierpinski.topology.json'))",
+     "TopologicalSemigroupModel", ["topology"]),
+    ("docs.build_bowman_data(read('flat3.metric.json'))", "BowmanMetricData",
+     ["metrics", "order"]),
+    ("docs.build_bowman_data(read('twochain.metric.json'))", "BowmanMetricData",
+     ["metrics", "order"]),
+])
+def test_each_builder_loads_its_own_layers(call, kind, layers):
+    # a fresh reader has loaded none of them, so the builder's own import runs
+    out = run_python(f"{SHIPPED}\nbefore = set(sys.modules)\n"
+                     f"print(*(c.__name__ for c in type({call}).__mro__))\n"
+                     "print(sorted(m for m in set(sys.modules) - before\n"
+                     "             if m.startswith('cliffordlab.')))\n").splitlines()
+    assert kind in out[0].split()
+    assert out[1] == str([f"cliffordlab.{layer}" for layer in layers])
+
+
+def test_basic_set_runs_without_semilattice_in_the_topology_namespace():
+    out = run_python("import cliffordlab.topology as topology\n"
+                     "from cliffordlab import catalog, semilattice\n"
+                     "A = semilattice.assemble(catalog.spec_catalog()['chain2-z4-z2-mod'])\n"
+                     "print(sorted(topology.basic_set(A, [0, 1], 0, [0])),\n"
+                     "      sorted(topology.bowman_basic_set(A, [0, 1], [0])),\n"
+                     "      hasattr(topology, 'Assembled'))")
+    assert out == "[0, 2, 4] [0, 2, 4] False\n"
+
+
+def readme_library_example() -> str:
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_the_readme_library_example_runs_without_numpy():
+    out = run_python(readme_library_example() + "import sys\nprint('numpy' in sys.modules)\n")
+    assert out == "False\n"
