@@ -73,7 +73,10 @@ def _parse_point(data, text: str) -> Point:
         raise WorkbenchError(f"no group block at element {e}")
     group = data.block(e).group
     if g_part.removeprefix("-").isdecimal():
-        g = int(g_part)
+        try:
+            g = int(g_part)
+        except ValueError:  # past int()'s digit limit; str(g) would fail too
+            raise WorkbenchError(f"group index out of range at {e}") from None
         if not 0 <= g < group.n:
             raise WorkbenchError(f"group index {g} out of range at {e}")
     else:

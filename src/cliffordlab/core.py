@@ -90,7 +90,9 @@ class FiniteSemigroup:
     @cached_property
     def topology_masks(self):
         """The bitmask data that the checks of topology read (its
-        _SemigroupMasks); the pair images fill in as models read them."""
+        _SemigroupMasks): the pair images of the translations fill in as
+        models read them, and the inversion has its own only when S is
+        inverse but not Clifford."""
         from .topology import _SemigroupMasks
 
         return _SemigroupMasks(self)

@@ -9,13 +9,13 @@ iff y in U_x), and derives its relation mask R (bit b*n + c set iff c in
 U_b) and its open sets, the unions of the U_x, when first read; one
 frozenset object stands for each mask, so the open sets are shared between
 topologies.  A semigroup keeps the data these checks read of it
-(FiniteSemigroup.topology_masks): the image of each pair (b, c) under all
-translations, as an n^2-bit mask filled when first read, the order-graph
-rows, the semilattice verdict, and the masks of its J-classes, maximal
-subgroups and idempotents.  So continuity of a model is an OR of pair
-images and one test against R, whose failing bits name the witness U_z,
-and a model derives its continuity and MP verdicts once each, in the
-package's lock-free cached_property.
+(FiniteSemigroup.topology_masks): the image of each pair (b, c) under the
+translations (and the inversion), as an n^2-bit mask filled when first
+read, the order-graph rows, the semilattice verdict, and the masks of its
+J-classes, maximal subgroups and idempotents.  So continuity of a model is
+an OR of pair images and one test against R, whose failing bits name the
+witness U_z, and a model derives its continuity and MP verdicts once each,
+in the package's lock-free cached_property.
 """
 
 from __future__ import annotations
@@ -196,8 +196,22 @@ class TopologicalSemigroupModel:
 
     @cached_property
     def continuity(self) -> tuple[bool, Optional[frozenset]]:
-        """The verdict of continuity_check, computed once per model."""
-        return _continuity(self)
+        """The verdict of continuity_check.  The preimage of an open O under
+        multiplication is product-open iff no translation t and c in U_b
+        have t(b) in O and t(c) outside it.  Every open around t(b) contains
+        U_t(b), so the products are continuous iff the OR of the pair images
+        of T's arrows has no bit outside R; the inversion, when S has pair
+        images of it, is the same OR over those, read only when the products
+        pass.  The lowest failing bit is a pair (z, c) with z the least
+        failing t(b), so U_z is the witness."""
+        masks, T = self.S.topology_masks, self.T
+        arrows, outside = T.arrows, ~T.relation
+        bad = reduce(or_, map(masks.images.__getitem__, arrows), 0) & outside
+        if not bad and masks.inversion is not None:
+            bad = reduce(or_, map(masks.inversion.__getitem__, arrows), 0) & outside
+        if not bad:
+            return True, None
+        return False, _set(T.up[((bad & -bad).bit_length() - 1) // T.n])
 
     @cached_property
     def mp(self) -> bool:
@@ -213,60 +227,25 @@ def continuity_check(model: TopologicalSemigroupModel):
     the least z such that some translation maps some b to z and some c in
     U_b outside U_z, or, when the products are continuous, the inversion
     does: an open whose preimage is not open.  The verdict is computed once
-    per model."""
+    per model, as TopologicalSemigroupModel.continuity."""
     return model.continuity
 
 
-def _continuity(model: TopologicalSemigroupModel):
-    """The verdict of continuity_check, computed.
-
-    The preimage of an open O under multiplication is product-open iff it
-    holds U_x x U_y around each of its pairs (x, y).  Moving one factor at a
-    time, that fails iff some translation t (left or right by an element)
-    and some c in U_b have t(b) in O and t(c) outside it.  Every open around
-    t(b) contains U_t(b), so some O fails iff some pair (t(b), t(c)) lies
-    outside the relation R, and then U_t(b) fails.  The pairs (t(b), t(c))
-    over all t are the pair image of (b, c), kept with S; OR-ing the images
-    of T's arrows costs O(sum |U_x|) big-int ORs, and the products are
-    continuous iff the OR misses no bit outside R.  Inversion is the same
-    with t = inv, its bits set straight from the arrows.  The lowest bit of
-    the OR outside R is a pair (z, c) with z the least failing t(b), so
-    U_z is the witness."""
-    S, T = model.S, model.T
-    n = T.n
-    acc = reduce(or_, map(S.topology_masks.images.__getitem__, T.arrows), 0)
-    bad = acc & ~T.relation
-    if not bad:
-        inv = S.classification.inverse
-        if inv is None:
-            return True, None
-        inv, acc = inv.inv, 0
-        for p in T.arrows:
-            b, c = divmod(p, n)
-            acc |= 1 << inv[b] * n + inv[c]
-        bad = acc & ~T.relation
-        if not bad:
-            return True, None
-    return False, _set(T.up[((bad & -bad).bit_length() - 1) // n])
-
-
 class _PairImages(dict):
-    """Pair index b*n + c -> the n^2-bit mask of the pairs t(b)*n + t(c)
-    over the 2n left and right translations t of the table, each computed
-    when first read."""
+    """The pair-image table of a list of maps on 0..n-1: pair index b*n + c
+    -> the n^2-bit mask of the pairs t(b)*n + t(c) over the maps t, each
+    computed when first read."""
 
-    def __init__(self, table):
+    def __init__(self, maps, n: int):
         super().__init__()
-        self.table = table
+        self.maps, self.n = maps, n
 
     def __missing__(self, p: int) -> int:
-        table = self.table
-        n = len(table)
+        n = self.n
         b, c = divmod(p, n)
-        rb, rc = table[b], table[c]
         m = 0
-        for x, row in enumerate(table):
-            m |= 1 << row[b] * n + row[c] | 1 << rb[x] * n + rc[x]
+        for t in self.maps:
+            m |= 1 << t[b] * n + t[c]
         self[p] = m
         return m
 
@@ -274,13 +253,27 @@ class _PairImages(dict):
 class _SemigroupMasks:
     """The bitmask data of a semigroup that the checks of this module read,
     kept with it as FiniteSemigroup.topology_masks and built on first use:
-    the pair images of the continuity test, the order-graph rows, the
-    semilattice verdict, the mask of each point's J-class, and the masks and
-    members of the maximal subgroups and the idempotents."""
+    the pair images of the translations (the n rows and the n columns of
+    the table) and of the inversion, the order-graph rows, the semilattice
+    verdict, the mask of each point's J-class, and the masks and members of
+    the maximal subgroups and the idempotents."""
 
     def __init__(self, S: FiniteSemigroup):
         self.S = S
-        self.images = _PairImages(S.table)
+        self.images = _PairImages((*S.table, *zip(*S.table)), S.n)
+
+    @cached_property
+    def inversion(self) -> Optional[_PairImages]:
+        """The pair images of the inversion on an inverse semigroup that is
+        not Clifford, else None.  On a finite Clifford semigroup
+        x^-1 = x^(2M-1), M the lcm of the group orders, and a <= b gives
+        a^k = a^(k-1) a <= a^(k-1) b <= b^(k-1) b = b^k when the
+        translations are monotone; so there the inversion is monotone
+        whenever the products are, and never decides a verdict."""
+        cls = self.S.classification
+        if cls.inverse is None or cls.is_clifford:
+            return None
+        return _PairImages((cls.inverse.inv,), self.S.n)
 
     @cached_property
     def jclass_of(self) -> tuple[int, ...]:

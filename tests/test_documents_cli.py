@@ -326,6 +326,56 @@ def test_cli_basic_set_rejects_v_outside_the_anchor_group(capsys, anchor):
     assert err == "error: V element 9 outside G_0\n"
 
 
+DIGITS_5000 = "1" * 5000
+
+
+@pytest.mark.parametrize("metric", ["bowman", "yeager", "disjoint"])
+@pytest.mark.parametrize("g", [DIGITS_5000, "-" + DIGITS_5000], ids=["plus", "minus"])
+def test_cli_refuses_a_group_index_past_the_int_digit_limit(capsys, metric, g):
+    # int() refuses more than 4300 digits, and so would str() of the index
+    for p, q in ((f"1,{g}", "1,0"), ("1,0", f"1,{g}")):
+        err = cli_error(capsys, "metric-eval", metric, "twochain.metric",
+                        f"--p={p}", f"--q={q}")
+        assert err == "error: group index out of range at 1\n"
+
+
+# Malformed values for every string-valued option: parts missing or extra,
+# signs, whitespace, float, exponent, underscore and hex forms, non-ASCII
+# digits, NUL and parts past Python's 4300-digit limit.
+MALFORMED = ["", ",", "1", ",0", "1,", "1,1,1", "0,-", "0,--1", "0,+1", " 1 , 0 ",
+             "1\t,0", "1.0", "1,1.0", "1e3", "1,1e3", "1_0", "1,1_0", "0x1", "1,0x1",
+             "\u0663,0", "1,\u0663", "\u00b2,0", "1,\u00b2", "\0", "1,\0", DIGITS_5000,
+             f"{DIGITS_5000},0", f"1,{DIGITS_5000}", f"1,-{DIGITS_5000}",
+             f"0,{DIGITS_5000}"]
+
+
+def string_option_argvs(value):
+    """Each string-valued option of the CLI set to value."""
+    for metric in ("bowman", "yeager", "disjoint"):
+        yield "metric-eval", metric, "twochain.metric", f"--p={value}", "--q=1,0"
+        yield "metric-eval", metric, "twochain.metric", "--p=1,0", f"--q={value}"
+    yield "basis-check", "chain3.poset", f"--basis={value}"
+    yield "basic-set", "twochain.spec", f"--u={value}", "--v=0"
+    yield "basic-set", "twochain.spec", "--u=0,1", f"--v={value}"
+    yield "converge", "flat3.metric", f"--ks={value}"
+
+
+@pytest.mark.parametrize("value", MALFORMED, ids=range(len(MALFORMED)))
+def test_every_string_option_takes_a_malformed_value_without_a_traceback(capsys, value):
+    for argv in string_option_argvs(value):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        if err:
+            assert code != 0 and out == "", argv
+            assert sum("error:" in line for line in err.splitlines()) == 1, argv
+        else:  # a result; basis-check's "not a basis" verdict exits 1
+            assert code == 0 or out.startswith("not a basis: "), argv
+
+
 def test_cli_reads_integer_rho_entries_as_rationals(capsys, tmp_path):
     path = write_changed(tmp_path, "twochain.metric.json", ["rho"], [[0, 1], [1, 0]])
     assert run_cli(capsys, "validate", str(path))[0] == 0
