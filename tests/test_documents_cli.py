@@ -279,6 +279,14 @@ def cli_error(capsys, *argv):
     return captured.err
 
 
+def test_cli_validate_names_the_first_associativity_witnesses(capsys):
+    # Z4 with cell [1][1] set to 0; the witnesses are (x, y, z) triples
+    err = cli_error(capsys, "validate",
+                    str(Path(__file__).parent / "golden" / "z4-broken.cayley.json"))
+    assert err == ("error: associativity fails at (1, 1, 2), (1, 1, 3), (1, 2, 3), "
+                   "(1, 3, 2), (2, 1, 1) (+3 more)\n")
+
+
 def test_cli_converge_rejects_a_k_without_block(capsys):
     err = cli_error(capsys, "converge", "flat3.metric", "--ks", "9")
     assert err == "error: no group block at element 9\n"
