@@ -68,7 +68,7 @@ def _parse_point(data, text: str) -> Point:
         e_part, g_part = text.split(",", 1)
         e = int(e_part)
     except ValueError:
-        raise WorkbenchError(f'points look like "e,g", got {text!r}')
+        raise WorkbenchError(f'points look like "e,g", got {_shown(text)}')
     if e not in data.emodel.elements():
         raise WorkbenchError(f"no group block at element {e}")
     group = data.block(e).group
@@ -90,7 +90,14 @@ def _parse_ints(text: str) -> list[int]:
     try:
         return [int(p) for p in text.split(",")] if text else []
     except ValueError:
-        raise WorkbenchError(f"expected comma-separated integers, got {text!r}")
+        raise WorkbenchError(f"expected comma-separated integers, got {_shown(text)}")
+
+
+def _shown(text: str) -> str:
+    """text quoted, or its length if it is longer than int() takes digits."""
+    limit = sys.get_int_max_str_digits()
+    return (f"{len(text)} characters, too long to echo (an integer has at most "
+            f"{limit} digits)" if 0 < limit < len(text) else repr(text))
 
 
 class Report:

@@ -89,10 +89,8 @@ class FiniteSemigroup:
 
     @cached_property
     def topology_masks(self):
-        """The bitmask data that the checks of topology read (its
-        _SemigroupMasks): the pair images of the translations fill in as
-        models read them, and the inversion has its own only when S is
-        inverse but not Clifford."""
+        """The _SemigroupMasks that the checks of topology read: the pair
+        images of the translations, filled in as models read them."""
         from .topology import _SemigroupMasks
 
         return _SemigroupMasks(self)

@@ -10,12 +10,12 @@ U_b) and its open sets, the unions of the U_x, when first read; one
 frozenset object stands for each mask, so the open sets are shared between
 topologies.  A semigroup keeps the data these checks read of it
 (FiniteSemigroup.topology_masks): the image of each pair (b, c) under the
-translations (and the inversion), as an n^2-bit mask filled when first
-read, the order-graph rows, the semilattice verdict, and the masks of its
-J-classes, maximal subgroups and idempotents.  So continuity of a model is
-an OR of pair images and one test against R, whose failing bits name the
-witness U_z, and a model derives its continuity and MP verdicts once each,
-in the package's lock-free cached_property.
+translations, as an n^2-bit mask filled when first read, the order-graph
+rows, the semilattice verdict, and the masks of its J-classes, maximal
+subgroups and idempotents.  So continuity of a model is an OR of pair
+images and one test against R, whose failing bits name the witness U_z, and
+a model derives its continuity and MP verdicts once each, in the package's
+lock-free cached_property.
 """
 
 from __future__ import annotations
@@ -200,15 +200,23 @@ class TopologicalSemigroupModel:
         multiplication is product-open iff no translation t and c in U_b
         have t(b) in O and t(c) outside it.  Every open around t(b) contains
         U_t(b), so the products are continuous iff the OR of the pair images
-        of T's arrows has no bit outside R; the inversion, when S has pair
-        images of it, is the same OR over those, read only when the products
-        pass.  The lowest failing bit is a pair (z, c) with z the least
-        failing t(b), so U_z is the witness."""
+        of T's arrows has no bit outside R.  The lowest failing bit is a
+        pair (z, c) with z the least failing t(b), so U_z is the witness.
+
+        The inversion needs no check: in a finite inverse semigroup, a
+        compatible preorder (a <= b implies xay <= xby for x, y in S^1; R is
+        one iff the products pass) has a^-1 <= b^-1 whenever a <= b, by
+        unique inverses and (xy)^-1 = y^-1 x^-1 (Lawson, 1998, ch. 1):
+        1. a^-1 = a^-1 a a^-1 <= a^-1 b a^-1, and putting this into its own
+           last factor gives a^-1 <= a^-1 (b a^-1)^k for every k >= 1.
+        2. b^-1 a b^-1 <= b^-1, hence b^-1 (a b^-1)^k <= b^-1 for all k >= 0.
+        3. For x = b a^-1 (so x^-1 = a b^-1) and m a multiple of its period,
+           m - 1 >= its index, x^(m-1) inverts x^(m+1): it is (x^-1)^(m+1).
+        4. So a^-1 <= a^-1 a . b^-1 (a b^-1)^m <= a^-1 a b^-1 <= a^-1 b b^-1.
+        5. In the opposite semigroup under the reversed preorder, step 4's
+           a^-1 <= a^-1 a b^-1 reads a^-1 b b^-1 <= b^-1, ending the chain."""
         masks, T = self.S.topology_masks, self.T
-        arrows, outside = T.arrows, ~T.relation
-        bad = reduce(or_, map(masks.images.__getitem__, arrows), 0) & outside
-        if not bad and masks.inversion is not None:
-            bad = reduce(or_, map(masks.inversion.__getitem__, arrows), 0) & outside
+        bad = reduce(or_, map(masks.images.__getitem__, T.arrows), 0) & ~T.relation
         if not bad:
             return True, None
         return False, _set(T.up[((bad & -bad).bit_length() - 1) // T.n])
@@ -225,9 +233,9 @@ def continuity_check(model: TopologicalSemigroupModel):
 
     Returns (True, None) or (False, witness_open).  The witness is U_z for
     the least z such that some translation maps some b to z and some c in
-    U_b outside U_z, or, when the products are continuous, the inversion
-    does: an open whose preimage is not open.  The verdict is computed once
-    per model, as TopologicalSemigroupModel.continuity."""
+    U_b outside U_z: an open whose preimage is not open.  The inversion is
+    continuous whenever the products are (TopologicalSemigroupModel.continuity
+    proves it), so only the translations are read, once per model."""
     return model.continuity
 
 
@@ -251,29 +259,15 @@ class _PairImages(dict):
 
 
 class _SemigroupMasks:
-    """The bitmask data of a semigroup that the checks of this module read,
-    kept with it as FiniteSemigroup.topology_masks and built on first use:
-    the pair images of the translations (the n rows and the n columns of
-    the table) and of the inversion, the order-graph rows, the semilattice
-    verdict, the mask of each point's J-class, and the masks and members of
-    the maximal subgroups and the idempotents."""
+    """The bitmask data that the checks of this module read of a semigroup,
+    kept as FiniteSemigroup.topology_masks and built on first use: the pair
+    images of the translations (the n rows and the n columns of the table),
+    the order-graph rows, the semilattice verdict, each point's J-class
+    mask, and the masks and members of the maximal subgroups and E."""
 
     def __init__(self, S: FiniteSemigroup):
         self.S = S
         self.images = _PairImages((*S.table, *zip(*S.table)), S.n)
-
-    @cached_property
-    def inversion(self) -> Optional[_PairImages]:
-        """The pair images of the inversion on an inverse semigroup that is
-        not Clifford, else None.  On a finite Clifford semigroup
-        x^-1 = x^(2M-1), M the lcm of the group orders, and a <= b gives
-        a^k = a^(k-1) a <= a^(k-1) b <= b^(k-1) b = b^k when the
-        translations are monotone; so there the inversion is monotone
-        whenever the products are, and never decides a verdict."""
-        cls = self.S.classification
-        if cls.inverse is None or cls.is_clifford:
-            return None
-        return _PairImages((cls.inverse.inv,), self.S.n)
 
     @cached_property
     def jclass_of(self) -> tuple[int, ...]:

@@ -347,6 +347,21 @@ def test_cli_refuses_a_group_index_past_the_int_digit_limit(capsys, metric, g):
         assert err == "error: group index out of range at 1\n"
 
 
+@pytest.mark.parametrize("argv, refused", [
+    (("converge", "flat3.metric", f"--ks=1,{DIGITS_5000}"),
+     "expected comma-separated integers, got 5002 characters"),
+    (("basis-check", "chain3.poset", f"--basis={DIGITS_5000}"),
+     "expected comma-separated integers, got 5000 characters"),
+    (("metric-eval", "bowman", "twochain.metric", f"--p={DIGITS_5000},0", "--q=1,0"),
+     'points look like "e,g", got 5002 characters'),
+], ids=["ks", "basis", "e-part"])
+def test_cli_names_the_digit_limit_instead_of_echoing_a_longer_integer(capsys, argv,
+                                                                        refused):
+    err = cli_error(capsys, *argv)
+    assert err == (f"error: {refused}, too long to echo (an integer has at most "
+                   f"{sys.get_int_max_str_digits()} digits)\n")
+
+
 # Malformed values for every string-valued option: parts missing or extra,
 # signs, whitespace, float, exponent, underscore and hex forms, non-ASCII
 # digits, NUL and parts past Python's 4300-digit limit.
@@ -380,6 +395,7 @@ def test_every_string_option_takes_a_malformed_value_without_a_traceback(capsys,
         if err:
             assert code != 0 and out == "", argv
             assert sum("error:" in line for line in err.splitlines()) == 1, argv
+            assert len(err.encode()) < 300, argv  # no argument is echoed whole
         else:  # a result; basis-check's "not a basis" verdict exits 1
             assert code == 0 or out.startswith("not a basis: "), argv
 

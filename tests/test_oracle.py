@@ -97,7 +97,7 @@ def test_the_weight_definition_reaches_no_weight_or_kernel_name():
 # topology checks and the checks the references mirror; the private names of
 # topology.py are kernel too
 TOPOLOGY_KERNEL = {"up", "relation", "arrows", "is_hausdorff", "jclass_of",
-                   "group_masks", "idempotent_mask", "graph", "semilattice", "inversion",
+                   "group_masks", "idempotent_mask", "graph", "semilattice",
                    "all_topologies", "continuity_check", "mp_check",
                    "prop34_equivalences", "order_graph_closed"}
 

@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import pickle
+import random
 import re
 
 import pytest
@@ -650,8 +651,9 @@ def test_pair_images_are_filled_only_as_models_read_them():
 
 
 # ---------------------------------------------------------------------------
-# The inversion half of the continuity test: its own pair images, built only
-# on an inverse semigroup that is not Clifford.
+# The inversion: on a finite inverse semigroup it is continuous whenever the
+# products are (the lemma of TopologicalSemigroupModel.continuity), so the
+# continuity test reads the translations only.
 
 
 def replaced_continuity(model):
@@ -691,15 +693,16 @@ def test_the_replaced_loop_gives_every_verdict_and_witness():
     assert models == 9589 + 113 * 29
 
 
-def test_only_an_inverse_semigroup_that_is_not_clifford_has_inversion_images():
-    catalog = cat.semigroup_catalog()
-    for S in catalog.values():
-        cls = classify(S)
-        no_table = cls.is_clifford or not cls.is_inverse
-        assert (S.topology_masks.inversion is None) == no_table
-    assert catalog["brandt-b2"].topology_masks.inversion is not None
-    assert catalog["left-zero2"].topology_masks.inversion is None
-    assert catalog["null3"].topology_masks.inversion is None
+@pytest.mark.parametrize("name, verdicts", [("brandt-b2", {True, False}),
+                                             ("null3", {True})], ids=["b2", "null3"])
+def test_the_continuity_test_computes_no_classification(name, verdicts):
+    # B2 is inverse and not Clifford; null3 is not inverse, and its
+    # translations are constant
+    S = cat.semigroup_catalog()[name]
+    assert "classification" not in S.__dict__
+    assert verdicts == {continuity_check(TopologicalSemigroupModel(S, T))[0]
+                        for T in enumerated_topologies(S.n)}
+    assert "classification" not in S.__dict__
 
 
 def test_the_inverse_is_a_power_on_the_clifford_catalog_members():
@@ -745,6 +748,19 @@ def least_compatible_preorder(S, a, b):
     return above
 
 
+def inverses(S):
+    """The inverse of each element of an inverse semigroup, by definition."""
+    return [next(y for y in S.elements() if S.mul(S.mul(x, y), x) == x
+                 and S.mul(S.mul(y, x), y) == y) for x in S.elements()]
+
+
+def step_5_chain(S, inverse, a, b):
+    """The chain of the lemma's step 5, which holds whenever a <= b in a
+    compatible preorder: a^-1 <= a^-1 a b^-1 <= a^-1 b b^-1 <= b^-1."""
+    return [inverse[a], S.mul(S.mul(inverse[a], a), inverse[b]),
+            S.mul(S.mul(inverse[a], b), inverse[b]), inverse[b]]
+
+
 @pytest.mark.parametrize("make", [cat.brandt_b2, lambda: symmetric_inverse_monoid(2),
                                   lambda: symmetric_inverse_monoid(3)], ids=["b2", "i2", "i3"])
 def test_the_inversion_is_continuous_on_every_least_compatible_preorder(make):
@@ -753,12 +769,54 @@ def test_the_inversion_is_continuous_on_every_least_compatible_preorder(make):
     # a verdict on some topology of S iff it does on some T_C(a, b).
     S = make()
     assert classify(S).is_inverse and not classify(S).is_clifford
-    inverse = [next(y for y in S.elements() if S.mul(S.mul(x, y), x) == x
-                    and S.mul(S.mul(y, x), y) == y) for x in S.elements()]
+    inverse = inverses(S)
     for a, b in itertools.product(S.elements(), repeat=2):
         above = least_compatible_preorder(S, a, b)
         assert all(inverse[v] in above[inverse[u]] for u in S.elements() for v in above[u])
+        chain = step_5_chain(S, inverse, a, b)
+        assert all(v in above[u] for u, v in zip(chain, chain[1:]))
         T = FiniteTopology(S.n, tuple(sum(1 << v for v in up) for up in above))
         model = TopologicalSemigroupModel(S, T)
         assert continuity_check(model) == replaced_continuity(model) == (True, None)
-    assert len(S.topology_masks.inversion) > S.n
+
+
+def inverse_subsemigroups_of_i4(seed, count):
+    """count distinct inverse subsemigroups of I_4 that are not Clifford,
+    each of order 5 to 30 and generated by two seeded random elements and
+    their inverses."""
+    I4 = symmetric_inverse_monoid(4)
+    inv = classify(I4).inverse.inv
+    rng = random.Random(seed)
+    found = {}
+    while len(found) < count:
+        x, y = rng.sample(range(I4.n), 2)
+        elems = list(dict.fromkeys((x, y, inv[x], inv[y])))
+        for u in elems:  # elems grows as products are found
+            for v in list(elems):
+                for w in (I4.mul(u, v), I4.mul(v, u)):
+                    if w not in elems and len(elems) <= 30:
+                        elems.append(w)
+        key = frozenset(elems)
+        if not 5 <= len(elems) <= 30 or key in found:
+            continue
+        pos = {u: i for i, u in enumerate(elems)}
+        S = validate_semigroup([[pos[I4.mul(u, v)] for v in elems] for u in elems])
+        if not classify(S).is_clifford:
+            found[key] = S
+    return list(found.values())
+
+
+def test_the_inversion_is_continuous_on_the_least_compatible_preorders_of_i4_subsemigroups():
+    pairs = 0
+    for S in inverse_subsemigroups_of_i4(seed=41, count=8):
+        assert classify(S).is_inverse
+        inverse = inverses(S)
+        for a, b in itertools.product(S.elements(), repeat=2):
+            above = least_compatible_preorder(S, a, b)
+            chain = step_5_chain(S, inverse, a, b)
+            assert all(v in above[u] for u, v in zip(chain, chain[1:]))
+            T = FiniteTopology(S.n, tuple(sum(1 << v for v in up) for up in above))
+            model = TopologicalSemigroupModel(S, T)
+            assert continuity_check(model) == replaced_continuity(model) == (True, None)
+            pairs += 1
+    assert pairs == 4397
