@@ -66,38 +66,55 @@ def _parse_point(data, text: str) -> Point:
     group index or label of the group of its block."""
     try:
         e_part, g_part = text.split(",", 1)
-        e = int(e_part)
+        e = _int(e_part)
     except ValueError:
-        raise WorkbenchError(f'points look like "e,g", got {_shown(text)}')
+        raise WorkbenchError(f'points look like "e,g", got {_shown(text, integers=True)}')
     if e not in data.emodel.elements():
         raise WorkbenchError(f"no group block at element {e}")
     group = data.block(e).group
     if g_part.removeprefix("-").isdecimal():
         try:
-            g = int(g_part)
+            g = _int(g_part)
         except ValueError:  # past int()'s digit limit; str(g) would fail too
             raise WorkbenchError(f"group index out of range at {e}") from None
         if not 0 <= g < group.n:
             raise WorkbenchError(f"group index {g} out of range at {e}")
     else:
         if group.labels is None or g_part not in group.labels:
-            raise WorkbenchError(f"unknown group element {g_part!r} at {e}")
+            raise WorkbenchError(f"unknown group element {_shown(g_part)} at {e}")
         g = group.labels.index(g_part)
     return Point(e, g)
 
 
 def _parse_ints(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",")] if text else []
+        return [_int(p) for p in text.split(",")] if text else []
     except ValueError:
-        raise WorkbenchError(f"expected comma-separated integers, got {_shown(text)}")
+        raise WorkbenchError(
+            f"expected comma-separated integers, got {_shown(text, integers=True)}")
 
 
-def _shown(text: str) -> str:
-    """text quoted, or its length if it is longer than int() takes digits."""
+SHOWN_MAX = 64  # the longest argument that an error line quotes whole
+
+
+def _int(text: str) -> int:
+    """int(text), refused when longer than SHOWN_MAX characters: no table
+    has so many elements, and an error line that names it stays short."""
+    value = int(text)
+    if len(text) > SHOWN_MAX:
+        raise WorkbenchError(f"an integer of {len(text)} characters names no element")
+    return value
+
+
+def _shown(text: str, integers: bool = False) -> str:
+    """text quoted, or its length if it is longer than SHOWN_MAX; for a text
+    read as integers, also the digit limit of int() when text is past it."""
+    if len(text) <= SHOWN_MAX:
+        return repr(text)
     limit = sys.get_int_max_str_digits()
-    return (f"{len(text)} characters, too long to echo (an integer has at most "
-            f"{limit} digits)" if 0 < limit < len(text) else repr(text))
+    why = (f" (an integer has at most {limit} digits)"
+           if integers and 0 < limit < len(text) else "")
+    return f"{len(text)} characters, too long to echo{why}"
 
 
 class Report:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
-from operator import eq, itemgetter, or_
+from itertools import chain, compress, count
+from operator import eq, itemgetter, ne, or_
 from typing import Optional
 
 from .errors import (
@@ -109,20 +109,6 @@ class FiniteSemigroup:
         return self.labels[x] if self.labels is not None else str(x)
 
 
-def associativity_witnesses(table) -> list[tuple[int, int, int]]:
-    """All triples (x, y, z) with (xy)z != x(yz)."""
-    n = len(table)
-    bad = []
-    for x in range(n):
-        for y in range(n):
-            xy = table[x][y]
-            row = table[xy]
-            for z in range(n):
-                if row[z] != table[x][table[y][z]]:
-                    bad.append((x, y, z))
-    return bad
-
-
 def _reader(index):
     """The map seq -> tuple(seq[i] for i in index), in C: an itemgetter,
     which returns a bare item, not a 1-tuple, for a single index."""
@@ -133,9 +119,15 @@ def _reader(index):
 
 
 def _generators(rows) -> tuple[list[int], list[tuple[list[int], ...]]]:
-    """A generating set A, chosen greedily in index order: x joins A when
-    no left-normed product of earlier generators reaches it; and the steps
-    of its right closure (A and every r*a with r in it and a in A).
+    """A generating set A, chosen greedily: x joins A when no left-normed
+    product of earlier generators reaches it; and the steps of its right
+    closure (A and every r*a with r in it and a in A).
+
+    The candidates are the non-idempotents, then the idempotents, each in
+    index order.  On a union of groups, such as a Clifford semigroup, a
+    power of each group element is the identity of its group, so every
+    idempotent whose group is not trivial is reached before its turn; in
+    index order it would join A whenever it came first.
 
     The closure grows as generators join.  The step of generator g_k is g_k
     itself, then the products p = r*a it looks up, in order: r*g_k for
@@ -146,7 +138,7 @@ def _generators(rows) -> tuple[list[int], list[tuple[list[int], ...]]]:
     r is reached and a is a generator.  Over all steps each pair (r, a)
     with r in S and a in A is looked up exactly once: n |A| lookups."""
     gens, steps, reached, seen = [], [], [], [False] * len(rows)
-    for x in range(len(rows)):
+    for x in sorted(range(len(rows)), key=lambda x: rows[x][x] == x):
         if seen[x]:
             continue
         gens.append(x)
@@ -165,6 +157,26 @@ def _generators(rows) -> tuple[list[int], list[tuple[list[int], ...]]]:
 BYTE_ROWS_MAX = 256  # the largest order whose table rows are read as bytes
 
 
+def _row_pairs(rows):
+    """The kernel of Light's test: the function of y that gives, as two
+    iterables over x, row xy and row y read through row x, on a square table
+    of indices.  They are equal for every x exactly when (xy)z = x(yz) for
+    all x and z; the rows are built and compared inside map, in C.
+
+    A table of order n <= BYTE_ROWS_MAX holds each row as one bytes object,
+    and row x padded to 256 bytes is a translation table: row y read through
+    row x is b[y].translate(lut[x]), one C call.  A larger table reads its
+    rows, which must be tuples, through itemgetters."""
+    n = len(rows)
+    if n <= BYTE_ROWS_MAX:
+        b = list(map(bytes, rows))
+        lut = [row + bytes(256 - n) for row in b]
+        return lambda y: (map(b.__getitem__, map(itemgetter(y), rows)),
+                          map(b[y].translate, lut))
+    return lambda y: (itemgetter(*[row[y] for row in rows])(rows),
+                      map(itemgetter(*rows[y]), rows))
+
+
 def _associative(rows, gens=None) -> bool:
     """Whether (xy)z = x(yz) for all x, y, z, on a square table of indices.
 
@@ -173,29 +185,33 @@ def _associative(rows, gens=None) -> bool:
     (x(ab))z = ((xa)b)z = (xa)(bz) = x(a(bz)) = x((ab)z).  So when every
     generator is good, so is the closure of the generators, the whole
     carrier: testing y over a generating set (gens, by default the table's)
-    decides associativity, with the same answer as testing every y.  For one
-    y, row xy must equal row y read through row x; the rows are built and
-    compared one at a time inside map, so the inner loops run in C.
+    decides associativity, with the same answer as testing every y, each
+    by the row comparison of _row_pairs."""
+    pairs = _row_pairs(rows)
+    gens = gens or FiniteSemigroup(rows).generators[0]
+    return all(all(map(eq, *pairs(y))) for y in gens)
 
-    A table of order n <= BYTE_ROWS_MAX holds each row as one bytes object,
-    and row x padded to 256 bytes is a translation table: row y read through
-    row x is b[y].translate(lut[x]), one C call.  A larger table reads its
-    rows, which must be tuples, through itemgetters."""
-    n, gens = len(rows), gens or FiniteSemigroup(rows).generators[0]
-    if n <= BYTE_ROWS_MAX:
-        b = list(map(bytes, rows))
-        lut = [row + bytes(256 - n) for row in b]
-        for y in gens:
-            products = map(b.__getitem__, map(itemgetter(y), rows))
-            if not all(map(eq, products, map(b[y].translate, lut))):
-                return False
-        return True
-    for y in gens:
-        through = itemgetter(*rows[y])
-        products = itemgetter(*[row[y] for row in rows])
-        if not all(map(eq, products(rows), map(through, rows))):
-            return False
-    return True
+
+def _differing(left, right) -> list[int]:
+    """The positions z at which two rows of equal length differ."""
+    return list(compress(count(), map(ne, left, right)))
+
+
+def associativity_witnesses(table) -> list[tuple[int, int, int]]:
+    """All triples (x, y, z) with (xy)z != x(yz), in lexicographic order.
+
+    For every y the rows of _row_pairs are compared for all x at once, and
+    z is enumerated only for the pairs (x, y) whose two rows differ, so a
+    table with a few broken cells costs about what Light's test over every
+    y costs, not n^3 Python steps."""
+    rows = tuple(map(tuple, table))
+    pairs, bad = _row_pairs(rows), []
+    for y in range(len(rows)):
+        products, through = map(list, pairs(y))
+        for x in compress(count(), map(ne, products, through)):
+            bad += [(x, y, z) for z in _differing(products[x], through[x])]
+    bad.sort()
+    return bad
 
 
 def validate_semigroup(table, labels=None) -> FiniteSemigroup:

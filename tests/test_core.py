@@ -237,8 +237,51 @@ def tables_and_mutations(draw):
     return table
 
 
+def reference_associativity_witnesses(table):
+    """All triples (x, y, z) with (xy)z != x(yz), by the loop over all n^3
+    triples that core.associativity_witnesses ran before it compared rows."""
+    n = len(table)
+    bad = []
+    for x in range(n):
+        for y in range(n):
+            xy = table[x][y]
+            row = table[xy]
+            for z in range(n):
+                if row[z] != table[x][table[y][z]]:
+                    bad.append((x, y, z))
+    return bad
+
+
+def witnesses_by_both_kernels(table):
+    """associativity_witnesses(table) on byte rows and, with the byte-row
+    limit set to 0, on itemgetter rows; each with the number of (x, y) whose
+    z it enumerated."""
+    calls, real, found = [], core._differing, []
+
+    def counted(left, right):
+        calls.append((left, right))
+        return real(left, right)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_differing", counted)
+        for limit in (core.BYTE_ROWS_MAX, 0):
+            mp.setattr(core, "BYTE_ROWS_MAX", limit)
+            calls.clear()
+            found.append((associativity_witnesses(table), len(calls)))
+    return found
+
+
+def assert_witnesses_match(table, bad):
+    """Both kernels list the witnesses bad, and each enumerates z for
+    exactly the (x, y) that some witness names."""
+    failing_pairs = len({(x, y) for x, y, _ in bad})
+    assert witnesses_by_both_kernels(table) == [(bad, failing_pairs)] * 2
+
+
 def assert_validation_matches_the_witness_loop(table):
-    bad = associativity_witnesses(table)
+    """Both witness kernels and validation agree with the loop."""
+    bad = reference_associativity_witnesses(table)
+    assert_witnesses_match(table, bad)
     if bad:
         with pytest.raises(NotAssociative) as exc:
             validate_semigroup(table)
@@ -320,7 +363,7 @@ def tables_with_odd_cells(draw):
 def test_index_check_matches_the_cell_loop(table):
     expected = index_check_outcome(reference_validate_index, table)
     assert index_check_outcome(validate_semigroup, table) == expected
-    if expected is None and not associativity_witnesses(table):
+    if expected is None and not reference_associativity_witnesses(table):
         assert validate_semigroup(table).table == tuple(map(tuple, table))
 
 
@@ -568,6 +611,17 @@ def test_left_and_right_zero_bands_are_not_isomorphic():
     # every element is a generator, so only the check steps tell them apart
     assert _generators(cat.left_zero(4).table)[0] == [0, 1, 2, 3]
     assert iso_equivalent(cat.left_zero(4), cat.right_zero(4)) is None
+
+
+def test_the_search_budget_over_the_catalog_pairs_is_pinned():
+    """The nodes that the search spends up to its first isomorphism, or to
+    its end, over every ordered pair of catalog semigroups of equal order:
+    in total and at most.  Another choice of generators can make the search
+    branch far more, so a change that moves these numbers is measured."""
+    catalog = list(cat.semigroup_catalog().values())
+    spent = [first_and_spent(isomorphisms, G, H)[1]
+             for G in catalog for H in catalog if G.n == H.n]
+    assert (len(spent), sum(spent), max(spent)) == (130, 166, 28)
 
 
 def test_the_null_semigroup_of_order_4_has_3_factorial_automorphisms():
@@ -876,8 +930,11 @@ def reference_light_test_on_tuple_rows(rows):
 
 
 def assert_light_test_matches_the_references(rows):
-    assert (_associative(rows) == reference_associative(rows)
-            == reference_light_test_on_tuple_rows(rows))
+    """Light's test over the table's generators, over the index-order ones
+    and with each row read as a tuple gives the verdict of the loop over
+    every y."""
+    assert (_associative(rows) == _associative(rows, reference_generators(rows))
+            == reference_associative(rows) == reference_light_test_on_tuple_rows(rows))
 
 
 def right_closure(rows, gens):
@@ -892,11 +949,30 @@ def right_closure(rows, gens):
     return reached
 
 
+def reference_generators(rows, order=None):
+    """The generating set chosen greedily over the candidates in order, by
+    default index order, which core._generators used before it took the
+    idempotents last: x joins when the closure of the earlier generators
+    misses it."""
+    gens = []
+    for x in range(len(rows)) if order is None else order:
+        if x not in right_closure(rows, gens):
+            gens.append(x)
+    return gens
+
+
+def idempotents_last(rows):
+    """The candidates of core._generators in its order: the
+    non-idempotents, then the idempotents, each in index order."""
+    return sorted(range(len(rows)), key=lambda x: (rows[x][x] == x, x))
+
+
 def assert_generators_span_the_carrier(rows):
-    """The generators span the carrier, and their closure steps look up
+    """The generators are the greedy choice over the non-idempotents, then
+    the idempotents; they span the carrier, and their closure steps look up
     every product r*a with a generator a once, each after r is reached."""
     gens, steps = _generators(rows)
-    assert gens == sorted(set(gens))
+    assert gens == reference_generators(rows, idempotents_last(rows))
     assert right_closure(rows, gens) == set(range(len(rows)))
     assert len(steps) == len(gens)
     reached, pairs = [], set()
@@ -952,10 +1028,28 @@ def test_generators_span_generated_assembled_tables(spec):
     assert_generators_span_the_carrier(assemble(spec).semigroup.table)
 
 
-def test_generators_of_left_zero_and_null_tables_are_every_element():
+def test_generators_of_left_zero_and_null_tables_take_the_idempotents_last():
+    # a left-zero band is all idempotents, none a product of the others; the
+    # null table's one idempotent 0 is 1 * 1, so it joins only in index order
     left_zero = tuple((x,) * 8 for x in range(8))
     null = tuple((0,) * 8 for _ in range(8))
-    assert _generators(left_zero)[0] == _generators(null)[0] == list(range(8))
+    assert _generators(left_zero)[0] == reference_generators(left_zero) == list(range(8))
+    assert _generators(null)[0] == list(range(1, 8))
+    assert reference_generators(null) == list(range(8))
+
+
+@pytest.mark.parametrize("k, m", [(1, 2), (2, 3), (3, 4), (4, 6), (5, 2)])
+def test_a_chain_times_a_cyclic_group_has_one_generator_per_level(k, m):
+    # in index order each level's identity (e_i, 0) joined too
+    rows = direct_product(cat.chain_semilattice(k), cat.cyclic_group(m)).semigroup.table
+    assert len(_generators(rows)[0]) == k
+    assert len(reference_generators(rows)) == 2 * k
+
+
+def test_the_assembled_spec_catalog_has_22_generators():
+    tables = [assemble(spec).semigroup.table for spec in cat.spec_catalog().values()]
+    assert sum(len(_generators(rows)[0]) for rows in tables) == 22
+    assert sum(map(len, map(reference_generators, tables))) == 39
 
 
 @st.composite
@@ -973,6 +1067,18 @@ def random_tables(draw):
 def test_light_test_and_generators_on_random_tables(rows):
     assert_light_test_matches_the_references(rows)
     assert_generators_span_the_carrier(rows)
+    assert_validation_matches_the_witness_loop(rows)
+
+
+def test_one_broken_cell_enumerates_z_only_for_the_failing_pairs():
+    # Z_64 x chain(2) with one cell changed: its witnesses name a few
+    # hundred (x, y) of the 16384, and only those are read cell by cell
+    table = [list(row) for row in direct_product(
+        cat.chain_semilattice(2), cat.cyclic_group(64)).semigroup.table]
+    table[3][5] = (table[3][5] + 1) % len(table)
+    bad = reference_associativity_witnesses(table)
+    assert len({(x, y) for x, y, _ in bad}) < len(table) ** 2 // 20
+    assert_witnesses_match(table, bad)
 
 
 @pytest.mark.parametrize("n", [255, 256, 257])

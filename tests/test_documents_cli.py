@@ -362,14 +362,33 @@ def test_cli_names_the_digit_limit_instead_of_echoing_a_longer_integer(capsys, a
                    f"{sys.get_int_max_str_digits()} digits)\n")
 
 
+@pytest.mark.parametrize("g, refused", [
+    ("7", "group index 7 out of range at 1"),
+    ("7" * 64, "group index " + "7" * 64 + " out of range at 1"),
+    ("7" * 65, "an integer of 65 characters names no element"),
+    ("-" + "7" * 4299, "an integer of 4300 characters names no element"),
+    ("x" * 64, f"unknown group element {'x' * 64!r} at 1"),
+    ("x" * 65, "unknown group element 65 characters, too long to echo at 1"),
+    ("x" * 5000, "unknown group element 5000 characters, too long to echo at 1"),
+], ids=["short", "64-digits", "65-digits", "4299-digits", "64-letters", "65-letters",
+        "5000-letters"])
+def test_cli_names_the_length_of_a_long_group_part_instead_of_echoing_it(capsys, g,
+                                                                         refused):
+    err = cli_error(capsys, "metric-eval", "bowman", "twochain.metric", f"--p=1,{g}",
+                    "--q=1,0")
+    assert err == f"error: {refused}\n"
+
+
 # Malformed values for every string-valued option: parts missing or extra,
 # signs, whitespace, float, exponent, underscore and hex forms, non-ASCII
-# digits, NUL and parts past Python's 4300-digit limit.
+# digits, NUL, parts past Python's 4300-digit limit, parts of 4300 digits
+# and a group label of 5000 characters.
 MALFORMED = ["", ",", "1", ",0", "1,", "1,1,1", "0,-", "0,--1", "0,+1", " 1 , 0 ",
              "1\t,0", "1.0", "1,1.0", "1e3", "1,1e3", "1_0", "1,1_0", "0x1", "1,0x1",
              "\u0663,0", "1,\u0663", "\u00b2,0", "1,\u00b2", "\0", "1,\0", DIGITS_5000,
              f"{DIGITS_5000},0", f"1,{DIGITS_5000}", f"1,-{DIGITS_5000}",
-             f"0,{DIGITS_5000}"]
+             f"0,{DIGITS_5000}", "7" * 4300, f"{'7' * 4300},0", "1," + "7" * 4300,
+             f"1,x{DIGITS_5000}"]
 
 
 def string_option_argvs(value):
